@@ -15,17 +15,8 @@ from .wendland import (
     wendland_c8,
     wendland_from_integral,
 )
-from .radial import RadialJet, build_jet, mixed_partial
-from .stokes_kernel import (
-    CollocationFunctional,
-    StokesKernelConfig,
-    dirichlet_functional,
-    eval_basis_column,
-    eval_basis_column_derivatives,
-    gram_entry,
-    pde_functional,
-    velocity_kernel_entry,
-)
+from .radial import mixed_partial
+from .stokes_kernel import StokesKernelConfig, kernel_block
 from .geometry import (
     EmptyPointSet,
     LevelPointSet,

@@ -101,18 +101,24 @@ def gauss_legendre_grid(points_per_dim: int):
     return pts, np.outer(weights, weights).ravel()
 
 
-def _reference_field(reference: ManufacturedSolution, fieldname: str):
-    if fieldname == "velocity":
-        return reference.u
-    if fieldname == "pressure-gradient":
-        return reference.grad_p
-    raise ValueError(f"unknown field {fieldname!r}")
+# field name (also the `evaluate_model` request) -> reference attribute
+_REFERENCE_FIELDS = {"velocity": "u", "pressure-gradient": "grad_p"}
 
 
-def _model_request(fieldname: str) -> str:
-    if fieldname not in _MODEL_REQUEST:
+def _norms(err: np.ndarray, w: np.ndarray) -> tuple[float, float]:
+    """(L2 with quadrature weights w, max) of the pointwise Euclidean norm."""
+    sq = np.sum(err * err, axis=1)
+    return float(np.sqrt(np.sum(w * sq))), float(np.max(np.sqrt(sq)))
+
+
+def _grid_norms(model, reference: ManufacturedSolution, fieldname: str,
+                points_per_dim: int) -> tuple[float, float]:
+    if fieldname not in _REFERENCE_FIELDS:
         raise ValueError(f"unknown field {fieldname!r}")
-    return _MODEL_REQUEST[fieldname]
+    pts, w = gauss_legendre_grid(points_per_dim)
+    err = evaluate_model(model, pts, request=fieldname)
+    err = err - getattr(reference, _REFERENCE_FIELDS[fieldname])(pts)
+    return _norms(err, w)
 
 
 def l2_error(model, reference: ManufacturedSolution, fieldname: str,
@@ -123,22 +129,13 @@ def l2_error(model, reference: ManufacturedSolution, fieldname: str,
     pressure the compared field is the gradient, which quotients out the
     undetermined constant.
     """
-    pts, w = gauss_legendre_grid(quad_points_per_dim)
-    err = evaluate_model(model, pts, request=_model_request(fieldname))
-    err = err - _reference_field(reference, fieldname)(pts)
-    return float(np.sqrt(np.sum(w * np.sum(err * err, axis=1))))
+    return _grid_norms(model, reference, fieldname, quad_points_per_dim)[0]
 
 
 def linf_error(model, reference: ManufacturedSolution, fieldname: str,
                grid_points_per_dim: int = 100) -> float:
     """Max pointwise Euclidean error over the same tensor evaluation grid."""
-    pts, _ = gauss_legendre_grid(grid_points_per_dim)
-    err = evaluate_model(model, pts, request=_model_request(fieldname))
-    err = err - _reference_field(reference, fieldname)(pts)
-    return float(np.max(np.sqrt(np.sum(err * err, axis=1))))
-
-
-_MODEL_REQUEST = {"velocity": "velocity", "pressure-gradient": "pressure-gradient"}
+    return _grid_norms(model, reference, fieldname, grid_points_per_dim)[1]
 
 
 def extreme_eigenvalues(matrix: np.ndarray) -> tuple[float, float]:
@@ -271,21 +268,13 @@ def run_experiment(
         nonlocal vel_acc, gp_acc
         vel_acc = vel_acc + evaluate(solution, pts)[0]
         gp_acc = gp_acc + evaluate_fields(solution, pts, "pressure-gradient")
-        verr = vel_acc - u_ref
-        gerr = gp_acc - gp_ref
+        vel_l2, vel_linf = _norms(vel_acc - u_ref, w)
+        gp_l2, gp_linf = _norms(gp_acc - gp_ref, w)
         report.deltas.append(solution.kernel.delta)
-        report.velocity_l2.append(
-            float(np.sqrt(np.sum(w * np.sum(verr * verr, axis=1))))
-        )
-        report.velocity_linf.append(
-            float(np.max(np.sqrt(np.sum(verr * verr, axis=1))))
-        )
-        report.pressure_grad_l2.append(
-            float(np.sqrt(np.sum(w * np.sum(gerr * gerr, axis=1))))
-        )
-        report.pressure_grad_linf.append(
-            float(np.max(np.sqrt(np.sum(gerr * gerr, axis=1))))
-        )
+        report.velocity_l2.append(vel_l2)
+        report.velocity_linf.append(vel_linf)
+        report.pressure_grad_l2.append(gp_l2)
+        report.pressure_grad_linf.append(gp_linf)
         if index < eigen_levels:
             lam_min, lam_max = extreme_eigenvalues(system.matrix)
             report.lambda_min[index + 1] = lam_min

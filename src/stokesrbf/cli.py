@@ -38,7 +38,6 @@ class RunConfig:
 
     levels: int = 5
     beta: float = 18.779
-    mu: float = 0.5
     nu: float = 1.0
     tau: float = 4.5
     quad_points: int = 100
@@ -49,7 +48,7 @@ class RunConfig:
     def validate(self):
         if not (1 <= self.levels <= 8):
             raise ValueError("levels must be between 1 and 8 (dense-solve guard)")
-        for name in ("beta", "mu", "nu", "tau"):
+        for name in ("beta", "nu", "tau"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
         if self.quad_points < 2 or self.eigen_levels < 0:
@@ -100,7 +99,6 @@ def cmd_run(args) -> int:
     ms_config = MultiscaleConfig(
         n_levels=config.levels,
         beta=config.beta,
-        mu=config.mu,
         tau=config.tau,
         nu=config.nu,
     )
@@ -127,8 +125,9 @@ def cmd_run(args) -> int:
 def _summary_text(config: RunConfig, report) -> str:
     lines = []
     lines.append("multiscale symmetric collocation, unit square")
+    # mu is the fixed mesh ratio of the `geometry` grids, not a setting
     lines.append(
-        f"levels={config.levels} beta={config.beta} mu={config.mu} "
+        f"levels={config.levels} beta={config.beta} mu=0.5 "
         f"nu={config.nu} tau={config.tau} quad={config.quad_points}^2"
     )
     lines.append(
@@ -251,7 +250,6 @@ def _add_run_flags(parser: argparse.ArgumentParser):
     parser.add_argument("--config", help="key=value config file")
     parser.add_argument("--levels", type=int)
     parser.add_argument("--beta", type=float)
-    parser.add_argument("--mu", type=float)
     parser.add_argument("--nu", type=float)
     parser.add_argument("--tau", type=float)
     parser.add_argument("--quad-points", dest="quad_points", type=int)

@@ -18,13 +18,7 @@ import numpy as np
 from scipy.linalg import LinAlgError, cho_factor, cho_solve
 
 from .geometry import LevelPointSet
-from .stokes_kernel import (
-    DIRICHLET,
-    PDE,
-    CollocationFunctional,
-    StokesKernelConfig,
-    kernel_block,
-)
+from .stokes_kernel import DIRICHLET, PDE, StokesKernelConfig, kernel_block
 
 __all__ = [
     "NotPositiveDefinite",
@@ -34,7 +28,6 @@ __all__ = [
     "solve",
     "evaluate",
     "evaluate_fields",
-    "functionals_for",
     "write_matrix",
 ]
 
@@ -63,21 +56,10 @@ def _groups(pointset: LevelPointSet):
     )
 
 
-def functionals_for(pointset: LevelPointSet) -> list[CollocationFunctional]:
-    """The ordered functional list backing the matrix rows/columns."""
-    out = []
-    for kind, comp, pts in _groups(pointset):
-        out.extend(
-            CollocationFunctional(kind, comp, (x, y)) for x, y in pts
-        )
-    return out
-
-
 @dataclass
 class CollocationSystem:
     """Symmetric collocation system A alpha = rhs for one level."""
 
-    functionals: list[CollocationFunctional]
     matrix: np.ndarray
     rhs: np.ndarray
     pointset: LevelPointSet
@@ -131,11 +113,7 @@ def assemble(
     gvals = np.asarray(g_data(pointset.boundary), dtype=float)
     rhs = np.concatenate([fvals[:, 0], fvals[:, 1], gvals[:, 0], gvals[:, 1]])
     return CollocationSystem(
-        functionals=functionals_for(pointset),
-        matrix=matrix,
-        rhs=rhs,
-        pointset=pointset,
-        kernel=kernel,
+        matrix=matrix, rhs=rhs, pointset=pointset, kernel=kernel
     )
 
 
@@ -207,6 +185,17 @@ def _apply_rows(solution: LevelSolution, rows, pts) -> np.ndarray:
     return out
 
 
+# the row functionals behind each evaluation request: "value" is the
+# (u1, u2, p) triple of `evaluate`, the rest are the derived fields of
+# `evaluate_fields`
+_FIELD_ROWS = {
+    "value": [("velocity", 1), ("velocity", 2), ("pressure", 0)],
+    "l-image": [("pde", 1), ("pde", 2)],
+    "divergence": [("divergence", 0)],
+    "pressure-gradient": [("pressure_grad", 1), ("pressure_grad", 2)],
+}
+
+
 def evaluate(solution: LevelSolution, x):
     """Velocity (n, 2) and pressure (n,) of the approximant at x.
 
@@ -214,25 +203,17 @@ def evaluate(solution: LevelSolution, x):
     """
     x = np.asarray(x, dtype=float)
     single = x.ndim == 1
-    vals = _apply_rows(
-        solution, [("velocity", 1), ("velocity", 2), ("pressure", 0)], x
-    )
+    vals = _apply_rows(solution, _FIELD_ROWS["value"], x)
     velocity, pressure = vals[:, :2], vals[:, 2]
     if single:
         return velocity[0], float(pressure[0])
     return velocity, pressure
 
 
-_FIELD_ROWS = {
-    "l-image": [("pde", 1), ("pde", 2)],
-    "divergence": [("divergence", 0)],
-    "pressure-gradient": [("pressure_grad", 1), ("pressure_grad", 2)],
-}
-
-
 def evaluate_fields(solution: LevelSolution, x, request: str):
-    """Analytic derived fields of the approximant: momentum-operator image,
-    velocity divergence, or pressure gradient."""
+    """Analytic fields of the approximant: momentum-operator image
+    ("l-image"), velocity divergence, pressure gradient, or the (u1, u2, p)
+    columns of `evaluate` ("value")."""
     if request not in _FIELD_ROWS:
         raise ValueError(f"unknown request {request!r}")
     x = np.asarray(x, dtype=float)

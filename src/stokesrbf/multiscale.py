@@ -48,14 +48,11 @@ class MultiscaleConfig:
     ``tau`` is the Sobolev exponent of the kernel's native space (4.5 for
     the C^8 kernel); it is supplied rather than inferred because it is a
     property of the norm equivalence, not recoverable from coefficients.
-    ``mu`` is the mesh-ratio of the level hierarchy (1/2 for the grids of
-    `geometry`); it is carried for bookkeeping, the schedule itself depends
-    on beta and tau.  ``delta_override`` replaces the derived schedule.
+    ``delta_override`` replaces the derived schedule.
     """
 
     n_levels: int
     beta: float = 18.779
-    mu: float = 0.5
     tau: float = 4.5
     nu: float = 1.0
     delta_override: tuple[float, ...] | None = None
@@ -65,8 +62,6 @@ class MultiscaleConfig:
     def __post_init__(self):
         if self.n_levels < 1:
             raise ValueError("need at least one level")
-        if not (0 < self.mu < 1):
-            raise ValueError("mu must lie in (0, 1)")
         if self.tau <= 2:
             raise ValueError("tau must exceed 2 for a meaningful schedule")
 
@@ -218,39 +213,51 @@ def save_model(model: MultiscaleModel, path) -> None:
 
 
 def load_model(path, config: MultiscaleConfig | None = None) -> MultiscaleModel:
-    """Read a model written by save_model."""
+    """Read a model written by save_model.
+
+    Raises ValueError unless the file holds exactly one such model: a wrong
+    magic, a section cut short, or bytes after the last level all fail.
+    """
     with open(path, "rb") as fh:
-        if fh.read(8) != _MAGIC:
-            raise ValueError("not a stokesrbf model file")
-        (n_levels,) = struct.unpack("<Q", fh.read(8))
-        if config is None:
-            config = MultiscaleConfig(n_levels=max(n_levels, 1))
-        base = StokesKernelConfig(
-            config.velocity_profile(), config.pressure_profile(), nu=config.nu
+        data = fh.read()
+    if data[:8] != _MAGIC:
+        raise ValueError("not a stokesrbf model file")
+    pos = 8
+
+    def take(n: int) -> bytes:
+        nonlocal pos
+        if n > len(data) - pos:
+            raise ValueError("truncated stokesrbf model file")
+        pos += n
+        return data[pos - n: pos]
+
+    (n_levels,) = struct.unpack("<Q", take(8))
+    if config is None:
+        config = MultiscaleConfig(n_levels=max(n_levels, 1))
+    base = StokesKernelConfig(
+        config.velocity_profile(), config.pressure_profile(), nu=config.nu
+    )
+    levels = []
+    for _ in range(n_levels):
+        delta, nu, n_int, n_bd = struct.unpack("<ddQQ", take(32))
+        interior = np.frombuffer(take(16 * n_int), dtype="<f8").reshape(-1, 2)
+        boundary = np.frombuffer(take(16 * n_bd), dtype="<f8").reshape(-1, 2)
+        coeffs = np.frombuffer(take(8 * 2 * (n_int + n_bd)), dtype="<f8").copy()
+        pointset = LevelPointSet(
+            interior=interior.copy(),
+            boundary=boundary.copy(),
+            nominal_h=float(
+                1.0 / (np.sqrt(n_int) - 1) if n_int > 1 else 1.0
+            ),
+            measured_h=float("nan"),
+            separation_q=separation_distance(interior),
         )
-        levels = []
-        for _ in range(n_levels):
-            delta, nu, n_int, n_bd = struct.unpack("<ddQQ", fh.read(32))
-            interior = np.frombuffer(fh.read(16 * n_int), dtype="<f8").reshape(-1, 2)
-            boundary = np.frombuffer(fh.read(16 * n_bd), dtype="<f8").reshape(-1, 2)
-            coeffs = np.frombuffer(
-                fh.read(8 * 2 * (n_int + n_bd)), dtype="<f8"
-            ).copy()
-            pointset = LevelPointSet(
-                interior=interior.copy(),
-                boundary=boundary.copy(),
-                nominal_h=float(
-                    1.0 / (np.sqrt(n_int) - 1) if n_int > 1 else 1.0
-                ),
-                measured_h=float("nan"),
-                separation_q=separation_distance(interior),
-            )
-            kernel = StokesKernelConfig(
-                base.psi_vel, base.psi_pre, nu=nu, delta=delta
-            )
-            levels.append(
-                LevelSolution(
-                    coefficients=coeffs, pointset=pointset, kernel=kernel
-                )
-            )
+        kernel = StokesKernelConfig(
+            base.psi_vel, base.psi_pre, nu=nu, delta=delta
+        )
+        levels.append(
+            LevelSolution(coefficients=coeffs, pointset=pointset, kernel=kernel)
+        )
+    if pos != len(data):
+        raise ValueError("trailing bytes after the stokesrbf model")
     return MultiscaleModel(levels=levels, config=config)

@@ -19,7 +19,6 @@ evaluators.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
@@ -28,9 +27,7 @@ import numpy as np
 from .wendland import NonPolynomialDivision, WendlandPolynomial
 
 __all__ = [
-    "RadialJet",
     "RadialTermEvaluator",
-    "build_jet",
     "mixed_partial",
     "mixed_partial_terms",
 ]
@@ -127,7 +124,6 @@ class RadialTermEvaluator:
                 "derivative order exceeds the profile's smoothness; "
                 "offending terms x1^a x2^b r^m with (a,b,m) in %s" % sorted(bad)
             )
-        self.terms = dict(terms)
         self.origin: Fraction = terms.get((0, 0, 0), Fraction(0))
         groups: dict[tuple[int, int], dict[int, Fraction]] = {}
         for (a, b, m), c in terms.items():
@@ -139,10 +135,6 @@ class RadialTermEvaluator:
                 [float(prof.get(m, Fraction(0))) for m in range(m_lo, m_hi + 1)]
             )
             self._groups.append((a, b, m_lo, coeffs))
-
-    @property
-    def origin_float(self) -> float:
-        return float(self.origin)
 
     def __call__(self, dx, dy):
         """Evaluate at displacement arrays (unit support radius)."""
@@ -187,59 +179,3 @@ def _compiled(coeffs: tuple, nx: int, ny: int) -> RadialTermEvaluator:
 def mixed_partial(profile: WendlandPolynomial, nx: int, ny: int) -> RadialTermEvaluator:
     """Compiled evaluator for d^nx/dx1 d^ny/dx2 of profile(||x||); cached."""
     return _compiled(profile.coeffs, nx, ny)
-
-
-@dataclass(frozen=True)
-class RadialJet:
-    """Table of radial derivative profiles for one base polynomial.
-
-    ``profiles[(s, t)]`` holds s divided-derivative applications followed by
-    t plain differentiations of the base.  The two operators do not commute
-    (T(f') and (Tf)' differ already on f = r^4), so the table fixes the
-    divided-first order; it is exactly the set of polynomial profiles the
-    derivative algebra of this module can produce for the base.
-    """
-
-    base: WendlandPolynomial
-    max_order: int
-    profiles: dict[tuple[int, int], WendlandPolynomial]
-
-    def profile(self, s: int, t: int) -> WendlandPolynomial:
-        return self.profiles[(s, t)]
-
-    def derivative(self, nx: int, ny: int) -> RadialTermEvaluator:
-        """Compiled mixed partial of the base; shares the module-level cache."""
-        if nx + ny > self.max_order:
-            raise NonPolynomialDivision(
-                f"jet built to order {self.max_order}, requested {nx + ny}"
-            )
-        return mixed_partial(self.base, nx, ny)
-
-
-def build_jet(p: WendlandPolynomial, max_order: int) -> RadialJet:
-    """Build the profile table needed for derivatives up to ``max_order``.
-
-    Derivatives of order m stay regular at the origin only while the first
-    m/2 odd coefficients of the base vanish, so the divided-derivative depth
-    is capped at the number of leading vanishing odd coefficients.  If
-    ``max_order`` needs more than the base supports, the division error is
-    raised up front rather than at evaluation time.
-    """
-    if max_order < 0:
-        raise ValueError("max_order must be >= 0")
-    cap = p.leading_odd_zeros()
-    if max_order > 2 * cap:
-        raise NonPolynomialDivision(
-            f"order {max_order} needs {(max_order + 1) // 2} divided "
-            f"derivatives; base supports {cap}"
-        )
-    profiles: dict[tuple[int, int], WendlandPolynomial] = {}
-    q = p
-    for s in range(min(cap, max_order) + 1):
-        deriv = q
-        for t in range(max_order - s + 1):
-            profiles[(s, t)] = deriv
-            deriv = deriv.derivative()
-        if s < min(cap, max_order):
-            q = q.divided_derivative()
-    return RadialJet(base=p, max_order=max_order, profiles=profiles)

@@ -33,63 +33,27 @@ from .radial import (
     diff_x,
     diff_y,
     laplacian,
+    mixed_partial,
     terms_from_profile,
 )
 from .wendland import WendlandPolynomial
 
-__all__ = [
-    "PDE",
-    "DIRICHLET",
-    "CollocationFunctional",
-    "StokesKernelConfig",
-    "pde_functional",
-    "dirichlet_functional",
-    "gram_entry",
-    "velocity_kernel_entry",
-    "eval_basis_column",
-    "eval_basis_column_derivatives",
-    "kernel_block",
-]
+__all__ = ["PDE", "DIRICHLET", "StokesKernelConfig", "kernel_block"]
 
 DIM = 2
 
 PDE = "pde"
 DIRICHLET = "dirichlet"
 
-# row kinds for evaluation functionals applied to the first kernel argument;
-# "pde" and "velocity" double as the collocation rows
-ROW_KINDS = ("pde", "velocity", "pressure", "pressure_grad", "divergence")
-
-
-@dataclass(frozen=True)
-class CollocationFunctional:
-    """One row/column label of the symmetric system.
-
-    kind "pde": the momentum operator applied at an interior point;
-    kind "dirichlet": velocity evaluation at a boundary point.
-    ``component`` indexes the velocity component (1 or 2).
-    """
-
-    kind: str
-    component: int
-    point: tuple[float, float]
-
-    def __post_init__(self):
-        if self.kind not in (PDE, DIRICHLET):
-            raise ValueError(f"unknown functional kind {self.kind!r}")
-        if self.component not in (1, 2):
-            raise ValueError("component must be 1 or 2")
-        object.__setattr__(
-            self, "point", (float(self.point[0]), float(self.point[1]))
-        )
-
-
-def pde_functional(component: int, point) -> CollocationFunctional:
-    return CollocationFunctional(PDE, component, tuple(point))
-
-
-def dirichlet_functional(component: int, point) -> CollocationFunctional:
-    return CollocationFunctional(DIRICHLET, component, tuple(point))
+# every (kind, component) label kernel_block accepts: rows are evaluation
+# functionals applied to the first kernel argument ("pde" and "velocity"
+# double as the collocation rows), columns are the collocation functionals
+_ROWS = frozenset({
+    (PDE, 1), (PDE, 2), ("velocity", 1), ("velocity", 2),
+    ("pressure_grad", 1), ("pressure_grad", 2),
+    ("pressure", 0), ("divergence", 0),
+})
+_COLS = frozenset({(PDE, 1), (PDE, 2), (DIRICHLET, 1), (DIRICHLET, 2)})
 
 
 @dataclass(frozen=True)
@@ -151,42 +115,35 @@ def _vel_div_evaluator(coeffs: tuple, j: int, laps: int) -> RadialTermEvaluator:
     return RadialTermEvaluator(t)
 
 
-@lru_cache(maxsize=None)
-def _pre_evaluator(coeffs: tuple, nx: int, ny: int) -> RadialTermEvaluator:
-    t = terms_from_profile(coeffs)
-    for _ in range(nx):
-        t = diff_x(t)
-    for _ in range(ny):
-        t = diff_y(t)
-    return RadialTermEvaluator(t)
+def _pre_grad(pre: WendlandPolynomial, i: int) -> RadialTermEvaluator:
+    """d_i psi_pre for i in {1, 2}."""
+    return mixed_partial(pre, 2 - i, i - 1)
 
 
-def _pre_grad(coeffs, i):
-    return _pre_evaluator(coeffs, 1 if i == 1 else 0, 1 if i == 2 else 0)
-
-
-def _pre_hess(coeffs, i, j):
-    nx = (i == 1) + (j == 1)
-    return _pre_evaluator(coeffs, nx, 2 - nx)
+def _pre_hess(pre: WendlandPolynomial, i: int, j: int) -> RadialTermEvaluator:
+    """d_i d_j psi_pre for i, j in {1, 2}."""
+    return mixed_partial(pre, 4 - i - j, i + j - 2)
 
 
 def _entry_parts(cfg: StokesKernelConfig, row: tuple, col: tuple):
     """(factor, evaluator, derivative order) triples for a row/column pair.
 
-    ``row`` is (kind, component) with kind from ROW_KINDS, ``col`` is
-    (kind, component) with kind "pde" or "dirichlet".  The y-side functional
-    is folded into the signs: odd-order derivatives acting on the second
-    argument flip sign, which is how the -d_j psi_pre pressure columns and
-    the nu^2 momentum-momentum entries below arise.
+    ``row`` and ``col`` are (kind, component) labels from _ROWS and _COLS;
+    any other label raises ValueError.  The y-side functional is folded
+    into the signs: odd-order derivatives acting on the second argument
+    flip sign, which is how the -d_j psi_pre pressure columns and the nu^2
+    momentum-momentum entries below arise.
     """
-    vel, pre = cfg.psi_vel.coeffs, cfg.psi_pre.coeffs
+    if row not in _ROWS or col not in _COLS:
+        raise ValueError(f"unsupported functional pair {row} x {col}")
+    vel, pre = cfg.psi_vel.coeffs, cfg.psi_pre
     nu = cfg.nu
     rk, ri = row
     ck, cj = col
     if ck == PDE:
         if rk == "velocity":
             return ((-nu, _vel_evaluator(vel, ri, cj, 1), 4),)
-        if rk == "pde":
+        if rk == PDE:
             return (
                 (nu * nu, _vel_evaluator(vel, ri, cj, 2), 6),
                 (-1.0, _pre_hess(pre, ri, cj), 2),
@@ -195,18 +152,14 @@ def _entry_parts(cfg: StokesKernelConfig, row: tuple, col: tuple):
             return ((-1.0, _pre_grad(pre, cj), 1),)
         if rk == "pressure_grad":
             return ((-1.0, _pre_hess(pre, ri, cj), 2),)
-        if rk == "divergence":
-            return ((-nu, _vel_div_evaluator(vel, cj, 1), 5),)
-    elif ck == DIRICHLET:
-        if rk == "velocity":
-            return ((1.0, _vel_evaluator(vel, ri, cj, 0), 2),)
-        if rk == "pde":
-            return ((-nu, _vel_evaluator(vel, ri, cj, 1), 4),)
-        if rk in ("pressure", "pressure_grad"):
-            return ()  # boundary columns have no pressure component
-        if rk == "divergence":
-            return ((1.0, _vel_div_evaluator(vel, cj, 0), 3),)
-    raise ValueError(f"unsupported functional pair {row} x {col}")
+        return ((-nu, _vel_div_evaluator(vel, cj, 1), 5),)  # divergence
+    if rk == "velocity":
+        return ((1.0, _vel_evaluator(vel, ri, cj, 0), 2),)
+    if rk == PDE:
+        return ((-nu, _vel_evaluator(vel, ri, cj, 1), 4),)
+    if rk in ("pressure", "pressure_grad"):
+        return ()  # boundary columns have no pressure component
+    return ((1.0, _vel_div_evaluator(vel, cj, 0), 3),)  # divergence
 
 
 def kernel_block(cfg: StokesKernelConfig, row: tuple, col: tuple, xa, xb) -> np.ndarray:
@@ -225,73 +178,3 @@ def kernel_block(cfg: StokesKernelConfig, row: tuple, col: tuple, xa, xb) -> np.
     for factor, evaluator, order in _entry_parts(cfg, row, col):
         out += (factor * inv ** (DIM + order)) * evaluator(dx, dy)
     return out
-
-
-def _row_for(functional: CollocationFunctional) -> tuple:
-    return (
-        "pde" if functional.kind == PDE else "velocity",
-        functional.component,
-    )
-
-
-def gram_entry(
-    cfg: StokesKernelConfig,
-    a: CollocationFunctional,
-    b: CollocationFunctional,
-) -> float:
-    """Apply functional ``a`` in the first kernel argument and ``b`` in the
-    second; the result is symmetric in (a, b)."""
-    block = kernel_block(
-        cfg, _row_for(a), (b.kind, b.component), [a.point], [b.point]
-    )
-    return float(block[0, 0])
-
-
-def velocity_kernel_entry(cfg: StokesKernelConfig, i: int, j: int, diff) -> float:
-    """Entry (i, j) of the scaled velocity block Psi_delta at displacement diff."""
-    if i not in (1, 2) or j not in (1, 2):
-        raise ValueError("velocity block indices must be 1 or 2")
-    diff = np.asarray(diff, dtype=float)
-    inv = 1.0 / cfg.delta
-    value = _vel_evaluator(cfg.psi_vel.coeffs, i, j, 0)(diff[0] * inv, diff[1] * inv)
-    return float(value) * inv ** (DIM + 2)
-
-
-def _column_rows(request: str) -> list[tuple]:
-    if request == "value":
-        return [("velocity", 1), ("velocity", 2), ("pressure", 0)]
-    if request == "l-image":
-        return [("pde", 1), ("pde", 2)]
-    if request == "divergence":
-        return [("divergence", 0)]
-    if request == "pressure-gradient":
-        return [("pressure_grad", 1), ("pressure_grad", 2)]
-    raise ValueError(f"unknown request {request!r}")
-
-
-def eval_basis_column(cfg: StokesKernelConfig, src: CollocationFunctional, x):
-    """(u1, u2, p) value at x of the basis function generated by ``src``."""
-    col = (src.kind, src.component)
-    return tuple(
-        float(kernel_block(cfg, row, col, [tuple(x)], [src.point])[0, 0])
-        for row in _column_rows("value")
-    )
-
-
-def eval_basis_column_derivatives(
-    cfg: StokesKernelConfig, src: CollocationFunctional, x, request: str
-):
-    """Analytic derived fields of one basis column at x.
-
-    request "l-image": the momentum operator applied to the column's
-    velocity/pressure pair (two components); "divergence": the scalar
-    velocity divergence (identically zero by construction -- the term
-    algebra cancels exactly); "pressure-gradient": grad of the pressure
-    component (two components, zero for boundary columns).
-    """
-    col = (src.kind, src.component)
-    values = tuple(
-        float(kernel_block(cfg, row, col, [tuple(x)], [src.point])[0, 0])
-        for row in _column_rows(request)
-    )
-    return values[0] if len(values) == 1 else values

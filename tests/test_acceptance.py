@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 import sympy
 
+from stokesrbf import cli
 from stokesrbf.analysis import (
     l2_error,
     run_experiment,
@@ -22,23 +23,17 @@ from stokesrbf.collocation import assemble, solve
 from stokesrbf.geometry import make_level_pointset
 from stokesrbf.multiscale import MultiscaleConfig, MultiscaleModel, evaluate_model, scale_schedule
 from stokesrbf.radial import RadialTermEvaluator, diff_x, diff_y, laplacian, mixed_partial, terms_from_profile
-from stokesrbf.stokes_kernel import (
-    StokesKernelConfig,
-    dirichlet_functional,
-    eval_basis_column,
-    gram_entry,
-    pde_functional,
-)
+from stokesrbf.stokes_kernel import StokesKernelConfig, kernel_block
 from stokesrbf.wendland import wendland_c8
 
 RUN_LEVEL5 = os.environ.get("STOKESRBF_LEVEL5") == "1"
 
 PUBLISHED = {
-    "delta": (10.0, 7.29, 5.33, 3.89, 2.84),
-    "velocity_l2": (1.592e-02, 6.498e-04, 3.274e-05, 1.650e-06, 1.028e-07),
-    "velocity_linf": (2.740e-02, 2.233e-03, 1.462e-04, 8.268e-06, 4.579e-07),
-    "pressure_grad_l2": (1.112e00, 1.222e-01, 1.235e-02, 2.561e-03, 5.612e-04),
-    "pressure_grad_linf": (4.209e00, 3.338e-01, 1.048e-01, 3.650e-02, 1.211e-02),
+    "delta": cli.REFERENCE_DELTAS,
+    "velocity_l2": cli.REFERENCE_VELOCITY_L2,
+    "velocity_linf": cli.REFERENCE_VELOCITY_LINF,
+    "pressure_grad_l2": cli.REFERENCE_PRESSURE_GRAD_L2,
+    "pressure_grad_linf": cli.REFERENCE_PRESSURE_GRAD_LINF,
 }
 
 
@@ -160,20 +155,25 @@ def test_criterion_7_property_suites(experiment):
     rng = np.random.default_rng(7)
     psi = wendland_c8()
     cfg = StokesKernelConfig(psi, psi, nu=1.0, delta=1.0)
-    makers = (pde_functional, dirichlet_functional)
+    # column label -> the row applying the same functional in the first argument
+    row_of = {"pde": "pde", "dirichlet": "velocity"}
+
+    def gram(a, x, b, y):
+        return kernel_block(cfg, (row_of[a[0]], a[1]), b, [x], [y])[0, 0]
+
+    def label():
+        return (("pde", "dirichlet")[rng.integers(2)], int(rng.integers(1, 3)))
 
     # gram symmetry
     sym_ok = True
     for _ in range(50):
-        fa = makers[rng.integers(2)](int(rng.integers(1, 3)), rng.uniform(0, 1, 2))
-        fb = makers[rng.integers(2)](int(rng.integers(1, 3)), rng.uniform(0, 1, 2))
-        ga, gb = gram_entry(cfg, fa, fb), gram_entry(cfg, fb, fa)
+        a, x = label(), rng.uniform(0, 1, 2)
+        b, y = label(), rng.uniform(0, 1, 2)
+        ga, gb = gram(a, x, b, y), gram(b, y, a, x)
         sym_ok &= abs(ga - gb) <= 1e-12 * max(abs(ga), abs(gb), 1e-300)
 
     # compact support
-    support_ok = gram_entry(
-        cfg, pde_functional(1, (0.0, 0.0)), dirichlet_functional(1, (0.8, 0.8))
-    ) == 0.0
+    support_ok = gram(("pde", 1), (0.0, 0.0), ("dirichlet", 1), (0.8, 0.8)) == 0.0
 
     # finite-difference agreement of analytic derivatives
     h = 1e-5

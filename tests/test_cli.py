@@ -36,7 +36,6 @@ class TestConfigParsing:
             config = str(path)
             levels = 3
             beta = None
-            mu = None
             nu = None
             tau = None
             quad_points = None
@@ -47,7 +46,7 @@ class TestConfigParsing:
         config = build_run_config(Args())
         assert config.levels == 3  # flag wins
         assert config.beta == 9.0  # file value kept
-        assert config.mu == 0.5  # default
+        assert config.nu == 1.0  # default
 
     def test_unknown_key_rejected(self, tmp_path):
         path = tmp_path / "run.cfg"
@@ -59,11 +58,26 @@ class TestConfigParsing:
         with pytest.raises(ValueError):
             build_run_config(Args())
 
+    def test_mu_is_not_a_setting(self, tmp_path):
+        # the mesh ratio is fixed by the grids, so it is neither a config key
+        # nor a flag
+        path = tmp_path / "run.cfg"
+        path.write_text("mu=0.3\n")
+
+        class Args:
+            config = str(path)
+
+        with pytest.raises(ValueError, match="mu"):
+            build_run_config(Args())
+        with pytest.raises(SystemExit) as err:
+            run_cli(["run", "--levels", "1", "--mu", "0.3"])
+        assert err.value.code == 2
+
     def test_level_guard(self):
         class Args:
             config = None
             levels = 9
-            beta = mu = nu = tau = quad_points = eigen_levels = None
+            beta = nu = tau = quad_points = eigen_levels = None
             out_csv = out_summary = None
 
         with pytest.raises(ValueError):

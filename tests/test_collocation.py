@@ -7,29 +7,34 @@ from stokesrbf.collocation import (
     assemble,
     evaluate,
     evaluate_fields,
-    functionals_for,
     solve,
     write_matrix,
 )
 from stokesrbf.geometry import make_level_pointset
-from stokesrbf.stokes_kernel import (
-    DIRICHLET,
-    PDE,
-    StokesKernelConfig,
-    eval_basis_column,
-    gram_entry,
-)
+from stokesrbf.stokes_kernel import StokesKernelConfig, kernel_block
 
 
-def test_level1_system_shape(level1_system):
+def documented_groups(pointset):
+    """The system's functional groups in the documented order:
+    (row label, column label, centres)."""
+    return [
+        (("pde", 1), ("pde", 1), pointset.interior),
+        (("pde", 2), ("pde", 2), pointset.interior),
+        (("velocity", 1), ("dirichlet", 1), pointset.boundary),
+        (("velocity", 2), ("dirichlet", 2), pointset.boundary),
+    ]
+
+
+def test_level1_system_shape(level1_system, problem):
     assert level1_system.matrix.shape == (82, 82)
     assert level1_system.size == 82
-    assert len(level1_system.functionals) == 82
     # ordering: momentum component 1, momentum component 2, then boundary
-    kinds = [f.kind for f in level1_system.functionals]
-    comps = [f.component for f in level1_system.functionals]
-    assert kinds == [PDE] * 50 + [DIRICHLET] * 32
-    assert comps == [1] * 25 + [2] * 25 + [1] * 16 + [2] * 16
+    # components 1 and 2, as the right-hand side shows
+    ps = level1_system.pointset
+    assert (ps.n_interior, ps.n_boundary) == (25, 16)
+    f, g = problem.f(ps.interior), problem.g(ps.boundary)
+    expected = np.concatenate([f[:, 0], f[:, 1], g[:, 0], g[:, 1]])
+    np.testing.assert_array_equal(level1_system.rhs, expected)
 
 
 def test_matrix_symmetric(level1_system):
@@ -37,12 +42,17 @@ def test_matrix_symmetric(level1_system):
     assert np.abs(a - a.T).max() <= 1e-12 * np.abs(a).max()
 
 
-def test_matrix_entries_match_gram(level1_system, rng):
-    funcs = level1_system.functionals
-    for _ in range(25):
-        i, j = rng.integers(0, len(funcs), 2)
-        expected = gram_entry(level1_system.kernel, funcs[i], funcs[j])
-        assert level1_system.matrix[i, j] == pytest.approx(expected, rel=1e-13, abs=1e-13)
+def test_matrix_entries_match_gram(level1_system):
+    # all 16 group blocks, in the documented order
+    groups = documented_groups(level1_system.pointset)
+    offsets = np.cumsum([0] + [len(pts) for _, _, pts in groups])
+    for gi, (row, _, rpts) in enumerate(groups):
+        for gj, (_, col, cpts) in enumerate(groups):
+            block = level1_system.matrix[
+                offsets[gi]: offsets[gi + 1], offsets[gj]: offsets[gj + 1]
+            ]
+            expected = kernel_block(level1_system.kernel, row, col, rpts, cpts)
+            np.testing.assert_allclose(block, expected, rtol=1e-13, atol=1e-13)
 
 
 def test_solve_identity():
@@ -50,7 +60,7 @@ def test_solve_identity():
     kernel_stub = None  # unused by solve
     n = 4
     system = CollocationSystem(
-        functionals=[], matrix=np.eye(n), rhs=np.eye(n)[0],
+        matrix=np.eye(n), rhs=np.eye(n)[0],
         pointset=pointset, kernel=kernel_stub,
     )
     sol = solve(system)
@@ -67,7 +77,6 @@ def test_indefinite_matrix_rejected(level1_system):
     k = 10
     matrix[k, k] = -matrix[k, k]
     bad = CollocationSystem(
-        functionals=level1_system.functionals,
         matrix=matrix,
         rhs=level1_system.rhs,
         pointset=level1_system.pointset,
@@ -91,25 +100,31 @@ def test_evaluate_agrees_with_basis_columns(level1_solution, rng):
     # block evaluation vs per-functional columns summed in arbitrary order;
     # the comparison scale must absorb the cancellation of O(1e7)
     # coefficient-times-column terms into O(1) field values
-    funcs = functionals_for(level1_solution.pointset)
+    groups = documented_groups(level1_solution.pointset)
     alpha = level1_solution.coefficients
-    perm = rng.permutation(len(funcs))
+    perm = rng.permutation(len(alpha))
     for _ in range(5):
         x = rng.uniform(0, 1, 2)
         vel, pres = evaluate(level1_solution, x)
+        # columns[:, k]: (u1, u2, p) at x of the k-th basis function
+        columns = np.array([
+            np.concatenate([
+                kernel_block(level1_solution.kernel, row, col, [x], pts)[0]
+                for _, col, pts in groups
+            ])
+            for row in (("velocity", 1), ("velocity", 2), ("pressure", 0))
+        ])
         by_hand = np.zeros(3)
         cancel = np.zeros(3)
         for k in perm:
-            col = np.asarray(eval_basis_column(level1_solution.kernel, funcs[k], x))
-            by_hand += alpha[k] * col
-            cancel += np.abs(alpha[k] * col)
+            by_hand += alpha[k] * columns[:, k]
+            cancel += np.abs(alpha[k] * columns[:, k])
         tol = 1e-12 * np.maximum(cancel, 1.0)
         assert np.all(np.abs(np.r_[vel, pres] - by_hand) <= tol)
 
 
 def _solve_permuted(system, perm):
     permuted = CollocationSystem(
-        functionals=[system.functionals[k] for k in perm],
         matrix=system.matrix[np.ix_(perm, perm)],
         rhs=system.rhs[perm],
         pointset=system.pointset,
@@ -185,14 +200,11 @@ def test_small_delta_gives_local_block_structure(c8, problem):
     ps = make_level_pointset(1, probe_density=65)
     kernel = StokesKernelConfig(c8, c8, nu=1.0, delta=0.1)
     system = assemble(ps, kernel, problem.f, problem.g)
-    funcs = system.functionals
+    centres = np.concatenate([pts for _, _, pts in documented_groups(ps)])
     delta = kernel.delta
     for i in range(0, system.size, 7):
         for j in range(0, system.size, 5):
-            dist = np.hypot(
-                funcs[i].point[0] - funcs[j].point[0],
-                funcs[i].point[1] - funcs[j].point[1],
-            )
+            dist = np.hypot(*(centres[i] - centres[j]))
             if dist >= delta:
                 assert system.matrix[i, j] == 0.0
     # coincident-point diagonal values carry the scaled unit-scale anchors

@@ -1,7 +1,16 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
-from stokesrbf.collocation import NotPositiveDefinite, evaluate, evaluate_fields
+from stokesrbf.cli import REFERENCE_DELTAS
+from stokesrbf.collocation import (
+    LevelSolution,
+    NotPositiveDefinite,
+    evaluate,
+    evaluate_fields,
+)
 from stokesrbf.geometry import make_level_pointset
 from stokesrbf.multiscale import (
     MultiscaleConfig,
@@ -13,13 +22,10 @@ from stokesrbf.multiscale import (
     scale_schedule,
 )
 
-PUBLISHED_DELTAS = (10.0, 7.29, 5.33, 3.89, 2.84)
-
-
 class TestSchedule:
     def test_matches_published_values(self):
         config = MultiscaleConfig(n_levels=5)
-        for got, expected in zip(scale_schedule(config), PUBLISHED_DELTAS):
+        for got, expected in zip(scale_schedule(config), REFERENCE_DELTAS):
             assert abs(got - expected) <= 0.01
 
     def test_geometric_ratio(self):
@@ -124,6 +130,43 @@ def test_save_load_roundtrip(tmp_path, model2, rng):
     for sol, ref in zip(loaded.levels, model2.levels):
         assert sol.kernel.delta == ref.kernel.delta
         np.testing.assert_array_equal(sol.coefficients, ref.coefficients)
+
+
+@pytest.fixture(scope="module")
+def model_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("models") / "model.bin"
+
+
+@settings(max_examples=20, deadline=None)
+@given(data=st.data())
+def test_model_file_roundtrip(model2, model_path, data):
+    # any coefficients and scales on 0-2 levels come back bit for bit
+    levels = []
+    for sol in model2.levels[: data.draw(st.integers(0, 2))]:
+        coeffs = data.draw(arrays(np.float64, len(sol.coefficients)))
+        delta = data.draw(st.floats(1e-3, 1e3))
+        levels.append(LevelSolution(coeffs, sol.pointset, sol.kernel.rescaled(delta)))
+    save_model(MultiscaleModel(levels=levels, config=model2.config), model_path)
+    loaded = load_model(model_path)
+    assert loaded.n_levels == len(levels)
+    for sol, ref in zip(loaded.levels, levels):
+        assert (sol.kernel.delta, sol.kernel.nu) == (ref.kernel.delta, ref.kernel.nu)
+        np.testing.assert_array_equal(sol.coefficients, ref.coefficients)
+        np.testing.assert_array_equal(sol.pointset.interior, ref.pointset.interior)
+        np.testing.assert_array_equal(sol.pointset.boundary, ref.pointset.boundary)
+
+
+@settings(max_examples=50, deadline=None)
+@given(cut=st.integers(1), suffix=st.binary(min_size=1, max_size=64))
+def test_load_rejects_truncated_or_extended_file(model2, model_path, cut, suffix):
+    save_model(model2, model_path)
+    raw = model_path.read_bytes()
+    model_path.write_bytes(raw[: max(len(raw) - cut, 0)])
+    with pytest.raises(ValueError):
+        load_model(model_path)
+    model_path.write_bytes(raw + suffix)
+    with pytest.raises(ValueError):
+        load_model(model_path)
 
 
 def test_load_rejects_foreign_file(tmp_path):

@@ -5,7 +5,6 @@ import pytest
 
 from stokesrbf.radial import (
     RadialTermEvaluator,
-    build_jet,
     diff_x,
     diff_y,
     laplacian,
@@ -84,58 +83,40 @@ def test_finite_difference_chain(c8, rng):
 
 
 def test_laplacian_matches_radial_formula(c8, rng):
-    # lap psi(r) = psi''(r) + psi'(r)/r ties the term engine to the jet profiles
-    jet = build_jet(c8, 2)
+    # lap psi(r) = psi''(r) + psi'(r)/r ties the term engine to the profile
+    # derivatives of `wendland`
     lap = RadialTermEvaluator(laplacian(terms_from_profile(c8.coeffs)))
     r = rng.uniform(0.05, 0.95, size=8)
-    expected = jet.profile(0, 2).evaluate(r) + jet.profile(1, 0).evaluate(r)
+    expected = differentiate(differentiate(c8)).evaluate(r) + divided_derivative(c8).evaluate(r)
     got = lap(r, np.zeros_like(r))
     assert np.allclose(got, expected, rtol=1e-12)
 
 
-class TestRadialJet:
-    def test_base_profile(self, c8):
-        jet = build_jet(c8, 6)
-        assert jet.profile(0, 0) == c8
-
-    def test_divided_profile_origin(self, c8):
-        jet = build_jet(c8, 6)
-        assert jet.profile(1, 0).evaluate_exact(0) == -130
-
-    def test_constant_single_profile(self):
-        jet = build_jet(WendlandPolynomial([3]), 0)
-        assert set(jet.profiles) == {(0, 0)}
-
-    def test_c8_order6_uses_four_divided_derivatives(self, c8):
-        jet = build_jet(c8, 6)
-        assert max(s for s, _ in jet.profiles) == 4
-        assert all(s + t <= 6 for s, t in jet.profiles)
-
+class TestDerivativeOrder:
     def test_insufficient_smoothness(self):
+        # k = 2 leaves two leading odd coefficients zero: order 4 is the limit
         psi = wendland_from_integral(2, 2)
-        with pytest.raises(NonPolynomialDivision):
-            build_jet(psi, 6)
-        build_jet(psi, 4)
-
-    def test_profiles_follow_divided_first_order(self, c8):
-        # canonical construction: s divided derivatives, then t plain ones
-        jet = build_jet(c8, 4)
-        q = divided_derivative(divided_derivative(c8))
-        assert jet.profile(2, 1) == differentiate(q)
-        assert jet.profile(2, 2) == differentiate(differentiate(q))
+        for nx, ny in ((6, 0), (4, 2), (3, 3), (5, 0)):
+            with pytest.raises(NonPolynomialDivision):
+                mixed_partial(psi, nx, ny)
+        for nx, ny in ((4, 0), (2, 2), (3, 1)):
+            mixed_partial(psi, nx, ny)
 
     def test_operators_do_not_commute(self):
-        # the reason the table pins an order: T(f') != (Tf)' already on r^4
+        # T(f') != (Tf)' already on r^4, so divided and plain derivatives of
+        # a profile must be applied in a fixed order
         p = WendlandPolynomial([0, 0, 0, 0, 1])
         t_then_d = differentiate(divided_derivative(p))
         d_then_t = divided_derivative(differentiate(p))
         assert t_then_d != d_then_t
 
-    def test_derivative_lookup_respects_order(self, c8):
-        jet = build_jet(c8, 2)
+    def test_derivative_lookup_respects_order(self):
+        # a profile with one leading odd zero supports order 2 only: the
+        # order-3 request fails, the order-2 cross term vanishes at 0
+        psi = wendland_from_integral(2, 1)
         with pytest.raises(NonPolynomialDivision):
-            jet.derivative(2, 1)
-        assert jet.derivative(1, 1).origin == 0
+            mixed_partial(psi, 2, 1)
+        assert mixed_partial(psi, 1, 1).origin == 0
 
 
 def test_terms_expansion_shape(c8):

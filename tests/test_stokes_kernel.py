@@ -1,74 +1,89 @@
-from fractions import Fraction
-
 import numpy as np
 import pytest
 
-from stokesrbf.stokes_kernel import (
-    StokesKernelConfig,
-    dirichlet_functional,
-    eval_basis_column,
-    eval_basis_column_derivatives,
-    gram_entry,
-    pde_functional,
-    velocity_kernel_entry,
-)
+from stokesrbf.collocation import evaluate_fields
+from stokesrbf.stokes_kernel import StokesKernelConfig, kernel_block
 from stokesrbf.wendland import wendland_from_integral
 
 POINT = (0.3, 0.4)
+ORIGIN = (0.0, 0.0)
+VALUE_ROWS = (("velocity", 1), ("velocity", 2), ("pressure", 0))
+# the row that applies a collocation column's functional in the first argument
+ROW_OF = {"pde": "pde", "dirichlet": "velocity"}
+
+
+def entry(cfg, row, col, x, y):
+    """One kernel value: ``row`` applied at x, ``col`` applied at y."""
+    return float(kernel_block(cfg, row, col, [x], [y])[0, 0])
+
+
+def gram(cfg, a, x, b, y):
+    """System entry for collocation labels a at x and b at y."""
+    return entry(cfg, (ROW_OF[a[0]], a[1]), b, x, y)
+
+
+def column(cfg, col, y, x, rows=VALUE_ROWS):
+    """Fields ``rows`` at x of the basis function of column ``col`` at y."""
+    return tuple(entry(cfg, row, col, x, y) for row in rows)
+
+
+def velocity_block(cfg, i, j, diff):
+    """Psi_ij of the scaled velocity block at displacement diff."""
+    return entry(cfg, ("velocity", i), ("dirichlet", j), diff, ORIGIN)
+
+
+def random_label(rng):
+    return (("pde", "dirichlet")[rng.integers(2)], int(rng.integers(1, 3)))
 
 
 class TestVelocityKernelEntry:
     def test_cross_entry_vanishes_at_origin(self, unit_config):
-        assert velocity_kernel_entry(unit_config, 1, 2, (0.0, 0.0)) == 0.0
-        assert velocity_kernel_entry(unit_config, 2, 1, (0.0, 0.0)) == 0.0
+        assert velocity_block(unit_config, 1, 2, ORIGIN) == 0.0
+        assert velocity_block(unit_config, 2, 1, ORIGIN) == 0.0
 
     def test_diagonal_at_origin(self, unit_config):
-        assert velocity_kernel_entry(unit_config, 1, 1, (0.0, 0.0)) == 130.0
-        assert velocity_kernel_entry(unit_config, 2, 2, (0.0, 0.0)) == 130.0
+        assert velocity_block(unit_config, 1, 1, ORIGIN) == 130.0
+        assert velocity_block(unit_config, 2, 2, ORIGIN) == 130.0
 
     def test_scaled_diagonal(self, unit_config):
         cfg = unit_config.rescaled(2.0)
-        assert velocity_kernel_entry(cfg, 1, 1, (0.0, 0.0)) == pytest.approx(130 / 16)
+        assert velocity_block(cfg, 1, 1, ORIGIN) == pytest.approx(130 / 16)
 
     def test_compact_support(self, unit_config):
         cfg = unit_config.rescaled(1.5)
         for i in (1, 2):
             for j in (1, 2):
-                assert velocity_kernel_entry(cfg, i, j, (1.2, 1.0)) == 0.0
+                assert velocity_block(cfg, i, j, (1.2, 1.0)) == 0.0
 
     def test_rejects_bad_index(self, unit_config):
-        with pytest.raises(ValueError):
-            velocity_kernel_entry(unit_config, 0, 1, (0.0, 0.0))
+        for i, j in ((0, 1), (1, 0), (3, 1), (1, 3)):
+            with pytest.raises(ValueError):
+                velocity_block(unit_config, i, j, ORIGIN)
 
 
 class TestGramEntry:
     def test_momentum_diagonal(self, unit_config):
-        a = pde_functional(1, POINT)
-        assert gram_entry(unit_config, a, a) == 2471170.0
-        b = pde_functional(2, POINT)
-        assert gram_entry(unit_config, b, b) == 2471170.0
+        assert gram(unit_config, ("pde", 1), POINT, ("pde", 1), POINT) == 2471170.0
+        assert gram(unit_config, ("pde", 2), POINT, ("pde", 2), POINT) == 2471170.0
 
     def test_momentum_off_component_vanishes(self, unit_config):
-        a, b = pde_functional(1, POINT), pde_functional(2, POINT)
-        assert gram_entry(unit_config, a, b) == 0.0
+        assert gram(unit_config, ("pde", 1), POINT, ("pde", 2), POINT) == 0.0
 
     def test_boundary_diagonal(self, unit_config):
-        d = dirichlet_functional(1, POINT)
-        assert gram_entry(unit_config, d, d) == 130.0
+        d = ("dirichlet", 1)
+        assert gram(unit_config, d, POINT, d, POINT) == 130.0
 
     def test_compact_support(self, unit_config):
-        a = pde_functional(1, (0.0, 0.0))
-        b = dirichlet_functional(2, (0.9, 0.7))  # distance > delta = 1
-        assert gram_entry(unit_config, a, b) == 0.0
+        # distance > delta = 1
+        assert gram(unit_config, ("pde", 1), ORIGIN, ("dirichlet", 2), (0.9, 0.7)) == 0.0
 
     def test_symmetry(self, unit_config, rng):
-        makers = (pde_functional, dirichlet_functional)
         for delta in (1.0, 0.7):
             cfg = unit_config.rescaled(delta)
             for _ in range(100):
-                fa = makers[rng.integers(2)](int(rng.integers(1, 3)), rng.uniform(0, 1, 2))
-                fb = makers[rng.integers(2)](int(rng.integers(1, 3)), rng.uniform(0, 1, 2))
-                ga, gb = gram_entry(cfg, fa, fb), gram_entry(cfg, fb, fa)
+                a, x = random_label(rng), rng.uniform(0, 1, 2)
+                b, y = random_label(rng), rng.uniform(0, 1, 2)
+                ga, gb = gram(cfg, a, x, b, y), gram(cfg, b, y, a, x)
                 scale = max(abs(ga), abs(gb), 1e-300)
                 assert abs(ga - gb) <= 1e-12 * scale
 
@@ -76,67 +91,58 @@ class TestGramEntry:
     def test_scaling_law_at_coincident_points(self, unit_config, delta):
         # derivative order m scales each block by delta^-(d+m)
         cfg = unit_config.rescaled(delta)
-        a = pde_functional(1, POINT)
         expected = delta**-8 * 2471040 + delta**-4 * 130  # m = 6 and m = 2 blocks
-        assert gram_entry(cfg, a, a) == pytest.approx(expected, rel=1e-14)
-        d = dirichlet_functional(2, POINT)
-        assert gram_entry(cfg, d, d) == pytest.approx(delta**-4 * 130, rel=1e-14)
+        a, d = ("pde", 1), ("dirichlet", 2)
+        assert gram(cfg, a, POINT, a, POINT) == pytest.approx(expected, rel=1e-14)
+        assert gram(cfg, d, POINT, d, POINT) == pytest.approx(delta**-4 * 130, rel=1e-14)
 
     def test_distinct_profiles_per_block(self, c8):
         # pressure block may use a different (here k = 3) profile
         pre = wendland_from_integral(2, 3)
         cfg = StokesKernelConfig(c8, pre, nu=1.0, delta=1.0)
-        a = pde_functional(1, POINT)
         expected = 2471040 + float(-2 * pre.coefficient(2))
-        assert gram_entry(cfg, a, a) == pytest.approx(expected, rel=1e-14)
+        a = ("pde", 1)
+        assert gram(cfg, a, POINT, a, POINT) == pytest.approx(expected, rel=1e-14)
 
     def test_nu_enters_quadratically(self, c8):
         cfg = StokesKernelConfig(c8, c8, nu=3.0, delta=1.0)
-        a = pde_functional(1, POINT)
-        assert gram_entry(cfg, a, a) == pytest.approx(9 * 2471040 + 130, rel=1e-14)
+        a = ("pde", 1)
+        assert gram(cfg, a, POINT, a, POINT) == pytest.approx(9 * 2471040 + 130, rel=1e-14)
 
 
 class TestBasisColumn:
     def test_boundary_column_at_own_point(self, unit_config):
-        d = dirichlet_functional(1, POINT)
-        assert eval_basis_column(unit_config, d, POINT) == (130.0, 0.0, 0.0)
+        assert column(unit_config, ("dirichlet", 1), POINT, POINT) == (130.0, 0.0, 0.0)
 
     def test_compact_support(self, unit_config):
-        src = pde_functional(1, (0.0, 0.0))
-        assert eval_basis_column(unit_config, src, (0.9, 0.9)) == (0.0, 0.0, 0.0)
+        assert column(unit_config, ("pde", 1), ORIGIN, (0.9, 0.9)) == (0.0, 0.0, 0.0)
 
     def test_momentum_column_at_own_point(self, unit_config):
-        src = pde_functional(1, POINT)
-        u1, u2, p = eval_basis_column(unit_config, src, POINT)
+        u1, u2, p = column(unit_config, ("pde", 1), POINT, POINT)
         assert u2 == 0.0 and p == 0.0  # cross and odd derivatives vanish at 0
         assert u1 != 0.0
 
     def test_divergence_is_exactly_zero(self, unit_config, rng):
-        for maker in (pde_functional, dirichlet_functional):
-            src = maker(1, POINT)
+        for col in (("pde", 1), ("dirichlet", 1)):
             for _ in range(20):
                 x = rng.uniform(0, 1, 2)
-                assert eval_basis_column_derivatives(
-                    unit_config, src, x, "divergence") == 0.0
+                assert column(unit_config, col, POINT, x, [("divergence", 0)]) == (0.0,)
 
     def test_momentum_image_matches_gram_diagonal(self, unit_config):
-        src = pde_functional(1, POINT)
-        li = eval_basis_column_derivatives(unit_config, src, POINT, "l-image")
+        li = column(unit_config, ("pde", 1), POINT, POINT, [("pde", 1), ("pde", 2)])
         assert li == (2471170.0, 0.0)
 
     def test_boundary_column_has_no_pressure(self, unit_config, rng):
-        src = dirichlet_functional(2, POINT)
+        col = ("dirichlet", 2)
+        grad_rows = [("pressure_grad", 1), ("pressure_grad", 2)]
         for _ in range(10):
             x = rng.uniform(0, 1, 2)
-            grad = eval_basis_column_derivatives(
-                unit_config, src, x, "pressure-gradient")
-            assert grad == (0.0, 0.0)
-            assert eval_basis_column(unit_config, src, x)[2] == 0.0
+            assert column(unit_config, col, POINT, x, grad_rows) == (0.0, 0.0)
+            assert column(unit_config, col, POINT, x)[2] == 0.0
 
-    def test_unknown_request(self, unit_config):
+    def test_unknown_request(self, level1_solution):
         with pytest.raises(ValueError):
-            eval_basis_column_derivatives(
-                unit_config, pde_functional(1, POINT), POINT, "curl")
+            evaluate_fields(level1_solution, POINT, "curl")
 
 
 class TestFiniteDifferenceAgreement:
@@ -146,15 +152,13 @@ class TestFiniteDifferenceAgreement:
         h = 1e-4
         cfg = unit_config
         for _ in range(12):
-            src = (pde_functional, dirichlet_functional)[rng.integers(2)](
-                int(rng.integers(1, 3)), rng.uniform(0.2, 0.8, 2))
+            src, y = random_label(rng), rng.uniform(0.2, 0.8, 2)
             x = rng.uniform(0.2, 0.8, 2)
             for i in (1, 2):
-                row = pde_functional(i, x)
-                exact = gram_entry(cfg, row, src)
+                exact = gram(cfg, ("pde", i), x, src, y)
 
                 def col(pt, comp=i):
-                    return eval_basis_column(cfg, src, pt)[comp - 1]
+                    return column(cfg, src, y, pt)[comp - 1]
 
                 lap = (
                     col((x[0] + h, x[1])) + col((x[0] - h, x[1]))
@@ -162,23 +166,24 @@ class TestFiniteDifferenceAgreement:
                     - 4 * col((x[0], x[1]))
                 ) / h**2
                 if i == 1:
-                    dp = (eval_basis_column(cfg, src, (x[0] + h, x[1]))[2]
-                          - eval_basis_column(cfg, src, (x[0] - h, x[1]))[2]) / (2 * h)
+                    dp = (column(cfg, src, y, (x[0] + h, x[1]))[2]
+                          - column(cfg, src, y, (x[0] - h, x[1]))[2]) / (2 * h)
                 else:
-                    dp = (eval_basis_column(cfg, src, (x[0], x[1] + h))[2]
-                          - eval_basis_column(cfg, src, (x[0], x[1] - h))[2]) / (2 * h)
+                    dp = (column(cfg, src, y, (x[0], x[1] + h))[2]
+                          - column(cfg, src, y, (x[0], x[1] - h))[2]) / (2 * h)
                 approx = -cfg.nu * lap + dp
                 scale = max(abs(exact), 1e-3)
                 assert abs(exact - approx) <= 1e-5 * max(scale, abs(approx))
 
     def test_pressure_gradient_vs_fd(self, unit_config, rng):
         h = 1e-5
+        grad_rows = [("pressure_grad", 1), ("pressure_grad", 2)]
         for _ in range(10):
-            src = pde_functional(int(rng.integers(1, 3)), rng.uniform(0.2, 0.8, 2))
+            src = ("pde", int(rng.integers(1, 3)))
+            y = rng.uniform(0.2, 0.8, 2)
             x = rng.uniform(0.2, 0.8, 2)
-            g1, g2 = eval_basis_column_derivatives(
-                unit_config, src, x, "pressure-gradient")
-            p = lambda pt: eval_basis_column(unit_config, src, pt)[2]
+            g1, g2 = column(unit_config, src, y, x, grad_rows)
+            p = lambda pt: column(unit_config, src, y, pt)[2]
             fd1 = (p((x[0] + h, x[1])) - p((x[0] - h, x[1]))) / (2 * h)
             fd2 = (p((x[0], x[1] + h)) - p((x[0], x[1] - h))) / (2 * h)
             scale = max(abs(g1), abs(g2), 1e-6)
@@ -193,9 +198,30 @@ class TestValidation:
         with pytest.raises(ValueError):
             StokesKernelConfig(c8, c8, nu=-1.0, delta=1.0)
 
-    def test_functional_validation(self):
-        with pytest.raises(ValueError):
-            pde_functional(3, POINT)
-        from stokesrbf.stokes_kernel import CollocationFunctional
-        with pytest.raises(ValueError):
-            CollocationFunctional("neumann", 1, POINT)
+    def test_functional_validation(self, unit_config):
+        bad_pairs = [
+            (("pde", 3), ("pde", 1)),
+            (("pde", 0), ("pde", 1)),
+            (("velocity", 3), ("dirichlet", 1)),
+            (("pressure", 5), ("pde", 1)),
+            (("pressure", 1), ("pde", 1)),
+            (("divergence", 2), ("dirichlet", 1)),
+            (("pressure_grad", 0), ("pde", 2)),
+            (("curl", 1), ("pde", 1)),
+            (("pde", 1), ("pde", 3)),
+            (("pde", 1), ("dirichlet", 0)),
+            (("pde", 1), ("neumann", 1)),
+            (("pde", 1), ("velocity", 1)),
+        ]
+        for row, col in bad_pairs:
+            with pytest.raises(ValueError):
+                kernel_block(unit_config, row, col, [POINT], [POINT])
+
+    def test_every_valid_label_pair_evaluates(self, unit_config):
+        rows = [(k, c) for k in ("pde", "velocity", "pressure_grad") for c in (1, 2)]
+        rows += [("pressure", 0), ("divergence", 0)]
+        cols = [(k, c) for k in ("pde", "dirichlet") for c in (1, 2)]
+        for row in rows:
+            for col in cols:
+                block = kernel_block(unit_config, row, col, [POINT, ORIGIN], [POINT])
+                assert block.shape == (2, 1) and np.all(np.isfinite(block))
