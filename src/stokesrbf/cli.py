@@ -17,7 +17,7 @@ import numpy as np
 
 from .analysis import run_experiment, slope_check, trig_stokes_problem
 from .collocation import NotPositiveDefinite, assemble, write_matrix
-from .geometry import export_points_csv, make_level_pointset
+from .geometry import export_points_csv, grid_spacing, make_level_pointset
 from .multiscale import MultiscaleConfig, scale_schedule
 from .radial import mixed_partial
 from .stokes_kernel import StokesKernelConfig
@@ -161,7 +161,7 @@ def _summary_text(config: RunConfig, report) -> str:
             + "  ".join(f"level {j}: {_fmt(k)}" for j, k in pairs)
         )
         if len(pairs) >= 2:
-            hs = [2.0 ** -(j + 1) for j, _ in pairs]
+            hs = [grid_spacing(j) for j, _ in pairs]
             slope = slope_check(list(zip(hs, [k for _, k in pairs])))
             lines.append(f"conditioning growth exponent: {slope:.3f}")
     return "\n".join(lines) + "\n"

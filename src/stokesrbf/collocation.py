@@ -47,12 +47,13 @@ class NotPositiveDefinite(ArithmeticError):
 
 
 def _groups(pointset: LevelPointSet):
-    """Homogeneous functional groups in system order: (kind, component, points)."""
+    """Functional groups in system order: (row label, column label, centres);
+    a boundary centre's row evaluates the velocity that its column imposes."""
     return (
-        (PDE, 1, pointset.interior),
-        (PDE, 2, pointset.interior),
-        (DIRICHLET, 1, pointset.boundary),
-        (DIRICHLET, 2, pointset.boundary),
+        ((PDE, 1), (PDE, 1), pointset.interior),
+        ((PDE, 2), (PDE, 2), pointset.interior),
+        (("velocity", 1), (DIRICHLET, 1), pointset.boundary),
+        (("velocity", 2), (DIRICHLET, 2), pointset.boundary),
     )
 
 
@@ -93,22 +94,12 @@ def assemble(
     array of component values; at levels beyond the first they are residual
     evaluators closing over the previously solved levels.
     """
-    groups = _groups(pointset)
-    sizes = [len(pts) for _, _, pts in groups]
-    offsets = np.concatenate([[0], np.cumsum(sizes)])
-    total = int(offsets[-1])
+    total = pointset.n_functionals
     matrix = np.empty((total, total))
-    for gi, (rkind, rcomp, rpts) in enumerate(groups):
-        row = ("pde" if rkind == PDE else "velocity", rcomp)
-        for gj, (ckind, ccomp, cpts) in enumerate(groups):
-            block = matrix[
-                offsets[gi]: offsets[gi + 1], offsets[gj]: offsets[gj + 1]
-            ]
-            for start in range(0, len(rpts), _CHUNK):
-                stop = min(start + _CHUNK, len(rpts))
-                block[start:stop] = kernel_block(
-                    kernel, row, (ckind, ccomp), rpts[start:stop], cpts
-                )
+    row_groups = [(row, pts) for row, _, pts in _groups(pointset)]
+    for rows, cols, block in _blocks(kernel, row_groups, pointset):
+        matrix[rows, cols] = block
+        del block
     fvals = np.asarray(f_data(pointset.interior), dtype=float)
     gvals = np.asarray(g_data(pointset.boundary), dtype=float)
     rhs = np.concatenate([fvals[:, 0], fvals[:, 1], gvals[:, 0], gvals[:, 1]])
@@ -159,37 +150,52 @@ def solve(system: CollocationSystem, refine_target: float = 1e-10) -> LevelSolut
     )
 
 
-def _apply_rows(solution: LevelSolution, rows, pts) -> np.ndarray:
-    """Stack of (row functional applied to the approximant) over pts.
+def _blocks(kernel: StokesKernelConfig, row_groups, pointset: LevelPointSet):
+    """Kernel blocks of row functionals against this level's columns.
 
-    Returns shape (len(pts), len(rows)); the approximant is the coefficient-
-    weighted sum of the basis columns of this level.
+    ``row_groups`` lists (row label, points) in output order.  Yields
+    (row slice, column slice, block) by row slabs of _CHUNK and, within a
+    slab, by column group in system order.  Callers drop each block before
+    asking for the next, so that one block is alive at a time.
     """
-    pts = np.atleast_2d(np.asarray(pts, dtype=float))
-    out = np.zeros((len(pts), len(rows)))
-    groups = _groups(solution.pointset)
-    offsets = np.concatenate(
-        [[0], np.cumsum([len(p) for _, _, p in groups])]
-    )
-    for start in range(0, len(pts), _CHUNK):
-        stop = min(start + _CHUNK, len(pts))
-        chunk = pts[start:stop]
-        for ri, row in enumerate(rows):
-            acc = np.zeros(stop - start)
-            for gj, (ckind, ccomp, cpts) in enumerate(groups):
-                alpha = solution.coefficients[offsets[gj]: offsets[gj + 1]]
-                acc += kernel_block(
-                    solution.kernel, row, (ckind, ccomp), chunk, cpts
-                ) @ alpha
-            out[start:stop, ri] = acc
-    return out
+    r0 = 0
+    for row, pts in row_groups:
+        for start in range(0, len(pts), _CHUNK):
+            stop = min(start + _CHUNK, len(pts))
+            c0 = 0
+            for _, col, cpts in _groups(pointset):
+                yield (slice(r0 + start, r0 + stop), slice(c0, c0 + len(cpts)),
+                       kernel_block(kernel, row, col, pts[start:stop], cpts))
+                c0 += len(cpts)
+        r0 += len(pts)
+
+
+def _apply_rows(solution: LevelSolution, labels, x) -> np.ndarray:
+    """Stack of (row functional applied to the approximant) over x.
+
+    Returns shape (len(x), len(labels)); the approximant is the coefficient-
+    weighted sum of the basis columns of this level, added one column group
+    at a time in system order.  Raises ValueError unless x is one finite
+    point (2,) or a finite (n, 2) batch.
+    """
+    x = np.asarray(x, dtype=float)
+    if x.ndim not in (1, 2) or x.shape[-1] != 2 or not np.isfinite(x).all():
+        raise ValueError("query points must be finite, of shape (2,) or (n, 2)")
+    x = np.atleast_2d(x)
+    out = np.zeros(len(labels) * len(x))
+    row_groups = [(label, x) for label in labels]
+    for rows, cols, block in _blocks(solution.kernel, row_groups, solution.pointset):
+        out[rows] += block @ solution.coefficients[cols]
+        del block
+    return np.ascontiguousarray(out.reshape(len(labels), len(x)).T)
 
 
 # the row functionals behind each evaluation request: "value" is the
-# (u1, u2, p) triple of `evaluate`, the rest are the derived fields of
+# (u1, u2, p) triple of `evaluate`, the rest are the fields of
 # `evaluate_fields`
 _FIELD_ROWS = {
     "value": [("velocity", 1), ("velocity", 2), ("pressure", 0)],
+    "velocity": [("velocity", 1), ("velocity", 2)],
     "l-image": [("pde", 1), ("pde", 2)],
     "divergence": [("divergence", 0)],
     "pressure-gradient": [("pressure_grad", 1), ("pressure_grad", 2)],
@@ -201,27 +207,22 @@ def evaluate(solution: LevelSolution, x):
 
     The pressure is reported as-is; it is only determined up to a constant.
     """
-    x = np.asarray(x, dtype=float)
-    single = x.ndim == 1
     vals = _apply_rows(solution, _FIELD_ROWS["value"], x)
-    velocity, pressure = vals[:, :2], vals[:, 2]
-    if single:
-        return velocity[0], float(pressure[0])
-    return velocity, pressure
+    if np.ndim(x) == 1:
+        return vals[0, :2], float(vals[0, 2])
+    return vals[:, :2], vals[:, 2]
 
 
 def evaluate_fields(solution: LevelSolution, x, request: str):
-    """Analytic fields of the approximant: momentum-operator image
+    """Analytic fields of the approximant: velocity, momentum-operator image
     ("l-image"), velocity divergence, pressure gradient, or the (u1, u2, p)
     columns of `evaluate` ("value")."""
     if request not in _FIELD_ROWS:
         raise ValueError(f"unknown request {request!r}")
-    x = np.asarray(x, dtype=float)
-    single = x.ndim == 1
     vals = _apply_rows(solution, _FIELD_ROWS[request], x)
     if request == "divergence":
         vals = vals[:, 0]
-    return vals[0] if single else vals
+    return vals[0] if np.ndim(x) == 1 else vals
 
 
 def write_matrix(matrix: np.ndarray, path) -> None:

@@ -20,6 +20,7 @@ __all__ = [
     "EmptyPointSet",
     "SinglePoint",
     "LevelPointSet",
+    "grid_spacing",
     "make_level_pointset",
     "mesh_norm",
     "separation_distance",
@@ -95,6 +96,11 @@ def separation_distance(points) -> float:
     return float(dist[:, 1].min()) / 2.0
 
 
+def grid_spacing(level: int) -> float:
+    """Spacing 2^-(level+1) of the level's tensor grid (an exact power of 2)."""
+    return 1.0 / 2 ** (level + 1)
+
+
 def make_level_pointset(level: int, probe_density: int | None = None) -> LevelPointSet:
     """Tensor-grid centres for one level of the refinement hierarchy.
 
@@ -104,8 +110,8 @@ def make_level_pointset(level: int, probe_density: int | None = None) -> LevelPo
     """
     if level < 1:
         raise ValueError("level must be >= 1")
-    n = 2 ** (level + 1)
-    spacing = 1.0 / n
+    spacing = grid_spacing(level)
+    n = int(1 / spacing)  # cells per side
     ticks = np.arange(n + 1) * spacing
     gx, gy = np.meshgrid(ticks, ticks, indexing="ij")
     interior = np.column_stack([gx.ravel(), gy.ravel()])

@@ -1,18 +1,23 @@
 """Scaled divergence-free matrix-valued Stokes kernel in two dimensions.
 
-The (d+1) x (d+1) kernel is block diagonal: a velocity block
-Psi = (-lap I + grad grad^T) psi_vel whose columns are solenoidal fields, and
-a scalar pressure block psi_pre.  In 2-D the velocity block reads
+The (d+1) x (d+1) kernel K acts on (u1, u2, p) and is block diagonal: a
+velocity block Psi = (-lap I + grad grad^T) psi_vel whose columns are
+solenoidal fields, and a scalar pressure block psi_pre.  In 2-D the velocity
+block reads
 
     Psi_11 = -d22 psi,   Psi_22 = -d11 psi,   Psi_12 = Psi_21 = d12 psi.
 
-Collocation functionals are either the momentum operator
-(L v)_i = -nu lap v_i + d_i v_3 at an interior point or velocity evaluation
-at a boundary point.  Applying a functional pair to the kernel (one per
-argument) lands on a fixed catalogue of radial derivative combinations:
-second derivatives of Psi and psi_pre, plus one and two Laplacians of Psi.
-Those are generated mechanically from the term algebra in `radial` instead
-of hand-derived entry formulas, and are checked against finite differences
+Every matrix entry and every evaluated field is a pair of functionals
+applied to K, one per argument.  `_FUNCTIONALS` writes each functional once,
+as a short list of (component, sign, power of nu, derivative) terms on
+(u1, u2, p): the momentum operator (L v)_i = -nu lap v_i + d_i p at an
+interior centre, velocity evaluation at a boundary centre, and the point
+values and derivatives of (u, p) that evaluation asks for.  `kernel_block`
+applies the row terms to the first argument and the column terms to the
+second.  Since K depends on x - y only, a derivative of odd order on the
+second argument flips the sign.  The parts of equal order and power of nu
+are summed exactly in the term algebra of `radial` (the divergence rows
+cancel to nothing), compiled once, and checked against finite differences
 in the tests.
 
 Scaling: psi_delta(x) = delta^-d psi(||x||/delta), so an order-m derivative
@@ -21,21 +26,13 @@ evaluates as delta^-(d+m) times the unit-scale derivative at x/delta.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
 
-from .radial import (
-    RadialTermEvaluator,
-    Terms,
-    combine,
-    diff_x,
-    diff_y,
-    laplacian,
-    mixed_partial,
-    terms_from_profile,
-)
+from .radial import RadialTermEvaluator, combine, laplacian, mixed_partial_terms
 from .wendland import WendlandPolynomial
 
 __all__ = ["PDE", "DIRICHLET", "StokesKernelConfig", "kernel_block"]
@@ -45,15 +42,26 @@ DIM = 2
 PDE = "pde"
 DIRICHLET = "dirichlet"
 
-# every (kind, component) label kernel_block accepts: rows are evaluation
-# functionals applied to the first kernel argument ("pde" and "velocity"
-# double as the collocation rows), columns are the collocation functionals
-_ROWS = frozenset({
-    (PDE, 1), (PDE, 2), ("velocity", 1), ("velocity", 2),
-    ("pressure_grad", 1), ("pressure_grad", 2),
-    ("pressure", 0), ("divergence", 0),
-})
-_COLS = frozenset({(PDE, 1), (PDE, 2), (DIRICHLET, 1), (DIRICHLET, 2)})
+# derivatives lap^l d1^nx d2^ny as (l, nx, ny); components 1, 2 are the
+# velocity, 3 the pressure
+_ID, _LAP, _D = (0, 0, 0), (1, 0, 0), {1: (0, 1, 0), 2: (0, 0, 1)}
+
+# functional label -> (component, sign, power of nu, derivative) terms
+_FUNCTIONALS = {
+    **{(PDE, i): ((i, -1, 1, _LAP), (3, 1, 0, _D[i])) for i in (1, 2)},
+    **{("velocity", i): ((i, 1, 0, _ID),) for i in (1, 2)},
+    **{("pressure_grad", i): ((3, 1, 0, _D[i]),) for i in (1, 2)},
+    ("pressure", 0): ((3, 1, 0, _ID),),
+    ("divergence", 0): ((1, 1, 0, _D[1]), (2, 1, 0, _D[2])),
+}
+# the collocation columns: the momentum operator, or velocity evaluation at
+# a boundary centre
+_COLUMNS = {
+    **{(PDE, j): _FUNCTIONALS[PDE, j] for j in (1, 2)},
+    **{(DIRICHLET, j): _FUNCTIONALS["velocity", j] for j in (1, 2)},
+}
+# Psi_ab = sign * d1^nx d2^ny psi_vel
+_PSI = {(1, 1): (-1, 0, 2), (2, 2): (-1, 2, 0), (1, 2): (1, 1, 1), (2, 1): (1, 1, 1)}
 
 
 @dataclass(frozen=True)
@@ -63,13 +71,15 @@ class StokesKernelConfig:
     ``psi_vel`` feeds the velocity block, ``psi_pre`` the pressure block; the
     reproduction experiment uses the same C^8 function for both.  Immutable
     and safe to share across threads; the compiled derivative tables live in
-    module-level caches keyed by the coefficient tuples.
+    a module-level cache keyed by the profiles, and each config
+    keeps its scaled parts per functional pair.
     """
 
     psi_vel: WendlandPolynomial
     psi_pre: WendlandPolynomial
     nu: float = 1.0
     delta: float = 1.0
+    _parts: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.delta > 0:
@@ -81,100 +91,53 @@ class StokesKernelConfig:
         return StokesKernelConfig(self.psi_vel, self.psi_pre, self.nu, delta)
 
 
-# --- compiled derivative tables -------------------------------------------
-
-def _velocity_terms(coeffs: tuple, i: int, j: int) -> Terms:
-    """Term dict of Psi_ij for the unit-scale profile."""
-    profile = terms_from_profile(coeffs)
-    if i == j:
-        other = 3 - i
-        t = profile
-        for _ in range(2):
-            t = diff_x(t) if other == 1 else diff_y(t)
-        return combine((-1, t))
-    return diff_y(diff_x(profile))
-
-
 @lru_cache(maxsize=None)
-def _vel_evaluator(coeffs: tuple, i: int, j: int, laps: int) -> RadialTermEvaluator:
-    t = _velocity_terms(coeffs, i, j)
-    for _ in range(laps):
-        t = laplacian(t)
-    return RadialTermEvaluator(t)
-
-
-@lru_cache(maxsize=None)
-def _vel_div_evaluator(coeffs: tuple, j: int, laps: int) -> RadialTermEvaluator:
-    # divergence of column j of Psi: cancels to the empty term dict exactly
-    t = combine(
-        (1, diff_x(_velocity_terms(coeffs, 1, j))),
-        (1, diff_y(_velocity_terms(coeffs, 2, j))),
-    )
-    for _ in range(laps):
-        t = laplacian(t)
-    return RadialTermEvaluator(t)
-
-
-def _pre_grad(pre: WendlandPolynomial, i: int) -> RadialTermEvaluator:
-    """d_i psi_pre for i in {1, 2}."""
-    return mixed_partial(pre, 2 - i, i - 1)
-
-
-def _pre_hess(pre: WendlandPolynomial, i: int, j: int) -> RadialTermEvaluator:
-    """d_i d_j psi_pre for i, j in {1, 2}."""
-    return mixed_partial(pre, 4 - i - j, i + j - 2)
-
-
-def _entry_parts(cfg: StokesKernelConfig, row: tuple, col: tuple):
-    """(factor, evaluator, derivative order) triples for a row/column pair.
-
-    ``row`` and ``col`` are (kind, component) labels from _ROWS and _COLS;
-    any other label raises ValueError.  The y-side functional is folded
-    into the signs: odd-order derivatives acting on the second argument
-    flip sign, which is how the -d_j psi_pre pressure columns and the nu^2
-    momentum-momentum entries below arise.
-    """
-    if row not in _ROWS or col not in _COLS:
-        raise ValueError(f"unsupported functional pair {row} x {col}")
-    vel, pre = cfg.psi_vel.coeffs, cfg.psi_pre
-    nu = cfg.nu
-    rk, ri = row
-    ck, cj = col
-    if ck == PDE:
-        if rk == "velocity":
-            return ((-nu, _vel_evaluator(vel, ri, cj, 1), 4),)
-        if rk == PDE:
-            return (
-                (nu * nu, _vel_evaluator(vel, ri, cj, 2), 6),
-                (-1.0, _pre_hess(pre, ri, cj), 2),
-            )
-        if rk == "pressure":
-            return ((-1.0, _pre_grad(pre, cj), 1),)
-        if rk == "pressure_grad":
-            return ((-1.0, _pre_hess(pre, ri, cj), 2),)
-        return ((-nu, _vel_div_evaluator(vel, cj, 1), 5),)  # divergence
-    if rk == "velocity":
-        return ((1.0, _vel_evaluator(vel, ri, cj, 0), 2),)
-    if rk == PDE:
-        return ((-nu, _vel_evaluator(vel, ri, cj, 1), 4),)
-    if rk in ("pressure", "pressure_grad"):
-        return ()  # boundary columns have no pressure component
-    return ((1.0, _vel_div_evaluator(vel, cj, 0), 3),)  # divergence
+def _compiled_parts(vel: WendlandPolynomial, pre: WendlandPolynomial,
+                    row: tuple, col: tuple) -> tuple:
+    """(power of nu, derivative order, evaluator) per part of row x col, in
+    order of first appearance; terms of equal power and order are summed
+    exactly, and a part that cancels to nothing (divergence rows) is dropped."""
+    groups: dict[tuple[int, int], list] = {}
+    for a, sa, pa, (la, ax, ay) in _FUNCTIONALS[row]:
+        for b, sb, pb, (lb, bx, by) in _COLUMNS[col]:
+            if (a == 3) != (b == 3):
+                continue  # the kernel is block diagonal
+            sign, nx, ny = (1, 0, 0) if a == 3 else _PSI[a, b]
+            nx, ny, laps = nx + ax + bx, ny + ay + by, la + lb
+            terms = mixed_partial_terms(pre if a == 3 else vel, nx, ny)
+            for _ in range(laps):
+                terms = laplacian(terms)
+            # K depends on x - y, so each d/dy_i acts as -d/dx_i
+            sign *= sa * sb * (-1) ** (bx + by)
+            groups.setdefault((pa + pb, 2 * laps + nx + ny), []).append((sign, terms))
+    parts = ((p, m, combine(*weighted)) for (p, m), weighted in groups.items())
+    return tuple((p, m, RadialTermEvaluator(t)) for p, m, t in parts if t)
 
 
 def kernel_block(cfg: StokesKernelConfig, row: tuple, col: tuple, xa, xb) -> np.ndarray:
     """Pairwise entries (row functional at xa[p]) x (col functional at xb[q]).
 
-    xa has shape (P, 2), xb has shape (Q, 2); returns (P, Q).  Entries with
-    ||xa - xb|| >= delta vanish by compact support (the evaluators cut off
-    at unit radius in scaled coordinates).
+    ``row`` is a label of `_FUNCTIONALS`, ``col`` one of `_COLUMNS`; any
+    other label raises ValueError.  xa has shape (P, 2), xb has shape
+    (Q, 2); returns (P, Q).  Entries with ||xa - xb|| >= delta vanish by
+    compact support (the evaluators cut off at unit radius in scaled
+    coordinates).
     """
+    inv = 1.0 / cfg.delta
+    parts = cfg._parts.get((row, col))
+    if parts is None:
+        if row not in _FUNCTIONALS or col not in _COLUMNS:
+            raise ValueError(f"unsupported functional pair {row} x {col}")
+        # nu^2 as nu * nu: pow(nu, 2) differs from it in the last bit for some nu
+        parts = cfg._parts[row, col] = [
+            (math.prod((cfg.nu,) * p) * inv ** (DIM + m), evaluator)
+            for p, m, evaluator in _compiled_parts(cfg.psi_vel, cfg.psi_pre, row, col)
+        ]
     xa = np.atleast_2d(np.asarray(xa, dtype=float))
     xb = np.atleast_2d(np.asarray(xb, dtype=float))
-    inv = 1.0 / cfg.delta
     dx = (xa[:, 0][:, None] - xb[None, :, 0]) * inv
     dy = (xa[:, 1][:, None] - xb[None, :, 1]) * inv
     out = np.zeros(dx.shape)
-    for factor, evaluator, order in _entry_parts(cfg, row, col):
-        out += (factor * inv ** (DIM + order)) * evaluator(dx, dy)
+    for scale, evaluator in parts:
+        out += scale * evaluator(dx, dy)
     return out

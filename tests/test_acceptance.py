@@ -19,7 +19,7 @@ from stokesrbf.analysis import (
     slope_check,
     trig_stokes_problem,
 )
-from stokesrbf.collocation import assemble, solve
+from stokesrbf.collocation import assemble, evaluate_fields, solve
 from stokesrbf.geometry import make_level_pointset
 from stokesrbf.multiscale import MultiscaleConfig, MultiscaleModel, evaluate_model, scale_schedule
 from stokesrbf.radial import RadialTermEvaluator, diff_x, diff_y, laplacian, mixed_partial, terms_from_profile
@@ -104,6 +104,29 @@ def test_criterion_3_lemma_suite():
     )
 
 
+FD_H = 1e-4
+FD_BOUND = 1e-6
+
+
+def _fd_stencil():
+    """Central-difference stencil (+h x1, -h x1, +h x2, -h x2) around a 20x20
+    grid over [0.05, 0.95]^2, stacked in that order."""
+    ticks = np.linspace(0.05, 0.95, 20)
+    gx, gy = np.meshgrid(ticks, ticks, indexing="ij")
+    grid = np.column_stack([gx.ravel(), gy.ravel()])
+    steps = FD_H * np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]])
+    return np.concatenate([grid + step for step in steps])
+
+
+def _fd_divergence_ratio(vel):
+    """max |div u| / max |grad u| from central differences of velocity
+    values on `_fd_stencil`."""
+    xp, xm, yp, ym = vel.reshape(4, -1, 2)
+    d1, d2 = (xp - xm) / (2 * FD_H), (yp - ym) / (2 * FD_H)
+    grad = np.sqrt(np.sum(d1 * d1 + d2 * d2, axis=1))
+    return np.abs(d1[:, 0] + d2[:, 1]).max() / grad.max()
+
+
 def test_criterion_4_divergence_free(experiment):
     model, _, _ = experiment
     ticks = np.linspace(0.0, 1.0, 50)
@@ -116,11 +139,30 @@ def test_criterion_4_divergence_free(experiment):
         vel = evaluate_model(partial, grid)
         speed = np.sqrt(np.sum(vel * vel, axis=1)).max()
         worst = max(worst, np.abs(div).max() / (1e-8 * speed))
+    # the "divergence" request is exact by construction; central differences
+    # of the evaluated velocity check the same property independently
+    stencil = _fd_stencil()
+    vel = np.zeros((len(stencil), 2))
+    fd_worst = 0.0
+    for sol in model.levels:
+        vel = vel + evaluate_fields(sol, stencil, "velocity")
+        fd_worst = max(fd_worst, _fd_divergence_ratio(vel))
     _verdict(
-        4, worst <= 1.0,
+        4, worst <= 1.0 and fd_worst <= FD_BOUND,
         f"max |div u| <= 1e-8 * max |u| on 50x50 grid for n <= 4 "
-        f"(worst ratio of bound: {worst:.2e})",
+        f"(worst ratio of bound: {worst:.2e}); central differences "
+        f"max |div u| / max |grad u| = {fd_worst:.2e} <= {FD_BOUND:.0e}",
     )
+
+
+def test_criterion_4_fd_check_detects_divergence(problem):
+    # negative control: the manufactured field plus (1e-3 x1, 0) has
+    # divergence 1e-3 and must fail the central-difference bound
+    stencil = _fd_stencil()
+    exact = problem.u(stencil)
+    leak = np.column_stack([1e-3 * stencil[:, 0], np.zeros(len(stencil))])
+    assert _fd_divergence_ratio(exact) <= FD_BOUND
+    assert _fd_divergence_ratio(exact + leak) > FD_BOUND
 
 
 def test_criterion_5_definiteness(experiment):

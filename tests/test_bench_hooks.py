@@ -3,6 +3,8 @@
 `perfbench/layers.py` replaces package names by traced wrappers; a name that
 disappears from the package would otherwise break only the traced benchmark
 run.  This installs the hooks, runs one traced level and removes them again.
+A traced two-level experiment also pins the self time of each layer and that
+no kernel_block call computes a pressure row nobody reads.
 """
 
 import sys
@@ -12,7 +14,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 
 import layers  # noqa: E402
 import tracing  # noqa: E402
-from stokesrbf import collocation, multiscale  # noqa: E402
+from stokesrbf import cli, collocation, multiscale  # noqa: E402
 from stokesrbf.analysis import trig_stokes_problem  # noqa: E402
 
 
@@ -28,3 +30,22 @@ def test_traced_run_hooks_install_and_uninstall():
     assert (collocation.kernel_block, multiscale.assemble, multiscale.run) == originals
     assert tracer.stat("collocation.assemble").work == 82**2
     assert tracer.stat("kernel.pdexpde").calls == 4
+
+
+def test_traced_experiment_times_each_layer_and_skips_pressure_rows():
+    # no caller of a two-level experiment reads a pressure value, so no
+    # kernel_block call may compute the pressure row
+    tracer = tracing.Tracer("t")
+    layers.install(tracer)
+    try:
+        cli.run_experiment(
+            multiscale.MultiscaleConfig(n_levels=2), quad_points=10, eigen_levels=0
+        )
+    finally:
+        tracer.uninstall()
+    selfs = tracer.self_times()
+    for span in ("multiscale.residual", "analysis.grid_eval",
+                 "collocation.assemble", "collocation.cholesky"):
+        assert selfs.get(span, 0.0) > 0.0, span
+    assert tracer.stat("kernel.pressurexpde").calls == 0
+    assert tracer.stat("kernel.pressurexdirichlet").calls == 0

@@ -231,3 +231,12 @@ def test_write_matrix_roundtrip(tmp_path, level1_system):
     assert (rows, cols) == level1_system.matrix.shape
     data = np.frombuffer(raw[16:], dtype="<f8").reshape(rows, cols)
     assert np.array_equal(data, level1_system.matrix)
+
+
+def test_velocity_request_equals_evaluate(level1_solution, rng):
+    # the "velocity" rows are the first two "value" rows, same arithmetic
+    for x in (rng.uniform(0, 1, 2), rng.uniform(0, 1, (40, 2))):
+        np.testing.assert_array_equal(
+            evaluate_fields(level1_solution, x, "velocity"),
+            evaluate(level1_solution, x)[0],
+        )

@@ -189,3 +189,47 @@ def test_definiteness_failure_reports_level(problem):
     with pytest.raises(NotPositiveDefinite) as err:
         run(problem, config)
     assert "level 1" in str(err.value)
+
+
+BAD_POINTS = {
+    "nan": [[np.nan, 0.5], [0.3, 0.2]],
+    "+inf": [[0.3, 0.2], [np.inf, 0.2]],
+    "-inf": [[0.5, -np.inf]],
+    "three coordinates": [[0.3, 0.3, 99.0], [0.1, 0.2, 0.3]],
+    "one 3-vector": [0.3, 0.3, 99.0],
+}
+
+
+def _entry_points(problem, model):
+    from stokesrbf.multiscale import _residual_f, _residual_g
+
+    sol = model.levels[0]
+    return {
+        "evaluate": lambda x: evaluate(sol, x),
+        "evaluate_fields": lambda x: evaluate_fields(sol, x, "pressure-gradient"),
+        "evaluate_model": lambda x: evaluate_model(model, x),
+        "residual_f": _residual_f(problem, model.levels),
+        "residual_g": _residual_g(problem, model.levels),
+    }
+
+
+@pytest.mark.parametrize("bad", BAD_POINTS)
+def test_bad_query_points_rejected(problem, model2, bad):
+    for entry in _entry_points(problem, model2).values():
+        # the closures evaluate the closed-form data before the model
+        with pytest.raises(ValueError), np.errstate(invalid="ignore"):
+            entry(np.array(BAD_POINTS[bad]))
+
+
+def test_good_query_shapes_still_evaluate(problem, model2):
+    for entry in _entry_points(problem, model2).values():
+        entry(np.array([0.4, 0.6]))
+        entry(np.zeros((0, 2)))
+    sol = model2.levels[0]
+    vel, pres = evaluate(sol, (0.4, 0.6))
+    assert vel.shape == (2,) and isinstance(pres, float)
+    vel, pres = evaluate(sol, np.zeros((0, 2)))
+    assert vel.shape == (0, 2) and pres.shape == (0,)
+    assert evaluate_fields(sol, np.zeros((0, 2)), "divergence").shape == (0,)
+    assert evaluate_model(model2, np.zeros((0, 2))).shape == (0, 2)
+    assert evaluate_model(model2, (0.4, 0.6)).shape == (1, 2)

@@ -179,7 +179,7 @@ class TestFiniteDifferenceAgreement:
         h = 1e-5
         grad_rows = [("pressure_grad", 1), ("pressure_grad", 2)]
         for _ in range(10):
-            src = ("pde", int(rng.integers(1, 3)))
+            src = random_label(rng)
             y = rng.uniform(0.2, 0.8, 2)
             x = rng.uniform(0.2, 0.8, 2)
             g1, g2 = column(unit_config, src, y, x, grad_rows)
@@ -189,6 +189,23 @@ class TestFiniteDifferenceAgreement:
             scale = max(abs(g1), abs(g2), 1e-6)
             assert abs(g1 - fd1) <= 1e-5 * scale
             assert abs(g2 - fd2) <= 1e-5 * scale
+
+    def test_velocity_columns_divergence_free_by_fd(self, unit_config, rng):
+        # central differences of the velocity rows, independent of the
+        # "divergence" row of the functional table
+        h = 1e-4
+        rows = [("velocity", 1), ("velocity", 2)]
+        for col in [(k, c) for k in ("pde", "dirichlet") for c in (1, 2)]:
+            for _ in range(5):
+                y, x = rng.uniform(0.2, 0.8, 2), rng.uniform(0.2, 0.8, 2)
+                u = lambda pt: np.array(column(unit_config, col, y, pt, rows))
+                jac = np.column_stack([
+                    (u(x + step) - u(x - step)) / (2 * h)
+                    for step in ((h, 0.0), (0.0, h))
+                ])
+                scale = np.abs(jac).max()
+                assert scale > 0.0
+                assert abs(jac[0, 0] + jac[1, 1]) <= 1e-6 * scale
 
 
 class TestValidation:
