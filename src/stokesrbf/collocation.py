@@ -11,7 +11,10 @@ not a nuisance.
 
 from __future__ import annotations
 
+import os
 import re
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,7 +34,34 @@ __all__ = [
     "write_matrix",
 ]
 
-_CHUNK = 1024  # row slab size keeping assembly temporaries ~tens of MB
+# Rows per slab.  A 128-row slab against a level-4 column group is about
+# 1 MB per temporary, so the many passes of one kernel block stay in cache;
+# with 1024-row slabs (8.7 MB temporaries) evaluating a level-4 model on
+# the 100^2 grid took ~1.5 times as long (2-core x86_64).
+_SLAB = 128
+
+
+# One worker per usable CPU runs the pieces of a call (numpy releases the
+# GIL in its loops): the caller's thread and CPUs - 1 helper threads take
+# pieces -- one row label of one slab -- in turn until none is left.  A
+# piece, not a whole slab, is the unit so that the last one taken is short:
+# a level-4 system is 9 slabs of 130 to 512 rows but 20 pieces of at most
+# 128.  With whole slabs one of two workers sat idle for ~0.1 s (up to
+# 0.19 s) at the end of a ~1.9 s level-4 assembly, more or less as the
+# threads happened to drift; with pieces, for ~0.015 s.  A call with one
+# slab -- a small query batch, the first level's system -- runs on the
+# caller's thread alone.  The helpers never submit work themselves, so none
+# waits on another.
+def _new_pool() -> None:
+    global _HELPERS, _POOL
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    _HELPERS = (cpus or 1) - 1
+    _POOL = ThreadPoolExecutor(max(_HELPERS, 1))
+
+
+_new_pool()
+# a forked child has none of the parent's threads
+os.register_at_fork(after_in_child=_new_pool)
 
 
 class NotPositiveDefinite(ArithmeticError):
@@ -97,9 +127,13 @@ def assemble(
     total = pointset.n_functionals
     matrix = np.empty((total, total))
     row_groups = [(row, pts) for row, _, pts in _groups(pointset)]
-    for rows, cols, block in _blocks(kernel, row_groups, pointset):
-        matrix[rows, cols] = block
-        del block
+
+    def fill(piece):
+        for rows, cols, block in _piece_blocks(kernel, piece, pointset):
+            matrix[rows, cols] = block
+            del block
+
+    _run_slabs(fill, _slabs(row_groups))
     fvals = np.asarray(f_data(pointset.interior), dtype=float)
     gvals = np.asarray(g_data(pointset.boundary), dtype=float)
     rhs = np.concatenate([fvals[:, 0], fvals[:, 1], gvals[:, 0], gvals[:, 1]])
@@ -150,24 +184,68 @@ def solve(system: CollocationSystem, refine_target: float = 1e-10) -> LevelSolut
     )
 
 
-def _blocks(kernel: StokesKernelConfig, row_groups, pointset: LevelPointSet):
-    """Kernel blocks of row functionals against this level's columns.
+def _slabs(row_groups) -> list:
+    """Point slabs of ``row_groups`` -- (row label, points) in output order.
 
-    ``row_groups`` lists (row label, points) in output order.  Yields
-    (row slice, column slice, block) by row slabs of _CHUNK and, within a
-    slab, by column group in system order.  Callers drop each block before
-    asking for the next, so that one block is alive at a time.
+    Slab k holds points k*_SLAB up to (k+1)*_SLAB of every group that has
+    them, as (row label, first output row, points) pieces.  `_apply_rows`
+    thus hands BLAS one block per label and point slab.  BLAS sums a row in
+    an order that depends on the row's place in its block, so a point's
+    values do not depend on which labels are requested with it.
     """
-    r0 = 0
+    slabs, r0 = [], 0
     for row, pts in row_groups:
-        for start in range(0, len(pts), _CHUNK):
-            stop = min(start + _CHUNK, len(pts))
-            c0 = 0
-            for _, col, cpts in _groups(pointset):
-                yield (slice(r0 + start, r0 + stop), slice(c0, c0 + len(cpts)),
-                       kernel_block(kernel, row, col, pts[start:stop], cpts))
-                c0 += len(cpts)
+        for k, start in enumerate(range(0, len(pts), _SLAB)):
+            if k == len(slabs):
+                slabs.append([])
+            slabs[k].append((row, r0 + start, pts[start:start + _SLAB]))
         r0 += len(pts)
+    return slabs
+
+
+def _piece_blocks(kernel: StokesKernelConfig, piece, pointset: LevelPointSet):
+    """Kernel blocks of one piece's row functional against this level's
+    columns: yields (row slice, column slice, block) by column group in
+    system order.  Callers drop each block before asking for the next, so
+    that one block per worker is alive at a time."""
+    row, r0, pts = piece
+    c0 = 0
+    for _, col, cpts in _groups(pointset):
+        yield (slice(r0, r0 + len(pts)), slice(c0, c0 + len(cpts)),
+               kernel_block(kernel, row, col, pts, cpts))
+        c0 += len(cpts)
+
+
+def _run_slabs(task, slabs) -> None:
+    """task(piece) for every piece of every slab, slab by slab; the pieces
+    write disjoint output rows."""
+    pieces = [piece for slab in slabs for piece in slab]
+    todo, lock = iter(pieces), threading.Lock()
+
+    def drain():
+        while True:
+            with lock:
+                piece = next(todo, None)
+            if piece is None:
+                return
+            task(piece)
+
+    n_helpers = min(_HELPERS, len(pieces) - 1) if len(slabs) > 1 else 0
+    helpers = [_POOL.submit(drain) for _ in range(n_helpers)]
+    try:
+        drain()
+    finally:
+        for helper in helpers:
+            helper.result()
+
+
+def _query_points(x) -> np.ndarray:
+    """x as an (n, 2) batch.  Raises ValueError unless x is one finite point
+    (2,) or a finite (n, 2) batch."""
+    x = np.asarray(x, dtype=float)
+    if x.ndim not in (1, 2) or x.shape[-1] != 2 or not np.isfinite(x).all():
+        raise ValueError("query points must be finite, of shape (2,) or (n, 2)")
+    return np.atleast_2d(x)
 
 
 def _apply_rows(solution: LevelSolution, labels, x) -> np.ndarray:
@@ -178,15 +256,16 @@ def _apply_rows(solution: LevelSolution, labels, x) -> np.ndarray:
     at a time in system order.  Raises ValueError unless x is one finite
     point (2,) or a finite (n, 2) batch.
     """
-    x = np.asarray(x, dtype=float)
-    if x.ndim not in (1, 2) or x.shape[-1] != 2 or not np.isfinite(x).all():
-        raise ValueError("query points must be finite, of shape (2,) or (n, 2)")
-    x = np.atleast_2d(x)
+    x = _query_points(x)
     out = np.zeros(len(labels) * len(x))
-    row_groups = [(label, x) for label in labels]
-    for rows, cols, block in _blocks(solution.kernel, row_groups, solution.pointset):
-        out[rows] += block @ solution.coefficients[cols]
-        del block
+    coefficients = solution.coefficients
+
+    def add(piece):
+        for rows, cols, block in _piece_blocks(solution.kernel, piece, solution.pointset):
+            out[rows] += block @ coefficients[cols]
+            del block
+
+    _run_slabs(add, _slabs([(label, x) for label in labels]))
     return np.ascontiguousarray(out.reshape(len(labels), len(x)).T)
 
 

@@ -19,8 +19,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .collocation import (
+    _FIELD_ROWS,
     LevelSolution,
     NotPositiveDefinite,
+    _query_points,
     assemble,
     evaluate,  # unused here; the traced benchmark run (perfbench/layers.py) hooks it
     evaluate_fields,
@@ -163,16 +165,21 @@ def evaluate_model(model: MultiscaleModel, x, request: str = "velocity"):
     """Sum of per-level fields at x.
 
     request "velocity" returns (n, 2); "pressure-gradient" (n, 2);
-    "divergence" (n,); "l-image" (n, 2).  Each level's velocity is exactly
-    divergence-free, so the sum is as well.
+    "divergence" (n,); "l-image" (n, 2); "value" (n, 3).  Each level's
+    velocity is exactly divergence-free, so the sum is as well.  A model
+    without levels checks its input like any other and returns zeros.
     """
-    x = np.atleast_2d(np.asarray(x, dtype=float))
+    x = _query_points(x)
+    if request not in _FIELD_ROWS:
+        raise ValueError(f"unknown request {request!r}")
     out = None
     for sol in model.levels:
         vals = evaluate_fields(sol, x, request)
         out = vals if out is None else out + vals
     if out is None:
-        out = np.zeros(len(x) if request == "divergence" else (len(x), 2))
+        out = np.zeros((len(x), len(_FIELD_ROWS[request])))
+        if request == "divergence":
+            out = out[:, 0]
     return out
 
 

@@ -137,38 +137,60 @@ class RadialTermEvaluator:
             self._groups.append((a, b, m_lo, coeffs))
 
     def __call__(self, dx, dy):
-        """Evaluate at displacement arrays (unit support radius)."""
+        """Evaluate at displacement arrays (unit support radius).
+
+        When every entry lies strictly inside the support and off the
+        origin -- any kernel block without coincident centres at a level
+        whose support exceeds the domain diameter -- the sum is evaluated on
+        the arrays as given; otherwise on the gathered inside entries.  Both
+        paths do the same operations per entry, so the values agree bitwise.
+        """
         dx = np.asarray(dx, dtype=float)
         dy = np.asarray(dy, dtype=float)
         scalar = dx.ndim == 0 and dy.ndim == 0
         dx, dy = np.atleast_1d(dx), np.atleast_1d(dy)
         r = np.hypot(dx, dy)
-        out = np.zeros_like(r)
-        inside = (r > 0.0) & (r < 1.0)
-        if np.any(inside):
-            xi, yi, ri = dx[inside], dy[inside], r[inside]
-            acc = np.zeros_like(ri)
-            pow_cache: dict[tuple[str, int], np.ndarray] = {}
-
-            def power(base, tag, n):
-                if n == 0:
-                    return 1.0
-                key = (tag, n)
-                if key not in pow_cache:
-                    pow_cache[key] = base**n
-                return pow_cache[key]
-
-            for a, b, m_lo, coeffs in self._groups:
-                radial = np.full_like(ri, coeffs[-1])
-                for c in coeffs[-2::-1]:
-                    radial = radial * ri + c
-                if m_lo:
-                    radial = radial * power(ri, "r", m_lo)
-                acc += power(xi, "x", a) * power(yi, "y", b) * radial
-            out[inside] = acc
-        if self.origin:
-            out[r == 0.0] = float(self.origin)
+        if r.size and r.min() > 0.0 and r.max() < 1.0:
+            out = self._inside(dx, dy, r)
+        else:
+            out = np.zeros_like(r)
+            inside = (r > 0.0) & (r < 1.0)
+            if np.any(inside):
+                out[inside] = self._inside(dx[inside], dy[inside], r[inside])
+            if self.origin:
+                out[r == 0.0] = float(self.origin)
         return float(out[0]) if scalar else out
+
+    def _inside(self, x, y, r):
+        """The term sum at displacements with 0 < r < 1, in a new array."""
+        acc = np.zeros_like(r)
+        radial, monomial = np.empty_like(r), np.empty_like(r)
+        pow_cache: dict[tuple[str, int], np.ndarray] = {}
+
+        def power(base, tag, n):
+            key = (tag, n)
+            if key not in pow_cache:
+                pow_cache[key] = base if n == 1 else base**n
+            return pow_cache[key]
+
+        for a, b, m_lo, coeffs in self._groups:
+            # Horner in place: (...(c_top * r + c) * r + ...) + c_0
+            radial.fill(coeffs[-1])
+            for c in coeffs[-2::-1]:
+                np.multiply(radial, r, out=radial)
+                np.add(radial, c, out=radial)
+            if m_lo:
+                np.multiply(radial, power(r, "r", m_lo), out=radial)
+            # (x^a * y^b) * radial
+            if a and b:
+                np.multiply(power(x, "x", a), power(y, "y", b), out=monomial)
+                np.multiply(radial, monomial, out=radial)
+            elif a:
+                np.multiply(radial, power(x, "x", a), out=radial)
+            elif b:
+                np.multiply(radial, power(y, "y", b), out=radial)
+            np.add(acc, radial, out=acc)
+        return acc
 
 
 @lru_cache(maxsize=None)

@@ -135,6 +135,8 @@ def kernel_block(cfg: StokesKernelConfig, row: tuple, col: tuple, xa, xb) -> np.
         ]
     xa = np.atleast_2d(np.asarray(xa, dtype=float))
     xb = np.atleast_2d(np.asarray(xb, dtype=float))
+    if not parts:  # the kernel is block diagonal: e.g. pressure_grad x dirichlet
+        return np.zeros((len(xa), len(xb)))
     dx = (xa[:, 0][:, None] - xb[None, :, 0]) * inv
     dy = (xa[:, 1][:, None] - xb[None, :, 1]) * inv
     out = np.zeros(dx.shape)

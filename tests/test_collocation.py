@@ -1,6 +1,14 @@
+import os
+import signal
+import sys
+import threading
+import warnings
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 
+from stokesrbf import collocation
 from stokesrbf.collocation import (
     CollocationSystem,
     NotPositiveDefinite,
@@ -11,6 +19,7 @@ from stokesrbf.collocation import (
     write_matrix,
 )
 from stokesrbf.geometry import make_level_pointset
+from stokesrbf.multiscale import MultiscaleConfig, scale_schedule
 from stokesrbf.stokes_kernel import StokesKernelConfig, kernel_block
 
 
@@ -42,17 +51,25 @@ def test_matrix_symmetric(level1_system):
     assert np.abs(a - a.T).max() <= 1e-12 * np.abs(a).max()
 
 
-def test_matrix_entries_match_gram(level1_system):
-    # all 16 group blocks, in the documented order
-    groups = documented_groups(level1_system.pointset)
-    offsets = np.cumsum([0] + [len(pts) for _, _, pts in groups])
-    for gi, (row, _, rpts) in enumerate(groups):
-        for gj, (_, col, cpts) in enumerate(groups):
-            block = level1_system.matrix[
-                offsets[gi]: offsets[gi + 1], offsets[gj]: offsets[gj + 1]
-            ]
-            expected = kernel_block(level1_system.kernel, row, col, rpts, cpts)
-            np.testing.assert_allclose(block, expected, rtol=1e-13, atol=1e-13)
+def test_matrix_entries_match_gram(level1_system, c8, problem):
+    # all 16 group blocks, in the documented order, bit for bit: level 1 is
+    # one point slab, level 3 (289 interior and 64 boundary centres) is three
+    # point slabs, run on the worker threads
+    delta3 = scale_schedule(MultiscaleConfig(n_levels=3))[2]
+    level3_system = assemble(
+        make_level_pointset(3), StokesKernelConfig(c8, c8, nu=1.0, delta=delta3),
+        problem.f, problem.g,
+    )
+    for system in (level1_system, level3_system):
+        groups = documented_groups(system.pointset)
+        offsets = np.cumsum([0] + [len(pts) for _, _, pts in groups])
+        for gi, (row, _, rpts) in enumerate(groups):
+            for gj, (_, col, cpts) in enumerate(groups):
+                block = system.matrix[
+                    offsets[gi]: offsets[gi + 1], offsets[gj]: offsets[gj + 1]
+                ]
+                expected = kernel_block(system.kernel, row, col, rpts, cpts)
+                np.testing.assert_array_equal(block, expected)
 
 
 def test_solve_identity():
@@ -240,3 +257,120 @@ def test_velocity_request_equals_evaluate(level1_solution, rng):
             evaluate_fields(level1_solution, x, "velocity"),
             evaluate(level1_solution, x)[0],
         )
+
+
+def test_slabbed_evaluation_equals_group_sums(level1_solution, rng):
+    # 301 points are three point slabs, run on the worker threads; each
+    # entry must be the same sum over the column groups in system order
+    x = rng.uniform(0, 1, (301, 2))
+    sol = level1_solution
+    groups = documented_groups(sol.pointset)
+    for request, labels in (
+        ("l-image", [("pde", 1), ("pde", 2)]),
+        ("pressure-gradient", [("pressure_grad", 1), ("pressure_grad", 2)]),
+    ):
+        expected = np.zeros((len(x), len(labels)))
+        for k, label in enumerate(labels):
+            c0 = 0
+            for _, col, cpts in groups:
+                block = kernel_block(sol.kernel, label, col, x, cpts)
+                expected[:, k] += block @ sol.coefficients[c0: c0 + len(cpts)]
+                c0 += len(cpts)
+        np.testing.assert_array_equal(evaluate_fields(sol, x, request), expected)
+
+
+def test_one_slab_stays_on_the_callers_thread(level1_solution, monkeypatch, rng):
+    # a small query batch is one slab, which no helper thread may take
+    threads = set()
+
+    def recording(*args):
+        threads.add(threading.get_ident())
+        return kernel_block(*args)
+
+    monkeypatch.setattr(collocation, "kernel_block", recording)
+    evaluate_fields(level1_solution, rng.uniform(0, 1, (16, 2)), "velocity")
+    assert threads == {threading.get_ident()}
+
+
+def test_slab_errors_reach_the_caller(level1_solution, monkeypatch, rng):
+    # whichever thread takes the failing slab, its error is raised by the call
+    def failing(cfg, row, col, xa, xb):
+        if len(xa) < collocation._SLAB:
+            raise FloatingPointError("last slab")
+        return kernel_block(cfg, row, col, xa, xb)
+
+    monkeypatch.setattr(collocation, "kernel_block", failing)
+    with pytest.raises(FloatingPointError, match="last slab"):
+        evaluate_fields(level1_solution, rng.uniform(0, 1, (301, 2)), "velocity")
+
+
+def test_slab_workers_take_each_slab_once(level1_solution, monkeypatch, rng):
+    # more helpers than cores and a short switch interval: a slab taken
+    # twice would be added twice, a slab lost would stay zero
+    x = rng.uniform(0, 1, (40 * collocation._SLAB + 7, 2))
+    monkeypatch.setattr(collocation, "_HELPERS", 0)
+    serial = evaluate_fields(level1_solution, x, "l-image")
+    pool = ThreadPoolExecutor(8)
+    monkeypatch.setattr(collocation, "_POOL", pool)
+    monkeypatch.setattr(collocation, "_HELPERS", 8)
+    results = []
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        caller = threading.Thread(target=lambda: results.extend(
+            evaluate_fields(level1_solution, x, "l-image") for _ in range(3)))
+        caller.start()
+        caller.join(timeout=120)
+        assert not caller.is_alive()
+    finally:
+        sys.setswitchinterval(interval)
+        pool.shutdown()
+    assert len(results) == 3
+    for got in results:
+        np.testing.assert_array_equal(got, serial)
+
+
+def test_pieces_of_one_slab_go_to_different_workers(monkeypatch):
+    # the unit of work is one row label of one slab, not the whole slab, so
+    # that the last task taken is short: whichever worker takes the first
+    # piece of "a" waits there until the other worker starts that of "b",
+    # which sits in the same slab
+    pool = ThreadPoolExecutor(1)
+    monkeypatch.setattr(collocation, "_POOL", pool)
+    monkeypatch.setattr(collocation, "_HELPERS", 1)
+    pts = np.zeros((2 * collocation._SLAB + 1, 2))
+    slabs = collocation._slabs([("a", pts), ("b", pts)])
+    assert len(slabs) == 3 and [piece[0] for piece in slabs[0]] == ["a", "b"]
+    b_started, threads = threading.Event(), {}
+
+    def task(piece):
+        label, r0, _ = piece
+        threads[label, r0] = threading.get_ident()
+        if (label, r0) == ("a", 0):
+            assert b_started.wait(timeout=30)
+        elif (label, r0) == ("b", len(pts)):
+            b_started.set()
+
+    try:
+        collocation._run_slabs(task, slabs)
+    finally:
+        pool.shutdown()
+    assert len(threads) == 6
+    assert threads["a", 0] != threads["b", len(pts)]
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+def test_forked_child_evaluates(level1_solution, rng):
+    # the child of a fork has none of the parent's helper threads; a child
+    # that hands slabs to them waits forever (the alarm ends it then)
+    x = rng.uniform(0, 1, (4 * collocation._SLAB, 2))
+    expected = evaluate_fields(level1_solution, x, "velocity")
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", DeprecationWarning)  # fork with threads
+        pid = os.fork()
+    if pid == 0:
+        signal.alarm(60)
+        same = np.array_equal(evaluate_fields(level1_solution, x, "velocity"), expected)
+        os._exit(0 if same else 1)
+    _, status = os.waitpid(pid, 0)
+    assert os.WIFEXITED(status) and os.WEXITSTATUS(status) == 0

@@ -204,10 +204,12 @@ def _entry_points(problem, model):
     from stokesrbf.multiscale import _residual_f, _residual_g
 
     sol = model.levels[0]
+    empty = MultiscaleModel(levels=[], config=model.config)
     return {
         "evaluate": lambda x: evaluate(sol, x),
         "evaluate_fields": lambda x: evaluate_fields(sol, x, "pressure-gradient"),
         "evaluate_model": lambda x: evaluate_model(model, x),
+        "evaluate_model, no levels": lambda x: evaluate_model(empty, x),
         "residual_f": _residual_f(problem, model.levels),
         "residual_g": _residual_g(problem, model.levels),
     }
@@ -233,3 +235,15 @@ def test_good_query_shapes_still_evaluate(problem, model2):
     assert evaluate_fields(sol, np.zeros((0, 2)), "divergence").shape == (0,)
     assert evaluate_model(model2, np.zeros((0, 2))).shape == (0, 2)
     assert evaluate_model(model2, (0.4, 0.6)).shape == (1, 2)
+    # a model without levels answers every request in that request's shape
+    empty = MultiscaleModel(levels=[], config=model2.config)
+    x = np.array([[0.4, 0.6], [0.1, 0.2], [0.3, 0.9]])
+    for request in ("value", "velocity", "l-image", "divergence", "pressure-gradient"):
+        got = evaluate_model(empty, x, request)
+        assert got.shape == evaluate_model(model2, x, request).shape
+        assert not got.any()
+    assert evaluate_model(empty, x, "value").shape == (3, 3)
+    assert evaluate_model(empty, x, "divergence").shape == (3,)
+    for model in (model2, empty):
+        with pytest.raises(ValueError):
+            evaluate_model(model, x, "curl")

@@ -64,6 +64,39 @@ def test_support_cutoff(c8):
     assert vals[1] == 0.0 and vals[2] == 0.0 and vals[0] != 0.0
 
 
+def plain_term_sum(ev, x, y):
+    """The evaluator's term groups summed with one new array per operation:
+    Horner's rule, the lowest power of r, then (x^a * y^b) * radial."""
+    r = np.hypot(x, y)
+    acc = np.zeros_like(r)
+    for a, b, m_lo, coeffs in ev._groups:
+        radial = np.full_like(r, coeffs[-1])
+        for c in coeffs[-2::-1]:
+            radial = radial * r + c
+        if m_lo:
+            radial = radial * r**m_lo
+        acc += (x**a if a else 1.0) * (y**b if b else 1.0) * radial
+    return acc
+
+
+def test_inside_block_matches_masked_evaluation(c8, rng):
+    # a block with every entry in 0 < r < 1 is evaluated as given; the same
+    # entries next to one coincident and one outside entry are gathered by
+    # the mask.  Both keep every bit (signed zeros included) of the plain
+    # term sum.
+    dx, dy = rng.uniform(-0.6, 0.6, size=(2, 40, 30))
+    dy[:, 0] = 0.0
+    dx[:, 1] = -0.0
+    for nx, ny in [(0, 0), (1, 0), (0, 2), (1, 1), (2, 1), (4, 2), (3, 3), (0, 6)]:
+        ev = mixed_partial(c8, nx, ny)
+        block = ev(dx, dy)
+        masked = ev(np.append(dx, [0.0, 0.9]), np.append(dy, [0.0, 0.9]))
+        assert block.shape == dx.shape
+        assert block.tobytes() == plain_term_sum(ev, dx, dy).tobytes()
+        assert block.tobytes() == masked[:-2].tobytes()
+        assert masked[-2] == float(ev.origin) and masked[-1] == 0.0
+
+
 def test_finite_difference_chain(c8, rng):
     # every derivative agrees with a central difference of one order lower,
     # chained over all orders used by the kernel algebra
