@@ -10,8 +10,6 @@ conditioning against a manufactured solution.
 from .wendland import (
     NonPolynomialDivision,
     WendlandPolynomial,
-    differentiate,
-    divided_derivative,
     wendland_c8,
     wendland_from_integral,
 )

@@ -49,14 +49,12 @@ class ManufacturedSolution:
     """Closed-form velocity, pressure gradient, forcing and boundary data.
 
     All callables map an (n, 2) array of points to (n, 2) arrays.
-    ``p`` is one representative of the pressure class.
     """
 
     u: object
     grad_p: object
     f: object
     g: object
-    p: object = None
 
 
 def trig_stokes_problem(nu: float = 1.0) -> ManufacturedSolution:
@@ -78,15 +76,11 @@ def trig_stokes_problem(nu: float = 1.0) -> ManufacturedSolution:
              3.0 * np.sin(3.0 * x1) * np.cos(3.0 * x2)]
         )
 
-    def p(pts):
-        pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        return np.sin(3.0 * pts[:, 0]) * np.sin(3.0 * pts[:, 1])
-
     def f(pts):
         # -lap u = 29 u for both components
         return 29.0 * nu * u(pts) + grad_p(pts)
 
-    return ManufacturedSolution(u=u, grad_p=grad_p, f=f, g=u, p=p)
+    return ManufacturedSolution(u=u, grad_p=grad_p, f=f, g=u)
 
 
 def gauss_legendre_grid(points_per_dim: int):

@@ -3,17 +3,17 @@
 Subcommands: run, verify-lemmas, kernel-info, dump-points, dump-matrix.
 Configuration is a flat ``key=value`` file (UTF-8, ``#`` comments); every
 key can be overridden with a ``--key value`` flag.  Output is deterministic
-for a fixed configuration.
+for a fixed configuration.  Arguments a command cannot handle end in
+``error: ...`` on stderr and exit code 2.
 """
 
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from dataclasses import dataclass, fields
 from fractions import Fraction
-
-import numpy as np
 
 from .analysis import run_experiment, slope_check, trig_stokes_problem
 from .collocation import NotPositiveDefinite, assemble, write_matrix
@@ -49,8 +49,9 @@ class RunConfig:
         if not (1 <= self.levels <= 8):
             raise ValueError("levels must be between 1 and 8 (dense-solve guard)")
         for name in ("beta", "nu", "tau"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be positive and finite")
         if self.quad_points < 2 or self.eigen_levels < 0:
             raise ValueError("quad_points must be >= 2 and eigen_levels >= 0")
 
@@ -103,17 +104,12 @@ def cmd_run(args) -> int:
         nu=config.nu,
     )
     problem = trig_stokes_problem(nu=config.nu)
-    try:
-        model, report = run_experiment(
-            ms_config,
-            problem=problem,
-            quad_points=config.quad_points,
-            eigen_levels=min(config.eigen_levels, config.levels),
-        )
-    except NotPositiveDefinite as exc:
-        print(f"error: not-positive-definite pivot={exc.pivot} detail={exc}",
-              file=sys.stderr)
-        return 2
+    model, report = run_experiment(
+        ms_config,
+        problem=problem,
+        quad_points=config.quad_points,
+        eigen_levels=min(config.eigen_levels, config.levels),
+    )
     report.to_csv(config.out_csv)
     summary = _summary_text(config, report)
     with open(config.out_summary, "w", encoding="utf-8", newline="\n") as fh:
@@ -169,14 +165,7 @@ def _summary_text(config: RunConfig, report) -> str:
 
 def cmd_verify_lemmas(args) -> int:
     k = args.k
-    if k == 4:
-        psi = wendland_c8()
-    else:
-        try:
-            psi = wendland_from_integral(2, k)
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
+    psi = wendland_c8() if k == 4 else wendland_from_integral(2, k)
     checks = []
     d12 = mixed_partial(psi, 1, 1).origin
     d11 = mixed_partial(psi, 2, 0).origin
@@ -202,11 +191,7 @@ def cmd_verify_lemmas(args) -> int:
 
 
 def cmd_kernel_info(args) -> int:
-    try:
-        integral = wendland_from_integral(args.d, args.k)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    integral = wendland_from_integral(args.d, args.k)
     closed = wendland_c8() if (args.d, args.k) == (2, 4) else None
     print(f"# d={args.d} k={args.k} ell={integral.ell} degree={integral.degree}")
     if closed is None:
@@ -233,9 +218,12 @@ def cmd_dump_points(args) -> int:
 
 
 def cmd_dump_matrix(args) -> int:
-    config = MultiscaleConfig(n_levels=max(args.level, 1), beta=args.beta,
+    if args.level < 1:
+        raise ValueError("level must be >= 1")
+    config = MultiscaleConfig(n_levels=args.level, beta=args.beta,
                               tau=args.tau, nu=args.nu)
-    delta = args.delta if args.delta else scale_schedule(config)[args.level - 1]
+    # an explicit --delta, even a bad one, is passed on for the kernel to check
+    delta = scale_schedule(config)[-1] if args.delta is None else args.delta
     pointset = make_level_pointset(args.level)
     psi = wendland_c8()
     kernel = StokesKernelConfig(psi, psi, nu=args.nu, delta=delta)
@@ -300,6 +288,9 @@ def main(argv=None) -> int:
     except NotPositiveDefinite as exc:
         print(f"error: not-positive-definite pivot={exc.pivot} detail={exc}",
               file=sys.stderr)
+        return 2
+    except ValueError as exc:  # arguments the commands cannot handle
+        print(f"error: {exc}", file=sys.stderr)
         return 2
 
 

@@ -142,7 +142,11 @@ def assemble(
     )
 
 
-def solve(system: CollocationSystem, refine_target: float = 1e-10) -> LevelSolution:
+# iterative refinement stops once ||rhs - A alpha|| <= _REFINE_TARGET * ||rhs||
+_REFINE_TARGET = 1e-10
+
+
+def solve(system: CollocationSystem) -> LevelSolution:
     """Cholesky solve with a few iterative-refinement sweeps.
 
     Residuals are accumulated in extended precision: at the finer levels the
@@ -168,7 +172,7 @@ def solve(system: CollocationSystem, refine_target: float = 1e-10) -> LevelSolut
     residual = true_residual(coeffs)
     res_norm = float(np.linalg.norm(residual))
     for _ in range(4):
-        if rhs_norm == 0.0 or res_norm <= refine_target * rhs_norm:
+        if rhs_norm == 0.0 or res_norm <= _REFINE_TARGET * rhs_norm:
             break
         candidate = coeffs + cho_solve(factor, residual, check_finite=False)
         cand_residual = true_residual(candidate)

@@ -7,6 +7,10 @@ again as boundary centres.  Boundary centres therefore coincide in location
 with some interior centres; the attached functionals differ (momentum
 operator vs velocity evaluation), so the collocation system stays
 nonsingular.
+
+The fill distance (`mesh_norm`) and separation distance enter only the
+convergence and stability analysis; the level loop never reads them, so
+they are measured on demand rather than stored with each level.
 """
 
 from __future__ import annotations
@@ -37,21 +41,10 @@ class SinglePoint(ValueError):
 
 @dataclass(frozen=True)
 class LevelPointSet:
-    """Centres for one level plus measured quality metrics.
-
-    ``nominal_h`` is the grid spacing (the quantity the scale schedule is
-    calibrated against); ``measured_h`` is the fill distance estimated on a
-    probe grid, which for these tensor grids is sqrt(2)/2 times the spacing.
-    ``separation_q`` is computed over the distinct centre locations
-    (boundary centres coincide with perimeter interior centres and are
-    counted once).
-    """
+    """Interior and boundary centres of one level, each an (n, 2) array."""
 
     interior: np.ndarray
     boundary: np.ndarray
-    nominal_h: float
-    measured_h: float
-    separation_q: float
 
     @property
     def n_interior(self) -> int:
@@ -101,7 +94,7 @@ def grid_spacing(level: int) -> float:
     return 1.0 / 2 ** (level + 1)
 
 
-def make_level_pointset(level: int, probe_density: int | None = None) -> LevelPointSet:
+def make_level_pointset(level: int) -> LevelPointSet:
     """Tensor-grid centres for one level of the refinement hierarchy.
 
     Interior: the (2^(level+1)+1)^2 gridpoints of spacing 2^-(level+1) over
@@ -121,22 +114,7 @@ def make_level_pointset(level: int, probe_density: int | None = None) -> LevelPo
         | (interior[:, 1] == 0.0)
         | (interior[:, 1] == 1.0)
     )
-    boundary = interior[on_edge]
-    if probe_density is None:
-        # aligned probe grid: a multiple of the cell count per side lands
-        # probes exactly on the cell centres, so measured_h is exact
-        probe_density = max(8 * n, 256) + 1
-    measured = mesh_norm(interior, probe_density)
-    # boundary centres duplicate perimeter interior locations; separation is
-    # over distinct locations
-    separation = separation_distance(interior)
-    return LevelPointSet(
-        interior=interior,
-        boundary=boundary,
-        nominal_h=spacing,
-        measured_h=measured,
-        separation_q=separation,
-    )
+    return LevelPointSet(interior=interior, boundary=interior[on_edge])
 
 
 def export_points_csv(pointset: LevelPointSet, path) -> None:

@@ -28,9 +28,9 @@ from .collocation import (
     evaluate_fields,
     solve,
 )
-from .geometry import LevelPointSet, grid_spacing, make_level_pointset, separation_distance
+from .geometry import LevelPointSet, grid_spacing, make_level_pointset
 from .stokes_kernel import StokesKernelConfig
-from .wendland import WendlandPolynomial, wendland_c8
+from .wendland import wendland_c8
 
 __all__ = [
     "MultiscaleConfig",
@@ -45,44 +45,29 @@ __all__ = [
 
 @dataclass(frozen=True)
 class MultiscaleConfig:
-    """Parameters of the level loop.
+    """Parameters of the level loop; both kernel blocks use `wendland_c8`.
 
     ``tau`` is the Sobolev exponent of the kernel's native space (4.5 for
     the C^8 kernel); it is supplied rather than inferred because it is a
     property of the norm equivalence, not recoverable from coefficients.
-    ``delta_override`` replaces the derived schedule.
     """
 
     n_levels: int
     beta: float = 18.779
     tau: float = 4.5
     nu: float = 1.0
-    delta_override: tuple[float, ...] | None = None
-    psi_vel: WendlandPolynomial | None = None
-    psi_pre: WendlandPolynomial | None = None
 
     def __post_init__(self):
         if self.n_levels < 1:
             raise ValueError("need at least one level")
-        if self.tau <= 2:
+        if not self.tau > 2:
             raise ValueError("tau must exceed 2 for a meaningful schedule")
 
-    def velocity_profile(self) -> WendlandPolynomial:
-        return self.psi_vel if self.psi_vel is not None else wendland_c8()
 
-    def pressure_profile(self) -> WendlandPolynomial:
-        return self.psi_pre if self.psi_pre is not None else wendland_c8()
-
-
-def scale_schedule(config: MultiscaleConfig, levels: int | None = None) -> list[float]:
+def scale_schedule(config: MultiscaleConfig) -> list[float]:
     """Support radii delta_j = beta * h_j^((tau-2)/(tau+1)), h_j the grid spacing."""
-    n = config.n_levels if levels is None else levels
-    if config.delta_override is not None:
-        if len(config.delta_override) < n:
-            raise ValueError("delta_override shorter than the level count")
-        return [float(d) for d in config.delta_override[:n]]
     exponent = 1.0 - 3.0 / (config.tau + 1.0)
-    return [config.beta * grid_spacing(j + 1) ** exponent for j in range(n)]
+    return [config.beta * grid_spacing(j + 1) ** exponent for j in range(config.n_levels)]
 
 
 @dataclass
@@ -117,34 +102,22 @@ def _residual_g(problem, solved: list[LevelSolution]):
     return g_resid
 
 
-def run(
-    problem,
-    config: MultiscaleConfig,
-    pointsets: list[LevelPointSet] | None = None,
-    on_level=None,
-) -> MultiscaleModel:
-    """Run the residual-correction loop.
+def run(problem, config: MultiscaleConfig, on_level=None) -> MultiscaleModel:
+    """Run the residual-correction loop on the tensor-grid hierarchy.
 
     ``problem`` provides closed forms ``f(points) -> (n, 2)`` and
-    ``g(points) -> (n, 2)``.  ``pointsets`` defaults to the tensor-grid
-    hierarchy starting at level 1.  ``on_level(index, system, solution)``
-    is called after each solve (used for conditioning measurements);
-    levels are strictly sequential since each depends on all previous.
+    ``g(points) -> (n, 2)``.  ``on_level(index, system, solution)`` is
+    called after each solve (used for conditioning measurements); levels
+    are strictly sequential since each depends on all previous.
     """
-    if pointsets is None:
-        pointsets = [make_level_pointset(j + 1) for j in range(config.n_levels)]
-    if len(pointsets) < config.n_levels:
-        raise ValueError("not enough point sets for the requested levels")
-    deltas = scale_schedule(config)
-    base = StokesKernelConfig(
-        config.velocity_profile(), config.pressure_profile(), nu=config.nu
-    )
+    psi = wendland_c8()
+    base = StokesKernelConfig(psi, psi, nu=config.nu)
     solved: list[LevelSolution] = []
-    for j in range(config.n_levels):
-        kernel = base.rescaled(deltas[j])
+    for j, delta in enumerate(scale_schedule(config)):
+        kernel = base.rescaled(delta)
         try:
             system = assemble(
-                pointsets[j],
+                make_level_pointset(j + 1),
                 kernel,
                 _residual_f(problem, solved),
                 _residual_g(problem, solved),
@@ -192,8 +165,7 @@ def save_model(model: MultiscaleModel, path) -> None:
     Layout (little-endian): 8-byte magic, uint64 level count; per level a
     header <f8 delta, f8 nu, u8 n_interior, u8 n_boundary> followed by the
     interior points, boundary points and coefficient vector as float64.
-    Kernel profiles are not stored; loading reattaches the profiles of the
-    supplied config (default C^8).
+    Kernel profiles are not stored; loading reattaches the C^8 profile.
     """
     with open(path, "wb") as fh:
         fh.write(_MAGIC)
@@ -236,27 +208,15 @@ def load_model(path, config: MultiscaleConfig | None = None) -> MultiscaleModel:
     (n_levels,) = struct.unpack("<Q", take(8))
     if config is None:
         config = MultiscaleConfig(n_levels=max(n_levels, 1))
-    base = StokesKernelConfig(
-        config.velocity_profile(), config.pressure_profile(), nu=config.nu
-    )
+    psi = wendland_c8()
     levels = []
     for _ in range(n_levels):
         delta, nu, n_int, n_bd = struct.unpack("<ddQQ", take(32))
         interior = np.frombuffer(take(16 * n_int), dtype="<f8").reshape(-1, 2)
         boundary = np.frombuffer(take(16 * n_bd), dtype="<f8").reshape(-1, 2)
         coeffs = np.frombuffer(take(8 * 2 * (n_int + n_bd)), dtype="<f8").copy()
-        pointset = LevelPointSet(
-            interior=interior.copy(),
-            boundary=boundary.copy(),
-            nominal_h=float(
-                1.0 / (np.sqrt(n_int) - 1) if n_int > 1 else 1.0
-            ),
-            measured_h=float("nan"),
-            separation_q=separation_distance(interior),
-        )
-        kernel = StokesKernelConfig(
-            base.psi_vel, base.psi_pre, nu=nu, delta=delta
-        )
+        pointset = LevelPointSet(interior=interior.copy(), boundary=boundary.copy())
+        kernel = StokesKernelConfig(psi, psi, nu=nu, delta=delta)
         levels.append(
             LevelSolution(coefficients=coeffs, pointset=pointset, kernel=kernel)
         )

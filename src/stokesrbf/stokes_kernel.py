@@ -82,10 +82,12 @@ class StokesKernelConfig:
     _parts: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if not self.delta > 0:
-            raise ValueError("delta must be positive")
-        if not self.nu > 0:
-            raise ValueError("nu must be positive")
+        # an infinite nu or delta turns entries into nan, which the Cholesky
+        # solve (check_finite=False) would pass on silently
+        for name in ("delta", "nu"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be positive and finite")
 
     def rescaled(self, delta: float) -> "StokesKernelConfig":
         return StokesKernelConfig(self.psi_vel, self.psi_pre, self.nu, delta)

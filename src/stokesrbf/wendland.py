@@ -6,23 +6,19 @@ piecewise polynomial radial profile, positive definite on R^d, supported on
 `fractions.Fraction`), differentiates them, and divides derivatives by r --
 the operation behind the chain rule for radial functions.  Coefficients of
 high derivatives reach magnitude ~1e6 and beyond, so everything stays exact
-until the final float evaluation.
+here; floats appear only in the evaluators that `radial.mixed_partial`
+compiles.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from math import comb, factorial
-
-import numpy as np
 
 __all__ = [
     "NonPolynomialDivision",
     "WendlandPolynomial",
-    "differentiate",
-    "divided_derivative",
     "wendland_c8",
     "wendland_from_integral",
 ]
@@ -72,53 +68,6 @@ class WendlandPolynomial:
     def coefficient(self, i: int) -> Fraction:
         return self.coeffs[i] if 0 <= i < len(self.coeffs) else Fraction(0)
 
-    @cached_property
-    def _float_coeffs(self) -> np.ndarray:
-        return np.array([float(c) for c in self.coeffs], dtype=np.longdouble)
-
-    @cached_property
-    def _shifted_float_coeffs(self) -> np.ndarray:
-        # expansion in powers of u = 1 - r, stable near the support boundary
-        # where the expanded form cancels catastrophically
-        n = len(self.coeffs)
-        shifted = [Fraction(0)] * n
-        for i, c in enumerate(self.coeffs):
-            # r^i = (1 - u)^i
-            for j in range(i + 1):
-                shifted[j] += c * comb(i, j) * (-1) ** j
-        return np.array([float(c) for c in shifted], dtype=np.longdouble)
-
-    def __call__(self, r):
-        return self.evaluate(r)
-
-    def evaluate(self, r):
-        """Evaluate at float radius, vectorized; 0 for r >= 1.
-
-        Horner's rule in extended precision, on the ascending coefficients
-        for r <= 1/2 and on the (1-r)-basis for r > 1/2; the basis split
-        avoids the catastrophic cancellation of the expanded form near the
-        support boundary.
-        """
-        r_arr = np.abs(np.asarray(r, dtype=float))
-        out = np.zeros_like(r_arr)
-        lower = r_arr <= 0.5
-        upper = ~lower & (r_arr < 1.0)
-        if self.coeffs:
-            if np.any(lower):
-                out[lower] = self._horner(self._float_coeffs, r_arr[lower])
-            if np.any(upper):
-                out[upper] = self._horner(
-                    self._shifted_float_coeffs, 1.0 - r_arr[upper]
-                )
-        return out if out.ndim else float(out)
-
-    @staticmethod
-    def _horner(coeffs: np.ndarray, x: np.ndarray) -> np.ndarray:
-        acc = np.full_like(x, coeffs[-1], dtype=np.longdouble)
-        for c in coeffs[-2::-1]:
-            acc = acc * x + c
-        return acc.astype(float)
-
     def evaluate_exact(self, r) -> Fraction:
         """Exact rational evaluation (the in-house reference for accuracy tests)."""
         r = Fraction(r)
@@ -144,39 +93,11 @@ class WendlandPolynomial:
         coeffs = [i * c for i, c in enumerate(self.coeffs)][2:]
         return WendlandPolynomial(coeffs)
 
-    def leading_odd_zeros(self) -> int:
-        """Number of consecutive vanishing odd coefficients b_1, b_3, b_5, ...
-
-        This equals the number of times divided_derivative() can be applied.
-        A polynomial with no nonzero odd coefficient at all supports any
-        number of applications (they eventually annihilate it).
-        """
-        count = 0
-        for i in range(1, len(self.coeffs) + 1, 2):
-            if self.coefficient(i) != 0:
-                return count
-            count += 1
-        return 10**9  # no nonzero odd coefficient at all: unlimited
-
     def __repr__(self):
         tag = ""
         if self.smoothness_k is not None:
             tag = f", k={self.smoothness_k}, ell={self.ell}"
         return f"WendlandPolynomial(degree={self.degree}{tag})"
-
-
-def differentiate(p: WendlandPolynomial) -> WendlandPolynomial:
-    """d/dr of the polynomial part of ``p``."""
-    return p.derivative()
-
-
-def divided_derivative(p: WendlandPolynomial) -> WendlandPolynomial:
-    """The exact polynomial p'(r)/r.
-
-    Legal only while the relevant odd coefficient of ``p`` vanishes; for a
-    smoothness-k Wendland function the operator can be applied k times.
-    """
-    return p.divided_derivative()
 
 
 def wendland_from_integral(d: int, k: int) -> WendlandPolynomial:

@@ -230,7 +230,7 @@ def test_criterion_7_property_suites(experiment):
 
     # permutation invariance of the solve
     problem = trig_stokes_problem()
-    ps = make_level_pointset(1, probe_density=65)
+    ps = make_level_pointset(1)
     system = assemble(ps, StokesKernelConfig(psi, psi, nu=1.0, delta=0.6),
                       problem.f, problem.g)
     base = solve(system).coefficients

@@ -128,6 +128,28 @@ class TestRunCommand:
         err = capsys.readouterr().err
         assert err.startswith("error: not-positive-definite")
 
+    @pytest.mark.parametrize("flags", [
+        ["--beta", "nan"],
+        ["--nu", "nan"],
+        ["--tau", "nan"],
+        ["--nu", "inf"],
+    ])
+    def test_rejects_nonfinite_settings(self, tmp_path, capsys, flags):
+        # with nu = inf the run used to exit 0 and report nan for every error
+        code = run_cli([
+            "run", "--levels", "1", "--eigen-levels", "0", *flags,
+            "--out-csv", str(tmp_path / "n.csv"),
+            "--out-summary", str(tmp_path / "n.txt"),
+        ])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and flags[0][2:] in err
+        assert not (tmp_path / "n.csv").exists()
+
+    def test_rejects_level_beyond_guard(self, capsys):
+        assert run_cli(["run", "--levels", "9"]) == 2
+        assert capsys.readouterr().err.startswith("error: levels")
+
 
 class TestVerifyLemmas:
     def test_c8_passes(self, capsys):
@@ -181,3 +203,29 @@ def test_dump_matrix(tmp_path):
     assert len(raw) == 16 + 82 * 82 * 8
     data = np.frombuffer(raw[16:], dtype="<f8").reshape(82, 82)
     assert np.abs(data - data.T).max() <= 1e-12 * np.abs(data).max()
+
+
+class TestDumpMatrixArguments:
+    def run_dump(self, tmp_path, *flags):
+        out = tmp_path / "mat.bin"
+        code = run_cli(["dump-matrix", "--out", str(out), *flags])
+        return code, out
+
+    def test_rejects_level_zero(self, tmp_path, capsys):
+        code, out = self.run_dump(tmp_path, "--level", "0")
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: level")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("delta", ["0", "-1", "nan", "inf"])
+    def test_rejects_bad_delta(self, tmp_path, capsys, delta):
+        # --delta 0 used to fall back to the scheduled delta without a word
+        code, out = self.run_dump(tmp_path, "--level", "1", "--delta", delta)
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: delta")
+        assert not out.exists()
+
+    def test_explicit_delta_is_used(self, tmp_path, capsys):
+        code, out = self.run_dump(tmp_path, "--level", "1", "--delta", "3.5")
+        assert code == 0
+        assert "(delta=3.5)" in capsys.readouterr().out

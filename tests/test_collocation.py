@@ -73,7 +73,7 @@ def test_matrix_entries_match_gram(level1_system, c8, problem):
 
 
 def test_solve_identity():
-    pointset = make_level_pointset(1, probe_density=65)
+    pointset = make_level_pointset(1)
     kernel_stub = None  # unused by solve
     n = 4
     system = CollocationSystem(
@@ -153,7 +153,7 @@ def _solve_permuted(system, perm):
 def test_permutation_invariance(c8, problem, rng):
     # a moderate support keeps the conditioning low enough that two distinct
     # factorizations agree to the stated tolerance
-    ps = make_level_pointset(1, probe_density=65)
+    ps = make_level_pointset(1)
     kernel = StokesKernelConfig(c8, c8, nu=1.0, delta=0.6)
     system = assemble(ps, kernel, problem.f, problem.g)
     solution = solve(system)
@@ -214,7 +214,7 @@ def test_zero_coefficients_evaluate_to_zero(level1_solution):
 def test_small_delta_gives_local_block_structure(c8, problem):
     # delta below the minimal inter-point distance: only coincident-location
     # entries survive, and the matrix is still positive definite
-    ps = make_level_pointset(1, probe_density=65)
+    ps = make_level_pointset(1)
     kernel = StokesKernelConfig(c8, c8, nu=1.0, delta=0.1)
     system = assemble(ps, kernel, problem.f, problem.g)
     centres = np.concatenate([pts for _, _, pts in documented_groups(ps)])
@@ -232,7 +232,7 @@ def test_small_delta_gives_local_block_structure(c8, problem):
 
 
 def test_outside_support_evaluates_to_zero(c8, problem):
-    ps = make_level_pointset(1, probe_density=65)
+    ps = make_level_pointset(1)
     kernel = StokesKernelConfig(c8, c8, nu=1.0, delta=0.1)
     sol = solve(assemble(ps, kernel, problem.f, problem.g))
     x = (0.125, 0.125)  # cell centre: distance to nearest centre > delta

@@ -7,6 +7,7 @@ from stokesrbf.geometry import (
     EmptyPointSet,
     SinglePoint,
     export_points_csv,
+    grid_spacing,
     make_level_pointset,
     mesh_norm,
     separation_distance,
@@ -24,23 +25,23 @@ from stokesrbf.geometry import (
     ],
 )
 def test_level_counts(level, interior, boundary, h):
-    ps = make_level_pointset(level, probe_density=4 * 2 ** (level + 1) + 1)
+    ps = make_level_pointset(level)
     assert ps.n_interior == interior
     assert ps.n_boundary == boundary
-    assert ps.nominal_h == h
+    assert grid_spacing(level) == h
     assert ps.n_functionals == 2 * (interior + boundary)
 
 
 def test_counts_follow_power_law():
     for level in (1, 2, 3):
-        ps = make_level_pointset(level, probe_density=129)
+        ps = make_level_pointset(level)
         n = 2 ** (level + 1)
         assert ps.n_interior == (n + 1) ** 2
         assert ps.n_boundary == 4 * n
 
 
 def test_boundary_points_lie_on_perimeter():
-    ps = make_level_pointset(2, probe_density=65)
+    ps = make_level_pointset(2)
     for x, y in ps.boundary:
         assert x in (0.0, 1.0) or y in (0.0, 1.0)
     # pairwise distinct within each list
@@ -55,8 +56,8 @@ def test_mesh_norm_level1_grid():
     estimate = mesh_norm(ps.interior, 1000)
     assert estimate <= expected + 1e-12
     assert estimate >= expected - math.sqrt(2) / 999
-    # the aligned default probe grid hits cell centres exactly
-    assert ps.measured_h == pytest.approx(expected, abs=1e-15)
+    # an aligned probe grid hits cell centres exactly
+    assert mesh_norm(ps.interior, 65) == pytest.approx(expected, abs=1e-15)
 
 
 def test_mesh_norm_single_point():
@@ -79,8 +80,8 @@ def test_mesh_norm_errors():
 
 @pytest.mark.parametrize("level,expected", [(1, 1 / 8), (3, 1 / 32)])
 def test_separation_of_level_grids(level, expected):
-    ps = make_level_pointset(level, probe_density=4 * 2 ** (level + 1) + 1)
-    assert ps.separation_q == pytest.approx(expected, rel=1e-14)
+    ps = make_level_pointset(level)
+    assert separation_distance(ps.interior) == pytest.approx(expected, rel=1e-14)
 
 
 def test_separation_two_points():
@@ -98,18 +99,21 @@ def test_quasi_uniformity_across_levels():
     ratios = []
     for level in range(1, 6):
         ps = make_level_pointset(level)
-        ratios.append(ps.measured_h / ps.separation_q)
+        # aligned probe grid: a multiple of the cell count per side lands
+        # probes exactly on the cell centres, so the fill distance is exact
+        n = 2 ** (level + 1)
+        fill = mesh_norm(ps.interior, max(8 * n, 256) + 1)
+        ratios.append(fill / separation_distance(ps.interior))
     spread = (max(ratios) - min(ratios)) / min(ratios)
     assert spread <= 0.05
-    # and the nominal spacing halves per level (mesh ratio mu = 1/2)
-    hs = [make_level_pointset(level, probe_density=150).nominal_h
-          for level in range(1, 6)]
+    # and the grid spacing halves per level (mesh ratio mu = 1/2)
+    hs = [grid_spacing(level) for level in range(1, 6)]
     for a, b in zip(hs, hs[1:]):
         assert b == a / 2
 
 
 def test_export_csv(tmp_path):
-    ps = make_level_pointset(1, probe_density=65)
+    ps = make_level_pointset(1)
     path = tmp_path / "points.csv"
     export_points_csv(ps, path)
     lines = path.read_text().strip().splitlines()

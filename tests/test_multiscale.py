@@ -11,7 +11,6 @@ from stokesrbf.collocation import (
     evaluate,
     evaluate_fields,
 )
-from stokesrbf.geometry import make_level_pointset
 from stokesrbf.multiscale import (
     MultiscaleConfig,
     MultiscaleModel,
@@ -41,15 +40,10 @@ class TestSchedule:
         halved = scale_schedule(MultiscaleConfig(n_levels=3, beta=18.779 / 2))
         assert np.allclose(np.array(halved), np.array(full) / 2, rtol=1e-14)
 
-    def test_override(self):
-        config = MultiscaleConfig(n_levels=2, delta_override=(3.0, 1.5))
-        assert scale_schedule(config) == [3.0, 1.5]
-        with pytest.raises(ValueError):
-            scale_schedule(MultiscaleConfig(n_levels=3, delta_override=(3.0,)))
-
     def test_rejects_flat_tau(self):
-        with pytest.raises(ValueError):
-            MultiscaleConfig(n_levels=2, tau=2.0)
+        for tau in (2.0, float("nan")):
+            with pytest.raises(ValueError):
+                MultiscaleConfig(n_levels=2, tau=tau)
 
 
 def test_single_level_equals_plain_solve(problem, level1_solution):
@@ -176,16 +170,10 @@ def test_load_rejects_foreign_file(tmp_path):
         load_model(path)
 
 
-def test_custom_pointsets_length_checked(problem):
-    with pytest.raises(ValueError):
-        run(problem, MultiscaleConfig(n_levels=2),
-            pointsets=[make_level_pointset(1, probe_density=65)])
-
-
 def test_definiteness_failure_reports_level(problem):
     # a scale vastly above the domain size collapses the columns to near
     # duplicates and the factorization must fail, naming the level
-    config = MultiscaleConfig(n_levels=1, delta_override=(1e9,))
+    config = MultiscaleConfig(n_levels=1, beta=1e9)
     with pytest.raises(NotPositiveDefinite) as err:
         run(problem, config)
     assert "level 1" in str(err.value)

@@ -215,6 +215,17 @@ class TestValidation:
         with pytest.raises(ValueError):
             StokesKernelConfig(c8, c8, nu=-1.0, delta=1.0)
 
+    @pytest.mark.parametrize("bad", [float("inf"), float("nan")])
+    def test_config_rejects_nonfinite_parameters(self, c8, bad):
+        # an infinite nu or delta gives nan entries that the Cholesky solve
+        # would not notice
+        with pytest.raises(ValueError, match="nu"):
+            StokesKernelConfig(c8, c8, nu=bad, delta=1.0)
+        with pytest.raises(ValueError, match="delta"):
+            StokesKernelConfig(c8, c8, nu=1.0, delta=bad)
+        with pytest.raises(ValueError, match="delta"):
+            StokesKernelConfig(c8, c8).rescaled(bad)
+
     def test_functional_validation(self, unit_config):
         bad_pairs = [
             (("pde", 3), ("pde", 1)),
