@@ -44,9 +44,8 @@ from .multiscale import (
 from .analysis import (
     ErrorReport,
     ManufacturedSolution,
-    condition_number,
-    l2_error,
-    linf_error,
+    extreme_eigenvalues,
+    grid_errors,
     run_experiment,
     slope_check,
     trig_stokes_problem,

@@ -20,10 +20,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve, eigh
+from scipy.linalg import LinAlgError, cho_factor, cho_solve, eigh
 
 from .collocation import (
-    CollocationSystem,
     NotPositiveDefinite,
     evaluate,  # unused here; the traced benchmark run (perfbench/layers.py) hooks it
     evaluate_fields,
@@ -34,9 +33,8 @@ __all__ = [
     "ManufacturedSolution",
     "ErrorReport",
     "trig_stokes_problem",
-    "l2_error",
-    "linf_error",
-    "condition_number",
+    "grid_errors",
+    "extreme_eigenvalues",
     "slope_check",
     "run_experiment",
 ]
@@ -105,31 +103,17 @@ def _norms(err: np.ndarray, w: np.ndarray) -> tuple[float, float]:
     return float(np.sqrt(np.sum(w * sq))), float(np.max(np.sqrt(sq)))
 
 
-def _grid_norms(model, reference: ManufacturedSolution, fieldname: str,
-                points_per_dim: int) -> tuple[float, float]:
+def grid_errors(model, reference: ManufacturedSolution, fieldname: str,
+                points_per_dim: int = 100) -> tuple[float, float]:
+    """(L2(Omega), max) norms of the pointwise Euclidean error of ``fieldname``
+    on the tensor Gauss-Legendre grid.  The pressure is compared through its
+    gradient ("pressure-gradient"), which quotients out its constant."""
     if fieldname not in _REFERENCE_FIELDS:
         raise ValueError(f"unknown field {fieldname!r}")
     pts, w = gauss_legendre_grid(points_per_dim)
     err = evaluate_model(model, pts, request=fieldname)
     err = err - getattr(reference, _REFERENCE_FIELDS[fieldname])(pts)
     return _norms(err, w)
-
-
-def l2_error(model, reference: ManufacturedSolution, fieldname: str,
-             quad_points_per_dim: int = 100) -> float:
-    """Tensor Gauss-Legendre estimate of the L2(Omega) norm of the error.
-
-    The field is vector valued; the pointwise norm is Euclidean.  For the
-    pressure the compared field is the gradient, which quotients out the
-    undetermined constant.
-    """
-    return _grid_norms(model, reference, fieldname, quad_points_per_dim)[0]
-
-
-def linf_error(model, reference: ManufacturedSolution, fieldname: str,
-               grid_points_per_dim: int = 100) -> float:
-    """Max pointwise Euclidean error over the same tensor evaluation grid."""
-    return _grid_norms(model, reference, fieldname, grid_points_per_dim)[1]
 
 
 def extreme_eigenvalues(matrix: np.ndarray) -> tuple[float, float]:
@@ -164,25 +148,11 @@ def extreme_eigenvalues(matrix: np.ndarray) -> tuple[float, float]:
     lam_max = dominant(lambda v: matrix @ v)
     try:
         factor = cho_factor(matrix, lower=True, check_finite=False)
-    except Exception as exc:  # loss of definiteness is the signal itself
+    except LinAlgError as exc:  # loss of definiteness is the signal itself
         raise NotPositiveDefinite(str(exc)) from exc
     inv_dominant = dominant(lambda v: cho_solve(factor, v, check_finite=False))
     lam_min = 1.0 / inv_dominant if inv_dominant else 0.0
     return float(lam_min), float(lam_max)
-
-
-def condition_number(system) -> float:
-    """kappa = lambda_max / lambda_min of the collocation matrix."""
-    matrix = system.matrix if isinstance(system, CollocationSystem) else np.asarray(system)
-    asym = np.abs(matrix - matrix.T).max()
-    if asym > 1e-12 * max(np.abs(matrix).max(), 1.0):
-        raise ValueError("condition_number expects a symmetric matrix")
-    lam_min, lam_max = extreme_eigenvalues(matrix)
-    if lam_min <= 0.0:
-        raise NotPositiveDefinite(
-            f"matrix is not positive definite: lambda_min = {lam_min}"
-        )
-    return lam_max / lam_min
 
 
 def slope_check(levels) -> float:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
 from dataclasses import dataclass, fields
 from fractions import Fraction
@@ -32,6 +33,20 @@ REFERENCE_PRESSURE_GRAD_L2 = (1.112e00, 1.222e-01, 1.235e-02, 2.561e-03, 5.612e-
 REFERENCE_PRESSURE_GRAD_LINF = (4.209e00, 3.338e-01, 1.048e-01, 3.650e-02, 1.211e-02)
 
 
+def check_dense_size(level: int) -> None:
+    """Raise ValueError unless ``level`` >= 1 and its dense collocation matrix
+    -- 8 n^2 bytes for n = 2((2^(L+1) + 1)^2 + 2^(L+3)) unknowns, 2434 at
+    level 4 and 8962 at level 5 -- fits in physical memory."""
+    if level < 1:
+        raise ValueError("levels must be >= 1")
+    n = 2 * ((2 ** (level + 1) + 1) ** 2 + 2 ** (level + 3))
+    need = 8 * n * n
+    have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    if need > have:
+        raise ValueError(f"levels up to {level} need a dense {n} x {n} matrix of "
+                         f"{need / 1e9:.1f} GB, more than the {have / 1e9:.1f} GB of memory")
+
+
 @dataclass
 class RunConfig:
     """Settings of the ``run`` subcommand."""
@@ -46,8 +61,7 @@ class RunConfig:
     out_summary: str = "summary.txt"
 
     def validate(self):
-        if not (1 <= self.levels <= 8):
-            raise ValueError("levels must be between 1 and 8 (dense-solve guard)")
+        check_dense_size(self.levels)
         for name in ("beta", "nu", "tau"):
             value = getattr(self, name)
             if not (math.isfinite(value) and value > 0):
@@ -218,8 +232,7 @@ def cmd_dump_points(args) -> int:
 
 
 def cmd_dump_matrix(args) -> int:
-    if args.level < 1:
-        raise ValueError("level must be >= 1")
+    check_dense_size(args.level)
     config = MultiscaleConfig(n_levels=args.level, beta=args.beta,
                               tau=args.tau, nu=args.nu)
     # an explicit --delta, even a bad one, is passed on for the kernel to check

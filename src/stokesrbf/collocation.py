@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import os
 import re
-import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -41,27 +40,17 @@ __all__ = [
 _SLAB = 128
 
 
-# One worker per usable CPU runs the pieces of a call (numpy releases the
-# GIL in its loops): the caller's thread and CPUs - 1 helper threads take
-# pieces -- one row label of one slab -- in turn until none is left.  A
-# piece, not a whole slab, is the unit so that the last one taken is short:
-# a level-4 system is 9 slabs of 130 to 512 rows but 20 pieces of at most
-# 128.  With whole slabs one of two workers sat idle for ~0.1 s (up to
-# 0.19 s) at the end of a ~1.9 s level-4 assembly, more or less as the
-# threads happened to drift; with pieces, for ~0.015 s.  A call with one
-# slab -- a small query batch, the first level's system -- runs on the
-# caller's thread alone.  The helpers never submit work themselves, so none
-# waits on another.
-def _new_pool() -> None:
-    global _HELPERS, _POOL
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    _HELPERS = (cpus or 1) - 1
-    _POOL = ThreadPoolExecutor(max(_HELPERS, 1))
-
-
-_new_pool()
-# a forked child has none of the parent's threads
-os.register_at_fork(after_in_child=_new_pool)
+# The pieces -- one row label of one slab -- of a call with more than one
+# slab run on a fresh executor of one worker per usable CPU (numpy releases
+# the GIL in its loops) while the caller waits, so no thread outlives its
+# call.  A piece, not a whole slab, is the unit so that the last one taken
+# is short: a level-4 system is 9 slabs of 130 to 512 rows but 20 pieces of
+# at most 128; with whole slabs one of two workers sat idle for ~0.1 s at
+# the end of a ~1.9 s level-4 assembly, with pieces for ~0.015 s.  A call
+# with one slab -- a small query batch, the first level's system -- runs on
+# the caller's thread alone.
+_WORKERS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
 
 
 class NotPositiveDefinite(ArithmeticError):
@@ -108,7 +97,7 @@ class LevelSolution:
     coefficients: np.ndarray
     pointset: LevelPointSet
     kernel: StokesKernelConfig
-    solve_residual: float = 0.0
+    solve_residual: float = float("nan")  # nan: not solved here (a loaded level)
 
 
 def assemble(
@@ -221,26 +210,15 @@ def _piece_blocks(kernel: StokesKernelConfig, piece, pointset: LevelPointSet):
 
 
 def _run_slabs(task, slabs) -> None:
-    """task(piece) for every piece of every slab, slab by slab; the pieces
-    write disjoint output rows."""
+    """task(piece) for every piece of every slab, taken slab by slab; the
+    pieces write disjoint output rows."""
     pieces = [piece for slab in slabs for piece in slab]
-    todo, lock = iter(pieces), threading.Lock()
-
-    def drain():
-        while True:
-            with lock:
-                piece = next(todo, None)
-            if piece is None:
-                return
+    if len(slabs) == 1:
+        for piece in pieces:
             task(piece)
-
-    n_helpers = min(_HELPERS, len(pieces) - 1) if len(slabs) > 1 else 0
-    helpers = [_POOL.submit(drain) for _ in range(n_helpers)]
-    try:
-        drain()
-    finally:
-        for helper in helpers:
-            helper.result()
+        return
+    with ThreadPoolExecutor(_WORKERS) as pool:
+        list(pool.map(task, pieces))  # raises the first failed piece's error
 
 
 def _query_points(x) -> np.ndarray:

@@ -72,10 +72,11 @@ def scale_schedule(config: MultiscaleConfig) -> list[float]:
 
 @dataclass
 class MultiscaleModel:
-    """Accumulated approximant: per-level solutions plus their config."""
+    """Accumulated approximant: per-level solutions plus the config that
+    `run` fitted them with (None for a loaded model: the file stores none)."""
 
     levels: list[LevelSolution]
-    config: MultiscaleConfig
+    config: MultiscaleConfig | None = None
 
     @property
     def n_levels(self) -> int:
@@ -186,8 +187,9 @@ def save_model(model: MultiscaleModel, path) -> None:
             fh.write(np.asarray(sol.coefficients).astype("<f8").tobytes())
 
 
-def load_model(path, config: MultiscaleConfig | None = None) -> MultiscaleModel:
-    """Read a model written by save_model.
+def load_model(path) -> MultiscaleModel:
+    """Read a model written by save_model; its levels report an unknown
+    (nan) solve residual and the model has no config.
 
     Raises ValueError unless the file holds exactly one such model: a wrong
     magic, a section cut short, or bytes after the last level all fail.
@@ -206,8 +208,6 @@ def load_model(path, config: MultiscaleConfig | None = None) -> MultiscaleModel:
         return data[pos - n: pos]
 
     (n_levels,) = struct.unpack("<Q", take(8))
-    if config is None:
-        config = MultiscaleConfig(n_levels=max(n_levels, 1))
     psi = wendland_c8()
     levels = []
     for _ in range(n_levels):
@@ -222,4 +222,4 @@ def load_model(path, config: MultiscaleConfig | None = None) -> MultiscaleModel:
         )
     if pos != len(data):
         raise ValueError("trailing bytes after the stokesrbf model")
-    return MultiscaleModel(levels=levels, config=config)
+    return MultiscaleModel(levels=levels)

@@ -5,11 +5,9 @@ import sympy
 from stokesrbf.analysis import (
     ErrorReport,
     ManufacturedSolution,
-    condition_number,
     extreme_eigenvalues,
     gauss_legendre_grid,
-    l2_error,
-    linf_error,
+    grid_errors,
     run_experiment,
     slope_check,
     trig_stokes_problem,
@@ -90,16 +88,15 @@ def _empty_model():
 class TestErrorNorms:
     def test_zero_error_field(self):
         reference = _ConstantField((0.0, 0.0))
-        assert l2_error(_empty_model(), reference, "velocity", 30) == 0.0
-        assert linf_error(_empty_model(), reference, "velocity", 30) == 0.0
+        assert grid_errors(_empty_model(), reference, "velocity", 30) == (0.0, 0.0)
 
     def test_constant_one_error_field(self):
         reference = _ConstantField((1.0, 0.0))
         for order in (2, 11, 40):
-            assert l2_error(_empty_model(), reference, "velocity", order) == pytest.approx(
-                1.0, rel=1e-13
-            )
-        assert linf_error(_empty_model(), reference, "velocity", 20) == pytest.approx(1.0)
+            l2, _ = grid_errors(_empty_model(), reference, "velocity", order)
+            assert l2 == pytest.approx(1.0, rel=1e-13)
+        _, linf = grid_errors(_empty_model(), reference, "velocity", 20)
+        assert linf == pytest.approx(1.0)
 
     def test_quadrature_grid(self):
         pts, w = gauss_legendre_grid(25)
@@ -111,23 +108,39 @@ class TestErrorNorms:
 
     def test_unknown_field_rejected(self):
         with pytest.raises(ValueError):
-            l2_error(_empty_model(), _ConstantField((0, 0)), "vorticity", 10)
+            grid_errors(_empty_model(), _ConstantField((0, 0)), "vorticity", 10)
 
 
 class TestConditionNumber:
+    """The extreme eigenvalues that kappa = lambda_max / lambda_min is made of."""
+
     def test_identity(self):
-        assert condition_number(np.eye(6)) == pytest.approx(1.0)
+        assert extreme_eigenvalues(np.eye(6)) == pytest.approx((1.0, 1.0))
 
     def test_diagonal(self):
-        assert condition_number(np.diag([2.0, 8.0])) == pytest.approx(4.0)
+        assert extreme_eigenvalues(np.diag([2.0, 8.0])) == pytest.approx((2.0, 8.0))
 
-    def test_rejects_indefinite(self):
+    def test_rejects_indefinite(self, monkeypatch):
+        import stokesrbf.analysis as analysis
+
+        # the dense path reports the negative eigenvalue, the iterative path
+        # fails its Cholesky factorization
+        lam_min, _ = extreme_eigenvalues(np.diag([1.0, -2.0]))
+        assert lam_min == pytest.approx(-2.0)
+        monkeypatch.setattr(analysis, "_EIG_DENSE_LIMIT", 1)
         with pytest.raises(NotPositiveDefinite):
-            condition_number(np.diag([1.0, -2.0]))
+            extreme_eigenvalues(np.diag([1.0, -2.0]))
 
-    def test_rejects_asymmetric(self):
-        with pytest.raises(ValueError):
-            condition_number(np.array([[1.0, 2.0], [0.0, 1.0]]))
+    def test_other_factorization_errors_pass_through(self, monkeypatch):
+        import stokesrbf.analysis as analysis
+
+        def out_of_memory(*args, **kwargs):
+            raise MemoryError
+
+        monkeypatch.setattr(analysis, "_EIG_DENSE_LIMIT", 1)
+        monkeypatch.setattr(analysis, "cho_factor", out_of_memory)
+        with pytest.raises(MemoryError):
+            extreme_eigenvalues(np.diag([2.0, 8.0]))
 
     def test_iterative_path_matches_dense(self, rng, monkeypatch):
         import stokesrbf.analysis as analysis
@@ -184,17 +197,16 @@ class TestRunExperiment:
     def test_report_against_norm_functions(self, small_experiment):
         model, report = small_experiment
         problem = trig_stokes_problem()
-        direct = l2_error(model, problem, "velocity", report.quad_points)
+        direct, direct_inf = grid_errors(model, problem, "velocity", report.quad_points)
         assert direct == pytest.approx(report.velocity_l2[-1], rel=1e-12)
-        direct_inf = linf_error(model, problem, "velocity", report.quad_points)
         assert direct_inf == pytest.approx(report.velocity_linf[-1], rel=1e-12)
 
     def test_quadrature_self_consistency(self, small_experiment):
         # the error fields are entire; two quadrature orders must agree
         model, _ = small_experiment
         problem = trig_stokes_problem()
-        a = l2_error(model, problem, "velocity", 100)
-        b = l2_error(model, problem, "velocity", 150)
+        a, _ = grid_errors(model, problem, "velocity", 100)
+        b, _ = grid_errors(model, problem, "velocity", 150)
         assert abs(a - b) <= 1e-3 * max(a, b)
 
     def test_csv_layout(self, small_experiment, tmp_path):

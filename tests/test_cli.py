@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
-from stokesrbf.cli import build_run_config, main, parse_config_file
+from stokesrbf import cli
+from stokesrbf.cli import build_run_config, check_dense_size, main, parse_config_file
+from stokesrbf.geometry import make_level_pointset
 
 
 def run_cli(args):
@@ -229,3 +231,24 @@ class TestDumpMatrixArguments:
         code, out = self.run_dump(tmp_path, "--level", "1", "--delta", "3.5")
         assert code == 0
         assert "(delta=3.5)" in capsys.readouterr().out
+
+    def test_rejects_matrix_beyond_memory(self, tmp_path, capsys):
+        # level 9: 2109442 unknowns, a 35.6 TB dense matrix
+        code, out = self.run_dump(tmp_path, "--level", "9")
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not out.exists()
+
+
+@pytest.mark.parametrize("level", [1, 2, 3, 4, 5])
+def test_dense_size_guard_counts_the_unknowns(monkeypatch, level):
+    # memory of exactly 8 n^2 bytes passes and one byte less fails only if
+    # the guard's closed-form n is the level's number of unknowns
+    n = make_level_pointset(level).n_functionals
+    monkeypatch.setattr(cli.os, "sysconf",
+                        lambda name: 1 if name == "SC_PAGE_SIZE" else memory)
+    memory = 8 * n * n
+    check_dense_size(level)
+    memory -= 1
+    with pytest.raises(ValueError, match="levels"):
+        check_dense_size(level)

@@ -1,9 +1,9 @@
 import os
 import signal
+import subprocess
 import sys
 import threading
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -308,11 +308,9 @@ def test_slab_workers_take_each_slab_once(level1_solution, monkeypatch, rng):
     # more helpers than cores and a short switch interval: a slab taken
     # twice would be added twice, a slab lost would stay zero
     x = rng.uniform(0, 1, (40 * collocation._SLAB + 7, 2))
-    monkeypatch.setattr(collocation, "_HELPERS", 0)
+    monkeypatch.setattr(collocation, "_WORKERS", 1)
     serial = evaluate_fields(level1_solution, x, "l-image")
-    pool = ThreadPoolExecutor(8)
-    monkeypatch.setattr(collocation, "_POOL", pool)
-    monkeypatch.setattr(collocation, "_HELPERS", 8)
+    monkeypatch.setattr(collocation, "_WORKERS", 8)
     results = []
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -324,7 +322,6 @@ def test_slab_workers_take_each_slab_once(level1_solution, monkeypatch, rng):
         assert not caller.is_alive()
     finally:
         sys.setswitchinterval(interval)
-        pool.shutdown()
     assert len(results) == 3
     for got in results:
         np.testing.assert_array_equal(got, serial)
@@ -335,9 +332,7 @@ def test_pieces_of_one_slab_go_to_different_workers(monkeypatch):
     # that the last task taken is short: whichever worker takes the first
     # piece of "a" waits there until the other worker starts that of "b",
     # which sits in the same slab
-    pool = ThreadPoolExecutor(1)
-    monkeypatch.setattr(collocation, "_POOL", pool)
-    monkeypatch.setattr(collocation, "_HELPERS", 1)
+    monkeypatch.setattr(collocation, "_WORKERS", 2)
     pts = np.zeros((2 * collocation._SLAB + 1, 2))
     slabs = collocation._slabs([("a", pts), ("b", pts)])
     assert len(slabs) == 3 and [piece[0] for piece in slabs[0]] == ["a", "b"]
@@ -351,12 +346,32 @@ def test_pieces_of_one_slab_go_to_different_workers(monkeypatch):
         elif (label, r0) == ("b", len(pts)):
             b_started.set()
 
-    try:
-        collocation._run_slabs(task, slabs)
-    finally:
-        pool.shutdown()
+    collocation._run_slabs(task, slabs)
     assert len(threads) == 6
     assert threads["a", 0] != threads["b", len(pts)]
+
+
+def test_no_worker_thread_outlives_its_call():
+    # a fresh interpreter, so that no other test's threads are counted
+    script = (
+        "import threading, numpy as np\n"
+        "from stokesrbf import collocation\n"
+        "from stokesrbf.geometry import make_level_pointset\n"
+        "from stokesrbf.stokes_kernel import StokesKernelConfig\n"
+        "from stokesrbf.wendland import wendland_c8\n"
+        "ps = make_level_pointset(1)\n"
+        "kernel = StokesKernelConfig(wendland_c8(), wendland_c8(), delta=1.0)\n"
+        "sol = collocation.LevelSolution(np.ones(ps.n_functionals), ps, kernel)\n"
+        "x = np.random.default_rng(0).uniform(0, 1, (301, 2))\n"
+        "collocation.evaluate_fields(sol, x, 'velocity')\n"
+        "print(threading.active_count())\n"
+    )
+    src = os.path.dirname(os.path.dirname(collocation.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-c", script], env=env,
+                         capture_output=True, text=True, timeout=120, check=True)
+    assert out.stdout.strip() == "1"
 
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")

@@ -115,8 +115,12 @@ def test_empty_model_evaluates_to_zero():
 def test_save_load_roundtrip(tmp_path, model2, rng):
     path = tmp_path / "model.bin"
     save_model(model2, path)
-    loaded = load_model(path, config=model2.config)
+    loaded = load_model(path)
     assert loaded.n_levels == model2.n_levels
+    # the file stores neither a config nor the solve residuals
+    assert loaded.config is None
+    assert all(np.isnan(sol.solve_residual) for sol in loaded.levels)
+    assert all(0.0 < sol.solve_residual <= 1e-8 for sol in model2.levels)
     pts = rng.uniform(0, 1, size=(40, 2))
     np.testing.assert_array_equal(
         evaluate_model(loaded, pts), evaluate_model(model2, pts)
