@@ -120,8 +120,11 @@ def extreme_eigenvalues(matrix: np.ndarray) -> tuple[float, float]:
     """(lambda_min, lambda_max) of a symmetric matrix.
 
     Full decomposition up to 3000 unknowns; beyond that, power iteration for
-    the largest and Cholesky-based inverse iteration for the smallest, to
-    1e-6 relative.
+    the largest and Cholesky-based inverse iteration for the smallest, each
+    stopped once two successive Rayleigh quotients agree to 1e-6 relative
+    (or after 500 steps).  That bounds the last step, not the error: on the
+    level-5 matrix (8962 unknowns) lambda_min came out 1.1 % above the
+    `eigh` value, lambda_max within 6e-7.
     """
     n = len(matrix)
     if n <= _EIG_DENSE_LIMIT:

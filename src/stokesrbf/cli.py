@@ -33,18 +33,21 @@ REFERENCE_PRESSURE_GRAD_L2 = (1.112e00, 1.222e-01, 1.235e-02, 2.561e-03, 5.612e-
 REFERENCE_PRESSURE_GRAD_LINF = (4.209e00, 3.338e-01, 1.048e-01, 3.650e-02, 1.211e-02)
 
 
-def check_dense_size(level: int) -> None:
-    """Raise ValueError unless ``level`` >= 1 and its dense collocation matrix
-    -- 8 n^2 bytes for n = 2((2^(L+1) + 1)^2 + 2^(L+3)) unknowns, 2434 at
-    level 4 and 8962 at level 5 -- fits in physical memory."""
+def check_dense_size(level: int, copies: int) -> None:
+    """Raise ValueError unless ``level`` >= 1 and ``copies`` dense n x n
+    matrices -- 8 n^2 bytes each for n = 2((2^(L+1) + 1)^2 + 2^(L+3))
+    unknowns, 2434 at level 4 and 8962 at level 5 -- fit in physical memory.
+    ``run`` holds two (the collocation matrix and its Cholesky factor),
+    ``dump-matrix`` one."""
     if level < 1:
         raise ValueError("levels must be >= 1")
     n = 2 * ((2 ** (level + 1) + 1) ** 2 + 2 ** (level + 3))
-    need = 8 * n * n
+    need = 8 * n * n * copies
     have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     if need > have:
-        raise ValueError(f"levels up to {level} need a dense {n} x {n} matrix of "
-                         f"{need / 1e9:.1f} GB, more than the {have / 1e9:.1f} GB of memory")
+        raise ValueError(f"levels up to {level} need {copies} dense {n} x {n} "
+                         f"matrices of {need / 1e9:.1f} GB, more than the "
+                         f"{have / 1e9:.1f} GB of memory")
 
 
 @dataclass
@@ -61,7 +64,7 @@ class RunConfig:
     out_summary: str = "summary.txt"
 
     def validate(self):
-        check_dense_size(self.levels)
+        check_dense_size(self.levels, copies=2)
         for name in ("beta", "nu", "tau"):
             value = getattr(self, name)
             if not (math.isfinite(value) and value > 0):
@@ -232,7 +235,7 @@ def cmd_dump_points(args) -> int:
 
 
 def cmd_dump_matrix(args) -> int:
-    check_dense_size(args.level)
+    check_dense_size(args.level, copies=1)
     config = MultiscaleConfig(n_levels=args.level, beta=args.beta,
                               tau=args.tau, nu=args.nu)
     # an explicit --delta, even a bad one, is passed on for the kernel to check

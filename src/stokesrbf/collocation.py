@@ -11,6 +11,7 @@ not a nuisance.
 
 from __future__ import annotations
 
+import math
 import os
 import re
 from concurrent.futures import ThreadPoolExecutor
@@ -116,9 +117,10 @@ def assemble(
     total = pointset.n_functionals
     matrix = np.empty((total, total))
     row_groups = [(row, pts) for row, _, pts in _groups(pointset)]
+    tables = _tables(kernel, row_groups, pointset)
 
     def fill(piece):
-        for rows, cols, block in _piece_blocks(kernel, piece, pointset):
+        for rows, cols, block in _piece_blocks(kernel, piece, pointset, tables):
             matrix[rows, cols] = block
             del block
 
@@ -150,11 +152,17 @@ def solve(system: CollocationSystem) -> LevelSolution:
         match = re.search(r"(\d+)", str(exc))
         pivot = int(match.group(1)) if match else None
         raise NotPositiveDefinite(str(exc), pivot=pivot) from exc
-    matrix_ld = system.matrix.astype(np.longdouble)
     rhs_ld = system.rhs.astype(np.longdouble)
 
     def true_residual(vec):
-        return np.asarray(rhs_ld - matrix_ld @ vec.astype(np.longdouble), dtype=float)
+        # one slab of rows at a time, so that no extended copy of the whole
+        # matrix is held; each row's sum runs in the same order either way
+        vec_ld = vec.astype(np.longdouble)
+        out = np.empty(len(vec))
+        for start in range(0, len(vec), _SLAB):
+            rows = slice(start, start + _SLAB)
+            out[rows] = rhs_ld[rows] - system.matrix[rows].astype(np.longdouble) @ vec_ld
+        return out
 
     rhs_norm = float(np.linalg.norm(system.rhs))
     coeffs = cho_solve(factor, system.rhs, check_finite=False)
@@ -196,16 +204,120 @@ def _slabs(row_groups) -> list:
     return slabs
 
 
-def _piece_blocks(kernel: StokesKernelConfig, piece, pointset: LevelPointSet):
+# Lattice tables.  On a dyadic lattice of step h = 2^-k the difference of
+# two lattice coordinates is exact, so an entry of a block whose rows and
+# columns all lie on one lattice depends only on the integer offset between
+# its two points, and it equals, bit for bit, the entry of that offset
+# against the origin.  Such a block is gathered from one `kernel_block` call
+# over every offset between the points, if that table is no larger than the
+# block.  The points span a square box of n lattice lines per axis, so the
+# table holds (2n - 1)^2 offsets: 65^2 for a level-4 system, 33^2 for a
+# coarser level evaluated at the level-3 centres.
+
+# the finest step tried, 2^-52, the spacing of the doubles in [1, 2); only
+# a box of zero span leaves the step unbounded by the table size
+_FINEST = 52
+
+
+def _on_lattice(points, step: float) -> bool:
+    """Whether every coordinate x is a multiple of ``step`` (a power of 2):
+    round(x / step) * step == x, exactly (`np.rint` is `np.round` to 0
+    decimals, and with `count_nonzero` half the cost on a query batch)."""
+    return not np.count_nonzero(np.rint(points / step) * step != points)
+
+
+def _finest_step(span: float, size: int):
+    """The exponent k (0 <= k <= _FINEST) of the finest step 2^-k whose table
+    for points spanning ``span`` per axis, (2 span 2^k + 1)^2 offsets, holds
+    at most ``size`` entries; None if not even step 1 fits."""
+    room = (math.sqrt(size) - 1) / 2  # the largest span in steps that fits
+    if span == 0:
+        return _FINEST
+    if not span <= room:  # also a nan span
+        return None
+    return min(math.frexp(room / span)[1] - 1, _FINEST)
+
+
+def _lattice(rows, cols):
+    """(step, lo, n) of the coarsest lattice holding every coordinate of rows
+    and cols, lo being the least coordinate and n the lattice lines across
+    the box; None unless its table is no larger than the rows x cols block."""
+    size = len(rows) * len(cols)
+    if not size:
+        return None
+    lo = float(min(rows.min(), cols.min()))
+    hi = float(max(rows.max(), cols.max()))
+    k = _finest_step(hi - lo, size)
+    if k is None or not (_on_lattice(rows, 2.0 ** -k) and _on_lattice(cols, 2.0 ** -k)):
+        return None
+    while k and _on_lattice(rows, 2.0 ** (1 - k)) and _on_lattice(cols, 2.0 ** (1 - k)):
+        k -= 1
+    step = 2.0 ** -k
+    return step, lo, round((hi - lo) / step) + 1
+
+
+def _lattice_index(points, lattice) -> np.ndarray:
+    """Flat index i (2n - 1) + j of each point at lattice position (i, j) of
+    the box; index differences are flat offsets into the table."""
+    step, lo, n = lattice
+    ij = ((points - lo) / step).astype(np.intp)  # exact: integral values
+    return ij[:, 0] * (2 * n - 1) + ij[:, 1]
+
+
+def _group_lattices(rows, groups) -> list:
+    """`_lattice` of rows against each column group, in order.
+
+    The rows are tested first, at the finest step that their own box allows
+    in the widest block: an off-lattice query batch fails there, and so at
+    every coarser step, by one test before the centres are read.
+    """
+    size = len(rows) * max(len(cpts) for _, _, cpts in groups)
+    k = _finest_step(float(rows.max() - rows.min()), size) if size else None
+    if k is None or not _on_lattice(rows, 2.0 ** -k):
+        return [None] * len(groups)
+    return [_lattice(rows, cpts) for _, _, cpts in groups]
+
+
+def _tables(kernel: StokesKernelConfig, row_groups, pointset: LevelPointSet) -> dict:
+    """{(row label, column label): (table, lattice, cidx)} for each pair of
+    this call whose rows and columns share a lattice with a table no larger
+    than their block; one `kernel_block` call per pair.  A row point of
+    lattice index a meets column point j at table entry a - cidx[j]."""
+    groups = _groups(pointset)
+    tables, lattices = {}, {}
+    for row, pts in row_groups:
+        if id(pts) not in lattices:  # labels share point arrays
+            lattices[id(pts)] = _group_lattices(pts, groups)
+        for (_, col, cpts), lattice in zip(groups, lattices[id(pts)]):
+            if lattice is not None:
+                step, _, n = lattice
+                ticks = np.arange(1 - n, n) * step
+                offsets = np.column_stack([np.repeat(ticks, len(ticks)),
+                                           np.tile(ticks, len(ticks))])
+                table = kernel_block(kernel, row, col, offsets, np.zeros((1, 2)))
+                # the offset (0, 0) sits at the table's centre, entry 2n (n - 1)
+                cidx = _lattice_index(cpts, lattice) - 2 * n * (n - 1)
+                tables[row, col] = (table.ravel(), lattice, cidx)
+    return tables
+
+
+def _piece_blocks(kernel: StokesKernelConfig, piece, pointset: LevelPointSet, tables):
     """Kernel blocks of one piece's row functional against this level's
     columns: yields (row slice, column slice, block) by column group in
-    system order.  Callers drop each block before asking for the next, so
-    that one block per worker is alive at a time."""
+    system order, gathered from the call's table of the pair when it has
+    one.  Callers drop each block before asking for the next, so that one
+    block per worker is alive at a time."""
     row, r0, pts = piece
     c0 = 0
     for _, col, cpts in _groups(pointset):
-        yield (slice(r0, r0 + len(pts)), slice(c0, c0 + len(cpts)),
-               kernel_block(kernel, row, col, pts, cpts))
+        if (row, col) in tables:
+            table, lattice, cidx = tables[row, col]
+            base = _lattice_index(pts, lattice)
+            block = np.take(table, base[:, None] - cidx[None, :])
+        else:
+            block = kernel_block(kernel, row, col, pts, cpts)
+        yield slice(r0, r0 + len(pts)), slice(c0, c0 + len(cpts)), block
+        del block
         c0 += len(cpts)
 
 
@@ -242,12 +354,16 @@ def _apply_rows(solution: LevelSolution, labels, x) -> np.ndarray:
     out = np.zeros(len(labels) * len(x))
     coefficients = solution.coefficients
 
+    row_groups = [(label, x) for label in labels]
+    tables = _tables(solution.kernel, row_groups, solution.pointset)
+
     def add(piece):
-        for rows, cols, block in _piece_blocks(solution.kernel, piece, solution.pointset):
+        for rows, cols, block in _piece_blocks(solution.kernel, piece,
+                                               solution.pointset, tables):
             out[rows] += block @ coefficients[cols]
             del block
 
-    _run_slabs(add, _slabs([(label, x) for label in labels]))
+    _run_slabs(add, _slabs(row_groups))
     return np.ascontiguousarray(out.reshape(len(labels), len(x)).T)
 
 

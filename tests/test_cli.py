@@ -240,15 +240,33 @@ class TestDumpMatrixArguments:
         assert not out.exists()
 
 
+class _GuardPassed(Exception):
+    """Raised by the stand-in for the first step after a command's guard."""
+
+
 @pytest.mark.parametrize("level", [1, 2, 3, 4, 5])
-def test_dense_size_guard_counts_the_unknowns(monkeypatch, level):
-    # memory of exactly 8 n^2 bytes passes and one byte less fails only if
-    # the guard's closed-form n is the level's number of unknowns
+def test_dense_size_guard_counts_the_unknowns(monkeypatch, tmp_path, capsys, level):
+    # memory of exactly copies * 8 n^2 bytes passes and one byte less fails
+    # only if the guard's closed-form n is the level's number of unknowns and
+    # it counts the dense copies each command holds: run the matrix and its
+    # Cholesky factor, dump-matrix the matrix alone
     n = make_level_pointset(level).n_functionals
+
+    def passed(*args, **kwargs):
+        raise _GuardPassed
+
     monkeypatch.setattr(cli.os, "sysconf",
                         lambda name: 1 if name == "SC_PAGE_SIZE" else memory)
-    memory = 8 * n * n
-    check_dense_size(level)
-    memory -= 1
+    monkeypatch.setattr(cli, "run_experiment", passed)
+    monkeypatch.setattr(cli, "make_level_pointset", passed)
+    out = tmp_path / "mat.bin"
+    for args, copies in ((["run", "--levels", str(level)], 2),
+                         (["dump-matrix", "--level", str(level), "--out", str(out)], 1)):
+        memory = copies * 8 * n * n
+        with pytest.raises(_GuardPassed):
+            run_cli(args)
+        memory -= 1
+        assert run_cli(args) == 2
+        assert capsys.readouterr().err.startswith("error: levels")
     with pytest.raises(ValueError, match="levels"):
-        check_dense_size(level)
+        check_dense_size(level, copies=1)

@@ -259,24 +259,110 @@ def test_velocity_request_equals_evaluate(level1_solution, rng):
         )
 
 
-def test_slabbed_evaluation_equals_group_sums(level1_solution, rng):
-    # 301 points are three point slabs, run on the worker threads; each
-    # entry must be the same sum over the column groups in system order
-    x = rng.uniform(0, 1, (301, 2))
-    sol = level1_solution
-    groups = documented_groups(sol.pointset)
-    for request, labels in (
-        ("l-image", [("pde", 1), ("pde", 2)]),
-        ("pressure-gradient", [("pressure_grad", 1), ("pressure_grad", 2)]),
-    ):
-        expected = np.zeros((len(x), len(labels)))
-        for k, label in enumerate(labels):
-            c0 = 0
-            for _, col, cpts in groups:
-                block = kernel_block(sol.kernel, label, col, x, cpts)
-                expected[:, k] += block @ sol.coefficients[c0: c0 + len(cpts)]
-                c0 += len(cpts)
-        np.testing.assert_array_equal(evaluate_fields(sol, x, request), expected)
+def group_sums(sol, x, labels):
+    """Per-label sums of kernel_block(...) @ coefficients over the column
+    groups in system order, each group's block computed directly."""
+    expected = np.zeros((len(x), len(labels)))
+    for k, label in enumerate(labels):
+        c0 = 0
+        for _, col, cpts in documented_groups(sol.pointset):
+            block = kernel_block(sol.kernel, label, col, x, cpts)
+            expected[:, k] += block @ sol.coefficients[c0: c0 + len(cpts)]
+            c0 += len(cpts)
+    return expected
+
+
+def record_kernel_calls(monkeypatch):
+    """Patch collocation's kernel_block to record (row, col, rows, cols) of
+    every call."""
+    calls = []
+
+    def recording(cfg, row, col, xa, xb):
+        calls.append((row, col, len(xa), len(xb)))
+        return kernel_block(cfg, row, col, xa, xb)
+
+    monkeypatch.setattr(collocation, "kernel_block", recording)
+    return calls
+
+
+@pytest.fixture(scope="module")
+def two_level_model(problem):
+    from stokesrbf.multiscale import run
+
+    return run(problem, MultiscaleConfig(n_levels=2))
+
+
+def test_slabbed_evaluation_equals_group_sums(level1_solution, two_level_model,
+                                             monkeypatch, rng):
+    # 301 random points are three point slabs, run on the worker threads;
+    # each entry must be the same sum over the column groups in system order.
+    # The level-3 centres (289, three slabs) are where the residual closures
+    # evaluate the coarser levels: both lie on the grid of step 1/16, and
+    # the blocks are gathered from lattice tables
+    level3 = make_level_pointset(3).interior
+    for sol, x, tables in ((level1_solution, rng.uniform(0, 1, (301, 2)), False),
+                           (two_level_model.levels[0], level3, True),
+                           (two_level_model.levels[1], level3, True)):
+        for request, labels in (
+            ("l-image", [("pde", 1), ("pde", 2)]),
+            ("velocity", [("velocity", 1), ("velocity", 2)]),
+            ("pressure-gradient", [("pressure_grad", 1), ("pressure_grad", 2)]),
+        ):
+            calls = record_kernel_calls(monkeypatch)
+            got = evaluate_fields(sol, x, request)
+            monkeypatch.undo()
+            # a table is one call against the origin per label pair
+            assert all((cols == 1) == tables for _, _, _, cols in calls)
+            np.testing.assert_array_equal(got, group_sums(sol, x, labels))
+
+
+def one_ulp_off(points, index):
+    moved = points.copy()
+    moved[index, 0] = np.nextafter(moved[index, 0], 2.0)
+    return moved
+
+
+@pytest.mark.parametrize("batch", [
+    "ulp-first", "ulp-last", "ulp-subnormal", "random-1", "random-16", "random-301",
+])
+def test_off_lattice_points_build_no_larger_table(two_level_model, monkeypatch, rng, batch):
+    # a point one ulp off the grid puts the batch on a lattice of step
+    # 2^-53 or finer, and rng.random points are multiples of 2^-53: a table
+    # over all offsets would then be astronomically large, so every
+    # kernel_block call must stay within the block it serves, and the sums
+    # must be those of the directly computed blocks
+    sol = two_level_model.levels[1]
+    level3 = make_level_pointset(3).interior
+    x = {
+        "ulp-first": lambda: one_ulp_off(level3, 0),
+        "ulp-last": lambda: one_ulp_off(level3, -1)[:, ::-1].copy(),
+        "ulp-subnormal": lambda: np.where(level3 == 0.0, 5e-324, level3),
+        "random-1": lambda: rng.random((1, 2)),
+        "random-16": lambda: rng.random((16, 2)),
+        "random-301": lambda: rng.random((301, 2)),
+    }[batch]()
+    groups = {col: len(cpts) for _, col, cpts in documented_groups(sol.pointset)}
+    labels = [("pde", 1), ("pde", 2)]
+    calls = record_kernel_calls(monkeypatch)
+    got = evaluate_fields(sol, x, "l-image")
+    assert calls
+    for _, col, rows, cols in calls:
+        assert rows * cols <= len(x) * groups[col]
+    monkeypatch.undo()
+    np.testing.assert_array_equal(got, group_sums(sol, x, labels))
+
+
+def test_level4_assembly_gathers_from_one_table_per_pair(c8, monkeypatch):
+    # the level-4 centres lie on the grid of step 1/32: each of the 16
+    # (row, column) label pairs takes one kernel_block call over its 65^2
+    # offsets against the origin, and nothing else calls the kernel
+    delta = scale_schedule(MultiscaleConfig(n_levels=4))[3]
+    kernel = StokesKernelConfig(c8, c8, nu=1.0, delta=delta)
+    calls = record_kernel_calls(monkeypatch)
+    zero = lambda pts: np.zeros((len(pts), 2))  # noqa: E731
+    assemble(make_level_pointset(4), kernel, zero, zero)
+    assert 0 < len(calls) <= 16
+    assert all(rows <= 65 ** 2 and cols == 1 for _, _, rows, cols in calls)
 
 
 def test_one_slab_stays_on_the_callers_thread(level1_solution, monkeypatch, rng):
