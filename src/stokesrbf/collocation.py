@@ -11,6 +11,7 @@ not a nuisance.
 
 from __future__ import annotations
 
+import itertools
 import math
 import os
 import re
@@ -21,7 +22,7 @@ import numpy as np
 from scipy.linalg import LinAlgError, cho_factor, cho_solve
 
 from .geometry import LevelPointSet
-from .stokes_kernel import DIRICHLET, PDE, StokesKernelConfig, kernel_block
+from .stokes_kernel import DIRICHLET, PDE, StokesKernelConfig, displacements, kernel_block
 
 __all__ = [
     "NotPositiveDefinite",
@@ -41,15 +42,12 @@ __all__ = [
 _SLAB = 128
 
 
-# The pieces -- one row label of one slab -- of a call with more than one
-# slab run on a fresh executor of one worker per usable CPU (numpy releases
-# the GIL in its loops) while the caller waits, so no thread outlives its
-# call.  A piece, not a whole slab, is the unit so that the last one taken
-# is short: a level-4 system is 9 slabs of 130 to 512 rows but 20 pieces of
-# at most 128; with whole slabs one of two workers sat idle for ~0.1 s at
-# the end of a ~1.9 s level-4 assembly, with pieces for ~0.015 s.  A call
-# with one slab -- a small query batch, the first level's system -- runs on
-# the caller's thread alone.
+# The slabs of a call with more than one slab run on a fresh executor of
+# one worker per usable CPU (numpy releases the GIL in its loops) while the
+# caller waits, so no thread outlives its call.  A whole slab is the unit,
+# so that every row label of the slab reads one displacement set per column
+# point set (see `_slab_blocks`).  A call with one slab -- a small query
+# batch, the first level's system -- runs on the caller's thread alone.
 _WORKERS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
             else os.cpu_count() or 1)
 
@@ -67,13 +65,13 @@ class NotPositiveDefinite(ArithmeticError):
 
 
 def _groups(pointset: LevelPointSet):
-    """Functional groups in system order: (row label, column label, centres);
-    a boundary centre's row evaluates the velocity that its column imposes."""
+    """Functional groups in system order, by centre set: (centres, row
+    labels, column labels); a boundary centre's row evaluates the velocity
+    that its column imposes."""
     return (
-        ((PDE, 1), (PDE, 1), pointset.interior),
-        ((PDE, 2), (PDE, 2), pointset.interior),
-        (("velocity", 1), (DIRICHLET, 1), pointset.boundary),
-        (("velocity", 2), (DIRICHLET, 2), pointset.boundary),
+        (pointset.interior, ((PDE, 1), (PDE, 2)), ((PDE, 1), (PDE, 2))),
+        (pointset.boundary, (("velocity", 1), ("velocity", 2)),
+         ((DIRICHLET, 1), (DIRICHLET, 2))),
     )
 
 
@@ -116,15 +114,15 @@ def assemble(
     """
     total = pointset.n_functionals
     matrix = np.empty((total, total))
-    row_groups = [(row, pts) for row, _, pts in _groups(pointset)]
-    tables = _tables(kernel, row_groups, pointset)
+    row_sets = [(pts, rows) for pts, rows, _ in _groups(pointset)]
+    tables = _tables(kernel, row_sets, pointset)
 
-    def fill(piece):
-        for rows, cols, block in _piece_blocks(kernel, piece, pointset, tables):
+    def fill(slab):
+        for rows, cols, block in _slab_blocks(kernel, slab, pointset, tables):
             matrix[rows, cols] = block
             del block
 
-    _run_slabs(fill, _slabs(row_groups))
+    _run_slabs(fill, _slabs(row_sets))
     fvals = np.asarray(f_data(pointset.interior), dtype=float)
     gvals = np.asarray(g_data(pointset.boundary), dtype=float)
     rhs = np.concatenate([fvals[:, 0], fvals[:, 1], gvals[:, 0], gvals[:, 1]])
@@ -185,22 +183,24 @@ def solve(system: CollocationSystem) -> LevelSolution:
     )
 
 
-def _slabs(row_groups) -> list:
-    """Point slabs of ``row_groups`` -- (row label, points) in output order.
+def _slabs(row_sets) -> list:
+    """Point slabs of ``row_sets`` -- (points, row labels) in output order,
+    each label's rows after the previous label's.
 
-    Slab k holds points k*_SLAB up to (k+1)*_SLAB of every group that has
-    them, as (row label, first output row, points) pieces.  `_apply_rows`
-    thus hands BLAS one block per label and point slab.  BLAS sums a row in
-    an order that depends on the row's place in its block, so a point's
-    values do not depend on which labels are requested with it.
+    Slab k holds points k*_SLAB up to (k+1)*_SLAB of every set that has
+    them, as (points, [(row label, first output row)]).  `_apply_rows` thus
+    hands BLAS one block per label and point slab.  BLAS sums a row in an
+    order that depends on the row's place in its block, so a point's values
+    do not depend on which labels are requested with it.
     """
     slabs, r0 = [], 0
-    for row, pts in row_groups:
+    for pts, labels in row_sets:
         for k, start in enumerate(range(0, len(pts), _SLAB)):
             if k == len(slabs):
                 slabs.append([])
-            slabs[k].append((row, r0 + start, pts[start:start + _SLAB]))
-        r0 += len(pts)
+            slabs[k].append((pts[start:start + _SLAB],
+                             [(row, r0 + i * len(pts) + start) for i, row in enumerate(labels)]))
+        r0 += len(labels) * len(pts)
     return slabs
 
 
@@ -265,30 +265,29 @@ def _lattice_index(points, lattice) -> np.ndarray:
 
 
 def _group_lattices(rows, groups) -> list:
-    """`_lattice` of rows against each column group, in order.
+    """`_lattice` of rows against each (column label, centres) group, in order.
 
     The rows are tested first, at the finest step that their own box allows
     in the widest block: an off-lattice query batch fails there, and so at
     every coarser step, by one test before the centres are read.
     """
-    size = len(rows) * max(len(cpts) for _, _, cpts in groups)
+    size = len(rows) * max(len(cpts) for _, cpts in groups)
     k = _finest_step(float(rows.max() - rows.min()), size) if size else None
     if k is None or not _on_lattice(rows, 2.0 ** -k):
         return [None] * len(groups)
-    return [_lattice(rows, cpts) for _, _, cpts in groups]
+    return [_lattice(rows, cpts) for _, cpts in groups]
 
 
-def _tables(kernel: StokesKernelConfig, row_groups, pointset: LevelPointSet) -> dict:
+def _tables(kernel: StokesKernelConfig, row_sets, pointset: LevelPointSet) -> dict:
     """{(row label, column label): (table, lattice, cidx)} for each pair of
     this call whose rows and columns share a lattice with a table no larger
     than their block; one `kernel_block` call per pair.  A row point of
     lattice index a meets column point j at table entry a - cidx[j]."""
-    groups = _groups(pointset)
-    tables, lattices = {}, {}
-    for row, pts in row_groups:
-        if id(pts) not in lattices:  # labels share point arrays
-            lattices[id(pts)] = _group_lattices(pts, groups)
-        for (_, col, cpts), lattice in zip(groups, lattices[id(pts)]):
+    groups = [(col, cpts) for cpts, _, cols in _groups(pointset) for col in cols]
+    tables = {}
+    for pts, rows in row_sets:
+        lattices = _group_lattices(pts, groups)
+        for row, ((col, cpts), lattice) in itertools.product(rows, zip(groups, lattices)):
             if lattice is not None:
                 step, _, n = lattice
                 ticks = np.arange(1 - n, n) * step
@@ -301,41 +300,47 @@ def _tables(kernel: StokesKernelConfig, row_groups, pointset: LevelPointSet) -> 
     return tables
 
 
-def _piece_blocks(kernel: StokesKernelConfig, piece, pointset: LevelPointSet, tables):
-    """Kernel blocks of one piece's row functional against this level's
-    columns: yields (row slice, column slice, block) by column group in
-    system order, gathered from the call's table of the pair when it has
-    one.  Callers drop each block before asking for the next, so that one
-    block per worker is alive at a time."""
-    row, r0, pts = piece
-    c0 = 0
-    for _, col, cpts in _groups(pointset):
-        if (row, col) in tables:
-            table, lattice, cidx = tables[row, col]
-            base = _lattice_index(pts, lattice)
-            block = np.take(table, base[:, None] - cidx[None, :])
-        else:
-            block = kernel_block(kernel, row, col, pts, cpts)
-        yield slice(r0, r0 + len(pts)), slice(c0, c0 + len(cpts)), block
-        del block
-        c0 += len(cpts)
+def _slab_blocks(kernel: StokesKernelConfig, slab, pointset: LevelPointSet, tables):
+    """Kernel blocks of one slab's row functionals against this level's
+    columns: yields (row slice, column slice, block), each label's column
+    groups in system order.  A block is gathered from the call's table of
+    its pair when it has one; the other blocks of one row point set against
+    one centre set read one displacement set.  Callers drop each block
+    before asking for the next."""
+    for pts, rows in slab:
+        c0 = 0
+        for cpts, _, cols in _groups(pointset):
+            pairs = [(row, col) for row, _ in rows for col in cols
+                     if (row, col) not in tables]
+            shared = displacements(kernel, pts, cpts, pairs)
+            for (row, r0), (j, col) in itertools.product(rows, enumerate(cols)):
+                if (row, col) in tables:
+                    table, lattice, cidx = tables[row, col]
+                    base = _lattice_index(pts, lattice)
+                    block = np.take(table, base[:, None] - cidx[None, :])
+                else:
+                    block = kernel_block(kernel, row, col, shared, cpts)
+                start = c0 + j * len(cpts)
+                yield slice(r0, r0 + len(pts)), slice(start, start + len(cpts)), block
+                del block
+            c0 += len(cols) * len(cpts)
 
 
 def _run_slabs(task, slabs) -> None:
-    """task(piece) for every piece of every slab, taken slab by slab; the
-    pieces write disjoint output rows."""
-    pieces = [piece for slab in slabs for piece in slab]
+    """task(slab) for every slab; the slabs write disjoint output rows."""
     if len(slabs) == 1:
-        for piece in pieces:
-            task(piece)
+        task(slabs[0])
         return
     with ThreadPoolExecutor(_WORKERS) as pool:
-        list(pool.map(task, pieces))  # raises the first failed piece's error
+        list(pool.map(task, slabs))  # raises the first failed slab's error
 
 
 def _query_points(x) -> np.ndarray:
-    """x as an (n, 2) batch.  Raises ValueError unless x is one finite point
-    (2,) or a finite (n, 2) batch."""
+    """x as an (n, 2) batch.  Raises ValueError unless x is one real, finite
+    point (2,) or a real, finite (n, 2) batch: a cast to float would drop
+    the imaginary part of a complex point."""
+    if np.iscomplexobj(x):
+        raise ValueError("query points must be real")
     x = np.asarray(x, dtype=float)
     if x.ndim not in (1, 2) or x.shape[-1] != 2 or not np.isfinite(x).all():
         raise ValueError("query points must be finite, of shape (2,) or (n, 2)")
@@ -347,23 +352,23 @@ def _apply_rows(solution: LevelSolution, labels, x) -> np.ndarray:
 
     Returns shape (len(x), len(labels)); the approximant is the coefficient-
     weighted sum of the basis columns of this level, added one column group
-    at a time in system order.  Raises ValueError unless x is one finite
-    point (2,) or a finite (n, 2) batch.
+    at a time in system order.  Raises ValueError unless x is one real, finite
+    point (2,) or a real, finite (n, 2) batch.
     """
     x = _query_points(x)
     out = np.zeros(len(labels) * len(x))
     coefficients = solution.coefficients
 
-    row_groups = [(label, x) for label in labels]
-    tables = _tables(solution.kernel, row_groups, solution.pointset)
+    row_sets = [(x, labels)]
+    tables = _tables(solution.kernel, row_sets, solution.pointset)
 
-    def add(piece):
-        for rows, cols, block in _piece_blocks(solution.kernel, piece,
-                                               solution.pointset, tables):
+    def add(slab):
+        for rows, cols, block in _slab_blocks(solution.kernel, slab,
+                                              solution.pointset, tables):
             out[rows] += block @ coefficients[cols]
             del block
 
-    _run_slabs(add, _slabs(row_groups))
+    _run_slabs(add, _slabs(row_sets))
     return np.ascontiguousarray(out.reshape(len(labels), len(x)).T)
 
 

@@ -19,6 +19,7 @@ evaluators.
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 
@@ -27,6 +28,7 @@ import numpy as np
 from .wendland import NonPolynomialDivision, WendlandPolynomial
 
 __all__ = [
+    "Displacements",
     "RadialTermEvaluator",
     "mixed_partial",
     "mixed_partial_terms",
@@ -108,6 +110,197 @@ def mixed_partial_terms(profile: WendlandPolynomial, nx: int, ny: int) -> Terms:
     return dict(_mixed_partial_cached(profile.coeffs, nx, ny))
 
 
+def _differences(a, b, scale):
+    """(a[p] - b[q]) * scale for every p, q: the one formula for a
+    displacement component, shared by a set and its power tables."""
+    out = a[:, None] - b[None, :]
+    out *= scale
+    return out
+
+
+def _distinct(values):
+    """(distinct values, index of each value among them), told apart by their
+    bits, so that -0.0 and 0.0 stay two values."""
+    bits, index = np.unique(values.view(np.int64), return_inverse=True)
+    return bits.view(float), index
+
+
+class Displacements:
+    """Displacements (x, y) in units of the support radius, r = hypot(x, y),
+    and the values that the evaluators reading them share.
+
+    Only entries with 0 < r < 1 are summed: on the arrays as given when
+    every entry is such -- a kernel block without coincident points at a
+    level whose support exceeds the domain -- and otherwise on the gathered
+    inside entries.  Both do the same operations per entry, so the values
+    agree bitwise.
+
+    ``evaluators`` are the evaluators that will read the set, in the order
+    they will.  Each shared value -- an evaluator's sum, a Horner radial
+    keyed by its lowest power of r and its coefficients, x, y and the other
+    powers, a power table -- is computed on its first read, kept until its
+    last read among them and dropped then; a value read beyond that plan is
+    computed again and not kept.  The squares and the monomials x^a y^b,
+    one or two passes each, are computed again at each read rather than
+    kept, so that fewer blocks are alive at once.
+    """
+
+    def __init__(self, dx, dy, evaluators=()):
+        self.rows = self.columns = self.scale = None
+        self.shape = np.shape(dx)
+        self._dxdy, self._r = (dx, dy), None
+        self._values: dict = {}
+        self._uses: Counter = Counter()
+        for evaluator in evaluators:
+            self._plan(evaluator.key)
+
+    @classmethod
+    def between(cls, rows, columns, scale: float, evaluators=()) -> "Displacements":
+        """The displacements (rows[p] - columns[q]) * scale of rows (P, 2)
+        against columns (Q, 2), computed on the first read.  A power x^n or
+        y^n with n >= 3 is taken on the table of displacements between the
+        distinct row and column coordinates and gathered -- the same float
+        operation on the same floats -- when that table is at most half the
+        block: a 128-point slab of a tensor grid has 2 distinct x against
+        the 33 of the level-4 centres."""
+        d = cls(None, None, evaluators)
+        d.rows, d.columns, d.scale = rows, columns, scale
+        d.shape = (len(rows), len(columns))
+        return d
+
+    def __len__(self) -> int:
+        return self.shape[0]
+
+    def _component(self, axis: int) -> np.ndarray:
+        """x (axis 0) or y (axis 1) at every entry."""
+        if self.rows is None:
+            return self._dxdy[axis]
+        return _differences(self.rows[:, axis], self.columns[:, axis], self.scale)
+
+    def _located(self) -> np.ndarray:
+        """r at the entries to sum; on the first call also sets ``inside``
+        (None when that is every entry) and ``at_origin``."""
+        if self._r is None:
+            r = np.hypot(self._component(0), self._component(1))
+            if r.size and r.min() > 0.0 and r.max() < 1.0:
+                self.inside = None
+            else:
+                self.inside = (r > 0.0) & (r < 1.0)
+                self.at_origin = r == 0.0
+                r = r[self.inside]
+            self._r = r
+        return self._r
+
+    # shared values: ("x" | "y" | "r", n) the n-th power, ("m", a, b) the
+    # monomial x^a y^b, ("h", m_lo, coeffs) a Horner radial times r^m_lo,
+    # ("t", "x" | "y") a power table, and ("e", groups, origin) the value of
+    # an evaluator (`RadialTermEvaluator.key`)
+
+    @staticmethod
+    def _kept(key) -> bool:
+        return key[0] in "eht" or (key[0] != "m" and key[1] != 2)
+
+    @staticmethod
+    def _needs(key) -> tuple:
+        kind, n = key[0], key[1]
+        if kind == "e":
+            return tuple(k for group in n for k in group if k)
+        if kind == "h":
+            return (("r", n),) if n not in (0, 1) else ()
+        if kind == "m":
+            return ("x", n), ("y", key[2])
+        if kind in "xy" and n > 1:
+            return ((kind, 1),) if n == 2 else (("t", kind),)
+        return ()
+
+    def _plan(self, key) -> None:
+        kept = self._kept(key)
+        if not kept or key not in self._uses:
+            for need in self._needs(key):
+                self._plan(need)
+        if kept:
+            self._uses[key] += 1
+
+    def read(self, key):
+        """The shared value ``key``, counted against the plan."""
+        r = self._located()
+        if key == ("r", 1):
+            return r
+        if not self._kept(key):
+            return self._make(key)
+        value = self._values[key] if key in self._values else self._make(key)
+        left = self._uses[key] - 1
+        if left > 0:
+            self._values[key], self._uses[key] = value, left
+        else:
+            self._values.pop(key, None)
+            self._uses.pop(key, None)
+        return value
+
+    def _make(self, key):
+        kind, n = key[0], key[1]
+        if kind == "e":
+            return self._sum(*key[1:])
+        if kind == "t":
+            return self._table("xy".index(n))
+        if kind == "m":
+            return self.read(("x", n)) * self.read(("y", key[2]))
+        if kind == "h":
+            r, coeffs = self._r, key[2]
+            # Horner in place: (...(c_top * r + c) * r + ...) + c_0
+            radial = np.empty_like(r)
+            radial.fill(coeffs[-1])
+            for c in coeffs[-2::-1]:
+                np.multiply(radial, r, out=radial)
+                np.add(radial, c, out=radial)
+            if n:
+                np.multiply(radial, self.read(("r", n)), out=radial)
+            return radial
+        if kind == "r":
+            return self._r ** n
+        if n == 1:
+            value = self._component("xy".index(kind))
+            return value if self.inside is None else value[self.inside]
+        table = self.read(("t", kind)) if n >= 3 else None
+        if table is None:
+            return self.read((kind, 1)) ** n
+        values, rows, cols = table
+        power = (values ** n)[rows][:, cols]
+        return power if self.inside is None else power[self.inside]
+
+    def _sum(self, groups, origin: float) -> np.ndarray:
+        """Sum over the groups of (x^a y^b) * radial, in a new array of the
+        set's shape: zero outside the support, ``origin`` at r = 0."""
+        acc = np.zeros_like(self._r)
+        term = np.empty_like(acc)
+        for radial_key, monomial_key in groups:
+            radial = self.read(radial_key)
+            if monomial_key is None:
+                np.add(acc, radial, out=acc)
+            else:
+                np.multiply(self.read(monomial_key), radial, out=term)
+                np.add(acc, term, out=acc)
+        if self.inside is None:
+            return acc
+        out = np.zeros(self.shape)
+        out[self.inside] = acc
+        if origin:
+            out[self.at_origin] = origin
+        return out
+
+    def _table(self, axis: int):
+        """(displacements between the distinct row and column coordinates,
+        row index, column index) of one axis, or None without coordinates
+        or when the table is more than half the block."""
+        if self.rows is None:
+            return None
+        rows, row_index = _distinct(self.rows[:, axis])
+        cols, col_index = _distinct(self.columns[:, axis])
+        if 2 * len(rows) * len(cols) > len(self.rows) * len(self.columns):
+            return None
+        return _differences(rows, cols, self.scale), row_index, col_index
+
+
 class RadialTermEvaluator:
     """Compiled monomial-times-radial sum, valid inside the unit support.
 
@@ -128,69 +321,30 @@ class RadialTermEvaluator:
         groups: dict[tuple[int, int], dict[int, Fraction]] = {}
         for (a, b, m), c in terms.items():
             groups.setdefault((a, b), {})[m] = c
-        self._groups = []
+        self._groups = []  # (a, b, m_lo, coefficients of r^m_lo, r^(m_lo+1), ...)
+        keys = []  # per group the shared values it reads: radial, monomial
         for (a, b), prof in sorted(groups.items()):
             m_lo, m_hi = min(prof), max(prof)
-            coeffs = np.array(
-                [float(prof.get(m, Fraction(0))) for m in range(m_lo, m_hi + 1)]
-            )
+            coeffs = tuple(float(prof.get(m, Fraction(0))) for m in range(m_lo, m_hi + 1))
             self._groups.append((a, b, m_lo, coeffs))
+            monomial = ("m", a, b) if a and b else ("x", a) if a else ("y", b) if b else None
+            keys.append((("h", m_lo, coeffs), monomial))
+        # the key of its value in a `Displacements`: evaluators of equal
+        # terms share it
+        self.key = ("e", tuple(keys), float(self.origin))
 
     def __call__(self, dx, dy):
-        """Evaluate at displacement arrays (unit support radius).
-
-        When every entry lies strictly inside the support and off the
-        origin -- any kernel block without coincident centres at a level
-        whose support exceeds the domain diameter -- the sum is evaluated on
-        the arrays as given; otherwise on the gathered inside entries.  Both
-        paths do the same operations per entry, so the values agree bitwise.
-        """
+        """Evaluate at displacement arrays (unit support radius)."""
         dx = np.asarray(dx, dtype=float)
         dy = np.asarray(dy, dtype=float)
         scalar = dx.ndim == 0 and dy.ndim == 0
-        dx, dy = np.atleast_1d(dx), np.atleast_1d(dy)
-        r = np.hypot(dx, dy)
-        if r.size and r.min() > 0.0 and r.max() < 1.0:
-            out = self._inside(dx, dy, r)
-        else:
-            out = np.zeros_like(r)
-            inside = (r > 0.0) & (r < 1.0)
-            if np.any(inside):
-                out[inside] = self._inside(dx[inside], dy[inside], r[inside])
-            if self.origin:
-                out[r == 0.0] = float(self.origin)
+        out = self.on(Displacements(np.atleast_1d(dx), np.atleast_1d(dy), [self]))
         return float(out[0]) if scalar else out
 
-    def _inside(self, x, y, r):
-        """The term sum at displacements with 0 < r < 1, in a new array."""
-        acc = np.zeros_like(r)
-        radial, monomial = np.empty_like(r), np.empty_like(r)
-        pow_cache: dict[tuple[str, int], np.ndarray] = {}
-
-        def power(base, tag, n):
-            key = (tag, n)
-            if key not in pow_cache:
-                pow_cache[key] = base if n == 1 else base**n
-            return pow_cache[key]
-
-        for a, b, m_lo, coeffs in self._groups:
-            # Horner in place: (...(c_top * r + c) * r + ...) + c_0
-            radial.fill(coeffs[-1])
-            for c in coeffs[-2::-1]:
-                np.multiply(radial, r, out=radial)
-                np.add(radial, c, out=radial)
-            if m_lo:
-                np.multiply(radial, power(r, "r", m_lo), out=radial)
-            # (x^a * y^b) * radial
-            if a and b:
-                np.multiply(power(x, "x", a), power(y, "y", b), out=monomial)
-                np.multiply(radial, monomial, out=radial)
-            elif a:
-                np.multiply(radial, power(x, "x", a), out=radial)
-            elif b:
-                np.multiply(radial, power(y, "y", b), out=radial)
-            np.add(acc, radial, out=acc)
-        return acc
+    def on(self, d: Displacements) -> np.ndarray:
+        """The term sum at every displacement of ``d``, in an array of its
+        shape that other reads of the set may share: not to be written."""
+        return d.read(self.key)
 
 
 @lru_cache(maxsize=None)

@@ -32,10 +32,10 @@ from functools import lru_cache
 
 import numpy as np
 
-from .radial import RadialTermEvaluator, combine, laplacian, mixed_partial_terms
+from .radial import Displacements, RadialTermEvaluator, combine, laplacian, mixed_partial_terms
 from .wendland import WendlandPolynomial
 
-__all__ = ["PDE", "DIRICHLET", "StokesKernelConfig", "kernel_block"]
+__all__ = ["PDE", "DIRICHLET", "StokesKernelConfig", "displacements", "kernel_block"]
 
 DIM = 2
 
@@ -116,32 +116,57 @@ def _compiled_parts(vel: WendlandPolynomial, pre: WendlandPolynomial,
     return tuple((p, m, RadialTermEvaluator(t)) for p, m, t in parts if t)
 
 
-def kernel_block(cfg: StokesKernelConfig, row: tuple, col: tuple, xa, xb) -> np.ndarray:
-    """Pairwise entries (row functional at xa[p]) x (col functional at xb[q]).
-
-    ``row`` is a label of `_FUNCTIONALS`, ``col`` one of `_COLUMNS`; any
-    other label raises ValueError.  xa has shape (P, 2), xb has shape
-    (Q, 2); returns (P, Q).  Entries with ||xa - xb|| >= delta vanish by
-    compact support (the evaluators cut off at unit radius in scaled
-    coordinates).
-    """
-    inv = 1.0 / cfg.delta
+def _parts(cfg: StokesKernelConfig, row: tuple, col: tuple) -> list:
+    """(scale, evaluator) per part of row x col at cfg's scale; any label
+    pair outside the tables raises ValueError."""
     parts = cfg._parts.get((row, col))
     if parts is None:
         if row not in _FUNCTIONALS or col not in _COLUMNS:
             raise ValueError(f"unsupported functional pair {row} x {col}")
+        inv = 1.0 / cfg.delta
         # nu^2 as nu * nu: pow(nu, 2) differs from it in the last bit for some nu
         parts = cfg._parts[row, col] = [
             (math.prod((cfg.nu,) * p) * inv ** (DIM + m), evaluator)
             for p, m, evaluator in _compiled_parts(cfg.psi_vel, cfg.psi_pre, row, col)
         ]
+    return parts
+
+
+def displacements(cfg: StokesKernelConfig, xa, xb, pairs) -> Displacements:
+    """The displacement set of the points xa against the points xb at cfg's
+    scale, for the (row, column) label pairs ``pairs`` that will read it in
+    that order: give it to each of their `kernel_block` calls as xa, with
+    this very xb.  Their blocks then share the displacements, r, the
+    powers, the radials and the evaluator sums; each shared value is
+    dropped after its last read."""
     xa = np.atleast_2d(np.asarray(xa, dtype=float))
     xb = np.atleast_2d(np.asarray(xb, dtype=float))
-    if not parts:  # the kernel is block diagonal: e.g. pressure_grad x dirichlet
-        return np.zeros((len(xa), len(xb)))
-    dx = (xa[:, 0][:, None] - xb[None, :, 0]) * inv
-    dy = (xa[:, 1][:, None] - xb[None, :, 1]) * inv
-    out = np.zeros(dx.shape)
+    evaluators = [evaluator for pair in pairs for _, evaluator in _parts(cfg, *pair)]
+    return Displacements.between(xa, xb, 1.0 / cfg.delta, evaluators)
+
+
+def kernel_block(cfg: StokesKernelConfig, row: tuple, col: tuple, xa, xb) -> np.ndarray:
+    """Pairwise entries (row functional at xa[p]) x (col functional at xb[q]).
+
+    ``row`` is a label of `_FUNCTIONALS`, ``col`` one of `_COLUMNS`; any
+    other label raises ValueError.  xa has shape (P, 2), xb has shape
+    (Q, 2); returns (P, Q).  xa may also be the `displacements` of the rows
+    against this xb at cfg's scale; any other set raises ValueError.
+    Entries with ||xa - xb|| >= delta vanish by compact support (the
+    evaluators cut off at unit radius in scaled coordinates).
+    """
+    parts = _parts(cfg, row, col)
+    if not isinstance(xa, Displacements):
+        xa = displacements(cfg, xa, xb, [(row, col)])
+    elif xa.columns is not xb or xa.scale != 1.0 / cfg.delta:
+        raise ValueError("displacement set of other columns or another scale")
+    out = None
     for scale, evaluator in parts:
-        out += scale * evaluator(dx, dy)
-    return out
+        values = scale * evaluator.on(xa)
+        if out is None:  # 0.0 + values, as summed into zeros: -0.0 becomes 0.0
+            out = np.add(values, 0.0, out=values)
+        else:
+            out += values
+    # no parts: the kernel is block diagonal (e.g. pressure_grad x
+    # dirichlet), and the set computes nothing that is not read
+    return np.zeros(xa.shape) if out is None else out

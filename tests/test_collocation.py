@@ -18,6 +18,7 @@ from stokesrbf.collocation import (
     solve,
     write_matrix,
 )
+from stokesrbf.analysis import gauss_legendre_grid
 from stokesrbf.geometry import make_level_pointset
 from stokesrbf.multiscale import MultiscaleConfig, scale_schedule
 from stokesrbf.stokes_kernel import StokesKernelConfig, kernel_block
@@ -296,17 +297,22 @@ def test_slabbed_evaluation_equals_group_sums(level1_solution, two_level_model,
                                              monkeypatch, rng):
     # 301 random points are three point slabs, run on the worker threads;
     # each entry must be the same sum over the column groups in system order.
-    # The level-3 centres (289, three slabs) are where the residual closures
-    # evaluate the coarser levels: both lie on the grid of step 1/16, and
-    # the blocks are gathered from lattice tables
+    # The first 301 points of the 100^2 Gauss-Legendre grid have at most 2
+    # distinct x per slab, so their powers come from tables.  The level-3
+    # centres (289, three slabs) are where the residual closures evaluate
+    # the coarser levels: both lie on the grid of step 1/16, and the blocks
+    # are gathered from lattice tables
     level3 = make_level_pointset(3).interior
+    grid = gauss_legendre_grid(100)[0][:301]
     for sol, x, tables in ((level1_solution, rng.uniform(0, 1, (301, 2)), False),
+                           (two_level_model.levels[1], grid, False),
                            (two_level_model.levels[0], level3, True),
                            (two_level_model.levels[1], level3, True)):
         for request, labels in (
             ("l-image", [("pde", 1), ("pde", 2)]),
             ("velocity", [("velocity", 1), ("velocity", 2)]),
             ("pressure-gradient", [("pressure_grad", 1), ("pressure_grad", 2)]),
+            ("value", [("velocity", 1), ("velocity", 2), ("pressure", 0)]),
         ):
             calls = record_kernel_calls(monkeypatch)
             got = evaluate_fields(sol, x, request)
@@ -314,6 +320,30 @@ def test_slabbed_evaluation_equals_group_sums(level1_solution, two_level_model,
             # a table is one call against the origin per label pair
             assert all((cols == 1) == tables for _, _, _, cols in calls)
             np.testing.assert_array_equal(got, group_sums(sol, x, labels))
+
+
+def test_labels_of_one_slab_share_a_displacement_set(level1_solution, monkeypatch, rng):
+    # 301 points are three slabs; in each, the three labels of "value" read
+    # one displacement set per column point set (interior and boundary
+    # centres), which every kernel_block call receives with its own centres
+    calls = []
+
+    def recording(cfg, row, col, xa, xb):
+        calls.append((row, col, xa, xb))
+        return kernel_block(cfg, row, col, xa, xb)
+
+    monkeypatch.setattr(collocation, "kernel_block", recording)
+    evaluate_fields(level1_solution, rng.uniform(0, 1, (301, 2)), "value")
+    labels = [("velocity", 1), ("velocity", 2), ("pressure", 0)]
+    centre_sets = {}
+    for _, col, cpts in documented_groups(level1_solution.pointset):
+        centre_sets.setdefault(id(cpts), []).append(col)
+    shared = {}
+    for row, col, xa, xb in calls:
+        shared.setdefault(id(xa), (xa, xb, []))[2].append((row, col))
+    assert len(shared) == 3 * 2
+    for xa, xb, pairs in shared.values():
+        assert pairs == [(row, col) for row in labels for col in centre_sets[id(xb)]]
 
 
 def one_ulp_off(points, index):
@@ -413,28 +443,30 @@ def test_slab_workers_take_each_slab_once(level1_solution, monkeypatch, rng):
         np.testing.assert_array_equal(got, serial)
 
 
-def test_pieces_of_one_slab_go_to_different_workers(monkeypatch):
-    # the unit of work is one row label of one slab, not the whole slab, so
-    # that the last task taken is short: whichever worker takes the first
-    # piece of "a" waits there until the other worker starts that of "b",
-    # which sits in the same slab
+def test_slabs_of_one_call_go_to_different_workers(monkeypatch):
+    # the unit of work is one slab with every row label of it, so that the
+    # labels share its displacement sets: whichever worker takes the first
+    # slab waits there until the other worker starts the second
     monkeypatch.setattr(collocation, "_WORKERS", 2)
-    pts = np.zeros((2 * collocation._SLAB + 1, 2))
-    slabs = collocation._slabs([("a", pts), ("b", pts)])
-    assert len(slabs) == 3 and [piece[0] for piece in slabs[0]] == ["a", "b"]
-    b_started, threads = threading.Event(), {}
+    n, slab = 2 * collocation._SLAB + 1, collocation._SLAB
+    pts = np.zeros((n, 2))
+    slabs = collocation._slabs([(pts, ["a", "b"])])
+    assert [[rows for _, rows in s] for s in slabs] == [
+        [[("a", start), ("b", n + start)]] for start in (0, slab, 2 * slab)]
+    second_started, threads = threading.Event(), {}
 
-    def task(piece):
-        label, r0, _ = piece
-        threads[label, r0] = threading.get_ident()
-        if (label, r0) == ("a", 0):
-            assert b_started.wait(timeout=30)
-        elif (label, r0) == ("b", len(pts)):
-            b_started.set()
+    def task(one_slab):
+        ((_, rows),) = one_slab
+        r0 = rows[0][1]
+        threads[r0] = threading.get_ident()
+        if r0 == 0:
+            assert second_started.wait(timeout=30)
+        elif r0 == slab:
+            second_started.set()
 
     collocation._run_slabs(task, slabs)
-    assert len(threads) == 6
-    assert threads["a", 0] != threads["b", len(pts)]
+    assert len(threads) == 3
+    assert threads[0] != threads[slab]
 
 
 def test_no_worker_thread_outlives_its_call():

@@ -189,6 +189,7 @@ BAD_POINTS = {
     "-inf": [[0.5, -np.inf]],
     "three coordinates": [[0.3, 0.3, 99.0], [0.1, 0.2, 0.3]],
     "one 3-vector": [0.3, 0.3, 99.0],
+    "complex": [[0.5 + 0.3j, 0.5]],
 }
 
 

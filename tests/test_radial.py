@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from stokesrbf.radial import (
+    Displacements,
     RadialTermEvaluator,
     diff_x,
     diff_y,
@@ -81,18 +82,40 @@ def test_inside_block_matches_masked_evaluation(c8, rng):
     # a block with every entry in 0 < r < 1 is evaluated as given; the same
     # entries next to one coincident and one outside entry are gathered by
     # the mask.  Both keep every bit (signed zeros included) of the plain
-    # term sum.
+    # term sum.  So does the block of each evaluator from one set that they
+    # all read, between points on a few coordinate lines: its powers come
+    # from tables of the distinct coordinate differences, and it has +0 and
+    # -0 displacements and one coincident pair (the exact constant term).
     dx, dy = rng.uniform(-0.6, 0.6, size=(2, 40, 30))
     dy[:, 0] = 0.0
     dx[:, 1] = -0.0
-    for nx, ny in [(0, 0), (1, 0), (0, 2), (1, 1), (2, 1), (4, 2), (3, 3), (0, 6)]:
-        ev = mixed_partial(c8, nx, ny)
+    cols = np.array([[(0.1, 0.0, -0.25)[i % 3],
+                      (0.3, 0.0, -0.0, 0.7, 0.55, -0.1, 0.2, 0.45)[i % 8]]
+                     for i in range(24)])
+    rows = np.array([[(0.1, -0.0)[i // 2 % 2], (0.31, 0.71)[i // 4 % 2]] if i % 2 == 0
+                     else [0.2, (0.0, -0.0)[i // 2 % 2]] for i in range(40)])
+    rows[0] = cols[5]
+    scale = 1 / 1.3
+    orders = [(0, 0), (1, 0), (0, 2), (1, 1), (2, 1), (4, 2), (3, 3), (0, 6)]
+    evaluators = [mixed_partial(c8, nx, ny) for nx, ny in orders]
+    shared = Displacements.between(rows, cols, scale, evaluators)
+    assert all(shared._table(axis) is not None for axis in (0, 1))
+    tx, ty = ((rows[:, k, None] - cols[:, k]) * scale for k in (0, 1))
+    at_origin = np.hypot(tx, ty) == 0.0
+    assert at_origin.sum() == 1
+    for t in (tx, ty):
+        assert (np.signbit(t) & (t == 0.0)).any() and (~np.signbit(t) & (t == 0.0)).any()
+    for ev in evaluators:
         block = ev(dx, dy)
         masked = ev(np.append(dx, [0.0, 0.9]), np.append(dy, [0.0, 0.9]))
         assert block.shape == dx.shape
         assert block.tobytes() == plain_term_sum(ev, dx, dy).tobytes()
         assert block.tobytes() == masked[:-2].tobytes()
         assert masked[-2] == float(ev.origin) and masked[-1] == 0.0
+        with np.errstate(divide="ignore", invalid="ignore"):
+            expected = plain_term_sum(ev, tx, ty)
+        expected[at_origin] = float(ev.origin)
+        assert ev.on(shared).tobytes() == expected.tobytes()
 
 
 def test_finite_difference_chain(c8, rng):

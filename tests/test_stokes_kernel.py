@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from stokesrbf.collocation import evaluate_fields
-from stokesrbf.stokes_kernel import StokesKernelConfig, kernel_block
+from stokesrbf.stokes_kernel import StokesKernelConfig, displacements, kernel_block
 from stokesrbf.wendland import wendland_from_integral
 
 POINT = (0.3, 0.4)
@@ -244,6 +244,25 @@ class TestValidation:
         for row, col in bad_pairs:
             with pytest.raises(ValueError):
                 kernel_block(unit_config, row, col, [POINT], [POINT])
+
+    def test_shared_displacements_keep_each_block(self, unit_config, rng):
+        # one set read by several pairs, one of them twice and one beyond
+        # the planned pairs, gives each the bits of its own block; part of
+        # the block lies outside the support.  A set is refused for other
+        # columns or another scale
+        cfg = unit_config.rescaled(0.7)
+        xa, xb = rng.uniform(0, 1, (2, 30, 2))
+        pairs = [(("pde", 1), ("pde", 2)), (("velocity", 2), ("pde", 1)),
+                 (("pde", 1), ("pde", 2)), (("pressure", 0), ("dirichlet", 1))]
+        shared = displacements(cfg, xa, xb, pairs)
+        for row, col in pairs + [(("pressure_grad", 1), ("pde", 1))]:
+            block = kernel_block(cfg, row, col, shared, xb)
+            assert block.tobytes() == kernel_block(cfg, row, col, xa, xb).tobytes()
+        assert (block == 0.0).any() and len(shared) == 30
+        with pytest.raises(ValueError, match="other columns"):
+            kernel_block(cfg, row, col, shared, xb.copy())
+        with pytest.raises(ValueError, match="another scale"):
+            kernel_block(unit_config, row, col, shared, xb)
 
     def test_every_valid_label_pair_evaluates(self, unit_config):
         rows = [(k, c) for k in ("pde", "velocity", "pressure_grad") for c in (1, 2)]
