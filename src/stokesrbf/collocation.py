@@ -264,62 +264,69 @@ def _lattice_index(points, lattice) -> np.ndarray:
     return ij[:, 0] * (2 * n - 1) + ij[:, 1]
 
 
-def _group_lattices(rows, groups) -> list:
-    """`_lattice` of rows against each (column label, centres) group, in order.
+def _group_lattices(rows, centre_sets) -> list:
+    """`_lattice` of rows against each set of centres, in order.
 
     The rows are tested first, at the finest step that their own box allows
     in the widest block: an off-lattice query batch fails there, and so at
     every coarser step, by one test before the centres are read.
     """
-    size = len(rows) * max(len(cpts) for _, cpts in groups)
+    size = len(rows) * max(len(cpts) for cpts in centre_sets)
     k = _finest_step(float(rows.max() - rows.min()), size) if size else None
     if k is None or not _on_lattice(rows, 2.0 ** -k):
-        return [None] * len(groups)
-    return [_lattice(rows, cpts) for _, cpts in groups]
+        return [None] * len(centre_sets)
+    return [_lattice(rows, cpts) for cpts in centre_sets]
 
 
 def _tables(kernel: StokesKernelConfig, row_sets, pointset: LevelPointSet) -> dict:
     """{(row label, column label): (table, lattice, cidx)} for each pair of
     this call whose rows and columns share a lattice with a table no larger
-    than their block; one `kernel_block` call per pair.  A row point of
-    lattice index a meets column point j at table entry a - cidx[j]."""
-    groups = [(col, cpts) for cpts, _, cols in _groups(pointset) for col in cols]
+    than their block.  The labels of one row set and one centre set read one
+    displacement set of every offset against the origin, one `kernel_block`
+    call per pair, and share the lattice and cidx: a row point of lattice
+    index a meets column point j at table entry a - cidx[j]."""
+    origin = np.zeros((1, 2))
+    groups = _groups(pointset)
     tables = {}
     for pts, rows in row_sets:
-        lattices = _group_lattices(pts, groups)
-        for row, ((col, cpts), lattice) in itertools.product(rows, zip(groups, lattices)):
-            if lattice is not None:
-                step, _, n = lattice
-                ticks = np.arange(1 - n, n) * step
-                offsets = np.column_stack([np.repeat(ticks, len(ticks)),
-                                           np.tile(ticks, len(ticks))])
-                table = kernel_block(kernel, row, col, offsets, np.zeros((1, 2)))
-                # the offset (0, 0) sits at the table's centre, entry 2n (n - 1)
-                cidx = _lattice_index(cpts, lattice) - 2 * n * (n - 1)
-                tables[row, col] = (table.ravel(), lattice, cidx)
+        lattices = _group_lattices(pts, [cpts for cpts, _, _ in groups])
+        for (cpts, _, cols), lattice in zip(groups, lattices):
+            if lattice is None:
+                continue
+            step, _, n = lattice
+            ticks = np.arange(1 - n, n) * step
+            offsets = np.column_stack([np.repeat(ticks, len(ticks)),
+                                       np.tile(ticks, len(ticks))])
+            pairs = list(itertools.product(rows, cols))
+            shared = displacements(kernel, offsets, origin, pairs)
+            # the offset (0, 0) sits at the table's centre, entry 2n (n - 1)
+            cidx = _lattice_index(cpts, lattice) - 2 * n * (n - 1)
+            for pair in pairs:
+                table = kernel_block(kernel, *pair, shared, origin)
+                tables[pair] = (table.ravel(), lattice, cidx)
     return tables
 
 
 def _slab_blocks(kernel: StokesKernelConfig, slab, pointset: LevelPointSet, tables):
     """Kernel blocks of one slab's row functionals against this level's
     columns: yields (row slice, column slice, block), each label's column
-    groups in system order.  A block is gathered from the call's table of
-    its pair when it has one; the other blocks of one row point set against
-    one centre set read one displacement set.  Callers drop each block
+    groups in system order.  The blocks of one row point set against one
+    centre set are either all gathered from the call's tables, through one
+    index, or all read one displacement set.  Callers drop each block
     before asking for the next."""
     for pts, rows in slab:
         c0 = 0
         for cpts, _, cols in _groups(pointset):
-            pairs = [(row, col) for row, _ in rows for col in cols
-                     if (row, col) not in tables]
-            shared = displacements(kernel, pts, cpts, pairs)
+            # a row set has tables for every column of a centre set or none
+            gathered = tables.get((rows[0][0], cols[0]))
+            if gathered:
+                index = _lattice_index(pts, gathered[1])[:, None] - gathered[2]
+            else:
+                shared = displacements(kernel, pts, cpts,
+                                       [(row, col) for row, _ in rows for col in cols])
             for (row, r0), (j, col) in itertools.product(rows, enumerate(cols)):
-                if (row, col) in tables:
-                    table, lattice, cidx = tables[row, col]
-                    base = _lattice_index(pts, lattice)
-                    block = np.take(table, base[:, None] - cidx[None, :])
-                else:
-                    block = kernel_block(kernel, row, col, shared, cpts)
+                block = (np.take(tables[row, col][0], index) if gathered
+                         else kernel_block(kernel, row, col, shared, cpts))
                 start = c0 + j * len(cpts)
                 yield slice(r0, r0 + len(pts)), slice(start, start + len(cpts)), block
                 del block

@@ -83,24 +83,25 @@ class MultiscaleModel:
         return len(self.levels)
 
 
-def _residual_f(problem, solved: list[LevelSolution]):
-    def f_resid(pts):
-        vals = np.asarray(problem.f(pts), dtype=float)
+def _residual(data, request: str, solved: list[LevelSolution]):
+    """The closed-form ``data`` minus the ``request`` field of each solved
+    level, at points checked as query points before anything is evaluated."""
+    def resid(pts):
+        pts = _query_points(pts)
+        vals = np.asarray(data(pts), dtype=float)
         for sol in solved:
-            vals = vals - evaluate_fields(sol, pts, "l-image")
+            vals = vals - evaluate_fields(sol, pts, request)
         return vals
 
-    return f_resid
+    return resid
+
+
+def _residual_f(problem, solved: list[LevelSolution]):
+    return _residual(problem.f, "l-image", solved)
 
 
 def _residual_g(problem, solved: list[LevelSolution]):
-    def g_resid(pts):
-        vals = np.asarray(problem.g(pts), dtype=float)
-        for sol in solved:
-            vals = vals - evaluate_fields(sol, pts, "velocity")
-        return vals
-
-    return g_resid
+    return _residual(problem.g, "velocity", solved)
 
 
 def run(problem, config: MultiscaleConfig, on_level=None) -> MultiscaleModel:

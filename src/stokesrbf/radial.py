@@ -126,8 +126,9 @@ def _distinct(values):
 
 
 class Displacements:
-    """Displacements (x, y) in units of the support radius, r = hypot(x, y),
-    and the values that the evaluators reading them share.
+    """Displacements (rows[p] - columns[q]) * scale of rows (P, 2) against
+    columns (Q, 2), in units of the support radius, r = hypot(x, y), and
+    the values that the evaluators reading them share.
 
     Only entries with 0 < r < 1 are summed: on the arrays as given when
     every entry is such -- a kernel block without coincident points at a
@@ -140,41 +141,32 @@ class Displacements:
     keyed by its lowest power of r and its coefficients, x, y and the other
     powers, a power table -- is computed on its first read, kept until its
     last read among them and dropped then; a value read beyond that plan is
-    computed again and not kept.  The squares and the monomials x^a y^b,
-    one or two passes each, are computed again at each read rather than
-    kept, so that fewer blocks are alive at once.
+    computed again and not kept.  x and y are computed for r and again at
+    their first read, the squares and the monomials x^a y^b (a pass or two
+    each) at every read: not kept, with the same bits either way, so that
+    fewer blocks are alive at once.
+
+    A power x^n or y^n with n >= 3 is taken on the table of displacements
+    between the distinct row and column coordinates and gathered -- the same
+    float operation on the same floats -- when that table is at most half
+    the block: a 128-point slab of a tensor grid has 2 distinct x against
+    the 33 of the level-4 centres.
     """
 
-    def __init__(self, dx, dy, evaluators=()):
-        self.rows = self.columns = self.scale = None
-        self.shape = np.shape(dx)
-        self._dxdy, self._r = (dx, dy), None
+    def __init__(self, rows, columns, scale: float, evaluators=()):
+        self.rows, self.columns, self.scale = rows, columns, scale
+        self.shape = (len(rows), len(columns))
+        self._r = None
         self._values: dict = {}
         self._uses: Counter = Counter()
         for evaluator in evaluators:
             self._plan(evaluator.key)
-
-    @classmethod
-    def between(cls, rows, columns, scale: float, evaluators=()) -> "Displacements":
-        """The displacements (rows[p] - columns[q]) * scale of rows (P, 2)
-        against columns (Q, 2), computed on the first read.  A power x^n or
-        y^n with n >= 3 is taken on the table of displacements between the
-        distinct row and column coordinates and gathered -- the same float
-        operation on the same floats -- when that table is at most half the
-        block: a 128-point slab of a tensor grid has 2 distinct x against
-        the 33 of the level-4 centres."""
-        d = cls(None, None, evaluators)
-        d.rows, d.columns, d.scale = rows, columns, scale
-        d.shape = (len(rows), len(columns))
-        return d
 
     def __len__(self) -> int:
         return self.shape[0]
 
     def _component(self, axis: int) -> np.ndarray:
         """x (axis 0) or y (axis 1) at every entry."""
-        if self.rows is None:
-            return self._dxdy[axis]
         return _differences(self.rows[:, axis], self.columns[:, axis], self.scale)
 
     def _located(self) -> np.ndarray:
@@ -290,10 +282,8 @@ class Displacements:
 
     def _table(self, axis: int):
         """(displacements between the distinct row and column coordinates,
-        row index, column index) of one axis, or None without coordinates
-        or when the table is more than half the block."""
-        if self.rows is None:
-            return None
+        row index, column index) of one axis, or None when the table is
+        more than half the block."""
         rows, row_index = _distinct(self.rows[:, axis])
         cols, col_index = _distinct(self.columns[:, axis])
         if 2 * len(rows) * len(cols) > len(self.rows) * len(self.columns):
@@ -321,12 +311,12 @@ class RadialTermEvaluator:
         groups: dict[tuple[int, int], dict[int, Fraction]] = {}
         for (a, b, m), c in terms.items():
             groups.setdefault((a, b), {})[m] = c
-        self._groups = []  # (a, b, m_lo, coefficients of r^m_lo, r^(m_lo+1), ...)
-        keys = []  # per group the shared values it reads: radial, monomial
+        # per group (a, b) the shared values it reads: the Horner radial of
+        # (m_lo, coefficients of r^m_lo, r^(m_lo+1), ...) and the monomial
+        keys = []
         for (a, b), prof in sorted(groups.items()):
             m_lo, m_hi = min(prof), max(prof)
             coeffs = tuple(float(prof.get(m, Fraction(0))) for m in range(m_lo, m_hi + 1))
-            self._groups.append((a, b, m_lo, coeffs))
             monomial = ("m", a, b) if a and b else ("x", a) if a else ("y", b) if b else None
             keys.append((("h", m_lo, coeffs), monomial))
         # the key of its value in a `Displacements`: evaluators of equal
@@ -334,12 +324,13 @@ class RadialTermEvaluator:
         self.key = ("e", tuple(keys), float(self.origin))
 
     def __call__(self, dx, dy):
-        """Evaluate at displacement arrays (unit support radius)."""
-        dx = np.asarray(dx, dtype=float)
-        dy = np.asarray(dy, dtype=float)
-        scalar = dx.ndim == 0 and dy.ndim == 0
-        out = self.on(Displacements(np.atleast_1d(dx), np.atleast_1d(dy), [self]))
-        return float(out[0]) if scalar else out
+        """Evaluate at displacements dx, dy (unit support radius), broadcast
+        against each other: the points (dx, dy) against the origin at unit
+        scale, where (d - 0.0) * 1.0 is d bit for bit."""
+        dx, dy = np.broadcast_arrays(np.asarray(dx, dtype=float), np.asarray(dy, dtype=float))
+        points = np.column_stack([dx.ravel(), dy.ravel()])
+        out = self.on(Displacements(points, np.zeros((1, 2)), 1.0, [self])).reshape(dx.shape)
+        return float(out) if out.ndim == 0 else out
 
     def on(self, d: Displacements) -> np.ndarray:
         """The term sum at every displacement of ``d``, in an array of its

@@ -142,7 +142,7 @@ def displacements(cfg: StokesKernelConfig, xa, xb, pairs) -> Displacements:
     xa = np.atleast_2d(np.asarray(xa, dtype=float))
     xb = np.atleast_2d(np.asarray(xb, dtype=float))
     evaluators = [evaluator for pair in pairs for _, evaluator in _parts(cfg, *pair)]
-    return Displacements.between(xa, xb, 1.0 / cfg.delta, evaluators)
+    return Displacements(xa, xb, 1.0 / cfg.delta, evaluators)
 
 
 def kernel_block(cfg: StokesKernelConfig, row: tuple, col: tuple, xa, xb) -> np.ndarray:

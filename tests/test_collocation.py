@@ -21,6 +21,7 @@ from stokesrbf.collocation import (
 from stokesrbf.analysis import gauss_legendre_grid
 from stokesrbf.geometry import make_level_pointset
 from stokesrbf.multiscale import MultiscaleConfig, scale_schedule
+from stokesrbf.radial import Displacements
 from stokesrbf.stokes_kernel import StokesKernelConfig, kernel_block
 
 
@@ -393,6 +394,30 @@ def test_level4_assembly_gathers_from_one_table_per_pair(c8, monkeypatch):
     assemble(make_level_pointset(4), kernel, zero, zero)
     assert 0 < len(calls) <= 16
     assert all(rows <= 65 ** 2 and cols == 1 for _, _, rows, cols in calls)
+
+
+def test_level4_assembly_builds_one_set_per_row_and_centre_set(c8, monkeypatch):
+    # one lattice test and one displacement set (of the table offsets) per
+    # (row point set, centre set), 2 x 2 at level 4; the slabs gather from
+    # the tables and build no set of their own
+    delta = scale_schedule(MultiscaleConfig(n_levels=4))[3]
+    kernel = StokesKernelConfig(c8, c8, nu=1.0, delta=delta)
+    counts = {"sets": 0, "lattices": 0}
+    init, lattice = Displacements.__init__, collocation._lattice
+
+    def counting_init(self, *args):
+        counts["sets"] += 1
+        init(self, *args)
+
+    def counting_lattice(*args):
+        counts["lattices"] += 1
+        return lattice(*args)
+
+    monkeypatch.setattr(Displacements, "__init__", counting_init)
+    monkeypatch.setattr(collocation, "_lattice", counting_lattice)
+    zero = lambda pts: np.zeros((len(pts), 2))  # noqa: E731
+    assemble(make_level_pointset(4), kernel, zero, zero)
+    assert counts == {"sets": 4, "lattices": 4}
 
 
 def test_one_slab_stays_on_the_callers_thread(level1_solution, monkeypatch, rng):

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -205,14 +207,18 @@ def _entry_points(problem, model):
         "evaluate_model, no levels": lambda x: evaluate_model(empty, x),
         "residual_f": _residual_f(problem, model.levels),
         "residual_g": _residual_g(problem, model.levels),
+        "residual_f, no levels": _residual_f(problem, []),
+        "residual_g, no levels": _residual_g(problem, []),
     }
 
 
 @pytest.mark.parametrize("bad", BAD_POINTS)
 def test_bad_query_points_rejected(problem, model2, bad):
+    # every entry point checks the points before it evaluates anything: a
+    # complex batch cast to float first would warn and lose its imaginary part
     for entry in _entry_points(problem, model2).values():
-        # the closures evaluate the closed-form data before the model
-        with pytest.raises(ValueError), np.errstate(invalid="ignore"):
+        with pytest.raises(ValueError), warnings.catch_warnings():
+            warnings.simplefilter("error", np.exceptions.ComplexWarning)
             entry(np.array(BAD_POINTS[bad]))
 
 

@@ -61,14 +61,26 @@ def test_support_cutoff(c8):
     assert ev(0.8, 0.6) == 0.0  # r = 1 exactly
     vals = ev(np.array([0.1, 0.9, 1.5]), np.array([0.07, 0.9, 0.2]))
     assert vals[1] == 0.0 and vals[2] == 0.0 and vals[0] != 0.0
+    # dx and dy broadcast against each other, also where the mask is needed:
+    # one entry outside the support, or one at the origin
+    second = mixed_partial(c8, 2, 0)
+    vals = second(0.5, np.array([0.1, 0.9]))
+    assert vals.shape == (2,) and vals[0] != 0.0 and vals[1] == 0.0
+    assert vals[0] == second(0.5, 0.1)
+    vals = second(np.array([[0.0], [0.3]]), np.array([0.0, 0.4]))
+    assert vals.shape == (2, 2) and vals[0, 0] == float(second.origin)
+    assert vals[1, 1] == second(0.3, 0.4) and vals[0, 1] == second(0.0, 0.4)
 
 
 def plain_term_sum(ev, x, y):
-    """The evaluator's term groups summed with one new array per operation:
-    Horner's rule, the lowest power of r, then (x^a * y^b) * radial."""
+    """The evaluator's term groups, read from its key, summed with one new
+    array per operation: Horner's rule, the lowest power of r, then
+    (x^a * y^b) * radial."""
     r = np.hypot(x, y)
     acc = np.zeros_like(r)
-    for a, b, m_lo, coeffs in ev._groups:
+    for (_, m_lo, coeffs), monomial in ev.key[1]:
+        kind, *n = monomial or ("m", 0, 0)  # ("x", a), ("y", b), ("m", a, b)
+        a, b = {"x": (n[0], 0), "y": (0, n[0]), "m": n}[kind]
         radial = np.full_like(r, coeffs[-1])
         for c in coeffs[-2::-1]:
             radial = radial * r + c
@@ -98,7 +110,7 @@ def test_inside_block_matches_masked_evaluation(c8, rng):
     scale = 1 / 1.3
     orders = [(0, 0), (1, 0), (0, 2), (1, 1), (2, 1), (4, 2), (3, 3), (0, 6)]
     evaluators = [mixed_partial(c8, nx, ny) for nx, ny in orders]
-    shared = Displacements.between(rows, cols, scale, evaluators)
+    shared = Displacements(rows, cols, scale, evaluators)
     assert all(shared._table(axis) is not None for axis in (0, 1))
     tx, ty = ((rows[:, k, None] - cols[:, k]) * scale for k in (0, 1))
     at_origin = np.hypot(tx, ty) == 0.0
