@@ -17,6 +17,7 @@ determined up to a constant per level.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -82,9 +83,22 @@ def trig_stokes_problem(nu: float = 1.0) -> ManufacturedSolution:
 
 
 def gauss_legendre_grid(points_per_dim: int):
-    """Tensor Gauss-Legendre nodes and weights on the unit square."""
+    """Tensor Gauss-Legendre nodes and weights on the unit square.
+
+    Raises ValueError for fewer than 2 points per dimension, or when the
+    q x q companion matrix whose eigenvalues are the nodes and the grid's
+    coordinates and weights (8 q^2 and 40 q^2 bytes for q points per
+    dimension) do not fit in physical memory.
+    """
     if points_per_dim < 2:
         raise ValueError("need at least 2 quadrature points per dimension")
+    q = points_per_dim
+    need = 48 * q * q
+    have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    if need > have:
+        raise ValueError(f"quad_points {q} needs a {q} x {q} companion matrix and a "
+                         f"grid of {q}^2 points, {need / 1e9:.1f} GB, more than the "
+                         f"{have / 1e9:.1f} GB of memory")
     nodes, weights = np.polynomial.legendre.leggauss(points_per_dim)
     nodes = 0.5 * (nodes + 1.0)
     weights = 0.5 * weights

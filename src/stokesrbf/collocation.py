@@ -15,6 +15,7 @@ import itertools
 import math
 import os
 import re
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -22,6 +23,7 @@ import numpy as np
 from scipy.linalg import LinAlgError, cho_factor, cho_solve
 
 from .geometry import LevelPointSet
+from .radial import FRESH, BufferPool
 from .stokes_kernel import DIRICHLET, PDE, StokesKernelConfig, displacements, kernel_block
 
 __all__ = [
@@ -35,19 +37,28 @@ __all__ = [
     "write_matrix",
 ]
 
-# Rows per slab.  A 128-row slab against a level-4 column group is about
-# 1 MB per temporary, so the many passes of one kernel block stay in cache;
-# with 1024-row slabs (8.7 MB temporaries) evaluating a level-4 model on
-# the 100^2 grid took ~1.5 times as long (2-core x86_64).
+# Rows per block of `block @ coefficients`, and the unit of a slab.  A slab
+# is the multiple of _SLAB rows that holds about _SLAB_ENTRIES entries
+# against the call's widest centre set (`_slabs`): 128 rows against the
+# 1089 level-4 interior centres, 384 at level 3, 1536 at level 2 and 5120
+# at level 1.  Its temporaries are then about 1 MB each, so the many passes
+# of one kernel block stay in cache; with 1024-row slabs (8.7 MB
+# temporaries) evaluating a level-4 model on the 100^2 grid took ~1.5 times
+# as long, and with 128-row slabs against the 25 to 289 centres of levels
+# 1-3 the per-slab Python work took ~40 % of the grid time for 29 % of its
+# entries (2-core x86_64).
 _SLAB = 128
+_SLAB_ENTRIES = 128 * 1024
 
 
 # The slabs of a call with more than one slab run on a fresh executor of
 # one worker per usable CPU (numpy releases the GIL in its loops) while the
-# caller waits, so no thread outlives its call.  A whole slab is the unit,
-# so that every row label of the slab reads one displacement set per column
-# point set (see `_slab_blocks`).  A call with one slab -- a small query
-# batch, the first level's system -- runs on the caller's thread alone.
+# caller waits, so no thread outlives its call.  Each worker takes its
+# block-sized arrays from its own `BufferPool`, which goes with the call.
+# A whole slab is the unit, so that every row label of the slab reads one
+# displacement set per column point set (see `_slab_blocks`).  A call with
+# one slab -- a small query batch, the first level's system -- runs on the
+# caller's thread alone and allocates its arrays afresh (`FRESH`).
 _WORKERS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
             else os.cpu_count() or 1)
 
@@ -117,12 +128,12 @@ def assemble(
     row_sets = [(pts, rows) for pts, rows, _ in _groups(pointset)]
     tables = _tables(kernel, row_sets, pointset)
 
-    def fill(slab):
-        for rows, cols, block in _slab_blocks(kernel, slab, pointset, tables):
+    def fill(slab, pool):
+        for rows, cols, block in _slab_blocks(kernel, slab, pointset, tables, pool):
             matrix[rows, cols] = block
             del block
 
-    _run_slabs(fill, _slabs(row_sets))
+    _run_slabs(fill, _slabs(row_sets, pointset))
     fvals = np.asarray(f_data(pointset.interior), dtype=float)
     gvals = np.asarray(g_data(pointset.boundary), dtype=float)
     rhs = np.concatenate([fvals[:, 0], fvals[:, 1], gvals[:, 0], gvals[:, 1]])
@@ -151,15 +162,19 @@ def solve(system: CollocationSystem) -> LevelSolution:
         pivot = int(match.group(1)) if match else None
         raise NotPositiveDefinite(str(exc), pivot=pivot) from exc
     rhs_ld = system.rhs.astype(np.longdouble)
+    slab_ld = np.empty((min(_SLAB, system.size), system.size), np.longdouble)
 
     def true_residual(vec):
-        # one slab of rows at a time, so that no extended copy of the whole
-        # matrix is held; each row's sum runs in the same order either way
+        # one slab of rows at a time, copied into one extended buffer, so
+        # that no extended copy of the whole matrix is held; numpy's
+        # longdouble dot adds each row in index order, as @ does
         vec_ld = vec.astype(np.longdouble)
         out = np.empty(len(vec))
         for start in range(0, len(vec), _SLAB):
             rows = slice(start, start + _SLAB)
-            out[rows] = rhs_ld[rows] - system.matrix[rows].astype(np.longdouble) @ vec_ld
+            block = slab_ld[:len(rhs_ld[rows])]
+            block[...] = system.matrix[rows]
+            out[rows] = rhs_ld[rows] - np.dot(block, vec_ld)
         return out
 
     rhs_norm = float(np.linalg.norm(system.rhs))
@@ -183,22 +198,28 @@ def solve(system: CollocationSystem) -> LevelSolution:
     )
 
 
-def _slabs(row_sets) -> list:
+def _slabs(row_sets, pointset: LevelPointSet) -> list:
     """Point slabs of ``row_sets`` -- (points, row labels) in output order,
-    each label's rows after the previous label's.
+    each label's rows after the previous label's -- against the centres of
+    ``pointset``.
 
-    Slab k holds points k*_SLAB up to (k+1)*_SLAB of every set that has
-    them, as (points, [(row label, first output row)]).  `_apply_rows` thus
-    hands BLAS one block per label and point slab.  BLAS sums a row in an
-    order that depends on the row's place in its block, so a point's values
-    do not depend on which labels are requested with it.
+    A slab has the rows of the largest multiple of _SLAB, at least _SLAB,
+    whose block against the widest centre set holds at most _SLAB_ENTRIES
+    entries.  Slab k holds points k*rows up to (k+1)*rows of every set that
+    has them, as (points, [(row label, first output row)]).  Every slab
+    starts at a multiple of _SLAB, and `_apply_rows` hands BLAS one block of
+    _SLAB rows at a time.  BLAS sums a row in an order that depends on the
+    row's place in its block, so a point's values do not depend on which
+    labels are requested with it, nor on the slab size.
     """
+    width = max(pointset.n_interior, pointset.n_boundary, 1)
+    size = _SLAB * max(1, _SLAB_ENTRIES // (_SLAB * width))
     slabs, r0 = [], 0
     for pts, labels in row_sets:
-        for k, start in enumerate(range(0, len(pts), _SLAB)):
+        for k, start in enumerate(range(0, len(pts), size)):
             if k == len(slabs):
                 slabs.append([])
-            slabs[k].append((pts[start:start + _SLAB],
+            slabs[k].append((pts[start:start + size],
                              [(row, r0 + i * len(pts) + start) for i, row in enumerate(labels)]))
         r0 += len(labels) * len(pts)
     return slabs
@@ -307,26 +328,31 @@ def _tables(kernel: StokesKernelConfig, row_sets, pointset: LevelPointSet) -> di
     return tables
 
 
-def _slab_blocks(kernel: StokesKernelConfig, slab, pointset: LevelPointSet, tables):
+def _slab_blocks(kernel: StokesKernelConfig, slab, pointset: LevelPointSet, tables, pool):
     """Kernel blocks of one slab's row functionals against this level's
     columns: yields (row slice, column slice, block), each label's column
     groups in system order.  The blocks of one row point set against one
     centre set are either all gathered from the call's tables, through one
-    index, or all read one displacement set.  Callers drop each block
-    before asking for the next."""
+    index, or all read one displacement set.  Block-sized arrays come from
+    ``pool`` (a `BufferPool`, or `FRESH`).  Callers drop each block before
+    asking for the next."""
     for pts, rows in slab:
         c0 = 0
         for cpts, _, cols in _groups(pointset):
             # a row set has tables for every column of a centre set or none
             gathered = tables.get((rows[0][0], cols[0]))
             if gathered:
-                index = _lattice_index(pts, gathered[1])[:, None] - gathered[2]
+                index = np.subtract(_lattice_index(pts, gathered[1])[:, None], gathered[2],
+                                    out=pool.empty((len(pts), len(cpts)), np.intp))
             else:
                 shared = displacements(kernel, pts, cpts,
-                                       [(row, col) for row, _ in rows for col in cols])
+                                       [(row, col) for row, _ in rows for col in cols], pool)
             for (row, r0), (j, col) in itertools.product(rows, enumerate(cols)):
-                block = (np.take(tables[row, col][0], index) if gathered
-                         else kernel_block(kernel, row, col, shared, cpts))
+                # the index is in range: mode "clip" skips the check (and
+                # the buffer) of mode "raise"
+                block = (np.take(tables[row, col][0], index, mode="clip",
+                                 out=pool.empty(index.shape))
+                         if gathered else kernel_block(kernel, row, col, shared, cpts))
                 start = c0 + j * len(cpts)
                 yield slice(r0, r0 + len(pts)), slice(start, start + len(cpts)), block
                 del block
@@ -334,12 +360,21 @@ def _slab_blocks(kernel: StokesKernelConfig, slab, pointset: LevelPointSet, tabl
 
 
 def _run_slabs(task, slabs) -> None:
-    """task(slab) for every slab; the slabs write disjoint output rows."""
+    """task(slab, pool) for every slab, pool being the `BufferPool` of the
+    worker that runs it, or `FRESH` on a call with one slab; the slabs write
+    disjoint output rows."""
     if len(slabs) == 1:
-        task(slabs[0])
+        task(slabs[0], FRESH)
         return
-    with ThreadPoolExecutor(_WORKERS) as pool:
-        list(pool.map(task, slabs))  # raises the first failed slab's error
+    local = threading.local()
+
+    def run(slab):
+        if not hasattr(local, "pool"):
+            local.pool = BufferPool()
+        task(slab, local.pool)
+
+    with ThreadPoolExecutor(_WORKERS) as executor:
+        list(executor.map(run, slabs))  # raises the first failed slab's error
 
 
 def _query_points(x) -> np.ndarray:
@@ -369,13 +404,16 @@ def _apply_rows(solution: LevelSolution, labels, x) -> np.ndarray:
     row_sets = [(x, labels)]
     tables = _tables(solution.kernel, row_sets, solution.pointset)
 
-    def add(slab):
+    def add(slab, pool):
         for rows, cols, block in _slab_blocks(solution.kernel, slab,
-                                              solution.pointset, tables):
-            out[rows] += block @ coefficients[cols]
+                                              solution.pointset, tables, pool):
+            # BLAS sees the slab's block _SLAB rows at a time
+            dest = out[rows]
+            for start in range(0, len(block), _SLAB):
+                dest[start:start + _SLAB] += block[start:start + _SLAB] @ coefficients[cols]
             del block
 
-    _run_slabs(add, _slabs(row_sets))
+    _run_slabs(add, _slabs(row_sets, solution.pointset))
     return np.ascontiguousarray(out.reshape(len(labels), len(x)).T)
 
 

@@ -19,6 +19,9 @@ evaluators.
 
 from __future__ import annotations
 
+import math
+import mmap
+import sys
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
@@ -28,7 +31,9 @@ import numpy as np
 from .wendland import NonPolynomialDivision, WendlandPolynomial
 
 __all__ = [
+    "BufferPool",
     "Displacements",
+    "FRESH",
     "RadialTermEvaluator",
     "mixed_partial",
     "mixed_partial_terms",
@@ -110,10 +115,11 @@ def mixed_partial_terms(profile: WendlandPolynomial, nx: int, ny: int) -> Terms:
     return dict(_mixed_partial_cached(profile.coeffs, nx, ny))
 
 
-def _differences(a, b, scale):
-    """(a[p] - b[q]) * scale for every p, q: the one formula for a
-    displacement component, shared by a set and its power tables."""
-    out = a[:, None] - b[None, :]
+def _differences(a, b, scale, out=None):
+    """(a[p] - b[q]) * scale for every p, q, into ``out`` if given: the one
+    formula for a displacement component, shared by a set and its power
+    tables."""
+    out = np.subtract(a[:, None], b[None, :], out=out)
     out *= scale
     return out
 
@@ -123,6 +129,62 @@ def _distinct(values):
     bits, so that -0.0 and 0.0 stay two values."""
     bits, index = np.unique(values.view(np.int64), return_inverse=True)
     return bits.view(float), index
+
+
+def _idle_refs() -> int:
+    """`sys.getrefcount` of an object that only a list and the loop variable
+    reading it reference, read as `BufferPool.empty` reads its buffers: 3
+    on CPython 3.11 (the list, the variable and the call's argument), but
+    the count of a reference depends on the interpreter."""
+    for obj in [object()]:
+        return sys.getrefcount(obj)
+
+
+_IDLE_REFS = _idle_refs()
+
+
+class BufferPool:
+    """Arrays for the slabs that one worker thread computes in one call.
+
+    ``empty`` hands out a view of the first buffer that nothing else
+    references -- no array or view of it is alive -- and that is large
+    enough, and adds a buffer of the requested size when there is none.
+    The slabs of a call ask for arrays of the same few shapes, so their
+    pages are faulted in once per call and worker, not once per array.
+
+    The buffers are anonymous memory maps, which go back to the system
+    with the pool.  Buffers from malloc stayed in the worker threads'
+    arenas after the call: the peak of a 4-level run, at the level-4 solve,
+    was 196 MB with them against 179 MB with maps (2-core x86_64, glibc).
+    """
+
+    def __init__(self):
+        self._buffers: list = []
+
+    def empty(self, shape, dtype=float) -> np.ndarray:
+        dtype = np.dtype(dtype)
+        size = math.prod(shape) * dtype.itemsize
+        for buf in self._buffers:
+            # no array or view of it is alive: only the list and the loop
+            # reference it
+            if len(buf) >= size and sys.getrefcount(buf) == _IDLE_REFS:
+                break
+        else:
+            buf = np.frombuffer(mmap.mmap(-1, max(size, 1)), np.uint8)
+            self._buffers.append(buf)
+        return buf[:size].view(dtype).reshape(shape)
+
+
+class _Fresh:
+    """A pool that keeps no buffers: every array is newly allocated."""
+
+    @staticmethod
+    def empty(shape, dtype=float) -> np.ndarray:
+        return np.empty(shape, dtype)
+
+
+# the pool of a set made without one, and of a call with a single slab
+FRESH = _Fresh()
 
 
 class Displacements:
@@ -141,10 +203,14 @@ class Displacements:
     keyed by its lowest power of r and its coefficients, x, y and the other
     powers, a power table -- is computed on its first read, kept until its
     last read among them and dropped then; a value read beyond that plan is
-    computed again and not kept.  x and y are computed for r and again at
-    their first read, the squares and the monomials x^a y^b (a pass or two
-    each) at every read: not kept, with the same bits either way, so that
-    fewer blocks are alive at once.
+    computed again and not kept.  x and y are kept from the pass that
+    computes r when an evaluator will read them; the squares and the
+    monomials x^a y^b (a pass or two each) are computed at every read: not
+    kept, with the same bits either way, so that fewer blocks are alive at
+    once.
+
+    Every block-sized value is taken from ``pool``: a `BufferPool`, or
+    `FRESH`, which allocates each anew; the values are the same.
 
     A power x^n or y^n with n >= 3 is taken on the table of displacements
     between the distinct row and column coordinates and gathered -- the same
@@ -153,9 +219,10 @@ class Displacements:
     the 33 of the level-4 centres.
     """
 
-    def __init__(self, rows, columns, scale: float, evaluators=()):
+    def __init__(self, rows, columns, scale: float, evaluators=(), pool=FRESH):
         self.rows, self.columns, self.scale = rows, columns, scale
         self.shape = (len(rows), len(columns))
+        self.pool = pool
         self._r = None
         self._values: dict = {}
         self._uses: Counter = Counter()
@@ -167,20 +234,37 @@ class Displacements:
 
     def _component(self, axis: int) -> np.ndarray:
         """x (axis 0) or y (axis 1) at every entry."""
-        return _differences(self.rows[:, axis], self.columns[:, axis], self.scale)
+        return _differences(self.rows[:, axis], self.columns[:, axis], self.scale,
+                            self.pool.empty(self.shape))
+
+    def _new(self) -> np.ndarray:
+        """An array for a value at the entries to sum."""
+        return self.pool.empty(self._summed_shape)
+
+    def _summed(self, value) -> np.ndarray:
+        """``value`` (of the set's shape) at the entries to sum."""
+        if self.inside is None:
+            return value
+        return np.compress(self.inside.ravel(), value.ravel(), out=self._new())
 
     def _located(self) -> np.ndarray:
         """r at the entries to sum; on the first call also sets ``inside``
-        (None when that is every entry) and ``at_origin``."""
+        (None when that is every entry) and ``at_origin``, and keeps x and
+        y if they are to be read."""
         if self._r is None:
-            r = np.hypot(self._component(0), self._component(1))
+            x, y = self._component(0), self._component(1)
+            r = np.hypot(x, y, out=self.pool.empty(self.shape))
             if r.size and r.min() > 0.0 and r.max() < 1.0:
                 self.inside = None
+                self._summed_shape = self.shape
             else:
                 self.inside = (r > 0.0) & (r < 1.0)
                 self.at_origin = r == 0.0
-                r = r[self.inside]
-            self._r = r
+                self._summed_shape = (np.count_nonzero(self.inside),)
+            self._r = self._summed(r)
+            for key, value in ((("x", 1), x), (("y", 1), y)):
+                if key in self._uses:
+                    self._values[key] = self._summed(value)
         return self._r
 
     # shared values: ("x" | "y" | "r", n) the n-th power, ("m", a, b) the
@@ -236,11 +320,12 @@ class Displacements:
         if kind == "t":
             return self._table("xy".index(n))
         if kind == "m":
-            return self.read(("x", n)) * self.read(("y", key[2]))
+            return np.multiply(self.read(("x", n)), self.read(("y", key[2])),
+                               out=self._new())
         if kind == "h":
             r, coeffs = self._r, key[2]
             # Horner in place: (...(c_top * r + c) * r + ...) + c_0
-            radial = np.empty_like(r)
+            radial = self._new()
             radial.fill(coeffs[-1])
             for c in coeffs[-2::-1]:
                 np.multiply(radial, r, out=radial)
@@ -248,23 +333,27 @@ class Displacements:
             if n:
                 np.multiply(radial, self.read(("r", n)), out=radial)
             return radial
+        # np.power(v, n) is v ** n, bit for bit
         if kind == "r":
-            return self._r ** n
+            return np.power(self._r, n, out=self._new())
         if n == 1:
-            value = self._component("xy".index(kind))
-            return value if self.inside is None else value[self.inside]
+            return self._summed(self._component("xy".index(kind)))
         table = self.read(("t", kind)) if n >= 3 else None
         if table is None:
-            return self.read((kind, 1)) ** n
+            return np.power(self.read((kind, 1)), n, out=self._new())
         values, rows, cols = table
-        power = (values ** n)[rows][:, cols]
-        return power if self.inside is None else power[self.inside]
+        # rows and cols index the table, so no index needs the check of
+        # mode "raise", which would take a buffer of its own
+        power = np.take(np.power(values, n)[rows], cols, axis=1, mode="clip",
+                        out=self.pool.empty(self.shape))
+        return self._summed(power)
 
     def _sum(self, groups, origin: float) -> np.ndarray:
         """Sum over the groups of (x^a y^b) * radial, in a new array of the
         set's shape: zero outside the support, ``origin`` at r = 0."""
-        acc = np.zeros_like(self._r)
-        term = np.empty_like(acc)
+        acc = self._new()
+        acc.fill(0.0)
+        term = self._new()
         for radial_key, monomial_key in groups:
             radial = self.read(radial_key)
             if monomial_key is None:
@@ -274,7 +363,8 @@ class Displacements:
                 np.add(acc, term, out=acc)
         if self.inside is None:
             return acc
-        out = np.zeros(self.shape)
+        out = self.pool.empty(self.shape)
+        out.fill(0.0)
         out[self.inside] = acc
         if origin:
             out[self.at_origin] = origin

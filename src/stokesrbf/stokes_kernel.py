@@ -32,7 +32,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .radial import Displacements, RadialTermEvaluator, combine, laplacian, mixed_partial_terms
+from .radial import (FRESH, Displacements, RadialTermEvaluator, combine, laplacian,
+                     mixed_partial_terms)
 from .wendland import WendlandPolynomial
 
 __all__ = ["PDE", "DIRICHLET", "StokesKernelConfig", "displacements", "kernel_block"]
@@ -132,17 +133,18 @@ def _parts(cfg: StokesKernelConfig, row: tuple, col: tuple) -> list:
     return parts
 
 
-def displacements(cfg: StokesKernelConfig, xa, xb, pairs) -> Displacements:
+def displacements(cfg: StokesKernelConfig, xa, xb, pairs, pool=FRESH) -> Displacements:
     """The displacement set of the points xa against the points xb at cfg's
     scale, for the (row, column) label pairs ``pairs`` that will read it in
     that order: give it to each of their `kernel_block` calls as xa, with
     this very xb.  Their blocks then share the displacements, r, the
     powers, the radials and the evaluator sums; each shared value is
-    dropped after its last read."""
+    dropped after its last read.  The set and those blocks take their
+    arrays from ``pool`` (a `radial.BufferPool`, or `radial.FRESH`)."""
     xa = np.atleast_2d(np.asarray(xa, dtype=float))
     xb = np.atleast_2d(np.asarray(xb, dtype=float))
     evaluators = [evaluator for pair in pairs for _, evaluator in _parts(cfg, *pair)]
-    return Displacements(xa, xb, 1.0 / cfg.delta, evaluators)
+    return Displacements(xa, xb, 1.0 / cfg.delta, evaluators, pool)
 
 
 def kernel_block(cfg: StokesKernelConfig, row: tuple, col: tuple, xa, xb) -> np.ndarray:
@@ -151,7 +153,8 @@ def kernel_block(cfg: StokesKernelConfig, row: tuple, col: tuple, xa, xb) -> np.
     ``row`` is a label of `_FUNCTIONALS`, ``col`` one of `_COLUMNS`; any
     other label raises ValueError.  xa has shape (P, 2), xb has shape
     (Q, 2); returns (P, Q).  xa may also be the `displacements` of the rows
-    against this xb at cfg's scale; any other set raises ValueError.
+    against this xb at cfg's scale, whose pool then holds the block; any
+    other set raises ValueError.
     Entries with ||xa - xb|| >= delta vanish by compact support (the
     evaluators cut off at unit radius in scaled coordinates).
     """
@@ -162,7 +165,7 @@ def kernel_block(cfg: StokesKernelConfig, row: tuple, col: tuple, xa, xb) -> np.
         raise ValueError("displacement set of other columns or another scale")
     out = None
     for scale, evaluator in parts:
-        values = scale * evaluator.on(xa)
+        values = np.multiply(scale, evaluator.on(xa), out=xa.pool.empty(xa.shape))
         if out is None:  # 0.0 + values, as summed into zeros: -0.0 becomes 0.0
             out = np.add(values, 0.0, out=values)
         else:

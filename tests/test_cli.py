@@ -152,6 +152,18 @@ class TestRunCommand:
         assert run_cli(["run", "--levels", "9"]) == 2
         assert capsys.readouterr().err.startswith("error: levels")
 
+    def test_rejects_grid_beyond_memory(self, tmp_path, capsys):
+        # 10^8 Gauss-Legendre nodes need a 10^8 x 10^8 companion matrix
+        # (80 PB); numpy used to fail allocating it with a traceback
+        code = run_cli([
+            "run", "--levels", "1", "--eigen-levels", "0", "--quad-points", "100000000",
+            "--out-csv", str(tmp_path / "q.csv"),
+            "--out-summary", str(tmp_path / "q.txt"),
+        ])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: quad_points")
+        assert not (tmp_path / "q.csv").exists()
+
 
 class TestVerifyLemmas:
     def test_c8_passes(self, capsys):

@@ -53,16 +53,24 @@ def test_matrix_symmetric(level1_system):
     assert np.abs(a - a.T).max() <= 1e-12 * np.abs(a).max()
 
 
-def test_matrix_entries_match_gram(level1_system, c8, problem):
+def test_matrix_entries_match_gram(level1_system, c8, problem, monkeypatch):
     # all 16 group blocks, in the documented order, bit for bit: level 1 is
-    # one point slab, level 3 (289 interior and 64 boundary centres) is three
-    # point slabs, run on the worker threads
-    delta3 = scale_schedule(MultiscaleConfig(n_levels=3))[2]
-    level3_system = assemble(
-        make_level_pointset(3), StokesKernelConfig(c8, c8, nu=1.0, delta=delta3),
-        problem.f, problem.g,
-    )
-    for system in (level1_system, level3_system):
+    # one point slab; level 3 (289 interior and 64 boundary centres) is one
+    # slab of 384 rows, and three slabs of 128 rows, run on the worker
+    # threads, when the rule is forced to 128 rows; level 4 (1089 and 128)
+    # is nine slabs of 128 rows.  Both multi-slab systems gather their
+    # blocks from lattice tables
+    systems = [level1_system]
+    deltas = scale_schedule(MultiscaleConfig(n_levels=4))
+    for level, entries, n_slabs in ((3, collocation._SLAB_ENTRIES, 1), (3, 0, 3),
+                                    (4, collocation._SLAB_ENTRIES, 9)):
+        pointset = make_level_pointset(level)
+        monkeypatch.setattr(collocation, "_SLAB_ENTRIES", entries)
+        assert len(collocation._slabs([(pointset.interior, ["a"])], pointset)) == n_slabs
+        kernel = StokesKernelConfig(c8, c8, nu=1.0, delta=deltas[level - 1])
+        systems.append(assemble(pointset, kernel, problem.f, problem.g))
+        monkeypatch.undo()
+    for system in systems:
         groups = documented_groups(system.pointset)
         offsets = np.cumsum([0] + [len(pts) for _, _, pts in groups])
         for gi, (row, _, rpts) in enumerate(groups):
@@ -89,6 +97,27 @@ def test_solve_identity():
 
 def test_solve_residual_invariant(level1_solution):
     assert level1_solution.solve_residual <= 1e-8
+
+
+def test_solve_residual_is_the_slab_residual(problem):
+    # solve copies each row slab into one extended buffer and sums it with
+    # np.dot; on the level-2 system, which refines, its residual must equal
+    # bit for bit the residual of extended slab copies summed by @
+    from stokesrbf.multiscale import run
+
+    systems = {}
+    run(problem, MultiscaleConfig(n_levels=2),
+        on_level=lambda index, system, solution: systems.setdefault(index, system))
+    system = systems[1]
+    solution = solve(system)
+    rhs_ld = system.rhs.astype(np.longdouble)
+    coeffs_ld = solution.coefficients.astype(np.longdouble)
+    residual = np.empty(system.size)
+    for start in range(0, system.size, collocation._SLAB):
+        rows = slice(start, start + collocation._SLAB)
+        residual[rows] = rhs_ld[rows] - system.matrix[rows].astype(np.longdouble) @ coeffs_ld
+    rhs_norm = float(np.linalg.norm(system.rhs))
+    assert solution.solve_residual == float(np.linalg.norm(residual)) / rhs_norm
 
 
 def test_indefinite_matrix_rejected(level1_system):
@@ -263,15 +292,27 @@ def test_velocity_request_equals_evaluate(level1_solution, rng):
 
 def group_sums(sol, x, labels):
     """Per-label sums of kernel_block(...) @ coefficients over the column
-    groups in system order, each group's block computed directly."""
+    groups in system order, each group's block computed directly and
+    multiplied _SLAB rows at a time, the blocks that evaluation hands BLAS."""
     expected = np.zeros((len(x), len(labels)))
     for k, label in enumerate(labels):
         c0 = 0
         for _, col, cpts in documented_groups(sol.pointset):
             block = kernel_block(sol.kernel, label, col, x, cpts)
-            expected[:, k] += block @ sol.coefficients[c0: c0 + len(cpts)]
+            for start in range(0, len(x), collocation._SLAB):
+                rows = slice(start, start + collocation._SLAB)
+                expected[rows, k] += block[rows] @ sol.coefficients[c0: c0 + len(cpts)]
             c0 += len(cpts)
     return expected
+
+
+def random_solution(c8, level, rng):
+    """A level's solution of the 3-level schedule with random coefficients:
+    sums of its blocks need no solve."""
+    pointset = make_level_pointset(level)
+    delta = scale_schedule(MultiscaleConfig(n_levels=3))[level - 1]
+    return collocation.LevelSolution(rng.standard_normal(pointset.n_functionals), pointset,
+                                     StokesKernelConfig(c8, c8, nu=1.0, delta=delta))
 
 
 def record_kernel_calls(monkeypatch):
@@ -287,6 +328,19 @@ def record_kernel_calls(monkeypatch):
     return calls
 
 
+def slab_rows(pointset):
+    """Rows per slab of `_slabs` against the centres of ``pointset``."""
+    return len(collocation._slabs([(np.zeros((10 ** 5, 2)), ["a"])], pointset)[0][0][0])
+
+
+def three_slabs(points, pointset):
+    """The first points of ``points`` that `_slabs` cuts into two full slabs
+    and a short third of 45 against the centres of ``pointset``."""
+    x = points[:2 * slab_rows(pointset) + 45]
+    assert len(collocation._slabs([(x, ["a"])], pointset)) == 3
+    return x
+
+
 @pytest.fixture(scope="module")
 def two_level_model(problem):
     from stokesrbf.multiscale import run
@@ -294,21 +348,30 @@ def two_level_model(problem):
     return run(problem, MultiscaleConfig(n_levels=2))
 
 
-def test_slabbed_evaluation_equals_group_sums(level1_solution, two_level_model,
+def test_slabbed_evaluation_equals_group_sums(level1_solution, two_level_model, c8,
                                              monkeypatch, rng):
-    # 301 random points are three point slabs, run on the worker threads;
     # each entry must be the same sum over the column groups in system order.
-    # The first 301 points of the 100^2 Gauss-Legendre grid have at most 2
-    # distinct x per slab, so their powers come from tables.  The level-3
-    # centres (289, three slabs) are where the residual closures evaluate
-    # the coarser levels: both lie on the grid of step 1/16, and the blocks
-    # are gathered from lattice tables
-    level3 = make_level_pointset(3).interior
-    grid = gauss_legendre_grid(100)[0][:301]
-    for sol, x, tables in ((level1_solution, rng.uniform(0, 1, (301, 2)), False),
-                           (two_level_model.levels[1], grid, False),
-                           (two_level_model.levels[0], level3, True),
-                           (two_level_model.levels[1], level3, True)):
+    # The random and grid batches are three slabs, run on the worker
+    # threads; the first points of the 100^2 Gauss-Legendre grid have few
+    # distinct x per slab, so their powers come from tables.  The residual
+    # closures evaluate the coarser levels at the centres of the next: the
+    # level-3 centres (289, one slab against the level-1 or level-2
+    # centres), the level-4 centres (1089) and level-5 centres (both three
+    # slabs against the level-3 centres).  Each lies on a dyadic grid with
+    # the centres, and the blocks are gathered from lattice tables
+    level3, level4 = make_level_pointset(3), make_level_pointset(4).interior
+    level3_solution = random_solution(c8, 3, rng)
+    assert len(collocation._slabs([(level4, ["a"])], level3)) == 3
+    for sol, x, tables in (
+            (level1_solution,
+             three_slabs(rng.uniform(0, 1, (20000, 2)), level1_solution.pointset), False),
+            (two_level_model.levels[1],
+             three_slabs(gauss_legendre_grid(100)[0], two_level_model.levels[1].pointset),
+             False),
+            (two_level_model.levels[0], level3.interior, True),
+            (two_level_model.levels[1], level3.interior, True),
+            (level3_solution, level4, True),
+            (level3_solution, three_slabs(make_level_pointset(5).interior, level3), True)):
         for request, labels in (
             ("l-image", [("pde", 1), ("pde", 2)]),
             ("velocity", [("velocity", 1), ("velocity", 2)]),
@@ -324,17 +387,18 @@ def test_slabbed_evaluation_equals_group_sums(level1_solution, two_level_model,
 
 
 def test_labels_of_one_slab_share_a_displacement_set(level1_solution, monkeypatch, rng):
-    # 301 points are three slabs; in each, the three labels of "value" read
-    # one displacement set per column point set (interior and boundary
-    # centres), which every kernel_block call receives with its own centres
+    # three slabs; in each, the three labels of "value" read one
+    # displacement set per column point set (interior and boundary centres),
+    # which every kernel_block call receives with its own centres
     calls = []
 
     def recording(cfg, row, col, xa, xb):
         calls.append((row, col, xa, xb))
         return kernel_block(cfg, row, col, xa, xb)
 
+    x = three_slabs(rng.uniform(0, 1, (20000, 2)), level1_solution.pointset)
     monkeypatch.setattr(collocation, "kernel_block", recording)
-    evaluate_fields(level1_solution, rng.uniform(0, 1, (301, 2)), "value")
+    evaluate_fields(level1_solution, x, "value")
     labels = [("velocity", 1), ("velocity", 2), ("pressure", 0)]
     centre_sets = {}
     for _, col, cpts in documented_groups(level1_solution.pointset):
@@ -440,15 +504,18 @@ def test_slab_errors_reach_the_caller(level1_solution, monkeypatch, rng):
             raise FloatingPointError("last slab")
         return kernel_block(cfg, row, col, xa, xb)
 
+    x = three_slabs(rng.uniform(0, 1, (20000, 2)), level1_solution.pointset)
     monkeypatch.setattr(collocation, "kernel_block", failing)
     with pytest.raises(FloatingPointError, match="last slab"):
-        evaluate_fields(level1_solution, rng.uniform(0, 1, (301, 2)), "velocity")
+        evaluate_fields(level1_solution, x, "velocity")
 
 
 def test_slab_workers_take_each_slab_once(level1_solution, monkeypatch, rng):
     # more helpers than cores and a short switch interval: a slab taken
     # twice would be added twice, a slab lost would stay zero
-    x = rng.uniform(0, 1, (40 * collocation._SLAB + 7, 2))
+    pointset = level1_solution.pointset
+    x = rng.uniform(0, 1, (9 * slab_rows(pointset) + 7, 2))
+    assert len(collocation._slabs([(x, ["a"])], pointset)) == 10
     monkeypatch.setattr(collocation, "_WORKERS", 1)
     serial = evaluate_fields(level1_solution, x, "l-image")
     monkeypatch.setattr(collocation, "_WORKERS", 8)
@@ -468,19 +535,48 @@ def test_slab_workers_take_each_slab_once(level1_solution, monkeypatch, rng):
         np.testing.assert_array_equal(got, serial)
 
 
+@pytest.mark.parametrize("level", [1, 2, 3])
+def test_slab_size_keeps_the_bits(c8, monkeypatch, rng, level):
+    # slabs sized by entries hold 5120, 1536 and 384 rows against the level-1
+    # to level-3 centres and 128 against level 4; an evaluation in such
+    # slabs must equal, bit for bit, the same call in slabs of 128 rows:
+    # BLAS sees the same 128-row blocks, and the power tables of rows of
+    # another size hold the same powers.  Both run on the workers' buffer
+    # pools, so they must also equal one call per 128 points, each a single
+    # slab that allocates its arrays afresh.  The coefficients are random,
+    # as no solve is needed
+    assert slab_rows(make_level_pointset(4)) == collocation._SLAB
+    sol = random_solution(c8, level, rng)
+    pointset = sol.pointset
+    assert slab_rows(pointset) == {1: 5120, 2: 1536, 3: 384}[level]
+    batches = (three_slabs(gauss_legendre_grid(110)[0], pointset),
+               three_slabs(rng.uniform(0, 1, (20000, 2)), pointset))
+    requests = list(collocation._FIELD_ROWS)
+    got = [[evaluate_fields(sol, x, request) for request in requests] for x in batches]
+    monkeypatch.setattr(collocation, "_SLAB_ENTRIES", 0)
+    assert slab_rows(pointset) == collocation._SLAB
+    for x, fields in zip(batches, got):
+        for request, field in zip(requests, fields):
+            np.testing.assert_array_equal(field, evaluate_fields(sol, x, request))
+            np.testing.assert_array_equal(field, np.concatenate([
+                evaluate_fields(sol, x[start:start + collocation._SLAB], request)
+                for start in range(0, len(x), collocation._SLAB)]))
+
+
 def test_slabs_of_one_call_go_to_different_workers(monkeypatch):
     # the unit of work is one slab with every row label of it, so that the
     # labels share its displacement sets: whichever worker takes the first
-    # slab waits there until the other worker starts the second
+    # slab waits there until the other worker starts the second; against
+    # the level-4 centres a slab has _SLAB rows
     monkeypatch.setattr(collocation, "_WORKERS", 2)
     n, slab = 2 * collocation._SLAB + 1, collocation._SLAB
     pts = np.zeros((n, 2))
-    slabs = collocation._slabs([(pts, ["a", "b"])])
+    slabs = collocation._slabs([(pts, ["a", "b"])], make_level_pointset(4))
     assert [[rows for _, rows in s] for s in slabs] == [
         [[("a", start), ("b", n + start)]] for start in (0, slab, 2 * slab)]
     second_started, threads = threading.Event(), {}
 
-    def task(one_slab):
+    def task(one_slab, pool):
         ((_, rows),) = one_slab
         r0 = rows[0][1]
         threads[r0] = threading.get_ident()
@@ -505,7 +601,8 @@ def test_no_worker_thread_outlives_its_call():
         "ps = make_level_pointset(1)\n"
         "kernel = StokesKernelConfig(wendland_c8(), wendland_c8(), delta=1.0)\n"
         "sol = collocation.LevelSolution(np.ones(ps.n_functionals), ps, kernel)\n"
-        "x = np.random.default_rng(0).uniform(0, 1, (301, 2))\n"
+        "x = np.random.default_rng(0).uniform(0, 1, (2 * 5120 + 45, 2))\n"
+        "assert len(collocation._slabs([(x, ['a'])], ps)) == 3\n"
         "collocation.evaluate_fields(sol, x, 'velocity')\n"
         "print(threading.active_count())\n"
     )
@@ -521,7 +618,7 @@ def test_no_worker_thread_outlives_its_call():
 def test_forked_child_evaluates(level1_solution, rng):
     # the child of a fork has none of the parent's helper threads; a child
     # that hands slabs to them waits forever (the alarm ends it then)
-    x = rng.uniform(0, 1, (4 * collocation._SLAB, 2))
+    x = three_slabs(rng.uniform(0, 1, (20000, 2)), level1_solution.pointset)
     expected = evaluate_fields(level1_solution, x, "velocity")
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", DeprecationWarning)  # fork with threads

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from stokesrbf.radial import (
+    BufferPool,
     Displacements,
     RadialTermEvaluator,
     diff_x,
@@ -196,3 +197,24 @@ def test_terms_expansion_shape(c8):
     for (a, b, m) in terms:
         assert a % 2 == 0 and b % 2 == 0
         assert a + b + m >= 0
+
+
+def test_buffer_pool_reuses_only_unreferenced_buffers():
+    # a buffer is handed out again only once no array or view of it is
+    # alive, and only to an array that fits in it
+    pool = BufferPool()
+    first = pool.empty((4, 5))
+    view = first[1:].view(np.int64)
+    del first
+    second = pool.empty((4, 5))  # the first buffer is still viewed
+    assert not np.shares_memory(second, view)
+    del view
+    third = pool.empty((5, 5))  # larger than the free first buffer
+    fourth = pool.empty((2, 5), bool)  # fits in the first buffer
+    del second
+    fifth = pool.empty((4, 4))
+    arrays = [third, fourth, fifth]
+    for k, a in enumerate(arrays):
+        assert not any(np.shares_memory(a, b) for b in arrays[k + 1:])
+    assert len(pool._buffers) == 3
+    assert (fourth.shape, fourth.dtype, fifth.shape, fifth.dtype) == ((2, 5), bool, (4, 4), float)
