@@ -41,6 +41,12 @@ __all__ = [
 ]
 
 _EIG_DENSE_LIMIT = 3000
+# bytes per point of the quadrature grid that `run_experiment` holds at its
+# peak: the coordinates and weights, the reference and accumulated fields,
+# a level's evaluation and the error norms' temporaries.  tracemalloc put
+# the growth of its peak from q = 300 to q = 600 at 132-136 bytes a point
+# (1 and 3 levels).
+_GRID_BYTES = 136
 
 
 @dataclass(frozen=True)
@@ -85,20 +91,19 @@ def trig_stokes_problem(nu: float = 1.0) -> ManufacturedSolution:
 def gauss_legendre_grid(points_per_dim: int):
     """Tensor Gauss-Legendre nodes and weights on the unit square.
 
-    Raises ValueError for fewer than 2 points per dimension, or when the
-    q x q companion matrix whose eigenvalues are the nodes and the grid's
-    coordinates and weights (8 q^2 and 40 q^2 bytes for q points per
-    dimension) do not fit in physical memory.
+    Raises ValueError for fewer than 2 points per dimension, or when what
+    `run_experiment` holds for a grid of q^2 points does not fit in physical
+    memory: _GRID_BYTES a grid point, which also covers the q x q
+    companion matrix whose eigenvalues are the nodes (8 q^2 bytes).
     """
     if points_per_dim < 2:
         raise ValueError("need at least 2 quadrature points per dimension")
     q = points_per_dim
-    need = 48 * q * q
+    need = _GRID_BYTES * q * q
     have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     if need > have:
-        raise ValueError(f"quad_points {q} needs a {q} x {q} companion matrix and a "
-                         f"grid of {q}^2 points, {need / 1e9:.1f} GB, more than the "
-                         f"{have / 1e9:.1f} GB of memory")
+        raise ValueError(f"quad_points {q} needs {need / 1e9:.1f} GB for a grid of "
+                         f"{q}^2 points, more than the {have / 1e9:.1f} GB of memory")
     nodes, weights = np.polynomial.legendre.leggauss(points_per_dim)
     nodes = 0.5 * (nodes + 1.0)
     weights = 0.5 * weights

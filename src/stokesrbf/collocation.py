@@ -56,9 +56,10 @@ _SLAB_ENTRIES = 128 * 1024
 # caller waits, so no thread outlives its call.  Each worker takes its
 # block-sized arrays from its own `BufferPool`, which goes with the call.
 # A whole slab is the unit, so that every row label of the slab reads one
-# displacement set per column point set (see `_slab_blocks`).  A call with
-# one slab -- a small query batch, the first level's system -- runs on the
-# caller's thread alone and allocates its arrays afresh (`FRESH`).
+# displacement set per column point set, which computes each shared value
+# once (see `_slab_blocks`).  A call with one slab -- a small query batch,
+# the first level's system -- runs on the caller's thread alone and
+# allocates its arrays afresh (`FRESH`).
 _WORKERS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
             else os.cpu_count() or 1)
 
@@ -305,7 +306,8 @@ def _tables(kernel: StokesKernelConfig, row_sets, pointset: LevelPointSet) -> di
     than their block.  The labels of one row set and one centre set read one
     displacement set of every offset against the origin, one `kernel_block`
     call per pair, and share the lattice and cidx: a row point of lattice
-    index a meets column point j at table entry a - cidx[j]."""
+    index a meets column point j at table entry a - cidx[j].  The set goes
+    when the next one is built, or with the call."""
     origin = np.zeros((1, 2))
     groups = _groups(pointset)
     tables = {}
@@ -318,11 +320,10 @@ def _tables(kernel: StokesKernelConfig, row_sets, pointset: LevelPointSet) -> di
             ticks = np.arange(1 - n, n) * step
             offsets = np.column_stack([np.repeat(ticks, len(ticks)),
                                        np.tile(ticks, len(ticks))])
-            pairs = list(itertools.product(rows, cols))
-            shared = displacements(kernel, offsets, origin, pairs)
+            shared = displacements(kernel, offsets, origin)
             # the offset (0, 0) sits at the table's centre, entry 2n (n - 1)
             cidx = _lattice_index(cpts, lattice) - 2 * n * (n - 1)
-            for pair in pairs:
+            for pair in itertools.product(rows, cols):
                 table = kernel_block(kernel, *pair, shared, origin)
                 tables[pair] = (table.ravel(), lattice, cidx)
     return tables
@@ -333,20 +334,19 @@ def _slab_blocks(kernel: StokesKernelConfig, slab, pointset: LevelPointSet, tabl
     columns: yields (row slice, column slice, block), each label's column
     groups in system order.  The blocks of one row point set against one
     centre set are either all gathered from the call's tables, through one
-    index, or all read one displacement set.  Block-sized arrays come from
-    ``pool`` (a `BufferPool`, or `FRESH`).  Callers drop each block before
-    asking for the next."""
+    index, or all read one displacement set, which is dropped before the
+    next centre set's blocks.  Block-sized arrays come from ``pool`` (a
+    `BufferPool`, or `FRESH`).  Callers drop each block before asking for
+    the next."""
     for pts, rows in slab:
         c0 = 0
         for cpts, _, cols in _groups(pointset):
             # a row set has tables for every column of a centre set or none
             gathered = tables.get((rows[0][0], cols[0]))
+            shared = None if gathered else displacements(kernel, pts, cpts, pool)
             if gathered:
                 index = np.subtract(_lattice_index(pts, gathered[1])[:, None], gathered[2],
                                     out=pool.empty((len(pts), len(cpts)), np.intp))
-            else:
-                shared = displacements(kernel, pts, cpts,
-                                       [(row, col) for row, _ in rows for col in cols], pool)
             for (row, r0), (j, col) in itertools.product(rows, enumerate(cols)):
                 # the index is in range: mode "clip" skips the check (and
                 # the buffer) of mode "raise"

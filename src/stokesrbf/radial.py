@@ -22,7 +22,6 @@ from __future__ import annotations
 import math
 import mmap
 import sys
-from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 
@@ -192,22 +191,19 @@ class Displacements:
     columns (Q, 2), in units of the support radius, r = hypot(x, y), and
     the values that the evaluators reading them share.
 
-    Only entries with 0 < r < 1 are summed: on the arrays as given when
-    every entry is such -- a kernel block without coincident points at a
-    level whose support exceeds the domain -- and otherwise on the gathered
-    inside entries.  Both do the same operations per entry, so the values
-    agree bitwise.
+    Each shared value -- an evaluator's sum, a Horner radial keyed by its
+    lowest power of r and its coefficients, x, y, r and the other powers, a
+    power table -- is computed on its first read and kept as long as the
+    set; x and y are kept from the pass that computes r.  The squares and
+    the monomials x^a y^b (a pass or two each) are computed at every read:
+    not kept, with the same bits either way, so that fewer blocks are alive
+    at once.
 
-    ``evaluators`` are the evaluators that will read the set, in the order
-    they will.  Each shared value -- an evaluator's sum, a Horner radial
-    keyed by its lowest power of r and its coefficients, x, y and the other
-    powers, a power table -- is computed on its first read, kept until its
-    last read among them and dropped then; a value read beyond that plan is
-    computed again and not kept.  x and y are kept from the pass that
-    computes r when an evaluator will read them; the squares and the
-    monomials x^a y^b (a pass or two each) are computed at every read: not
-    kept, with the same bits either way, so that fewer blocks are alive at
-    once.
+    Every value is computed at every entry, and a sum is the term sum where
+    0 < r < 1.  When some entry lies at r = 0 or r >= 1 -- a coincident
+    pair, or a support smaller than the points' spread -- each sum is then
+    overwritten there: 0.0 outside the support, the exact constant term at
+    r = 0, where the terms of negative powers of r are inf or nan.
 
     Every block-sized value is taken from ``pool``: a `BufferPool`, or
     `FRESH`, which allocates each anew; the values are the same.
@@ -219,53 +215,27 @@ class Displacements:
     the 33 of the level-4 centres.
     """
 
-    def __init__(self, rows, columns, scale: float, evaluators=(), pool=FRESH):
+    def __init__(self, rows, columns, scale: float, pool=FRESH):
         self.rows, self.columns, self.scale = rows, columns, scale
         self.shape = (len(rows), len(columns))
         self.pool = pool
-        self._r = None
         self._values: dict = {}
-        self._uses: Counter = Counter()
-        for evaluator in evaluators:
-            self._plan(evaluator.key)
 
     def __len__(self) -> int:
         return self.shape[0]
 
-    def _component(self, axis: int) -> np.ndarray:
-        """x (axis 0) or y (axis 1) at every entry."""
-        return _differences(self.rows[:, axis], self.columns[:, axis], self.scale,
-                            self.pool.empty(self.shape))
-
     def _new(self) -> np.ndarray:
-        """An array for a value at the entries to sum."""
-        return self.pool.empty(self._summed_shape)
+        """An array of the set's shape."""
+        return self.pool.empty(self.shape)
 
-    def _summed(self, value) -> np.ndarray:
-        """``value`` (of the set's shape) at the entries to sum."""
-        if self.inside is None:
-            return value
-        return np.compress(self.inside.ravel(), value.ravel(), out=self._new())
-
-    def _located(self) -> np.ndarray:
-        """r at the entries to sum; on the first call also sets ``inside``
-        (None when that is every entry) and ``at_origin``, and keeps x and
-        y if they are to be read."""
-        if self._r is None:
-            x, y = self._component(0), self._component(1)
-            r = np.hypot(x, y, out=self.pool.empty(self.shape))
-            if r.size and r.min() > 0.0 and r.max() < 1.0:
-                self.inside = None
-                self._summed_shape = self.shape
-            else:
-                self.inside = (r > 0.0) & (r < 1.0)
-                self.at_origin = r == 0.0
-                self._summed_shape = (np.count_nonzero(self.inside),)
-            self._r = self._summed(r)
-            for key, value in ((("x", 1), x), (("y", 1), y)):
-                if key in self._uses:
-                    self._values[key] = self._summed(value)
-        return self._r
+    def _locate(self) -> None:
+        """Keeps x, y and r, and notes whether an entry lies outside
+        0 < r < 1."""
+        x, y = (_differences(self.rows[:, axis], self.columns[:, axis], self.scale,
+                             self._new()) for axis in (0, 1))
+        r = np.hypot(x, y, out=self._new())
+        self._cut = not (r.size and r.min() > 0.0 and r.max() < 1.0)
+        self._values.update({("x", 1): x, ("y", 1): y, ("r", 1): r})
 
     # shared values: ("x" | "y" | "r", n) the n-th power, ("m", a, b) the
     # monomial x^a y^b, ("h", m_lo, coeffs) a Horner radial times r^m_lo,
@@ -276,41 +246,15 @@ class Displacements:
     def _kept(key) -> bool:
         return key[0] in "eht" or (key[0] != "m" and key[1] != 2)
 
-    @staticmethod
-    def _needs(key) -> tuple:
-        kind, n = key[0], key[1]
-        if kind == "e":
-            return tuple(k for group in n for k in group if k)
-        if kind == "h":
-            return (("r", n),) if n not in (0, 1) else ()
-        if kind == "m":
-            return ("x", n), ("y", key[2])
-        if kind in "xy" and n > 1:
-            return ((kind, 1),) if n == 2 else (("t", kind),)
-        return ()
-
-    def _plan(self, key) -> None:
-        kept = self._kept(key)
-        if not kept or key not in self._uses:
-            for need in self._needs(key):
-                self._plan(need)
-        if kept:
-            self._uses[key] += 1
-
     def read(self, key):
-        """The shared value ``key``, counted against the plan."""
-        r = self._located()
-        if key == ("r", 1):
-            return r
-        if not self._kept(key):
-            return self._make(key)
-        value = self._values[key] if key in self._values else self._make(key)
-        left = self._uses[key] - 1
-        if left > 0:
-            self._values[key], self._uses[key] = value, left
-        else:
-            self._values.pop(key, None)
-            self._uses.pop(key, None)
+        """The shared value ``key``, computed on its first read."""
+        if not self._values:
+            self._locate()
+        if key in self._values:
+            return self._values[key]
+        value = self._make(key)
+        if self._kept(key):
+            self._values[key] = value
         return value
 
     def _make(self, key):
@@ -322,8 +266,9 @@ class Displacements:
         if kind == "m":
             return np.multiply(self.read(("x", n)), self.read(("y", key[2])),
                                out=self._new())
+        r = self.read(("r", 1))
         if kind == "h":
-            r, coeffs = self._r, key[2]
+            coeffs = key[2]
             # Horner in place: (...(c_top * r + c) * r + ...) + c_0
             radial = self._new()
             radial.fill(coeffs[-1])
@@ -335,18 +280,15 @@ class Displacements:
             return radial
         # np.power(v, n) is v ** n, bit for bit
         if kind == "r":
-            return np.power(self._r, n, out=self._new())
-        if n == 1:
-            return self._summed(self._component("xy".index(kind)))
+            return np.power(r, n, out=self._new())
         table = self.read(("t", kind)) if n >= 3 else None
         if table is None:
             return np.power(self.read((kind, 1)), n, out=self._new())
         values, rows, cols = table
         # rows and cols index the table, so no index needs the check of
         # mode "raise", which would take a buffer of its own
-        power = np.take(np.power(values, n)[rows], cols, axis=1, mode="clip",
-                        out=self.pool.empty(self.shape))
-        return self._summed(power)
+        return np.take(np.power(values, n)[rows], cols, axis=1, mode="clip",
+                       out=self._new())
 
     def _sum(self, groups, origin: float) -> np.ndarray:
         """Sum over the groups of (x^a y^b) * radial, in a new array of the
@@ -354,21 +296,20 @@ class Displacements:
         acc = self._new()
         acc.fill(0.0)
         term = self._new()
-        for radial_key, monomial_key in groups:
-            radial = self.read(radial_key)
-            if monomial_key is None:
-                np.add(acc, radial, out=acc)
-            else:
-                np.multiply(self.read(monomial_key), radial, out=term)
-                np.add(acc, term, out=acc)
-        if self.inside is None:
-            return acc
-        out = self.pool.empty(self.shape)
-        out.fill(0.0)
-        out[self.inside] = acc
-        if origin:
-            out[self.at_origin] = origin
-        return out
+        # the terms are inf or nan where they are overwritten below
+        with np.errstate(all="ignore"):
+            for radial_key, monomial_key in groups:
+                radial = self.read(radial_key)
+                if monomial_key is None:
+                    np.add(acc, radial, out=acc)
+                else:
+                    np.multiply(self.read(monomial_key), radial, out=term)
+                    np.add(acc, term, out=acc)
+        if self._cut:
+            r = self.read(("r", 1))
+            acc[r >= 1.0] = 0.0
+            acc[r == 0.0] = origin
+        return acc
 
     def _table(self, axis: int):
         """(displacements between the distinct row and column coordinates,
@@ -419,7 +360,7 @@ class RadialTermEvaluator:
         scale, where (d - 0.0) * 1.0 is d bit for bit."""
         dx, dy = np.broadcast_arrays(np.asarray(dx, dtype=float), np.asarray(dy, dtype=float))
         points = np.column_stack([dx.ravel(), dy.ravel()])
-        out = self.on(Displacements(points, np.zeros((1, 2)), 1.0, [self])).reshape(dx.shape)
+        out = self.on(Displacements(points, np.zeros((1, 2)), 1.0)).reshape(dx.shape)
         return float(out) if out.ndim == 0 else out
 
     def on(self, d: Displacements) -> np.ndarray:

@@ -133,18 +133,16 @@ def _parts(cfg: StokesKernelConfig, row: tuple, col: tuple) -> list:
     return parts
 
 
-def displacements(cfg: StokesKernelConfig, xa, xb, pairs, pool=FRESH) -> Displacements:
+def displacements(cfg: StokesKernelConfig, xa, xb, pool=FRESH) -> Displacements:
     """The displacement set of the points xa against the points xb at cfg's
-    scale, for the (row, column) label pairs ``pairs`` that will read it in
-    that order: give it to each of their `kernel_block` calls as xa, with
-    this very xb.  Their blocks then share the displacements, r, the
-    powers, the radials and the evaluator sums; each shared value is
-    dropped after its last read.  The set and those blocks take their
-    arrays from ``pool`` (a `radial.BufferPool`, or `radial.FRESH`)."""
+    scale: give it to `kernel_block` as xa, with this very xb, for any label
+    pairs.  Their blocks then share the displacements, r, the powers, the
+    radials and the evaluator sums, which the set keeps as long as it lives.
+    The set and those blocks take their arrays from ``pool`` (a
+    `radial.BufferPool`, or `radial.FRESH`)."""
     xa = np.atleast_2d(np.asarray(xa, dtype=float))
     xb = np.atleast_2d(np.asarray(xb, dtype=float))
-    evaluators = [evaluator for pair in pairs for _, evaluator in _parts(cfg, *pair)]
-    return Displacements(xa, xb, 1.0 / cfg.delta, evaluators, pool)
+    return Displacements(xa, xb, 1.0 / cfg.delta, pool)
 
 
 def kernel_block(cfg: StokesKernelConfig, row: tuple, col: tuple, xa, xb) -> np.ndarray:
@@ -153,14 +151,14 @@ def kernel_block(cfg: StokesKernelConfig, row: tuple, col: tuple, xa, xb) -> np.
     ``row`` is a label of `_FUNCTIONALS`, ``col`` one of `_COLUMNS`; any
     other label raises ValueError.  xa has shape (P, 2), xb has shape
     (Q, 2); returns (P, Q).  xa may also be the `displacements` of the rows
-    against this xb at cfg's scale, whose pool then holds the block; any
-    other set raises ValueError.
+    against this xb at cfg's scale: the calls given one set share its
+    values, and its pool holds the block; any other set raises ValueError.
     Entries with ||xa - xb|| >= delta vanish by compact support (the
     evaluators cut off at unit radius in scaled coordinates).
     """
     parts = _parts(cfg, row, col)
     if not isinstance(xa, Displacements):
-        xa = displacements(cfg, xa, xb, [(row, col)])
+        xa = displacements(cfg, xa, xb)
     elif xa.columns is not xb or xa.scale != 1.0 / cfg.delta:
         raise ValueError("displacement set of other columns or another scale")
     out = None

@@ -164,6 +164,21 @@ class TestRunCommand:
         assert capsys.readouterr().err.startswith("error: quad_points")
         assert not (tmp_path / "q.csv").exists()
 
+    def test_grid_guard_counts_what_the_run_holds(self, monkeypatch, tmp_path, capsys):
+        # 200 kB passes the level-1 dense guard (2 x 8 x 82^2 = 108 kB) and
+        # the grid's coordinates and weights at q = 50 (48 x 50^2 = 120 kB),
+        # but not what run_experiment holds on that grid (~340 kB)
+        monkeypatch.setattr(cli.os, "sysconf",
+                            lambda name: 1 if name == "SC_PAGE_SIZE" else 200_000)
+        code = run_cli([
+            "run", "--levels", "1", "--eigen-levels", "0", "--quad-points", "50",
+            "--out-csv", str(tmp_path / "q.csv"),
+            "--out-summary", str(tmp_path / "q.txt"),
+        ])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: quad_points")
+        assert not (tmp_path / "q.csv").exists()
+
 
 class TestVerifyLemmas:
     def test_c8_passes(self, capsys):

@@ -92,11 +92,12 @@ def plain_term_sum(ev, x, y):
 
 
 def test_inside_block_matches_masked_evaluation(c8, rng):
-    # a block with every entry in 0 < r < 1 is evaluated as given; the same
-    # entries next to one coincident and one outside entry are gathered by
-    # the mask.  Both keep every bit (signed zeros included) of the plain
-    # term sum.  So does the block of each evaluator from one set that they
-    # all read, between points on a few coordinate lines: its powers come
+    # a block with every entry in 0 < r < 1 keeps its term sums; the same
+    # entries next to one coincident and one outside entry, which are
+    # overwritten afterwards, keep theirs too.  Both keep every bit (signed
+    # zeros included) of the plain term sum.  So does the block of each
+    # evaluator from one set that they all read, between points on a few
+    # coordinate lines: its powers come
     # from tables of the distinct coordinate differences, and it has +0 and
     # -0 displacements and one coincident pair (the exact constant term).
     dx, dy = rng.uniform(-0.6, 0.6, size=(2, 40, 30))
@@ -111,7 +112,7 @@ def test_inside_block_matches_masked_evaluation(c8, rng):
     scale = 1 / 1.3
     orders = [(0, 0), (1, 0), (0, 2), (1, 1), (2, 1), (4, 2), (3, 3), (0, 6)]
     evaluators = [mixed_partial(c8, nx, ny) for nx, ny in orders]
-    shared = Displacements(rows, cols, scale, evaluators)
+    shared = Displacements(rows, cols, scale)
     assert all(shared._table(axis) is not None for axis in (0, 1))
     tx, ty = ((rows[:, k, None] - cols[:, k]) * scale for k in (0, 1))
     at_origin = np.hypot(tx, ty) == 0.0

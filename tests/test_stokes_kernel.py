@@ -1,8 +1,12 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 
 from stokesrbf.collocation import evaluate_fields
-from stokesrbf.stokes_kernel import StokesKernelConfig, displacements, kernel_block
+from stokesrbf.radial import Displacements
+from stokesrbf.stokes_kernel import (StokesKernelConfig, _parts, displacements,
+                                     kernel_block)
 from stokesrbf.wendland import wendland_from_integral
 
 POINT = (0.3, 0.4)
@@ -246,23 +250,56 @@ class TestValidation:
                 kernel_block(unit_config, row, col, [POINT], [POINT])
 
     def test_shared_displacements_keep_each_block(self, unit_config, rng):
-        # one set read by several pairs, one of them twice and one beyond
-        # the planned pairs, gives each the bits of its own block; part of
-        # the block lies outside the support.  A set is refused for other
+        # one set read by several pairs, one of them twice, gives each the
+        # bits of its own block; part of the block lies outside the support
+        # and one pair of points coincides, so a multi-part block holds
+        # both kinds of overwritten entry.  A set is refused for other
         # columns or another scale
         cfg = unit_config.rescaled(0.7)
         xa, xb = rng.uniform(0, 1, (2, 30, 2))
+        xa[3] = xb[7]
         pairs = [(("pde", 1), ("pde", 2)), (("velocity", 2), ("pde", 1)),
-                 (("pde", 1), ("pde", 2)), (("pressure", 0), ("dirichlet", 1))]
-        shared = displacements(cfg, xa, xb, pairs)
-        for row, col in pairs + [(("pressure_grad", 1), ("pde", 1))]:
-            block = kernel_block(cfg, row, col, shared, xb)
-            assert block.tobytes() == kernel_block(cfg, row, col, xa, xb).tobytes()
-        assert (block == 0.0).any() and len(shared) == 30
+                 (("pde", 1), ("pde", 2)), (("pressure", 0), ("dirichlet", 1)),
+                 (("pde", 1), ("pde", 1)), (("pressure_grad", 1), ("pde", 1))]
+        shared = displacements(cfg, xa, xb)
+        blocks = []
+        for row, col in pairs:
+            blocks.append(kernel_block(cfg, row, col, shared, xb))
+            assert blocks[-1].tobytes() == kernel_block(cfg, row, col, xa, xb).tobytes()
+            assert np.isfinite(blocks[-1]).all()
+        # the exact constant terms of pde x pde at the coincident pair
+        parts = _parts(cfg, *pairs[4])
+        origin = 0.0
+        for scale, evaluator in parts:
+            origin += scale * float(evaluator.origin)
+        assert len(parts) > 1 and blocks[4][3, 7] == origin != 0.0
+        assert all((block == 0.0).any() for block in blocks) and len(shared) == 30
+        row, col = pairs[-1]
         with pytest.raises(ValueError, match="other columns"):
             kernel_block(cfg, row, col, shared, xb.copy())
         with pytest.raises(ValueError, match="another scale"):
             kernel_block(unit_config, row, col, shared, xb)
+
+    def test_a_set_computes_each_kept_value_once(self, unit_config, rng, monkeypatch):
+        # the kept values of a set are computed once whatever the label
+        # pairs that read it and their order: a repeated pair, and
+        # velocity_1 x pde_2 and velocity_2 x pde_1, which share a sum
+        cfg = unit_config.rescaled(0.7)
+        xa, xb = rng.uniform(0, 1, (2, 30, 2))
+        shared = Displacements(xa, xb, 1 / cfg.delta)
+        made = Counter()
+        make = Displacements._make
+
+        def counting(self, key):
+            made[key] += 1
+            return make(self, key)
+
+        monkeypatch.setattr(Displacements, "_make", counting)
+        for row, col in [(("velocity", 1), ("pde", 2)), (("pde", 1), ("pde", 2)),
+                         (("velocity", 2), ("pde", 1)), (("pde", 1), ("pde", 2))]:
+            kernel_block(cfg, row, col, shared, xb)
+        kept = {key: count for key, count in made.items() if Displacements._kept(key)}
+        assert kept and set(kept.values()) == {1}
 
     def test_every_valid_label_pair_evaluates(self, unit_config):
         rows = [(k, c) for k in ("pde", "velocity", "pressure_grad") for c in (1, 2)]
