@@ -167,7 +167,11 @@ def extreme_eigenvalues(matrix: np.ndarray) -> tuple[float, float]:
             lam = lam_new
         return lam
 
-    lam_max = dominant(lambda v: matrix @ v)
+    # BLAS sums A @ v in an order that depends on A's layout: the products
+    # are those of a row-major copy, whichever layout the matrix has
+    rows = np.ascontiguousarray(matrix)
+    lam_max = dominant(lambda v: rows @ v)
+    del rows
     try:
         factor = cho_factor(matrix, lower=True, check_finite=False)
     except LinAlgError as exc:  # loss of definiteness is the signal itself

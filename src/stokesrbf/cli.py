@@ -37,8 +37,9 @@ def check_dense_size(level: int, copies: int) -> None:
     """Raise ValueError unless ``level`` >= 1 and ``copies`` dense n x n
     matrices -- 8 n^2 bytes each for n = 2((2^(L+1) + 1)^2 + 2^(L+3))
     unknowns, 2434 at level 4 and 8962 at level 5 -- fit in physical memory.
-    ``run`` holds two (the collocation matrix and its Cholesky factor),
-    ``dump-matrix`` one."""
+    ``run`` needs two: `collocation.solve` factorizes the matrix in place
+    beside a copy of its lower half, and the eigenvalue step copies the
+    matrix of each level it measures; ``dump-matrix`` needs one."""
     if level < 1:
         raise ValueError("levels must be >= 1")
     n = 2 * ((2 ** (level + 1) + 1) ** 2 + 2 ** (level + 3))

@@ -37,16 +37,17 @@ __all__ = [
     "write_matrix",
 ]
 
-# Rows per block of `block @ coefficients`, and the unit of a slab.  A slab
-# is the multiple of _SLAB rows that holds about _SLAB_ENTRIES entries
-# against the call's widest centre set (`_slabs`): 128 rows against the
-# 1089 level-4 interior centres, 384 at level 3, 1536 at level 2 and 5120
-# at level 1.  Its temporaries are then about 1 MB each, so the many passes
-# of one kernel block stay in cache; with 1024-row slabs (8.7 MB
-# temporaries) evaluating a level-4 model on the 100^2 grid took ~1.5 times
-# as long, and with 128-row slabs against the 25 to 289 centres of levels
-# 1-3 the per-slab Python work took ~40 % of the grid time for 29 % of its
-# entries (2-core x86_64).
+# Rows per block of `block @ coefficients`, the unit of a slab, and the
+# side of a refinement tile in `solve` (a level-4 residual took ~10 % longer
+# with 64 x 64 tiles).  A slab is the multiple of _SLAB rows that holds
+# about _SLAB_ENTRIES entries against the call's widest centre set
+# (`_slabs`): 128 rows against the 1089 level-4 interior centres, 384 at
+# level 3, 1536 at level 2 and 5120 at level 1.  Its temporaries are then
+# about 1 MB each, so the many passes of one kernel block stay in cache;
+# with 1024-row slabs (8.7 MB temporaries) evaluating a level-4 model on
+# the 100^2 grid took ~1.5 times as long, and with 128-row slabs against
+# the 25 to 289 centres of levels 1-3 the per-slab Python work took ~40 %
+# of the grid time for 29 % of its entries (2-core x86_64).
 _SLAB = 128
 _SLAB_ENTRIES = 128 * 1024
 
@@ -89,7 +90,10 @@ def _groups(pointset: LevelPointSet):
 
 @dataclass
 class CollocationSystem:
-    """Symmetric collocation system A alpha = rhs for one level."""
+    """Symmetric collocation system A alpha = rhs for one level.
+
+    `assemble` stores ``matrix`` column-major, so that `solve` factorizes
+    it in place; ``matrix`` is A again when `solve` returns or raises."""
 
     matrix: np.ndarray
     rhs: np.ndarray
@@ -122,16 +126,18 @@ def assemble(
 
     ``f_data`` and ``g_data`` map an (n, 2) array of points to an (n, 2)
     array of component values; at levels beyond the first they are residual
-    evaluators closing over the previously solved levels.
+    evaluators closing over the previously solved levels.  The matrix is
+    column-major, the layout that LAPACK factorizes in place (`solve`).
     """
     total = pointset.n_functionals
-    matrix = np.empty((total, total))
+    matrix = np.empty((total, total), order="F")
     row_sets = [(pts, rows) for pts, rows, _ in _groups(pointset)]
     tables = _tables(kernel, row_sets, pointset)
 
     def fill(slab, pool):
         for rows, cols, block in _slab_blocks(kernel, slab, pointset, tables, pool):
-            matrix[rows, cols] = block
+            # matrix[rows, cols] = block, in numpy's faster loop order here
+            matrix.T[cols, rows] = block.T
             del block
 
     _run_slabs(fill, _slabs(row_sets, pointset))
@@ -155,27 +161,60 @@ def solve(system: CollocationSystem) -> LevelSolution:
     is large, so double-precision residuals would stall above the target.
     Raises NotPositiveDefinite if the factorization fails; that typically
     means the scale is far too large for the point density.
+
+    A column-major matrix is factorized in place: the solve holds one dense
+    copy of A, not two.  The entries that the factor overwrites (each
+    _SLAB-row slab's entries left of the slab's end) are first copied to one
+    anonymous memory map, which the residuals read with the intact upper
+    triangle, and are written back when the solve returns or raises.  scipy
+    copies a row-major matrix before factorizing it, with the same bits.
     """
+    matrix, n = system.matrix, system.size
+    tiles = [slice(start, min(start + _SLAB, n)) for start in range(0, n, _SLAB)]
+    sizes = [(rows.stop - rows.start) * rows.stop for rows in tiles]
+    flat = BufferPool().empty((sum(sizes),), matrix.dtype)
+    saved, offset = [], 0
+    for rows, size in zip(tiles, sizes):
+        part = flat[offset:offset + size].reshape(rows.stop, -1).T  # column-major
+        part[...] = matrix[rows, :rows.stop]
+        saved.append(part)
+        offset += size
     try:
-        factor = cho_factor(system.matrix, lower=True, check_finite=False)
+        return _factor_and_refine(system, tiles, saved)
+    finally:
+        for rows, part in zip(tiles, saved):
+            matrix[rows, :rows.stop] = part
+
+
+def _factor_and_refine(system: CollocationSystem, tiles, saved) -> LevelSolution:
+    """`solve` on a matrix whose part left of each tile's end is ``saved``."""
+    try:
+        factor = cho_factor(system.matrix, lower=True, overwrite_a=True, check_finite=False)
     except LinAlgError as exc:
         match = re.search(r"(\d+)", str(exc))
         pivot = int(match.group(1)) if match else None
         raise NotPositiveDefinite(str(exc), pivot=pivot) from exc
     rhs_ld = system.rhs.astype(np.longdouble)
-    slab_ld = np.empty((min(_SLAB, system.size), system.size), np.longdouble)
+    # a tile of A behind a column that carries each row's partial sum
+    tile_ld = np.empty((_SLAB, _SLAB + 1), np.longdouble, order="F")
 
     def true_residual(vec):
-        # one slab of rows at a time, copied into one extended buffer, so
-        # that no extended copy of the whole matrix is held; numpy's
-        # longdouble dot adds each row in index order, as @ does
+        # one _SLAB x _SLAB tile at a time, copied into one extended buffer,
+        # so that no extended copy of the whole matrix is held.  numpy's
+        # longdouble dot adds a row's terms in index order, and the carried
+        # sum enters first, times an exact 1: each row is summed in index
+        # order as one dot over all its columns, as @ does
         vec_ld = vec.astype(np.longdouble)
+        x_tiles = [np.concatenate([[1], vec_ld[cols]]) for cols in tiles]
         out = np.empty(len(vec))
-        for start in range(0, len(vec), _SLAB):
-            rows = slice(start, start + _SLAB)
-            block = slab_ld[:len(rhs_ld[rows])]
-            block[...] = system.matrix[rows]
-            out[rows] = rhs_ld[rows] - np.dot(block, vec_ld)
+        for rows, part in zip(tiles, saved):
+            total = np.zeros(len(part), np.longdouble)
+            for cols, x in zip(tiles, x_tiles):
+                block = tile_ld[:len(total), :len(x)]
+                block[:, 0] = total
+                block[:, 1:] = part[:, cols] if cols.start < rows.stop else system.matrix[rows, cols]
+                total = np.dot(block, x)
+            out[rows] = rhs_ld[rows] - total
         return out
 
     rhs_norm = float(np.linalg.norm(system.rhs))
@@ -454,8 +493,10 @@ def evaluate_fields(solution: LevelSolution, x, request: str):
 
 def write_matrix(matrix: np.ndarray, path) -> None:
     """Dump a matrix as row-major float64 with a 16-byte header of two
-    little-endian uint64 dimensions."""
-    matrix = np.ascontiguousarray(matrix, dtype=float)
+    little-endian uint64 dimensions.  Rows are copied and written _SLAB at a
+    time, so that no second copy of the matrix is held."""
+    matrix = np.asarray(matrix, dtype=float)
     with open(path, "wb") as fh:
         fh.write(np.array(matrix.shape, dtype="<u8").tobytes())
-        fh.write(matrix.astype("<f8").tobytes())
+        for start in range(0, len(matrix), _SLAB):
+            fh.write(np.ascontiguousarray(matrix[start:start + _SLAB], dtype="<f8"))

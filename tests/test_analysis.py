@@ -156,6 +156,17 @@ class TestConditionNumber:
         assert it_max == pytest.approx(dense_max, rel=1e-4)
         assert it_min == pytest.approx(dense_min, rel=1e-4)
 
+    @pytest.mark.parametrize("dense_limit", [3000, 10])
+    def test_layout_keeps_the_bits(self, level1_system, dense_limit, monkeypatch):
+        # the assembled matrix is column-major; both paths report, bit for
+        # bit, the values of its row-major copy
+        import stokesrbf.analysis as analysis
+
+        monkeypatch.setattr(analysis, "_EIG_DENSE_LIMIT", dense_limit)
+        assert level1_system.matrix.flags.f_contiguous
+        assert (extreme_eigenvalues(level1_system.matrix)
+                == extreme_eigenvalues(np.ascontiguousarray(level1_system.matrix)))
+
 
 class TestSlopeCheck:
     def test_exact_power_law(self):

@@ -1,8 +1,11 @@
+import dataclasses
+import mmap
 import os
 import signal
 import subprocess
 import sys
 import threading
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -100,9 +103,10 @@ def test_solve_residual_invariant(level1_solution):
 
 
 def test_solve_residual_is_the_slab_residual(problem):
-    # solve copies each row slab into one extended buffer and sums it with
-    # np.dot; on the level-2 system, which refines, its residual must equal
-    # bit for bit the residual of extended slab copies summed by @
+    # solve sums each row in extended precision one _SLAB x _SLAB tile at a
+    # time, behind the row's carried partial sum (226 unknowns: two tiles);
+    # on the level-2 system, which refines, its residual must equal bit for
+    # bit the residual of extended slab copies summed by @
     from stokesrbf.multiscale import run
 
     systems = {}
@@ -133,6 +137,82 @@ def test_indefinite_matrix_rejected(level1_system):
     with pytest.raises(NotPositiveDefinite) as err:
         solve(bad)
     assert err.value.pivot is not None and err.value.pivot <= k + 1
+
+
+def test_indefinite_column_major_matrix_comes_back(level1_system):
+    # the factorization runs in place and fails part way; the matrix is A
+    # again, bit for bit, when NotPositiveDefinite reaches the caller
+    matrix = np.array(level1_system.matrix, order="F")
+    k = 10
+    matrix[k, k] = -matrix[k, k]
+    before = matrix.copy(order="F")
+    bad = dataclasses.replace(level1_system, matrix=matrix)
+    with pytest.raises(NotPositiveDefinite):
+        solve(bad)
+    np.testing.assert_array_equal(matrix.view(np.uint64), before.view(np.uint64))
+
+
+@pytest.fixture(scope="module")
+def level3_system(problem):
+    """The level-3 system of a 3-level run, as `on_level` sees it."""
+    from stokesrbf.multiscale import run
+
+    systems = {}
+    run(problem, MultiscaleConfig(n_levels=3),
+        on_level=lambda index, system, solution: systems.setdefault(index, system))
+    return systems[2]
+
+
+def test_solve_factorizes_in_place(level3_system, monkeypatch):
+    system = level3_system
+    assert system.matrix.flags.f_contiguous
+    before = system.matrix.copy(order="F")
+    factors, maps = [], []
+    real_factor, real_map = collocation.cho_factor, mmap.mmap
+
+    def recording_factor(*args, **kwargs):
+        factors.append(real_factor(*args, **kwargs))
+        return factors[-1]
+
+    def recording_map(fileno, length, *args, **kwargs):
+        maps.append(length)
+        return real_map(fileno, length, *args, **kwargs)
+
+    monkeypatch.setattr(collocation, "cho_factor", recording_factor)
+    monkeypatch.setattr(mmap, "mmap", recording_map)
+    tracemalloc.start()
+    try:
+        solution = solve(system)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    monkeypatch.undo()
+
+    assert np.shares_memory(factors[0][0], system.matrix)
+    # no second dense copy on the heap (1.38 x at a copying factorization);
+    # the saved lower triangle and diagonal blocks, 0.59 x at level 3, sit
+    # in an anonymous map that tracemalloc does not see
+    assert peak < 0.6 * system.matrix.nbytes
+    assert peak + sum(maps) < 0.75 * system.matrix.nbytes
+    np.testing.assert_array_equal(system.matrix.view(np.uint64), before.view(np.uint64))
+
+    # scipy copies a row-major matrix and factorizes the copy: same bits
+    reference = solve(dataclasses.replace(system, matrix=np.ascontiguousarray(before)))
+    assert solution.coefficients.tobytes() == reference.coefficients.tobytes()
+    assert solution.solve_residual == reference.solve_residual
+
+
+def test_write_matrix_holds_no_second_copy(level3_system, tmp_path):
+    # the column-major level-3 matrix is written row-major a slab at a time
+    tracemalloc.start()
+    try:
+        write_matrix(level3_system.matrix, tmp_path / "matrix.bin")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 0.5 * level3_system.matrix.nbytes
+    raw = (tmp_path / "matrix.bin").read_bytes()
+    assert raw[16:] == np.ascontiguousarray(level3_system.matrix).tobytes()
 
 
 def test_collocation_conditions_reproduced(level1_solution, problem):

@@ -3,14 +3,16 @@ bits of every evaluated field.
 
 Runs ``stokesrbf run --levels 4`` and ``stokesrbf dump-matrix --level L``
 for L = 1..4 from the source tree next to this script, in a temporary
-directory.  It then fits a 4-level model with ``multiscale.run``, saves it,
-loads it back and evaluates every request on the 100^2 quadrature grid and
-on seeded batches of 1, 16 and 301 points, writing each level's field and
-their sum (`evaluate_model`) to one file per request and batch: summary.txt
-and report.csv print 4 significant digits, so only these files see the
-last bits of an evaluation.  Compares the sha256 of every file with the
-values below, prints each file with both values and exits 1 on any
-mismatch.
+directory.  It then fits a 4-level model with ``multiscale.run``, writing
+each level's matrix as ``on_level`` sees it after the solve to
+solved-matrix-L.bin: the solve factorizes in place and gives the matrix
+back, so these files must equal matrix-L.bin.  It saves the model, loads it
+back and evaluates every request on the 100^2 quadrature grid and on seeded
+batches of 1, 16 and 301 points, writing each level's field and their sum
+(`evaluate_model`) to one file per request and batch: summary.txt and
+report.csv print 4 significant digits, so only these files see the last
+bits of an evaluation.  Compares the sha256 of every file with the values
+below, prints each file with both values and exits 1 on any mismatch.
 
     python tools/check_contract.py
 
@@ -38,6 +40,10 @@ CONTRACT = {
     "matrix-2.bin": "29a29427940fe8b3b5119ed4ae1d286c5f49bae882e95e9b023fee2daf35dded",
     "matrix-3.bin": "b8b5112b7beb5a0f4d727f1e20b78eb98c7b5addbbb33c65e0118a96ebd1f444",
     "matrix-4.bin": "d003e102636592a992c76c8ca7ebb44c8d970f8fc8ae51bd23bc8ac98bd7429d",
+    "solved-matrix-1.bin": "3e990fa9b0ecc52aec7c29c23615e44963a3b4ce187529eba9906d58272f4454",
+    "solved-matrix-2.bin": "29a29427940fe8b3b5119ed4ae1d286c5f49bae882e95e9b023fee2daf35dded",
+    "solved-matrix-3.bin": "b8b5112b7beb5a0f4d727f1e20b78eb98c7b5addbbb33c65e0118a96ebd1f444",
+    "solved-matrix-4.bin": "d003e102636592a992c76c8ca7ebb44c8d970f8fc8ae51bd23bc8ac98bd7429d",
     "model.bin": "972c1b3925b624c65ef693bf614652ae7058e4bd2f1452fc71297b19304c82d9",
     "fields-value-grid.bin": "e3bc1f05930ea428624ae5b260df0cf54c8ed498360f819944c2ed0f28a2c012",
     "fields-value-random1.bin": "b1a6de5de9c5274c1954421a7b95be3abdde10465142aa38e638660c8aac03f7",
@@ -61,15 +67,20 @@ CONTRACT = {
     "fields-pressure-gradient-random301.bin": "a724c52990ee643c5def402cb95e564d58cfbe80ab03ae3ea04e9312a5a0b344",
 }
 
-# fits, saves and loads the model, then writes fields-<request>-<batch>.bin
+# fits the model, writing solved-matrix-<level>.bin, saves and loads it,
+# then writes fields-<request>-<batch>.bin
 FIELDS_SCRIPT = """
 import numpy as np
 from stokesrbf.analysis import gauss_legendre_grid, trig_stokes_problem
-from stokesrbf.collocation import evaluate_fields
+from stokesrbf.collocation import evaluate_fields, write_matrix
 from stokesrbf.multiscale import (MultiscaleConfig, evaluate_model, load_model,
                                   run, save_model)
 
-save_model(run(trig_stokes_problem(), MultiscaleConfig(n_levels=4)), "model.bin")
+def write_solved(index, system, solution):
+    write_matrix(system.matrix, f"solved-matrix-{index + 1}.bin")
+
+save_model(run(trig_stokes_problem(), MultiscaleConfig(n_levels=4), on_level=write_solved),
+           "model.bin")
 model = load_model("model.bin")
 batches = {"grid": gauss_legendre_grid(100)[0]}
 for n in (1, 16, 301):
