@@ -243,19 +243,26 @@ def run_experiment(
     Every level's contribution is evaluated once on the shared tensor grid
     and accumulated, so the per-level norms come from the same evaluation
     grid (as in the original experiment, which estimated both norms on one
-    tensor product grid).
+    tensor product grid), after the level loop: no matrix is then alive.
     """
     if problem is None:
         problem = trig_stokes_problem(nu=config.nu)
     pts, w = gauss_legendre_grid(quad_points)
-    u_ref = problem.u(pts)
-    gp_ref = problem.grad_p(pts)
     report = ErrorReport(quad_points=quad_points)
-    vel_acc = np.zeros_like(u_ref)
-    gp_acc = np.zeros_like(gp_ref)
 
     def on_level(index, system, solution):
-        nonlocal vel_acc, gp_acc
+        if index < eigen_levels:
+            lam_min, lam_max = extreme_eigenvalues(system.matrix)
+            report.lambda_min[index + 1] = lam_min
+            if lam_min > 0:
+                report.condition_numbers[index + 1] = lam_max / lam_min
+
+    model = run(problem, config, on_level=on_level)
+    u_ref = problem.u(pts)
+    gp_ref = problem.grad_p(pts)
+    vel_acc = np.zeros_like(u_ref)
+    gp_acc = np.zeros_like(gp_ref)
+    for solution in model.levels:
         vel_acc = vel_acc + evaluate_fields(solution, pts, "velocity")
         gp_acc = gp_acc + evaluate_fields(solution, pts, "pressure-gradient")
         vel_l2, vel_linf = _norms(vel_acc - u_ref, w)
@@ -265,11 +272,4 @@ def run_experiment(
         report.velocity_linf.append(vel_linf)
         report.pressure_grad_l2.append(gp_l2)
         report.pressure_grad_linf.append(gp_linf)
-        if index < eigen_levels:
-            lam_min, lam_max = extreme_eigenvalues(system.matrix)
-            report.lambda_min[index + 1] = lam_min
-            if lam_min > 0:
-                report.condition_numbers[index + 1] = lam_max / lam_min
-
-    model = run(problem, config, on_level=on_level)
     return model, report

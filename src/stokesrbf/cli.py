@@ -37,9 +37,9 @@ def check_dense_size(level: int, copies: int) -> None:
     """Raise ValueError unless ``level`` >= 1 and ``copies`` dense n x n
     matrices -- 8 n^2 bytes each for n = 2((2^(L+1) + 1)^2 + 2^(L+3))
     unknowns, 2434 at level 4 and 8962 at level 5 -- fit in physical memory.
-    ``run`` needs two: `collocation.solve` factorizes the matrix in place
-    beside a copy of its lower half, and the eigenvalue step copies the
-    matrix of each level it measures; ``dump-matrix`` needs one."""
+    `collocation.solve` factorizes in place, so ``dump-matrix`` and ``run``
+    need one; ``run`` needs two if it measures its top level's eigenvalues,
+    which copy the matrix (two copies of a lower level take less room)."""
     if level < 1:
         raise ValueError("levels must be >= 1")
     n = 2 * ((2 ** (level + 1) + 1) ** 2 + 2 ** (level + 3))
@@ -65,7 +65,7 @@ class RunConfig:
     out_summary: str = "summary.txt"
 
     def validate(self):
-        check_dense_size(self.levels, copies=2)
+        check_dense_size(self.levels, copies=2 if self.eigen_levels >= self.levels else 1)
         for name in ("beta", "nu", "tau"):
             value = getattr(self, name)
             if not (math.isfinite(value) and value > 0):

@@ -16,8 +16,9 @@ import math
 import os
 import re
 import threading
+import weakref
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg import LinAlgError, cho_factor, cho_solve
@@ -92,13 +93,15 @@ def _groups(pointset: LevelPointSet):
 class CollocationSystem:
     """Symmetric collocation system A alpha = rhs for one level.
 
-    `assemble` stores ``matrix`` column-major, so that `solve` factorizes
-    it in place; ``matrix`` is A again when `solve` returns or raises."""
+    `assemble` stores ``matrix`` column-major and read-only, with its lattice
+    tables, for `solve` to factorize in place; it is A when `solve` is done."""
 
     matrix: np.ndarray
     rhs: np.ndarray
     pointset: LevelPointSet
     kernel: StokesKernelConfig
+    # (weak reference to the matrix that `assemble` made, its tables)
+    _lattice_tables: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def size(self) -> int:
@@ -127,26 +130,32 @@ def assemble(
     ``f_data`` and ``g_data`` map an (n, 2) array of points to an (n, 2)
     array of component values; at levels beyond the first they are residual
     evaluators closing over the previously solved levels.  The matrix is
-    column-major, the layout that LAPACK factorizes in place (`solve`).
+    column-major, the layout that LAPACK factorizes in place (`solve`), and
+    read-only, so that no edit leaves it apart from its tables.
     """
     total = pointset.n_functionals
     matrix = np.empty((total, total), order="F")
-    row_sets = [(pts, rows) for pts, rows, _ in _groups(pointset)]
-    tables = _tables(kernel, row_sets, pointset)
+    tables = _tables(kernel, [(pts, rows) for pts, rows, _ in _groups(pointset)], pointset)
+    _fill(matrix, kernel, pointset, tables)
+    matrix.flags.writeable = False
+    fvals = np.asarray(f_data(pointset.interior), dtype=float)
+    gvals = np.asarray(g_data(pointset.boundary), dtype=float)
+    rhs = np.concatenate([fvals[:, 0], fvals[:, 1], gvals[:, 0], gvals[:, 1]])
+    system = CollocationSystem(matrix=matrix, rhs=rhs, pointset=pointset, kernel=kernel)
+    if len(tables) == 16 and len({entry[1] for entry in tables.values()}) == 1:
+        system._lattice_tables = (weakref.ref(matrix), tables)  # 4 x 4 labels, one lattice
+    return system
 
+
+def _fill(matrix, kernel: StokesKernelConfig, pointset: LevelPointSet, tables) -> None:
+    """Write A into ``matrix`` through `_slab_blocks`."""
     def fill(slab, pool):
         for rows, cols, block in _slab_blocks(kernel, slab, pointset, tables, pool):
             # matrix[rows, cols] = block, in numpy's faster loop order here
             matrix.T[cols, rows] = block.T
             del block
 
-    _run_slabs(fill, _slabs(row_sets, pointset))
-    fvals = np.asarray(f_data(pointset.interior), dtype=float)
-    gvals = np.asarray(g_data(pointset.boundary), dtype=float)
-    rhs = np.concatenate([fvals[:, 0], fvals[:, 1], gvals[:, 0], gvals[:, 1]])
-    return CollocationSystem(
-        matrix=matrix, rhs=rhs, pointset=pointset, kernel=kernel
-    )
+    _run_slabs(fill, _slabs([(pts, rows) for pts, rows, _ in _groups(pointset)], pointset))
 
 
 # iterative refinement stops once ||rhs - A alpha|| <= _REFINE_TARGET * ||rhs||
@@ -162,44 +171,64 @@ def solve(system: CollocationSystem) -> LevelSolution:
     Raises NotPositiveDefinite if the factorization fails; that typically
     means the scale is far too large for the point density.
 
-    A column-major matrix is factorized in place: the solve holds one dense
-    copy of A, not two.  The entries that the factor overwrites (each
-    _SLAB-row slab's entries left of the slab's end) are first copied to one
-    anonymous memory map, which the residuals read with the intact upper
-    triangle, and are written back when the solve returns or raises.  scipy
-    copies a row-major matrix before factorizing it, with the same bits.
+    The matrix that `assemble` made is factorized in place, so the solve
+    holds one dense copy of A: the residuals gather A from extended copies
+    of its lattice tables, and the entries that the factor overwrote are
+    gathered again when the solve returns or raises.  Any other matrix (built by
+    hand, replaced, permuted, off the lattice; `dataclasses.replace` drops
+    the tables) is factorized in a copy, which the residuals read.
     """
-    matrix, n = system.matrix, system.size
-    tiles = [slice(start, min(start + _SLAB, n)) for start in range(0, n, _SLAB)]
-    sizes = [(rows.stop - rows.start) * rows.stop for rows in tiles]
-    flat = BufferPool().empty((sum(sizes),), matrix.dtype)
-    saved, offset = [], 0
-    for rows, size in zip(tiles, sizes):
-        part = flat[offset:offset + size].reshape(rows.stop, -1).T  # column-major
-        part[...] = matrix[rows, :rows.stop]
-        saved.append(part)
-        offset += size
+    matrix, (owner, tables) = system.matrix, system._lattice_tables or (None, None)
+    if owner is None or owner() is not matrix:
+        return _factor_and_refine(
+            system, lambda out, rows, cols: np.copyto(out, matrix[rows, cols]), overwrite=False)
+    matrix.flags.writeable = True
     try:
-        return _factor_and_refine(system, tiles, saved)
+        return _factor_and_refine(system, _table_tile(system.pointset, tables), overwrite=True)
     finally:
-        for rows, part in zip(tiles, saved):
-            matrix[rows, :rows.stop] = part
+        _fill(matrix, system.kernel, system.pointset, tables)
+        matrix.flags.writeable = False
 
 
-def _factor_and_refine(system: CollocationSystem, tiles, saved) -> LevelSolution:
-    """`solve` on a matrix whose part left of each tile's end is ``saved``."""
+def _table_tile(pointset: LevelPointSet, tables):
+    """tile(out, rows, cols) writing A[rows, cols] into ``out``: with extended
+    copies of the tables, on one lattice, end to end in system order, A[i, j]
+    is entry rix[i] - cix[j], gathered through a transposed index."""
+    groups = _groups(pointset)
+    row_labels = [(row, pts) for pts, labels, _ in groups for row in labels]
+    col_labels = [col for _, _, labels in groups for col in labels]
+    (table, lattice, _), *_ = tables.values()
+    flat = np.concatenate([tables[row, col][0] for (row, _), col
+                           in itertools.product(row_labels, col_labels)], dtype=np.longdouble)
+    rix = np.concatenate([a * len(col_labels) * len(table) + _lattice_index(pts, lattice)
+                          for a, (_, pts) in enumerate(row_labels)])
+    cix = np.concatenate([tables[row_labels[0][0], col][2] - b * len(table)
+                          for b, col in enumerate(col_labels)])
+    index = np.empty((_SLAB, _SLAB), np.intp)
+
+    def tile(out, rows, cols):
+        transposed = np.subtract(rix[rows], cix[cols, None],
+                                 out=index[:cols.stop - cols.start, :rows.stop - rows.start])
+        np.take(flat, transposed, mode="clip", out=out.T)
+
+    return tile
+
+
+def _factor_and_refine(system: CollocationSystem, tile, overwrite: bool) -> LevelSolution:
+    """`solve` after cho_factor(overwrite_a=``overwrite``), reading A by ``tile``."""
     try:
-        factor = cho_factor(system.matrix, lower=True, overwrite_a=True, check_finite=False)
+        factor = cho_factor(system.matrix, lower=True, overwrite_a=overwrite, check_finite=False)
     except LinAlgError as exc:
         match = re.search(r"(\d+)", str(exc))
         pivot = int(match.group(1)) if match else None
         raise NotPositiveDefinite(str(exc), pivot=pivot) from exc
+    tiles = [slice(start, min(start + _SLAB, system.size)) for start in range(0, system.size, _SLAB)]
     rhs_ld = system.rhs.astype(np.longdouble)
     # a tile of A behind a column that carries each row's partial sum
     tile_ld = np.empty((_SLAB, _SLAB + 1), np.longdouble, order="F")
 
     def true_residual(vec):
-        # one _SLAB x _SLAB tile at a time, copied into one extended buffer,
+        # one _SLAB x _SLAB tile at a time, written into one extended buffer,
         # so that no extended copy of the whole matrix is held.  numpy's
         # longdouble dot adds a row's terms in index order, and the carried
         # sum enters first, times an exact 1: each row is summed in index
@@ -207,12 +236,12 @@ def _factor_and_refine(system: CollocationSystem, tiles, saved) -> LevelSolution
         vec_ld = vec.astype(np.longdouble)
         x_tiles = [np.concatenate([[1], vec_ld[cols]]) for cols in tiles]
         out = np.empty(len(vec))
-        for rows, part in zip(tiles, saved):
-            total = np.zeros(len(part), np.longdouble)
+        for rows in tiles:
+            total = np.zeros(rows.stop - rows.start, np.longdouble)
             for cols, x in zip(tiles, x_tiles):
                 block = tile_ld[:len(total), :len(x)]
                 block[:, 0] = total
-                block[:, 1:] = part[:, cols] if cols.start < rows.stop else system.matrix[rows, cols]
+                tile(block[:, 1:], rows, cols)
                 total = np.dot(block, x)
             out[rows] = rhs_ld[rows] - total
         return out

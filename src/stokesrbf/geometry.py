@@ -18,7 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 __all__ = [
     "EmptyPointSet",
@@ -74,6 +73,7 @@ def mesh_norm(points, probe_density: int) -> float:
     ticks = np.linspace(0.0, 1.0, probe_density)
     gx, gy = np.meshgrid(ticks, ticks, indexing="ij")
     probes = np.column_stack([gx.ravel(), gy.ravel()])
+    from scipy.spatial import cKDTree  # here: `import stokesrbf` skips ~10 MB
     dist, _ = cKDTree(points).query(probes, k=1)
     return float(dist.max())
 
@@ -85,6 +85,7 @@ def separation_distance(points) -> float:
         raise EmptyPointSet("separation distance of an empty point set")
     if len(points) < 2:
         raise SinglePoint("separation distance needs at least two points")
+    from scipy.spatial import cKDTree
     dist, _ = cKDTree(points).query(points, k=2)
     return float(dist[:, 1].min()) / 2.0
 

@@ -132,7 +132,7 @@ def run(problem, config: MultiscaleConfig, on_level=None) -> MultiscaleModel:
         solved.append(solution)
         if on_level is not None:
             on_level(j, system, solution)
-            system = None
+        system = None  # not alive while the next level assembles
     return MultiscaleModel(levels=solved, config=config)
 
 

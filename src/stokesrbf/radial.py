@@ -144,7 +144,7 @@ _IDLE_REFS = _idle_refs()
 
 class BufferPool:
     """Arrays that live for one call: those of the slabs that one worker
-    thread computes, or the part of A that `collocation.solve` keeps aside.
+    thread computes.
 
     ``empty`` hands out a view of the first buffer that nothing else
     references -- no array or view of it is alive -- and that is large

@@ -1,7 +1,10 @@
+import weakref
+
 import numpy as np
 import pytest
 import sympy
 
+from stokesrbf import analysis
 from stokesrbf.analysis import (
     ErrorReport,
     ManufacturedSolution,
@@ -233,3 +236,26 @@ class TestRunExperiment:
         ]
         # scientific notation with 4 significant digits on error rows
         assert all("e" in cell for cell in lines[2].split(",")[1:])
+
+    def test_no_matrix_alive_during_grid_evaluation(self, monkeypatch):
+        # the grid is evaluated after the level loop: every system that
+        # on_level saw, and its matrix, is gone by then
+        refs, alive = [], []
+        real_run, real_evaluate = analysis.run, analysis.evaluate_fields
+
+        def wrapped_run(problem, config, on_level):
+            def recording(index, system, solution):
+                refs.extend([weakref.ref(system), weakref.ref(system.matrix)])
+                on_level(index, system, solution)
+
+            return real_run(problem, config, on_level=recording)
+
+        def wrapped_evaluate(*args, **kwargs):
+            alive.append(sum(ref() is not None for ref in refs))
+            return real_evaluate(*args, **kwargs)
+
+        monkeypatch.setattr(analysis, "run", wrapped_run)
+        monkeypatch.setattr(analysis, "evaluate_fields", wrapped_evaluate)
+        _, report = run_experiment(MultiscaleConfig(n_levels=2), quad_points=20, eigen_levels=2)
+        assert len(refs) == 4 and set(report.condition_numbers) == {1, 2}
+        assert alive == [0] * 4

@@ -275,8 +275,9 @@ class _GuardPassed(Exception):
 def test_dense_size_guard_counts_the_unknowns(monkeypatch, tmp_path, capsys, level):
     # memory of exactly copies * 8 n^2 bytes passes and one byte less fails
     # only if the guard's closed-form n is the level's number of unknowns and
-    # it counts the dense copies each command holds: run the matrix and its
-    # Cholesky factor, dump-matrix the matrix alone
+    # it counts the dense copies each command holds: the matrix, which the
+    # solve factorizes in place, and the copy that the eigenvalues of the
+    # top level take (by default the first 3 levels are measured)
     n = make_level_pointset(level).n_functionals
 
     def passed(*args, **kwargs):
@@ -287,7 +288,8 @@ def test_dense_size_guard_counts_the_unknowns(monkeypatch, tmp_path, capsys, lev
     monkeypatch.setattr(cli, "run_experiment", passed)
     monkeypatch.setattr(cli, "make_level_pointset", passed)
     out = tmp_path / "mat.bin"
-    for args, copies in ((["run", "--levels", str(level)], 2),
+    for args, copies in ((["run", "--levels", str(level)], 2 if level <= 3 else 1),
+                         (["run", "--levels", str(level), "--eigen-levels", str(level)], 2),
                          (["dump-matrix", "--level", str(level), "--out", str(out)], 1)):
         memory = copies * 8 * n * n
         with pytest.raises(_GuardPassed):

@@ -189,17 +189,88 @@ def test_solve_factorizes_in_place(level3_system, monkeypatch):
     monkeypatch.undo()
 
     assert np.shares_memory(factors[0][0], system.matrix)
-    # no second dense copy on the heap (1.38 x at a copying factorization);
-    # the saved lower triangle and diagonal blocks, 0.59 x at level 3, sit
-    # in an anonymous map that tracemalloc does not see
-    assert peak < 0.6 * system.matrix.nbytes
-    assert peak + sum(maps) < 0.75 * system.matrix.nbytes
+    # no second dense copy (1.38 x at a copying factorization) and no saved
+    # lower triangle (0.59 x at level 3), whether on the heap or in an
+    # anonymous map that tracemalloc does not see: the residuals gather A
+    # from the lattice tables, and gathering the overwritten entries again
+    # holds assembly's buffers, ~0.34 x
+    assert peak + sum(maps) < 0.45 * system.matrix.nbytes
     np.testing.assert_array_equal(system.matrix.view(np.uint64), before.view(np.uint64))
+    assert not system.matrix.flags.writeable
 
     # scipy copies a row-major matrix and factorizes the copy: same bits
     reference = solve(dataclasses.replace(system, matrix=np.ascontiguousarray(before)))
     assert solution.coefficients.tobytes() == reference.coefficients.tobytes()
     assert solution.solve_residual == reference.solve_residual
+
+
+def test_table_and_copy_paths_agree(level3_system, monkeypatch):
+    # the level-3 system refines, so its residual is formed more than once:
+    # gathered from the lattice tables, or read from an intact copy of A
+    # that `dataclasses.replace` hands over without the tables
+    steps = []
+    real_solve = collocation.cho_solve
+
+    def counting_solve(*args, **kwargs):
+        steps.append(1)
+        return real_solve(*args, **kwargs)
+
+    monkeypatch.setattr(collocation, "cho_solve", counting_solve)
+    tables = solve(level3_system)
+    assert len(steps) > 2
+    copied = solve(dataclasses.replace(level3_system,
+                                       matrix=level3_system.matrix.copy(order="F")))
+    assert tables.coefficients.tobytes() == copied.coefficients.tobytes()
+    assert tables.solve_residual == copied.solve_residual
+
+
+def test_failed_in_place_factorization_gives_a_back(level3_system, monkeypatch):
+    # a factorization that writes over the lower triangle and then fails:
+    # the matrix is A again, bit for bit, when NotPositiveDefinite arrives
+    system = level3_system
+    before = system.matrix.copy(order="F")
+
+    def failing_factor(matrix, lower, overwrite_a, check_finite):
+        assert overwrite_a and np.shares_memory(matrix, system.matrix)
+        matrix[np.tril_indices(len(matrix))] = np.nan
+        raise collocation.LinAlgError("3-th leading minor not positive definite")
+
+    monkeypatch.setattr(collocation, "cho_factor", failing_factor)
+    with pytest.raises(NotPositiveDefinite) as err:
+        solve(system)
+    assert err.value.pivot == 3
+    np.testing.assert_array_equal(system.matrix.view(np.uint64), before.view(np.uint64))
+    assert not system.matrix.flags.writeable
+
+
+def test_tables_cannot_go_stale(c8, problem, monkeypatch, rng):
+    # an assembled matrix is read-only, so no in-place edit parts it from
+    # its tables; a reassigned matrix, as in acceptance criterion 7's
+    # permutation check, is factorized in a copy and refined from itself
+    system = assemble(make_level_pointset(1), StokesKernelConfig(c8, c8, nu=1.0, delta=0.6),
+                      problem.f, problem.g)
+    with pytest.raises(ValueError, match="read-only"):
+        system.matrix[0, 0] = 0.0
+    perm = rng.permutation(system.size)
+    permuted = system.matrix[np.ix_(perm, perm)]
+    before = permuted.copy()
+    hand_built = CollocationSystem(matrix=permuted.copy(), rhs=system.rhs[perm],
+                                   pointset=system.pointset, kernel=system.kernel)
+    system.matrix, system.rhs = permuted, system.rhs[perm]
+    factors = []
+    real_factor = collocation.cho_factor
+
+    def recording_factor(*args, **kwargs):
+        factors.append(real_factor(*args, **kwargs))
+        return factors[-1]
+
+    monkeypatch.setattr(collocation, "cho_factor", recording_factor)
+    solution = solve(system)
+    assert not np.shares_memory(factors[0][0], permuted)
+    np.testing.assert_array_equal(permuted.view(np.uint64), before.view(np.uint64))
+    expected = solve(hand_built)
+    assert solution.coefficients.tobytes() == expected.coefficients.tobytes()
+    assert solution.solve_residual == expected.solve_residual
 
 
 def test_write_matrix_holds_no_second_copy(level3_system, tmp_path):
