@@ -35,6 +35,7 @@ __all__ = [
     "solve",
     "evaluate",
     "evaluate_fields",
+    "evaluate_levels",
     "write_matrix",
 ]
 
@@ -135,27 +136,25 @@ def assemble(
     """
     total = pointset.n_functionals
     matrix = np.empty((total, total), order="F")
-    tables = _tables(kernel, [(pts, rows) for pts, rows, _ in _groups(pointset)], pointset)
-    _fill(matrix, kernel, pointset, tables)
+    levels, row_sets = [(kernel, pointset)], [(pts, rows) for pts, rows, _ in _groups(pointset)]
+    tables = _tables(levels, row_sets)
+
+    def fill(slab, pool):
+        for _, rows, cols, block in _slab_blocks(levels, slab, tables, pool):
+            # matrix[rows, cols] = block, in numpy's faster loop order here
+            matrix.T[cols, rows] = block.T
+            del block
+
+    _run_slabs(fill, _slabs(row_sets, pointset))
     matrix.flags.writeable = False
     fvals = np.asarray(f_data(pointset.interior), dtype=float)
     gvals = np.asarray(g_data(pointset.boundary), dtype=float)
     rhs = np.concatenate([fvals[:, 0], fvals[:, 1], gvals[:, 0], gvals[:, 1]])
     system = CollocationSystem(matrix=matrix, rhs=rhs, pointset=pointset, kernel=kernel)
-    if len(tables) == 16 and len({entry[1] for entry in tables.values()}) == 1:
-        system._lattice_tables = (weakref.ref(matrix), tables)  # 4 x 4 labels, one lattice
+    (own,) = tables
+    if len(own) == 16 and len({entry[1] for entry in own.values()}) == 1:
+        system._lattice_tables = (weakref.ref(matrix), own)  # 4 x 4 labels, one lattice
     return system
-
-
-def _fill(matrix, kernel: StokesKernelConfig, pointset: LevelPointSet, tables) -> None:
-    """Write A into ``matrix`` through `_slab_blocks`."""
-    def fill(slab, pool):
-        for rows, cols, block in _slab_blocks(kernel, slab, pointset, tables, pool):
-            # matrix[rows, cols] = block, in numpy's faster loop order here
-            matrix.T[cols, rows] = block.T
-            del block
-
-    _run_slabs(fill, _slabs([(pts, rows) for pts, rows, _ in _groups(pointset)], pointset))
 
 
 # iterative refinement stops once ||rhs - A alpha|| <= _REFINE_TARGET * ||rhs||
@@ -173,10 +172,11 @@ def solve(system: CollocationSystem) -> LevelSolution:
 
     The matrix that `assemble` made is factorized in place, so the solve
     holds one dense copy of A: the residuals gather A from extended copies
-    of its lattice tables, and the entries that the factor overwrote are
-    gathered again when the solve returns or raises.  Any other matrix (built by
-    hand, replaced, permuted, off the lattice; `dataclasses.replace` drops
-    the tables) is factorized in a copy, which the residuals read.
+    of its lattice tables, and the lower triangle and the diagonal, all that
+    the factor overwrites, are gathered again when the solve returns or
+    raises.  Any other matrix (built by hand, replaced, permuted, off the
+    lattice; `dataclasses.replace` drops the tables) is factorized in a
+    copy, which the residuals read.
     """
     matrix, (owner, tables) = system.matrix, system._lattice_tables or (None, None)
     if owner is None or owner() is not matrix:
@@ -186,20 +186,20 @@ def solve(system: CollocationSystem) -> LevelSolution:
     try:
         return _factor_and_refine(system, _table_tile(system.pointset, tables), overwrite=True)
     finally:
-        _fill(matrix, system.kernel, system.pointset, tables)
+        _refill_lower(matrix, system.pointset, tables)
         matrix.flags.writeable = False
 
 
-def _table_tile(pointset: LevelPointSet, tables):
-    """tile(out, rows, cols) writing A[rows, cols] into ``out``: with extended
-    copies of the tables, on one lattice, end to end in system order, A[i, j]
-    is entry rix[i] - cix[j], gathered through a transposed index."""
+def _table_tile(pointset: LevelPointSet, tables, dtype=np.longdouble):
+    """tile(out, rows, cols) writing A[rows, cols] into ``out``: with copies
+    of the tables as ``dtype``, on one lattice, end to end in system order,
+    A[i, j] is entry rix[i] - cix[j], gathered through a transposed index."""
     groups = _groups(pointset)
     row_labels = [(row, pts) for pts, labels, _ in groups for row in labels]
     col_labels = [col for _, _, labels in groups for col in labels]
     (table, lattice, _), *_ = tables.values()
     flat = np.concatenate([tables[row, col][0] for (row, _), col
-                           in itertools.product(row_labels, col_labels)], dtype=np.longdouble)
+                           in itertools.product(row_labels, col_labels)], dtype=dtype)
     rix = np.concatenate([a * len(col_labels) * len(table) + _lattice_index(pts, lattice)
                           for a, (_, pts) in enumerate(row_labels)])
     cix = np.concatenate([tables[row_labels[0][0], col][2] - b * len(table)
@@ -212,6 +212,21 @@ def _table_tile(pointset: LevelPointSet, tables):
         np.take(flat, transposed, mode="clip", out=out.T)
 
     return tile
+
+
+def _refill_lower(matrix, pointset: LevelPointSet, tables) -> None:
+    """Gathers A from its tables into the lower triangle and the diagonal of
+    ``matrix``, all that cho_factor(lower=True) writes, one _SLAB x _SLAB
+    tile at a time: the tiles that reach the diagonal or lie below it, so
+    that the few entries above the diagonal in a diagonal tile get their
+    own values again, and the strict upper triangle beyond is left as it
+    is."""
+    tile, n = _table_tile(pointset, tables, float), len(matrix)
+    for start in range(0, n, _SLAB):
+        cols = slice(start, min(start + _SLAB, n))
+        for first in range(start, n, _SLAB):
+            rows = slice(first, min(first + _SLAB, n))
+            tile(matrix[rows, cols], rows, cols)
 
 
 def _factor_and_refine(system: CollocationSystem, tile, overwrite: bool) -> LevelSolution:
@@ -267,21 +282,23 @@ def _factor_and_refine(system: CollocationSystem, tile, overwrite: bool) -> Leve
     )
 
 
-def _slabs(row_sets, pointset: LevelPointSet) -> list:
+def _slabs(row_sets, *pointsets) -> list:
     """Point slabs of ``row_sets`` -- (points, row labels) in output order,
     each label's rows after the previous label's -- against the centres of
-    ``pointset``.
+    ``pointsets``, the point sets of the levels of one call.
 
     A slab has the rows of the largest multiple of _SLAB, at least _SLAB,
-    whose block against the widest centre set holds at most _SLAB_ENTRIES
-    entries.  Slab k holds points k*rows up to (k+1)*rows of every set that
-    has them, as (points, [(row label, first output row)]).  Every slab
+    whose block against the widest centre kind of all levels together holds
+    at most _SLAB_ENTRIES entries.  Slab k holds points k*rows up to
+    (k+1)*rows of every set that has them, as (points, [(row label, first
+    output row)]).  Every slab
     starts at a multiple of _SLAB, and `_apply_rows` hands BLAS one block of
     _SLAB rows at a time.  BLAS sums a row in an order that depends on the
     row's place in its block, so a point's values do not depend on which
     labels are requested with it, nor on the slab size.
     """
-    width = max(pointset.n_interior, pointset.n_boundary, 1)
+    width = max(sum(ps.n_interior for ps in pointsets),
+                sum(ps.n_boundary for ps in pointsets), 1)
     size = _SLAB * max(1, _SLAB_ENTRIES // (_SLAB * width))
     slabs, r0 = [], 0
     for pts, labels in row_sets:
@@ -359,72 +376,101 @@ def _group_lattices(rows, centre_sets) -> list:
 
     The rows are tested first, at the finest step that their own box allows
     in the widest block: an off-lattice query batch fails there, and so at
-    every coarser step, by one test before the centres are read.
+    every coarser step, by one test before the centres are read, however
+    many levels the centre sets come from.
     """
-    size = len(rows) * max(len(cpts) for cpts in centre_sets)
+    size = len(rows) * max((len(cpts) for cpts in centre_sets), default=0)
     k = _finest_step(float(rows.max() - rows.min()), size) if size else None
     if k is None or not _on_lattice(rows, 2.0 ** -k):
         return [None] * len(centre_sets)
     return [_lattice(rows, cpts) for cpts in centre_sets]
 
 
-def _tables(kernel: StokesKernelConfig, row_sets, pointset: LevelPointSet) -> dict:
-    """{(row label, column label): (table, lattice, cidx)} for each pair of
-    this call whose rows and columns share a lattice with a table no larger
-    than their block.  The labels of one row set and one centre set read one
+def _tables(levels, row_sets) -> list:
+    """For each of ``levels``, (kernel, pointset) pairs: {(row label, column
+    label): (table, lattice, cidx)} for each pair of this call whose rows
+    and the level's columns share a lattice with a table no larger than
+    their block.  The labels of one row set and one centre set read one
     displacement set of every offset against the origin, one `kernel_block`
     call per pair, and share the lattice and cidx: a row point of lattice
     index a meets column point j at table entry a - cidx[j].  The set goes
     when the next one is built, or with the call."""
     origin = np.zeros((1, 2))
-    groups = _groups(pointset)
-    tables = {}
+    groups = [_groups(pointset) for _, pointset in levels]
+    tables = [{} for _ in levels]
     for pts, rows in row_sets:
-        lattices = _group_lattices(pts, [cpts for cpts, _, _ in groups])
-        for (cpts, _, cols), lattice in zip(groups, lattices):
-            if lattice is None:
-                continue
-            step, _, n = lattice
-            ticks = np.arange(1 - n, n) * step
-            offsets = np.column_stack([np.repeat(ticks, len(ticks)),
-                                       np.tile(ticks, len(ticks))])
-            shared = displacements(kernel, offsets, origin)
-            # the offset (0, 0) sits at the table's centre, entry 2n (n - 1)
-            cidx = _lattice_index(cpts, lattice) - 2 * n * (n - 1)
-            for pair in itertools.product(rows, cols):
-                table = kernel_block(kernel, *pair, shared, origin)
-                tables[pair] = (table.ravel(), lattice, cidx)
+        lattices = iter(_group_lattices(pts, [cpts for level in groups for cpts, _, _ in level]))
+        for (kernel, _), level, level_tables in zip(levels, groups, tables):
+            for (cpts, _, cols), lattice in zip(level, lattices):
+                if lattice is None:
+                    continue
+                step, _, n = lattice
+                ticks = np.arange(1 - n, n) * step
+                offsets = np.column_stack([np.repeat(ticks, len(ticks)),
+                                           np.tile(ticks, len(ticks))])
+                shared = displacements(kernel, offsets, origin)
+                # the offset (0, 0) sits at the table's centre, entry 2n (n - 1)
+                cidx = _lattice_index(cpts, lattice) - 2 * n * (n - 1)
+                for pair in itertools.product(rows, cols):
+                    table = kernel_block(kernel, *pair, shared, origin)
+                    level_tables[pair] = (table.ravel(), lattice, cidx)
     return tables
 
 
-def _slab_blocks(kernel: StokesKernelConfig, slab, pointset: LevelPointSet, tables, pool):
-    """Kernel blocks of one slab's row functionals against this level's
-    columns: yields (row slice, column slice, block), each label's column
-    groups in system order.  The blocks of one row point set against one
-    centre set are either all gathered from the call's tables, through one
-    index, or all read one displacement set, which is dropped before the
-    next centre set's blocks.  Block-sized arrays come from ``pool`` (a
-    `BufferPool`, or `FRESH`).  Callers drop each block before asking for
-    the next."""
+def _slab_blocks(levels, slab, tables, pool):
+    """Kernel blocks of one slab's row functionals against the columns of
+    each of ``levels``, (kernel, pointset) pairs, with ``tables`` the
+    call's lattice tables of each level: yields (level index, row slice,
+    column slice, block), each level's column groups, per row label, in
+    system order.  The blocks of one row point set against one centre kind
+    of a level are either all gathered from that level's tables, through
+    one index, or all read one displacement set: the set of every level of
+    the same profiles without tables for that kind, each run of columns at
+    its own level's scale, which is dropped before the next kind's blocks.
+    Each level's block is then its column view of that set's block.
+    Block-sized arrays come from ``pool`` (a `BufferPool`, or `FRESH`).
+    Callers drop each block before asking for the next."""
+    groups = [_groups(pointset) for _, pointset in levels]
     for pts, rows in slab:
-        c0 = 0
-        for cpts, _, cols in _groups(pointset):
-            # a row set has tables for every column of a centre set or none
-            gathered = tables.get((rows[0][0], cols[0]))
-            shared = None if gathered else displacements(kernel, pts, cpts, pool)
-            if gathered:
+        for kind, (_, _, cols) in enumerate(groups[0] if levels else ()):
+            shared_levels = {}
+            for j, (kernel, pointset) in enumerate(levels):
+                cpts = groups[j][kind][0]
+                c0 = kind * 2 * pointset.n_interior
+                # the level's columns of each column label
+                spans = [slice(c0 + k * len(cpts), c0 + (k + 1) * len(cpts))
+                         for k in range(len(cols))]
+                # a row set has tables for every column of a centre set or none
+                gathered = tables[j].get((rows[0][0], cols[0]))
+                if not gathered:
+                    # levels whose kernels hold the same profile objects
+                    profiles = (id(kernel.psi_vel), id(kernel.psi_pre))
+                    shared_levels.setdefault(profiles, []).append((j, spans, kernel, cpts))
+                    continue
                 index = np.subtract(_lattice_index(pts, gathered[1])[:, None], gathered[2],
                                     out=pool.empty((len(pts), len(cpts)), np.intp))
-            for (row, r0), (j, col) in itertools.product(rows, enumerate(cols)):
-                # the index is in range: mode "clip" skips the check (and
-                # the buffer) of mode "raise"
-                block = (np.take(tables[row, col][0], index, mode="clip",
-                                 out=pool.empty(index.shape))
-                         if gathered else kernel_block(kernel, row, col, shared, cpts))
-                start = c0 + j * len(cpts)
-                yield slice(r0, r0 + len(pts)), slice(start, start + len(cpts)), block
-                del block
-            c0 += len(cols) * len(cpts)
+                for (row, r0), (k, col) in itertools.product(rows, enumerate(cols)):
+                    # the index is in range: mode "clip" skips the check (and
+                    # the buffer) of mode "raise"
+                    block = np.take(tables[j][row, col][0], index, mode="clip",
+                                    out=pool.empty(index.shape))
+                    yield j, slice(r0, r0 + len(pts)), spans[k], block
+                    del block
+            for shared_by in shared_levels.values():
+                levels_of_set, spans, kernels, centres = zip(*shared_by)
+                # each level's columns in the set's blocks
+                ends = itertools.accumulate(len(cpts) for cpts in centres)
+                parts = [slice(end - len(cpts), end) for end, cpts in zip(ends, centres)]
+                if len(kernels) == 1:  # one level: its kernel and centres
+                    (kernels,), (centres,) = kernels, centres
+                shared = displacements(kernels, pts, centres, pool)
+                for (row, r0), (k, col) in itertools.product(rows, enumerate(cols)):
+                    block = kernel_block(kernels, row, col, shared, centres)
+                    rows_out = slice(r0, r0 + len(pts))
+                    for j, level_spans, part in zip(levels_of_set, spans, parts):
+                        yield j, rows_out, level_spans[k], block[:, part]
+                    del block
+                del shared
 
 
 def _run_slabs(task, slabs) -> None:
@@ -457,32 +503,33 @@ def _query_points(x) -> np.ndarray:
     return np.atleast_2d(x)
 
 
-def _apply_rows(solution: LevelSolution, labels, x) -> np.ndarray:
-    """Stack of (row functional applied to the approximant) over x.
+def _apply_rows(levels, labels, x) -> np.ndarray:
+    """Stack over ``levels`` (LevelSolutions) of the stack of (row functional
+    applied to the level's approximant) over x.
 
-    Returns shape (len(x), len(labels)); the approximant is the coefficient-
-    weighted sum of the basis columns of this level, added one column group
-    at a time in system order.  Raises ValueError unless x is one real, finite
-    point (2,) or a real, finite (n, 2) batch.
+    Returns shape (len(levels), len(x), len(labels)).  A level's
+    approximant is the coefficient-weighted sum of its basis columns, added
+    to its own accumulator one column group at a time in system order, so
+    that each level holds the bits of a call for it alone.  Raises
+    ValueError unless x is one real, finite point (2,) or a real, finite
+    (n, 2) batch.
     """
     x = _query_points(x)
-    out = np.zeros(len(labels) * len(x))
-    coefficients = solution.coefficients
-
+    out = np.zeros((len(levels), len(labels) * len(x)))
     row_sets = [(x, labels)]
-    tables = _tables(solution.kernel, row_sets, solution.pointset)
+    columns = [(sol.kernel, sol.pointset) for sol in levels]
+    tables = _tables(columns, row_sets)
 
     def add(slab, pool):
-        for rows, cols, block in _slab_blocks(solution.kernel, slab,
-                                              solution.pointset, tables, pool):
+        for j, rows, cols, block in _slab_blocks(columns, slab, tables, pool):
             # BLAS sees the slab's block _SLAB rows at a time
-            dest = out[rows]
+            dest, coefficients = out[j, rows], levels[j].coefficients[cols]
             for start in range(0, len(block), _SLAB):
-                dest[start:start + _SLAB] += block[start:start + _SLAB] @ coefficients[cols]
+                dest[start:start + _SLAB] += block[start:start + _SLAB] @ coefficients
             del block
 
-    _run_slabs(add, _slabs(row_sets, solution.pointset))
-    return np.ascontiguousarray(out.reshape(len(labels), len(x)).T)
+    _run_slabs(add, _slabs(row_sets, *(sol.pointset for sol in levels)))
+    return np.ascontiguousarray(out.reshape(len(levels), len(labels), len(x)).transpose(0, 2, 1))
 
 
 # the row functionals behind each evaluation request: "value" is the
@@ -502,21 +549,34 @@ def evaluate(solution: LevelSolution, x):
 
     The pressure is reported as-is; it is only determined up to a constant.
     """
-    vals = _apply_rows(solution, _FIELD_ROWS["value"], x)
+    vals = _apply_rows([solution], _FIELD_ROWS["value"], x)[0]
     if np.ndim(x) == 1:
         return vals[0, :2], float(vals[0, 2])
     return vals[:, :2], vals[:, 2]
 
 
+def evaluate_levels(levels, x, request: str) -> np.ndarray:
+    """The ``request`` field (see `evaluate_fields`) of each of ``levels``
+    at the points x, in one pass: shape (len(levels), n, k), or
+    (len(levels), n) for "divergence", where a (2,) point counts as a batch
+    of one.  Every level's field holds the bits of `evaluate_fields` of
+    that level alone.
+
+    The levels share one displacement set per centre kind (interior,
+    boundary), over the centres of every level that has no lattice table
+    for x, each column at its own level's scale: for a small batch, the
+    fixed cost of a set is then paid once and not once per level."""
+    if request not in _FIELD_ROWS:
+        raise ValueError(f"unknown request {request!r}")
+    vals = _apply_rows(levels, _FIELD_ROWS[request], x)
+    return vals[..., 0] if request == "divergence" else vals
+
+
 def evaluate_fields(solution: LevelSolution, x, request: str):
     """Analytic fields of the approximant: velocity, momentum-operator image
     ("l-image"), velocity divergence, pressure gradient, or the (u1, u2, p)
-    columns of `evaluate` ("value")."""
-    if request not in _FIELD_ROWS:
-        raise ValueError(f"unknown request {request!r}")
-    vals = _apply_rows(solution, _FIELD_ROWS[request], x)
-    if request == "divergence":
-        vals = vals[:, 0]
+    columns of `evaluate` ("value"); `evaluate_levels` of this one level."""
+    vals = evaluate_levels([solution], x, request)[0]
     return vals[0] if np.ndim(x) == 1 else vals
 
 

@@ -19,13 +19,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .collocation import (
-    _FIELD_ROWS,
     LevelSolution,
     NotPositiveDefinite,
     _query_points,
     assemble,
     evaluate,  # unused here; the traced benchmark run (perfbench/layers.py) hooks it
     evaluate_fields,
+    evaluate_levels,
     solve,
 )
 from .geometry import LevelPointSet, grid_spacing, make_level_pointset
@@ -137,24 +137,20 @@ def run(problem, config: MultiscaleConfig, on_level=None) -> MultiscaleModel:
 
 
 def evaluate_model(model: MultiscaleModel, x, request: str = "velocity"):
-    """Sum of per-level fields at x.
+    """Sum of per-level fields at x, added in level order.
 
     request "velocity" returns (n, 2); "pressure-gradient" (n, 2);
     "divergence" (n,); "l-image" (n, 2); "value" (n, 3).  Each level's
-    velocity is exactly divergence-free, so the sum is as well.  A model
+    velocity is exactly divergence-free, so the sum is as well.  The levels
+    are evaluated in one pass (`collocation.evaluate_levels`); a model
     without levels checks its input like any other and returns zeros.
     """
-    x = _query_points(x)
-    if request not in _FIELD_ROWS:
-        raise ValueError(f"unknown request {request!r}")
-    out = None
-    for sol in model.levels:
-        vals = evaluate_fields(sol, x, request)
-        out = vals if out is None else out + vals
-    if out is None:
-        out = np.zeros((len(x), len(_FIELD_ROWS[request])))
-        if request == "divergence":
-            out = out[:, 0]
+    fields = evaluate_levels(model.levels, x, request)
+    # a level's field is summed into +0.0 and holds no -0.0, so 0.0 plus
+    # the first level is that level bit for bit
+    out = np.zeros(fields.shape[1:])
+    for field in fields:
+        out += field
     return out
 
 

@@ -123,11 +123,22 @@ def _differences(a, b, scale, out=None):
     return out
 
 
-def _distinct(values):
-    """(distinct values, index of each value among them), told apart by their
-    bits, so that -0.0 and 0.0 stay two values."""
-    bits, index = np.unique(values.view(np.int64), return_inverse=True)
-    return bits.view(float), index
+def _distinct(*keys):
+    """(an entry of each distinct tuple of keys, the index of each entry among
+    them), float keys told apart by their bits, so that -0.0 and 0.0 stay
+    two values.  The sort by the first key is stable: equal tuples are
+    adjacent when the later keys come in runs, as a set's column scales do,
+    and equal tuples that are not get entries of their own."""
+    keys = [key.view(np.int64) for key in keys]
+    order = np.argsort(keys[0], kind="stable")
+    new = np.ones(len(order), bool)
+    for key in keys:
+        ordered = key[order]
+        new[1:] &= ordered[1:] == ordered[:-1]
+    np.logical_not(new[1:], out=new[1:])
+    index = np.empty(len(order), np.intp)
+    index[order] = np.cumsum(new) - 1
+    return order[new], index
 
 
 def _idle_refs() -> int:
@@ -192,13 +203,20 @@ class Displacements:
     columns (Q, 2), in units of the support radius, r = hypot(x, y), and
     the values that the evaluators reading them share.
 
+    ``columns`` may also be a sequence of point sets, runs of columns, and
+    ``scale`` then a sequence of one scale per run: the set is of the rows
+    against their concatenation, each column at its own run's scale, and
+    every entry holds the bits it has in the set of its run alone.  The
+    levels of a multiscale model are such runs, each at its own support
+    radius (`stokes_kernel.displacements`).
+
     Each shared value -- an evaluator's sum, a Horner radial keyed by its
     lowest power of r and its coefficients, x, y, r and the other powers, a
-    power table -- is computed on its first read and kept as long as the
-    set; x and y are kept from the pass that computes r.  The squares and
-    the monomials x^a y^b (a pass or two each) are computed at every read:
-    not kept, with the same bits either way, so that fewer blocks are alive
-    at once.
+    power table, a `per_column` vector -- is computed on its first read and
+    kept as long as the set; x and y are kept from the pass that computes
+    r.  The squares and the monomials x^a y^b (a pass or two each) are
+    computed at every read: not kept, with the same bits either way, so
+    that fewer blocks are alive at once.
 
     Every value is computed at every entry, and a sum is the term sum where
     0 < r < 1.  When some entry lies at r = 0 or r >= 1 -- a coincident
@@ -210,17 +228,25 @@ class Displacements:
     `FRESH`, which allocates each anew; the values are the same.
 
     A power x^n or y^n with n >= 3 is taken on the table of displacements
-    between the distinct row and column coordinates and gathered -- the same
-    float operation on the same floats -- when that table is at most half
-    the block: a 128-point slab of a tensor grid has 2 distinct x against
-    the 33 of the level-4 centres.
+    between the distinct row coordinates and the distinct (column
+    coordinate, scale) pairs and gathered -- the same float operation on
+    the same floats -- when that table is at most half the block: a
+    128-point slab of a tensor grid has 2 distinct x against the 33 of the
+    level-4 centres.
     """
 
-    def __init__(self, rows, columns, scale: float, pool=FRESH):
-        self.rows, self.columns, self.scale = rows, columns, scale
-        self.shape = (len(rows), len(columns))
+    def __init__(self, rows, columns, scale, pool=FRESH):
+        if np.ndim(scale) == 0:
+            columns, scale = [columns], [scale]
+        # (points, scale) of each run of columns
+        self.runs = tuple(zip(columns, scale))
+        self.rows = rows
+        self.columns = columns[0] if len(columns) == 1 else np.concatenate(columns)
+        self.shape = (len(rows), len(self.columns))
         self.pool = pool
         self._values: dict = {}
+        self._cut = None  # not located yet: see `_locate`
+        self.scale = self.per_column(tuple(scale))
 
     def __len__(self) -> int:
         return self.shape[0]
@@ -229,19 +255,32 @@ class Displacements:
         """An array of the set's shape."""
         return self.pool.empty(self.shape)
 
+    def per_column(self, values: tuple):
+        """values[k] at every column of run k: values[0] itself when the set
+        has one run, else a vector kept as long as the set."""
+        if len(self.runs) == 1:
+            return values[0]
+        key = ("c", values)
+        if key not in self._values:
+            self._values[key] = np.repeat(values, [len(points) for points, _ in self.runs])
+        return self._values[key]
+
     def _locate(self) -> None:
-        """Keeps x, y and r, and notes whether an entry lies outside
-        0 < r < 1."""
+        """Keeps x, y and r and, when an entry lies outside 0 < r < 1, the
+        masks of r >= 1 and r = 0, where every sum is overwritten."""
         x, y = (_differences(self.rows[:, axis], self.columns[:, axis], self.scale,
                              self._new()) for axis in (0, 1))
         r = np.hypot(x, y, out=self._new())
-        self._cut = not (r.size and r.min() > 0.0 and r.max() < 1.0)
+        self._cut = () if r.size and r.min() > 0.0 and r.max() < 1.0 else (
+            np.greater_equal(r, 1.0, out=self.pool.empty(self.shape, bool)),
+            np.equal(r, 0.0, out=self.pool.empty(self.shape, bool)))
         self._values.update({("x", 1): x, ("y", 1): y, ("r", 1): r})
 
     # shared values: ("x" | "y" | "r", n) the n-th power, ("m", a, b) the
     # monomial x^a y^b, ("h", m_lo, coeffs) a Horner radial times r^m_lo,
-    # ("t", "x" | "y") a power table, and ("e", groups, origin) the value of
-    # an evaluator (`RadialTermEvaluator.key`)
+    # ("t", "x" | "y") a power table, ("e", groups, origin) the value of an
+    # evaluator (`RadialTermEvaluator.key`), and ("c", values) a `per_column`
+    # vector, which `read` does not make
 
     @staticmethod
     def _kept(key) -> bool:
@@ -249,7 +288,7 @@ class Displacements:
 
     def read(self, key):
         """The shared value ``key``, computed on its first read."""
-        if not self._values:
+        if self._cut is None:
             self._locate()
         if key in self._values:
             return self._values[key]
@@ -307,20 +346,23 @@ class Displacements:
                     np.multiply(self.read(monomial_key), radial, out=term)
                     np.add(acc, term, out=acc)
         if self._cut:
-            r = self.read(("r", 1))
-            acc[r >= 1.0] = 0.0
-            acc[r == 0.0] = origin
+            outside, at_origin = self._cut
+            np.copyto(acc, 0.0, where=outside)
+            np.copyto(acc, origin, where=at_origin)
         return acc
 
     def _table(self, axis: int):
-        """(displacements between the distinct row and column coordinates,
-        row index, column index) of one axis, or None when the table is
-        more than half the block."""
+        """(displacements between the distinct row coordinates and the
+        distinct (column coordinate, scale) pairs, row index, column index)
+        of one axis, or None when the table is more than half the block."""
         rows, row_index = _distinct(self.rows[:, axis])
-        cols, col_index = _distinct(self.columns[:, axis])
+        pairs = (self.columns[:, axis],) + ((self.scale,) if np.ndim(self.scale) else ())
+        cols, col_index = _distinct(*pairs)
         if 2 * len(rows) * len(cols) > len(self.rows) * len(self.columns):
             return None
-        return _differences(rows, cols, self.scale), row_index, col_index
+        scale = self.scale[cols] if np.ndim(self.scale) else self.scale
+        return (_differences(self.rows[rows, axis], self.columns[cols, axis], scale),
+                row_index, col_index)
 
 
 class RadialTermEvaluator:

@@ -133,19 +133,29 @@ def _parts(cfg: StokesKernelConfig, row: tuple, col: tuple) -> list:
     return parts
 
 
-def displacements(cfg: StokesKernelConfig, xa, xb, pool=FRESH) -> Displacements:
+def _points(x) -> np.ndarray:
+    return np.atleast_2d(np.asarray(x, dtype=float))
+
+
+def displacements(cfg, xa, xb, pool=FRESH) -> Displacements:
     """The displacement set of the points xa against the points xb at cfg's
-    scale: give it to `kernel_block` as xa, with this very xb, for any label
-    pairs.  Their blocks then share the displacements, r, the powers, the
-    radials and the evaluator sums, which the set keeps as long as it lives.
-    The set and those blocks take their arrays from ``pool`` (a
-    `radial.BufferPool`, or `radial.FRESH`)."""
-    xa = np.atleast_2d(np.asarray(xa, dtype=float))
-    xb = np.atleast_2d(np.asarray(xb, dtype=float))
-    return Displacements(xa, xb, 1.0 / cfg.delta, pool)
+    scale: give it to `kernel_block` as xa, with this very cfg and xb, for
+    any label pairs.  Their blocks then share the displacements, r, the
+    powers, the radials and the evaluator sums, which the set keeps as long
+    as it lives.  The set and those blocks take their arrays from ``pool``
+    (a `radial.BufferPool`, or `radial.FRESH`).
+
+    ``cfg`` may also be a sequence of configs of the same profiles -- the
+    levels of a model -- and ``xb`` a sequence of point sets, one per
+    config: the set is then of xa against their concatenation, each run of
+    columns at its own config's scale."""
+    if isinstance(cfg, StokesKernelConfig):
+        return Displacements(_points(xa), _points(xb), 1.0 / cfg.delta, pool)
+    return Displacements(_points(xa), [_points(b) for b in xb],
+                         [1.0 / c.delta for c in cfg], pool)
 
 
-def kernel_block(cfg: StokesKernelConfig, row: tuple, col: tuple, xa, xb) -> np.ndarray:
+def kernel_block(cfg, row: tuple, col: tuple, xa, xb) -> np.ndarray:
     """Pairwise entries (row functional at xa[p]) x (col functional at xb[q]).
 
     ``row`` is a label of `_FUNCTIONALS`, ``col`` one of `_COLUMNS`; any
@@ -155,14 +165,27 @@ def kernel_block(cfg: StokesKernelConfig, row: tuple, col: tuple, xa, xb) -> np.
     values, and its pool holds the block; any other set raises ValueError.
     Entries with ||xa - xb|| >= delta vanish by compact support (the
     evaluators cut off at unit radius in scaled coordinates).
+
+    ``cfg`` and ``xb`` may also be sequences, as for `displacements`: the
+    block is then against the concatenated point sets, and each column
+    holds the bits of its own config's block.  The only level-dependent
+    factor, a part's scale nu^p delta^-(2+m), is then a vector over the
+    columns.  Configs of other profiles raise ValueError.
     """
-    parts = _parts(cfg, row, col)
+    cfgs, xbs = ((cfg,), (xb,)) if isinstance(cfg, StokesKernelConfig) else (cfg, xb)
+    levels = [_parts(c, row, col) for c in cfgs]
+    evaluators = [evaluator for _, evaluator in levels[0]]
+    if any([evaluator for _, evaluator in parts] != evaluators for parts in levels[1:]):
+        raise ValueError("configs of other profiles")
     if not isinstance(xa, Displacements):
         xa = displacements(cfg, xa, xb)
-    elif xa.columns is not xb or xa.scale != 1.0 / cfg.delta:
+    elif len(xa.runs) != len(cfgs) or any(
+            points is not b or scale != 1.0 / c.delta
+            for (points, scale), b, c in zip(xa.runs, xbs, cfgs)):
         raise ValueError("displacement set of other columns or another scale")
     out = None
-    for scale, evaluator in parts:
+    for k, evaluator in enumerate(evaluators):
+        scale = xa.per_column(tuple(parts[k][0] for parts in levels))
         values = np.multiply(scale, evaluator.on(xa), out=xa.pool.empty(xa.shape))
         if out is None:  # 0.0 + values, as summed into zeros: -0.0 becomes 0.0
             out = np.add(values, 0.0, out=values)

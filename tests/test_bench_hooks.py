@@ -10,6 +10,8 @@ no kernel_block call computes a pressure row nobody reads.
 import sys
 from pathlib import Path
 
+import numpy as np
+
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 
 import layers  # noqa: E402
@@ -49,3 +51,26 @@ def test_traced_experiment_times_each_layer_and_skips_pressure_rows():
         assert selfs.get(span, 0.0) > 0.0, span
     assert tracer.stat("kernel.pressurexpde").calls == 0
     assert tracer.stat("kernel.pressurexdirichlet").calls == 0
+
+
+def test_traced_query_counts_the_kernel_calls_of_one_pass():
+    # the traced query-model run times evaluate_model as a span of its own
+    # and counts the kernel_block calls inside it, which must still reach
+    # collocation.kernel_block through the module's name, with the
+    # (cfg, row, col, xa, xb) arguments that the tracer's wrapper takes.  A
+    # 2-level velocity batch is one pass: one call per label pair and centre
+    # kind, 2 x 2 x 2, each against the centres of both levels
+    model = multiscale.run(trig_stokes_problem(), multiscale.MultiscaleConfig(n_levels=2))
+    x = np.random.default_rng(7).random((9, 2))
+    tracer = tracing.Tracer("t")
+    layers.install(tracer)
+    try:
+        got = multiscale.evaluate_model(model, x)
+    finally:
+        tracer.uninstall()
+    np.testing.assert_array_equal(got, multiscale.evaluate_model(model, x))
+    assert tracer.self_times().get("multiscale.evaluate_model", 0.0) > 0.0
+    interior = tracer.stat("kernel.velocityxpde")
+    boundary = tracer.stat("kernel.velocityxdirichlet")
+    assert tracer.stat("kernel.query").calls == interior.calls + boundary.calls == 8
+    assert interior.work == 4 * 9 * (25 + 81) and boundary.work == 4 * 9 * (16 + 32)

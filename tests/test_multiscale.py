@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from stokesrbf import collocation
 from stokesrbf.cli import REFERENCE_DELTAS
 from stokesrbf.collocation import (
     LevelSolution,
@@ -22,6 +23,10 @@ from stokesrbf.multiscale import (
     save_model,
     scale_schedule,
 )
+from stokesrbf.geometry import make_level_pointset
+from stokesrbf.radial import Displacements
+from stokesrbf.stokes_kernel import StokesKernelConfig
+from stokesrbf.wendland import wendland_from_integral
 
 class TestSchedule:
     def test_matches_published_values(self):
@@ -246,3 +251,81 @@ def test_good_query_shapes_still_evaluate(problem, model2):
     for model in (model2, empty):
         with pytest.raises(ValueError):
             evaluate_model(model, x, "curl")
+
+
+REQUESTS = ("value", "velocity", "l-image", "divergence", "pressure-gradient")
+# 16 points of the grid of step 1/32, some of them off the grid of step 1/16
+LATTICE16 = np.random.default_rng(32).integers(0, 33, (16, 2)) / 32
+
+
+def random_model(c8, rng, nus=(1.0, 1.0, 1.0, 1.0), profiles=None):
+    """The levels of the 4-level schedule with random coefficients,
+    viscosities ``nus`` and profiles (all ``c8`` by default): sums of their
+    blocks need no solve."""
+    levels = []
+    deltas = scale_schedule(MultiscaleConfig(n_levels=4))
+    for j, (delta, nu, psi) in enumerate(zip(deltas, nus, profiles or [c8] * 4)):
+        pointset = make_level_pointset(j + 1)
+        levels.append(LevelSolution(rng.standard_normal(pointset.n_functionals), pointset,
+                                    StokesKernelConfig(psi, psi, nu=nu, delta=delta)))
+    return MultiscaleModel(levels=levels)
+
+
+def test_lattice_batch_is_gathered_at_some_levels_only(c8, rng):
+    # the batch meets the level-3 and level-4 centres on their lattice, and
+    # each of those blocks is gathered from a table, but not the level-1 and
+    # level-2 centres (their table would be larger than the block) nor any
+    # boundary centres: those share the displacement sets of the batch
+    model = random_model(c8, rng)
+    labels = [("velocity", 1), ("velocity", 2)]
+    tables = collocation._tables([(sol.kernel, sol.pointset) for sol in model.levels],
+                                 [(LATTICE16, labels)])
+    assert [sorted({col[0] for _, col in level}) for level in tables] == [
+        [], [], ["pde"], ["pde"]]
+
+
+@pytest.mark.parametrize("levels", ["one-nu", "four-nus", "two-profiles"])
+@pytest.mark.parametrize("batch", [
+    "random-1", "random-16", "random-129", "random-301", "point", "empty", "lattice-16"])
+def test_one_pass_equals_the_sum_of_levels(c8, rng, levels, batch):
+    # the levels evaluated in one pass -- one displacement set per centre
+    # kind and profile, each column at its own level's scale and viscosity
+    # -- give, bit for bit, each level evaluated alone, added in level order
+    other = wendland_from_integral(2, 4)
+    model = random_model(c8, rng, *{
+        "one-nu": (), "four-nus": ((1.0, 0.5, 3.0, 0.07),),
+        "two-profiles": ((1.0, 1.0, 1.0, 1.0), (c8, other, other, c8))}[levels])
+    x = {"point": np.array([0.3, 0.8]), "empty": np.zeros((0, 2)),
+         "lattice-16": LATTICE16}.get(batch)
+    if x is None:
+        x = rng.random((int(batch.split("-")[1]), 2))
+    for request in REQUESTS:
+        expected = None
+        for sol in model.levels:
+            field = evaluate_fields(sol, x, request)
+            expected = field if expected is None else expected + field
+        got = evaluate_model(model, x, request)
+        assert got.shape == ((1,) if np.ndim(x) == 1 else ()) + np.shape(expected)
+        assert got.tobytes() == expected.tobytes(), request
+
+
+def test_one_pass_builds_one_set_per_centre_kind(c8, rng, monkeypatch):
+    # a random batch lies on no lattice with any level's centres: the four
+    # levels share one displacement set for the interior centres and one for
+    # the boundary centres, where a set per level and kind would be eight
+    model = random_model(c8, rng)
+    sets = []
+    init = Displacements.__init__
+
+    def counting_init(self, *args):
+        sets.append(self)
+        init(self, *args)
+
+    monkeypatch.setattr(Displacements, "__init__", counting_init)
+    for request in ("velocity", "pressure-gradient"):
+        sets.clear()
+        evaluate_model(model, rng.random((16, 2)), request)
+        assert len(sets) == 2, request
+        assert [len(s.columns) for s in sets] == [
+            sum(len(getattr(sol.pointset, kind)) for sol in model.levels)
+            for kind in ("interior", "boundary")]

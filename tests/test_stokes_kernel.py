@@ -309,3 +309,37 @@ class TestValidation:
             for col in cols:
                 block = kernel_block(unit_config, row, col, [POINT, ORIGIN], [POINT])
                 assert block.shape == (2, 1) and np.all(np.isfinite(block))
+
+    def test_levels_in_one_block_keep_each_levels_bits(self, c8, rng):
+        # configs of several levels in one block: each column holds the bits
+        # of its own level's block, at its scale and viscosity.  The centre
+        # grids are nested, so a coordinate of the coarse grid occurs at two
+        # scales, and the power tables must tell those pairs apart; one
+        # point coincides with a centre, and most pairs lie outside the
+        # smaller supports
+        grids = [np.linspace(0, 1, n) for n in (5, 9, 3)]
+        xbs = [np.column_stack([np.repeat(g, len(g)), np.tile(g, len(g))]) for g in grids]
+        cfgs = [StokesKernelConfig(c8, c8, nu=nu, delta=delta)
+                for nu, delta in ((1.0, 0.9), (0.5, 0.3), (2.0, 1.7))]
+        xa = rng.uniform(0, 1, (9, 2))
+        xa[4] = xbs[1][10]
+        shared = displacements(cfgs, xa, xbs)
+        assert len(shared.runs) == 3 and shared.read(("t", "x")) is not None
+        for row, col in [(("pde", 1), ("pde", 2)), (("pde", 2), ("pde", 2)),
+                         (("velocity", 1), ("dirichlet", 2)),
+                         (("pressure_grad", 2), ("pde", 1)), (("divergence", 0), ("pde", 1)),
+                         (("pressure_grad", 1), ("dirichlet", 1))]:
+            alone = np.concatenate([kernel_block(cfg, row, col, xa, xb)
+                                    for cfg, xb in zip(cfgs, xbs)], axis=1)
+            assert kernel_block(cfgs, row, col, shared, xbs).tobytes() == alone.tobytes()
+            assert kernel_block(cfgs, row, col, xa, xbs).tobytes() == alone.tobytes()
+        row, col = ("pde", 1), ("pde", 1)
+        with pytest.raises(ValueError, match="other columns"):
+            kernel_block(cfgs, row, col, shared, [xb.copy() for xb in xbs])
+        with pytest.raises(ValueError, match="another scale"):
+            kernel_block([cfg.rescaled(0.5) for cfg in cfgs], row, col, shared, xbs)
+        with pytest.raises(ValueError, match="other columns"):
+            kernel_block(cfgs[:2], row, col, shared, xbs[:2])
+        other = StokesKernelConfig(wendland_from_integral(2, 4), c8, delta=0.3)
+        with pytest.raises(ValueError, match="other profiles"):
+            kernel_block([cfgs[0], other], row, col, xa, xbs[:2])
