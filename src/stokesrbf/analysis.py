@@ -44,8 +44,8 @@ _EIG_DENSE_LIMIT = 3000
 # bytes per point of the quadrature grid that `run_experiment` holds at its
 # peak: the coordinates and weights, the reference and accumulated fields,
 # a level's evaluation and the error norms' temporaries.  tracemalloc put
-# the growth of its peak from q = 300 to q = 600 at 132-136 bytes a point
-# (1 and 3 levels).
+# the growth of its peak from q = 300 to q = 600 at 128 bytes a point (1 and
+# 3 levels; 132-136 while velocity and pressure gradient took two calls).
 _GRID_BYTES = 136
 
 
@@ -263,8 +263,12 @@ def run_experiment(
     vel_acc = np.zeros_like(u_ref)
     gp_acc = np.zeros_like(gp_ref)
     for solution in model.levels:
-        vel_acc = vel_acc + evaluate_fields(solution, pts, "velocity")
-        gp_acc = gp_acc + evaluate_fields(solution, pts, "pressure-gradient")
+        # both fields in one call, which reads one displacement set per slab
+        # and centre kind for both; dropped before the norms and the next call
+        vel, gp = evaluate_fields(solution, pts, ("velocity", "pressure-gradient"))
+        vel_acc += vel
+        gp_acc += gp
+        del vel, gp
         vel_l2, vel_linf = _norms(vel_acc - u_ref, w)
         gp_l2, gp_linf = _norms(gp_acc - gp_ref, w)
         report.deltas.append(solution.kernel.delta)

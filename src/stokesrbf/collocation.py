@@ -25,7 +25,8 @@ from scipy.linalg import LinAlgError, cho_factor, cho_solve
 
 from .geometry import LevelPointSet
 from .radial import FRESH, BufferPool
-from .stokes_kernel import DIRICHLET, PDE, StokesKernelConfig, displacements, kernel_block
+from .stokes_kernel import (DIRICHLET, PDE, StokesKernelConfig, displacements, kernel_block,
+                            vanishes)
 
 __all__ = [
     "NotPositiveDefinite",
@@ -135,7 +136,8 @@ def assemble(
     read-only, so that no edit leaves it apart from its tables.
     """
     total = pointset.n_functionals
-    matrix = np.empty((total, total), order="F")
+    # zeros: a pair whose kernel vanishes gets no block (`_slab_blocks`)
+    matrix = np.zeros((total, total), order="F")
     levels, row_sets = [(kernel, pointset)], [(pts, rows) for pts, rows, _ in _groups(pointset)]
     tables = _tables(levels, row_sets)
 
@@ -427,7 +429,9 @@ def _slab_blocks(levels, slab, tables, pool):
     one index, or all read one displacement set: the set of every level of
     the same profiles without tables for that kind, each run of columns at
     its own level's scale, which is dropped before the next kind's blocks.
-    Each level's block is then its column view of that set's block.
+    Each level's block is then its column view of that set's block.  A
+    pair whose kernel vanishes (`stokes_kernel.vanishes`: a pressure row
+    against a Dirichlet column) yields no block: its entries are zero.
     Block-sized arrays come from ``pool`` (a `BufferPool`, or `FRESH`).
     Callers drop each block before asking for the next."""
     groups = [_groups(pointset) for _, pointset in levels]
@@ -440,6 +444,9 @@ def _slab_blocks(levels, slab, tables, pool):
                 # the level's columns of each column label
                 spans = [slice(c0 + k * len(cpts), c0 + (k + 1) * len(cpts))
                          for k in range(len(cols))]
+                pairs = _pairs(kernel, rows, cols)
+                if not pairs:
+                    continue
                 # a row set has tables for every column of a centre set or none
                 gathered = tables[j].get((rows[0][0], cols[0]))
                 if not gathered:
@@ -449,7 +456,7 @@ def _slab_blocks(levels, slab, tables, pool):
                     continue
                 index = np.subtract(_lattice_index(pts, gathered[1])[:, None], gathered[2],
                                     out=pool.empty((len(pts), len(cpts)), np.intp))
-                for (row, r0), (k, col) in itertools.product(rows, enumerate(cols)):
+                for (row, r0), (k, col) in pairs:
                     # the index is in range: mode "clip" skips the check (and
                     # the buffer) of mode "raise"
                     block = np.take(tables[j][row, col][0], index, mode="clip",
@@ -461,16 +468,24 @@ def _slab_blocks(levels, slab, tables, pool):
                 # each level's columns in the set's blocks
                 ends = itertools.accumulate(len(cpts) for cpts in centres)
                 parts = [slice(end - len(cpts), end) for end, cpts in zip(ends, centres)]
+                pairs = _pairs(kernels[0], rows, cols)
                 if len(kernels) == 1:  # one level: its kernel and centres
                     (kernels,), (centres,) = kernels, centres
                 shared = displacements(kernels, pts, centres, pool)
-                for (row, r0), (k, col) in itertools.product(rows, enumerate(cols)):
+                for (row, r0), (k, col) in pairs:
                     block = kernel_block(kernels, row, col, shared, centres)
                     rows_out = slice(r0, r0 + len(pts))
                     for j, level_spans, part in zip(levels_of_set, spans, parts):
                         yield j, rows_out, level_spans[k], block[:, part]
                     del block
                 del shared
+
+
+def _pairs(kernel, rows, cols) -> list:
+    """((row label, first output row), (index, column label)) of each pair of
+    ``rows`` and ``cols`` whose kernel does not vanish, rows first."""
+    return [((row, r0), (k, col)) for (row, r0), (k, col)
+            in itertools.product(rows, enumerate(cols)) if not vanishes(kernel, row, col)]
 
 
 def _run_slabs(task, slabs) -> None:
@@ -503,33 +518,43 @@ def _query_points(x) -> np.ndarray:
     return np.atleast_2d(x)
 
 
-def _apply_rows(levels, labels, x) -> np.ndarray:
-    """Stack over ``levels`` (LevelSolutions) of the stack of (row functional
-    applied to the level's approximant) over x.
+def _apply_rows(levels, requests, x) -> list:
+    """For each of ``requests``, lists of row labels, the stack over
+    ``levels`` (LevelSolutions) of the stack of (row functional applied to
+    the level's approximant) over x: shape (len(levels), len(x), len(labels)).
 
-    Returns shape (len(levels), len(x), len(labels)).  A level's
-    approximant is the coefficient-weighted sum of its basis columns, added
-    to its own accumulator one column group at a time in system order, so
-    that each level holds the bits of a call for it alone.  Raises
-    ValueError unless x is one real, finite point (2,) or a real, finite
-    (n, 2) batch.
+    The labels of all requests form one row set, each label once, so that
+    a slab reads one displacement set per centre kind for all of them.  A
+    level's approximant is the coefficient-weighted sum of its basis
+    columns, added to its own accumulator one column group at a time in
+    system order, so that each level and label holds the bits of a call
+    for it alone.  Raises ValueError unless x is one real, finite point
+    (2,) or a real, finite (n, 2) batch.
     """
     x = _query_points(x)
-    out = np.zeros((len(levels), len(labels) * len(x)))
+    labels = list(dict.fromkeys(itertools.chain.from_iterable(requests)))
     row_sets = [(x, labels)]
     columns = [(sol.kernel, sol.pointset) for sol in levels]
+    # before the outputs: the lattice tests of x take batch-sized temporaries
     tables = _tables(columns, row_sets)
+    outs = [np.zeros((len(levels), len(x), len(request))) for request in requests]
+    # (output, column) of each label in every request that has it
+    dests = [[(out, k) for out, request in zip(outs, requests)
+              for k, other in enumerate(request) if other == label] for label in labels]
 
     def add(slab, pool):
         for j, rows, cols, block in _slab_blocks(columns, slab, tables, pool):
+            label, first = divmod(rows.start, len(x))  # the rows' label, first point
+            coefficients = levels[j].coefficients[cols]
             # BLAS sees the slab's block _SLAB rows at a time
-            dest, coefficients = out[j, rows], levels[j].coefficients[cols]
             for start in range(0, len(block), _SLAB):
-                dest[start:start + _SLAB] += block[start:start + _SLAB] @ coefficients
+                values = block[start:start + _SLAB] @ coefficients
+                for out, k in dests[label]:
+                    out[j, first + start:first + start + len(values), k] += values
             del block
 
     _run_slabs(add, _slabs(row_sets, *(sol.pointset for sol in levels)))
-    return np.ascontiguousarray(out.reshape(len(levels), len(labels), len(x)).transpose(0, 2, 1))
+    return outs
 
 
 # the row functionals behind each evaluation request: "value" is the
@@ -549,35 +574,45 @@ def evaluate(solution: LevelSolution, x):
 
     The pressure is reported as-is; it is only determined up to a constant.
     """
-    vals = _apply_rows([solution], _FIELD_ROWS["value"], x)[0]
+    (vals,) = _apply_rows([solution], [_FIELD_ROWS["value"]], x)
+    vals = vals[0]
     if np.ndim(x) == 1:
         return vals[0, :2], float(vals[0, 2])
     return vals[:, :2], vals[:, 2]
 
 
-def evaluate_levels(levels, x, request: str) -> np.ndarray:
+def evaluate_levels(levels, x, request):
     """The ``request`` field (see `evaluate_fields`) of each of ``levels``
     at the points x, in one pass: shape (len(levels), n, k), or
     (len(levels), n) for "divergence", where a (2,) point counts as a batch
-    of one.  Every level's field holds the bits of `evaluate_fields` of
-    that level alone.
+    of one.  ``request`` may also be a sequence of requests: a tuple of one
+    such array per request is then returned.  Every level's field holds the
+    bits of `evaluate_fields` of that level and request alone.
 
-    The levels share one displacement set per centre kind (interior,
-    boundary), over the centres of every level that has no lattice table
-    for x, each column at its own level's scale: for a small batch, the
-    fixed cost of a set is then paid once and not once per level."""
-    if request not in _FIELD_ROWS:
-        raise ValueError(f"unknown request {request!r}")
-    vals = _apply_rows(levels, _FIELD_ROWS[request], x)
-    return vals[..., 0] if request == "divergence" else vals
+    The levels and requests share one displacement set per centre kind
+    (interior, boundary), over the centres of every level that has no
+    lattice table for x, each column at its own level's scale: for a small
+    batch, the fixed cost of a set is then paid once and not once per
+    level, and the values that several requests read are computed once."""
+    requests = (request,) if isinstance(request, str) else tuple(request)
+    if not requests:
+        raise ValueError("no request")
+    for name in requests:
+        if name not in _FIELD_ROWS:
+            raise ValueError(f"unknown request {name!r}")
+    fields = tuple(vals[..., 0] if name == "divergence" else vals for name, vals in zip(
+        requests, _apply_rows(levels, [_FIELD_ROWS[name] for name in requests], x)))
+    return fields[0] if isinstance(request, str) else fields
 
 
-def evaluate_fields(solution: LevelSolution, x, request: str):
+def evaluate_fields(solution: LevelSolution, x, request):
     """Analytic fields of the approximant: velocity, momentum-operator image
     ("l-image"), velocity divergence, pressure gradient, or the (u1, u2, p)
-    columns of `evaluate` ("value"); `evaluate_levels` of this one level."""
-    vals = evaluate_levels([solution], x, request)[0]
-    return vals[0] if np.ndim(x) == 1 else vals
+    columns of `evaluate` ("value"); `evaluate_levels` of this one level,
+    also for a sequence of requests, which returns one field per request."""
+    fields = evaluate_levels([solution], x, request)
+    one = (lambda vals: vals[0, 0]) if np.ndim(x) == 1 else (lambda vals: vals[0])
+    return one(fields) if isinstance(request, str) else tuple(map(one, fields))
 
 
 def write_matrix(matrix: np.ndarray, path) -> None:

@@ -211,12 +211,13 @@ class Displacements:
     radius (`stokes_kernel.displacements`).
 
     Each shared value -- an evaluator's sum, a Horner radial keyed by its
-    lowest power of r and its coefficients, x, y, r and the other powers, a
-    power table, a `per_column` vector -- is computed on its first read and
-    kept as long as the set; x and y are kept from the pass that computes
-    r.  The squares and the monomials x^a y^b (a pass or two each) are
-    computed at every read: not kept, with the same bits either way, so
-    that fewer blocks are alive at once.
+    lowest power of r and its coefficients (with a positive top one, so
+    that radials of opposite sign are one value), x, y, r and the other
+    powers, a power table, a `per_column` vector -- is computed on its
+    first read and kept as long as the set; x and y are kept from the pass
+    that computes r.  The squares and the monomials x^a y^b (a pass or two
+    each) are computed at every read: not kept, with the same bits either
+    way, so that fewer blocks are alive at once.
 
     Every value is computed at every entry, and a sum is the term sum where
     0 < r < 1.  When some entry lies at r = 0 or r >= 1 -- a coincident
@@ -331,20 +332,18 @@ class Displacements:
                        out=self._new())
 
     def _sum(self, groups, origin: float) -> np.ndarray:
-        """Sum over the groups of (x^a y^b) * radial, in a new array of the
+        """Sum over the groups of +-(x^a y^b) * radial, in a new array of the
         set's shape: zero outside the support, ``origin`` at r = 0."""
         acc = self._new()
         acc.fill(0.0)
         term = self._new()
         # the terms are inf or nan where they are overwritten below
         with np.errstate(all="ignore"):
-            for radial_key, monomial_key in groups:
-                radial = self.read(radial_key)
-                if monomial_key is None:
-                    np.add(acc, radial, out=acc)
-                else:
-                    np.multiply(self.read(monomial_key), radial, out=term)
-                    np.add(acc, term, out=acc)
+            for radial_key, monomial_key, negate in groups:
+                value = self.read(radial_key)
+                if monomial_key is not None:
+                    value = np.multiply(self.read(monomial_key), value, out=term)
+                (np.subtract if negate else np.add)(acc, value, out=acc)
         if self._cut:
             outside, at_origin = self._cut
             np.copyto(acc, 0.0, where=outside)
@@ -370,8 +369,9 @@ class RadialTermEvaluator:
 
     Groups the terms by monomial (a, b); each group's radial part becomes a
     Laurent polynomial evaluated by Horner's rule after factoring out the
-    lowest power of r.  Outside the support (r >= 1) the value is 0; at
-    r = 0 it is the exact constant term.
+    lowest power of r, with a positive top coefficient; a group whose top
+    coefficient is negative subtracts its term.  Outside the support
+    (r >= 1) the value is 0; at r = 0 it is the exact constant term.
     """
 
     def __init__(self, terms: Terms):
@@ -385,14 +385,19 @@ class RadialTermEvaluator:
         groups: dict[tuple[int, int], dict[int, Fraction]] = {}
         for (a, b, m), c in terms.items():
             groups.setdefault((a, b), {})[m] = c
-        # per group (a, b) the shared values it reads: the Horner radial of
-        # (m_lo, coefficients of r^m_lo, r^(m_lo+1), ...) and the monomial
+        # per group (a, b) the shared values it reads -- the Horner radial of
+        # (m_lo, coefficients of r^m_lo, r^(m_lo+1), ...) and the monomial --
+        # and whether its term is subtracted.  The radial is kept with a
+        # positive top coefficient, so radials that differ only in sign are
+        # one value: rounding is symmetric, so Horner's rule on negated
+        # coefficients gives the negated value, and acc - t is acc + (-t)
         keys = []
         for (a, b), prof in sorted(groups.items()):
             m_lo, m_hi = min(prof), max(prof)
-            coeffs = tuple(float(prof.get(m, Fraction(0))) for m in range(m_lo, m_hi + 1))
+            sign = -1 if prof[m_hi] < 0 else 1
+            coeffs = tuple(float(sign * prof.get(m, Fraction(0))) for m in range(m_lo, m_hi + 1))
             monomial = ("m", a, b) if a and b else ("x", a) if a else ("y", b) if b else None
-            keys.append((("h", m_lo, coeffs), monomial))
+            keys.append((("h", m_lo, coeffs), monomial, sign < 0))
         # the key of its value in a `Displacements`: evaluators of equal
         # terms share it
         self.key = ("e", tuple(keys), float(self.origin))

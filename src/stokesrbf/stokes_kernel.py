@@ -36,7 +36,7 @@ from .radial import (FRESH, Displacements, RadialTermEvaluator, combine, laplaci
                      mixed_partial_terms)
 from .wendland import WendlandPolynomial
 
-__all__ = ["PDE", "DIRICHLET", "StokesKernelConfig", "displacements", "kernel_block"]
+__all__ = ["PDE", "DIRICHLET", "StokesKernelConfig", "displacements", "kernel_block", "vanishes"]
 
 DIM = 2
 
@@ -131,6 +131,12 @@ def _parts(cfg: StokesKernelConfig, row: tuple, col: tuple) -> list:
             for p, m, evaluator in _compiled_parts(cfg.psi_vel, cfg.psi_pre, row, col)
         ]
     return parts
+
+
+def vanishes(cfg: StokesKernelConfig, row: tuple, col: tuple) -> bool:
+    """Whether every entry of row x col is zero by construction, as for a
+    pressure row against a Dirichlet column: the kernel is block diagonal."""
+    return not _parts(cfg, row, col)
 
 
 def _points(x) -> np.ndarray:

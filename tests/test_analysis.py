@@ -1,3 +1,4 @@
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -15,7 +16,7 @@ from stokesrbf.analysis import (
     slope_check,
     trig_stokes_problem,
 )
-from stokesrbf.collocation import NotPositiveDefinite
+from stokesrbf.collocation import NotPositiveDefinite, assemble
 from stokesrbf.multiscale import MultiscaleConfig, MultiscaleModel
 
 
@@ -258,4 +259,36 @@ class TestRunExperiment:
         monkeypatch.setattr(analysis, "evaluate_fields", wrapped_evaluate)
         _, report = run_experiment(MultiscaleConfig(n_levels=2), quad_points=20, eigen_levels=2)
         assert len(refs) == 4 and set(report.condition_numbers) == {1, 2}
-        assert alive == [0] * 4
+        # one call per level evaluates both fields
+        assert alive == [0] * 2
+
+    def test_conditioning_matches_eigvalsh(self):
+        # the report's lambda_min and kappa at levels 1-3 against numpy's
+        # eigvalsh of the same matrices.  Both are backward stable: an
+        # eigenvalue moves by about eps ||A|| = eps lambda_max, so lambda_min
+        # (and with it kappa) by about eps kappa relative -- 0.11 at level 3
+        model, report = run_experiment(MultiscaleConfig(n_levels=3), quad_points=10)
+        zero = lambda pts: np.zeros((len(pts), 2))
+        eps = np.finfo(float).eps
+        assert set(report.lambda_min) == set(report.condition_numbers) == {1, 2, 3}
+        for level, sol in enumerate(model.levels, 1):
+            values = np.linalg.eigvalsh(assemble(sol.pointset, sol.kernel, zero, zero).matrix)
+            kappa = values[-1] / values[0]
+            assert report.lambda_min[level] == pytest.approx(values[0], rel=eps * kappa)
+            assert report.condition_numbers[level] == pytest.approx(kappa, rel=eps * kappa)
+
+    def test_grid_memory_fits_the_guard(self):
+        # the growth of run_experiment's traced peak per grid point, between
+        # two grids that set the peak (one level), is within _GRID_BYTES, the
+        # bytes a point that gauss_legendre_grid checks against memory
+        def peak(q):
+            tracemalloc.start()
+            try:
+                run_experiment(MultiscaleConfig(n_levels=1), quad_points=q, eigen_levels=0)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        small, large = 150, 300
+        growth = (peak(large) - peak(small)) / (large**2 - small**2)
+        assert 0 < growth <= analysis._GRID_BYTES

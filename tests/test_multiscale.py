@@ -1,3 +1,4 @@
+import itertools
 import warnings
 
 import numpy as np
@@ -13,6 +14,7 @@ from stokesrbf.collocation import (
     NotPositiveDefinite,
     evaluate,
     evaluate_fields,
+    evaluate_levels,
 )
 from stokesrbf.multiscale import (
     MultiscaleConfig,
@@ -23,7 +25,7 @@ from stokesrbf.multiscale import (
     save_model,
     scale_schedule,
 )
-from stokesrbf.geometry import make_level_pointset
+from stokesrbf.geometry import LevelPointSet, make_level_pointset
 from stokesrbf.radial import Displacements
 from stokesrbf.stokes_kernel import StokesKernelConfig
 from stokesrbf.wendland import wendland_from_integral
@@ -145,13 +147,18 @@ def model_path(tmp_path_factory):
 @settings(max_examples=20, deadline=None)
 @given(data=st.data())
 def test_model_file_roundtrip(model2, model_path, data):
-    # any coefficients and scales on 0-2 levels come back bit for bit
+    # any finite coefficients and scales on 0-2 levels come back bit for
+    # bit; a coefficient that is not finite is rejected
     levels = []
     for sol in model2.levels[: data.draw(st.integers(0, 2))]:
         coeffs = data.draw(arrays(np.float64, len(sol.coefficients)))
         delta = data.draw(st.floats(1e-3, 1e3))
         levels.append(LevelSolution(coeffs, sol.pointset, sol.kernel.rescaled(delta)))
     save_model(MultiscaleModel(levels=levels, config=model2.config), model_path)
+    if not all(np.isfinite(sol.coefficients).all() for sol in levels):
+        with pytest.raises(ValueError, match="not finite"):
+            load_model(model_path)
+        return
     loaded = load_model(model_path)
     assert loaded.n_levels == len(levels)
     for sol, ref in zip(loaded.levels, levels):
@@ -172,6 +179,23 @@ def test_load_rejects_truncated_or_extended_file(model2, model_path, cut, suffix
     model_path.write_bytes(raw + suffix)
     with pytest.raises(ValueError):
         load_model(model_path)
+
+
+@pytest.mark.parametrize("where", ["interior", "boundary", "coefficients"])
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_load_rejects_a_value_that_is_not_finite(model2, tmp_path, where, value):
+    # an evaluation skips the blocks that vanish by construction, which
+    # keeps every bit only while the coefficients are finite
+    sol = model2.levels[1]
+    interior, boundary = sol.pointset.interior.copy(), sol.pointset.boundary.copy()
+    coefficients = sol.coefficients.copy()
+    {"interior": interior, "boundary": boundary, "coefficients": coefficients}[where][3] = value
+    level = LevelSolution(coefficients, LevelPointSet(interior=interior, boundary=boundary),
+                          sol.kernel)
+    path = tmp_path / "model.bin"
+    save_model(MultiscaleModel(levels=[model2.levels[0], level]), path)
+    with pytest.raises(ValueError, match="not finite"):
+        load_model(path)
 
 
 def test_load_rejects_foreign_file(tmp_path):
@@ -258,6 +282,15 @@ REQUESTS = ("value", "velocity", "l-image", "divergence", "pressure-gradient")
 LATTICE16 = np.random.default_rng(32).integers(0, 33, (16, 2)) / 32
 
 
+def batch_of(name, rng):
+    """The query batch ``name``: n random points ("random-n"), a (2,) point,
+    a (0, 2) batch or LATTICE16."""
+    if name.startswith("random-"):
+        return rng.random((int(name.split("-")[1]), 2))
+    return {"point": np.array([0.3, 0.8]), "empty": np.zeros((0, 2)),
+            "lattice-16": LATTICE16}[name]
+
+
 def random_model(c8, rng, nus=(1.0, 1.0, 1.0, 1.0), profiles=None):
     """The levels of the 4-level schedule with random coefficients,
     viscosities ``nus`` and profiles (all ``c8`` by default): sums of their
@@ -295,10 +328,7 @@ def test_one_pass_equals_the_sum_of_levels(c8, rng, levels, batch):
     model = random_model(c8, rng, *{
         "one-nu": (), "four-nus": ((1.0, 0.5, 3.0, 0.07),),
         "two-profiles": ((1.0, 1.0, 1.0, 1.0), (c8, other, other, c8))}[levels])
-    x = {"point": np.array([0.3, 0.8]), "empty": np.zeros((0, 2)),
-         "lattice-16": LATTICE16}.get(batch)
-    if x is None:
-        x = rng.random((int(batch.split("-")[1]), 2))
+    x = batch_of(batch, rng)
     for request in REQUESTS:
         expected = None
         for sol in model.levels:
@@ -312,7 +342,9 @@ def test_one_pass_equals_the_sum_of_levels(c8, rng, levels, batch):
 def test_one_pass_builds_one_set_per_centre_kind(c8, rng, monkeypatch):
     # a random batch lies on no lattice with any level's centres: the four
     # levels share one displacement set for the interior centres and one for
-    # the boundary centres, where a set per level and kind would be eight
+    # the boundary centres, where a set per level and kind would be eight.
+    # The pressure gradient reads no boundary set: its blocks against the
+    # boundary centres vanish
     model = random_model(c8, rng)
     sets = []
     init = Displacements.__init__
@@ -322,10 +354,88 @@ def test_one_pass_builds_one_set_per_centre_kind(c8, rng, monkeypatch):
         init(self, *args)
 
     monkeypatch.setattr(Displacements, "__init__", counting_init)
-    for request in ("velocity", "pressure-gradient"):
+    for request, kinds in (("velocity", ("interior", "boundary")),
+                           ("pressure-gradient", ("interior",))):
         sets.clear()
         evaluate_model(model, rng.random((16, 2)), request)
-        assert len(sets) == 2, request
         assert [len(s.columns) for s in sets] == [
             sum(len(getattr(sol.pointset, kind)) for sol in model.levels)
-            for kind in ("interior", "boundary")]
+            for kind in kinds], request
+
+
+@pytest.mark.parametrize("levels", [1, 4])
+@pytest.mark.parametrize("batch", [
+    "random-1", "random-16", "random-129", "random-301", "point", "empty", "lattice-16"])
+def test_several_requests_keep_the_bits_of_each(c8, rng, levels, batch):
+    # the rows of several requests form one row set, whose slabs read one
+    # displacement set per centre kind for all of them: every field of the
+    # joint call equals, bit for bit, its request evaluated alone, for every
+    # pair of requests (a request twice, or two that share labels, included)
+    solutions = random_model(c8, rng).levels[:levels]
+    x = batch_of(batch, rng)
+    alone = {request: evaluate_levels(solutions, x, request) for request in REQUESTS}
+    for pair in itertools.combinations_with_replacement(REQUESTS, 2):
+        got = evaluate_levels(solutions, x, pair)
+        assert isinstance(got, tuple) and len(got) == 2
+        for request, field in zip(pair, got):
+            assert field.shape == alone[request].shape, pair
+            assert field.tobytes() == alone[request].tobytes(), pair
+        if levels == 1:  # the one-level form, with its (2,) point shape
+            for request, field in zip(pair, evaluate_fields(solutions[0], x, pair)):
+                expected = evaluate_fields(solutions[0], x, request)
+                assert field.shape == expected.shape
+                assert field.tobytes() == expected.tobytes(), pair
+
+
+def test_several_requests_reject_none_and_unknown(c8, rng):
+    sol = random_model(c8, rng).levels[0]
+    for bad in ((), ("velocity", "curl")):
+        with pytest.raises(ValueError):
+            evaluate_fields(sol, (0.4, 0.6), bad)
+
+
+def test_joint_request_reads_one_set_per_centre_kind(c8, rng, monkeypatch):
+    # velocity and pressure gradient of one slab in one call: one
+    # displacement set per centre kind (two each for two calls), and the
+    # radials that differ only in sign are computed once: 7 Horner radials
+    # in the interior set, where the two requests' evaluators hold 8 up to
+    # sign, and 2 in the boundary set, where velocity holds 3
+    sol = random_model(c8, rng).levels[3]
+    sets = []
+    init = Displacements.__init__
+
+    def counting_init(self, *args):
+        sets.append(self)
+        init(self, *args)
+
+    monkeypatch.setattr(Displacements, "__init__", counting_init)
+    x = rng.random((collocation._SLAB, 2))
+    evaluate_fields(sol, x, ("velocity", "pressure-gradient"))
+    assert [len(s.columns) for s in sets] == [sol.pointset.n_interior, sol.pointset.n_boundary]
+    radials = [sorted(key for key in s._values if key[0] == "h") for s in sets]
+    assert [len(keys) for keys in radials] == [7, 2]
+    # every radial is kept with a positive top coefficient
+    assert all(coeffs[-1] > 0 for keys in radials for _, _, coeffs in keys)
+
+
+@pytest.mark.parametrize("batch", ["random-16", "random-301", "lattice-16", "point"])
+def test_pressure_gradient_reads_no_dirichlet_column(c8, rng, monkeypatch, batch):
+    # the kernel is block diagonal: a pressure-gradient row against a
+    # Dirichlet column is zero by construction, and no product is made
+    # against those columns, whether their blocks would be computed or
+    # gathered from a table
+    model = random_model(c8, rng)
+    x = batch_of(batch, rng)
+    seen = []
+    slab_blocks = collocation._slab_blocks
+
+    def recording(levels, *args):
+        for j, rows, cols, block in slab_blocks(levels, *args):
+            seen.append((j, cols))
+            yield j, rows, cols, block
+
+    monkeypatch.setattr(collocation, "_slab_blocks", recording)
+    evaluate_model(model, x, "pressure-gradient")
+    assert {j for j, _ in seen} == {0, 1, 2, 3}
+    for j, cols in seen:
+        assert cols.stop <= 2 * model.levels[j].pointset.n_interior

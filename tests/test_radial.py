@@ -76,10 +76,13 @@ def test_support_cutoff(c8):
 def plain_term_sum(ev, x, y):
     """The evaluator's term groups, read from its key, summed with one new
     array per operation: Horner's rule, the lowest power of r, then
-    (x^a * y^b) * radial."""
+    (x^a * y^b) * radial, every term added.  A group whose radial is kept
+    with the opposite sign gets its own coefficients back, negated."""
     r = np.hypot(x, y)
     acc = np.zeros_like(r)
-    for (_, m_lo, coeffs), monomial in ev.key[1]:
+    for (_, m_lo, coeffs), monomial, negate in ev.key[1]:
+        if negate:
+            coeffs = [-c for c in coeffs]
         kind, *n = monomial or ("m", 0, 0)  # ("x", a), ("y", b), ("m", a, b)
         a, b = {"x": (n[0], 0), "y": (0, n[0]), "m": n}[kind]
         radial = np.full_like(r, coeffs[-1])

@@ -14,8 +14,13 @@ gathered from lattice tables, and against the other centres are not),
 writing each level's field and their sum (`evaluate_model`) to one file per
 request and batch: summary.txt and
 report.csv print 4 significant digits, so only these files see the last
-bits of an evaluation.  Compares the sha256 of every file with the values
-below, prints each file with both values and exits 1 on any mismatch.
+bits of an evaluation.  It also evaluates velocity and pressure gradient
+in one call on every batch, per level (`evaluate_fields`) and for all
+levels in one pass (`evaluate_levels`, summed in level order), and writes
+each field as joint-<request>-<batch>.bin, which must equal its
+fields-<request>-<batch>.bin.  Compares the sha256 of every file with the
+values below, prints each file with both values and exits 1 on any
+mismatch.
 
     python tools/check_contract.py
 
@@ -75,12 +80,19 @@ CONTRACT = {
     "fields-pressure-gradient-lattice16.bin": "41c3276fc6cd80728b6f8310076191a33ed2542e1a2fcadccb73fd13e892a46a",
 }
 
+# the requests evaluated in one call, and the batches
+JOINT = ("velocity", "pressure-gradient")
+BATCHES = ("grid", "random1", "random16", "random301", "lattice16")
+# each joint file must hash as the single-request file of its field
+JOINT_CONTRACT = {f"joint-{request}-{batch}.bin": CONTRACT[f"fields-{request}-{batch}.bin"]
+                  for request in JOINT for batch in BATCHES}
+
 # fits the model, writing solved-matrix-<level>.bin, saves and loads it,
-# then writes fields-<request>-<batch>.bin
+# then writes fields-<request>-<batch>.bin and joint-<request>-<batch>.bin
 FIELDS_SCRIPT = """
 import numpy as np
 from stokesrbf.analysis import gauss_legendre_grid, trig_stokes_problem
-from stokesrbf.collocation import evaluate_fields, write_matrix
+from stokesrbf.collocation import evaluate_fields, evaluate_levels, write_matrix
 from stokesrbf.multiscale import (MultiscaleConfig, evaluate_model, load_model,
                                   run, save_model)
 
@@ -100,7 +112,18 @@ for request in ("value", "velocity", "l-image", "divergence", "pressure-gradient
             for level in model.levels:
                 fh.write(evaluate_fields(level, x, request).tobytes())
             fh.write(evaluate_model(model, x, request).tobytes())
-"""
+joint = %r
+for name, x in batches.items():
+    per_level = [evaluate_fields(level, x, joint) for level in model.levels]
+    for i, (request, fields) in enumerate(zip(joint, evaluate_levels(model.levels, x, joint))):
+        with open(f"joint-{request}-{name}.bin", "wb") as fh:
+            for level_fields in per_level:
+                fh.write(level_fields[i].tobytes())
+            total = np.zeros(fields.shape[1:])
+            for field in fields:
+                total += field
+            fh.write(total.tobytes())
+""" % (JOINT,)
 
 
 def _python(args: list[str], cwd: str) -> None:
@@ -118,12 +141,13 @@ def main() -> int:
                      "--out", f"matrix-{level}.bin"], tmp)
         _python(["-c", FIELDS_SCRIPT], tmp)
         failed = 0
-        for name, expected in CONTRACT.items():
+        expected_hashes = {**CONTRACT, **JOINT_CONTRACT}
+        for name, expected in expected_hashes.items():
             got = hashlib.sha256((Path(tmp) / name).read_bytes()).hexdigest()
             ok = got == expected
             failed += not ok
             print(f"{'ok  ' if ok else 'FAIL'} {name}\n     expected {expected}\n     got      {got}")
-    print("contract holds" if not failed else f"{failed} of {len(CONTRACT)} files differ")
+    print("contract holds" if not failed else f"{failed} of {len(expected_hashes)} files differ")
     return 1 if failed else 0
 
 
