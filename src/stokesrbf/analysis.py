@@ -88,6 +88,33 @@ def trig_stokes_problem(nu: float = 1.0) -> ManufacturedSolution:
     return ManufacturedSolution(u=u, grad_p=grad_p, f=f, g=u)
 
 
+def _leggauss(q: int):
+    """numpy's `leggauss(q)` step for step, with the same bits, except that
+    scipy's `eigh` computes the companion matrix's eigenvalues: the same
+    LAPACK dsyevd as numpy's `eigvalsh`, run by the OpenBLAS that scipy
+    bundles and that every solve uses.  numpy bundles an OpenBLAS of its
+    own, and after a threaded call each one's worker thread busy-waits for
+    about 128 ms: numpy's, woken here, stalled the level-2 Cholesky factor
+    of `run_experiment` on 2 cores (0.2 ms, 50-115 ms in 4 runs of 10)."""
+    legendre = np.polynomial.legendre  # numpy imports it on first use
+    c = np.array([0] * q + [1])
+    x = eigh(legendre.legcompanion(c), eigvals_only=True, driver="evd",
+             check_finite=False)
+    # one Newton step on the roots
+    dy = legendre.legval(x, c)
+    df = legendre.legval(x, legendre.legder(c))
+    x -= dy / df
+    # weights from scaled factors, symmetrized, then normalized to sum to 2
+    fm = legendre.legval(x, c[1:])
+    fm /= np.abs(fm).max()
+    df /= np.abs(df).max()
+    w = 1 / (fm * df)
+    w = (w + w[::-1]) / 2
+    x = (x - x[::-1]) / 2
+    w *= 2.0 / w.sum()
+    return x, w
+
+
 def gauss_legendre_grid(points_per_dim: int):
     """Tensor Gauss-Legendre nodes and weights on the unit square.
 
@@ -104,7 +131,7 @@ def gauss_legendre_grid(points_per_dim: int):
     if need > have:
         raise ValueError(f"quad_points {q} needs {need / 1e9:.1f} GB for a grid of "
                          f"{q}^2 points, more than the {have / 1e9:.1f} GB of memory")
-    nodes, weights = np.polynomial.legendre.leggauss(points_per_dim)
+    nodes, weights = _leggauss(q)
     nodes = 0.5 * (nodes + 1.0)
     weights = 0.5 * weights
     gx, gy = np.meshgrid(nodes, nodes, indexing="ij")

@@ -112,12 +112,21 @@ class CollocationSystem:
 
 @dataclass
 class LevelSolution:
-    """Solved coefficients for one level, evaluable through this module."""
+    """Solved coefficients for one level, evaluable through this module.
+
+    Raises ValueError when a coefficient or a centre is not finite."""
 
     coefficients: np.ndarray
     pointset: LevelPointSet
     kernel: StokesKernelConfig
     solve_residual: float = float("nan")  # nan: not solved here (a loaded level)
+
+    def __post_init__(self):
+        # an evaluation skips the blocks that vanish by construction, which
+        # keeps every bit only while these are finite: 0 * inf would be nan
+        arrays = (self.coefficients, self.pointset.interior, self.pointset.boundary)
+        if not all(np.isfinite(a).all() for a in arrays):
+            raise ValueError("level with a centre or coefficient that is not finite")
 
 
 def assemble(

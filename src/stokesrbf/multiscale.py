@@ -190,9 +190,7 @@ def load_model(path) -> MultiscaleModel:
 
     Raises ValueError unless the file holds exactly one such model: a wrong
     magic, a section cut short, bytes after the last level, or a centre or
-    coefficient that is not finite all fail.  Finite coefficients let an
-    evaluation skip the blocks that are zero by construction: 0 * inf would
-    be nan.
+    coefficient that is not finite (which `LevelSolution` rejects) all fail.
     """
     with open(path, "rb") as fh:
         data = fh.read()
@@ -215,8 +213,6 @@ def load_model(path) -> MultiscaleModel:
         interior = np.frombuffer(take(16 * n_int), dtype="<f8").reshape(-1, 2)
         boundary = np.frombuffer(take(16 * n_bd), dtype="<f8").reshape(-1, 2)
         coeffs = np.frombuffer(take(8 * 2 * (n_int + n_bd)), dtype="<f8").copy()
-        if not all(np.isfinite(a).all() for a in (interior, boundary, coeffs)):
-            raise ValueError("stokesrbf model with a centre or coefficient that is not finite")
         pointset = LevelPointSet(interior=interior.copy(), boundary=boundary.copy())
         kernel = StokesKernelConfig(psi, psi, nu=nu, delta=delta)
         levels.append(

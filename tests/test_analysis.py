@@ -110,6 +110,17 @@ class TestErrorNorms:
         with pytest.raises(ValueError):
             gauss_legendre_grid(1)
 
+    def test_quadrature_grid_is_numpys_leggauss(self):
+        # the nodes are numpy's leggauss algorithm with scipy's eigh: the
+        # grid keeps numpy's bits, mapped to [0, 1], with outer-product weights
+        for q in [*range(2, 130), 150, 200, 300]:
+            nodes, weights = np.polynomial.legendre.leggauss(q)
+            nodes, weights = 0.5 * (nodes + 1.0), 0.5 * weights
+            gx, gy = np.meshgrid(nodes, nodes, indexing="ij")
+            pts, w = gauss_legendre_grid(q)
+            assert pts.tobytes() == np.column_stack([gx.ravel(), gy.ravel()]).tobytes(), q
+            assert w.tobytes() == np.outer(weights, weights).ravel().tobytes(), q
+
     def test_unknown_field_rejected(self):
         with pytest.raises(ValueError):
             grid_errors(_empty_model(), _ConstantField((0, 0)), "vorticity", 10)
@@ -261,6 +272,18 @@ class TestRunExperiment:
         assert len(refs) == 4 and set(report.condition_numbers) == {1, 2}
         # one call per level evaluates both fields
         assert alive == [0] * 2
+
+    def test_run_uses_no_numpy_eigensolver(self, monkeypatch):
+        # numpy and scipy each bundle an OpenBLAS whose worker busy-waits
+        # after a threaded call; the quadrature nodes and the eigenvalues
+        # take scipy's, the one every solve uses, so numpy's stays asleep
+        def refuse(*args, **kwargs):
+            raise AssertionError("numpy eigensolver called")
+
+        for name in ("eigvalsh", "eigh", "eig", "eigvals"):
+            monkeypatch.setattr(np.linalg, name, refuse)
+        _, report = run_experiment(MultiscaleConfig(n_levels=2), quad_points=20, eigen_levels=2)
+        assert report.n_levels == 2 and set(report.condition_numbers) == {1, 2}
 
     def test_conditioning_matches_eigvalsh(self):
         # the report's lambda_min and kappa at levels 1-3 against numpy's

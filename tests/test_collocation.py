@@ -379,6 +379,26 @@ def test_divergence_free_at_random_points(level1_solution, rng):
     assert np.abs(div).max() <= 1e-8 * np.abs(vel).max()
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_level_that_is_not_finite_is_rejected(level1_solution, value):
+    # a nan Dirichlet coefficient would give a nan velocity next to a finite
+    # pressure gradient, whose blocks against Dirichlet columns vanish and
+    # are skipped; a centre that is not finite is rejected as well
+    from stokesrbf.collocation import LevelSolution
+    from stokesrbf.geometry import LevelPointSet
+
+    ps, kernel = level1_solution.pointset, level1_solution.kernel
+    coefficients = level1_solution.coefficients.copy()
+    coefficients[2 * ps.n_interior] = value
+    with pytest.raises(ValueError, match="not finite"):
+        LevelSolution(coefficients, ps, kernel)
+    for where in ("interior", "boundary"):
+        centres = {"interior": ps.interior.copy(), "boundary": ps.boundary.copy()}
+        centres[where][0, 1] = value
+        with pytest.raises(ValueError, match="not finite"):
+            LevelSolution(level1_solution.coefficients, LevelPointSet(**centres), kernel)
+
+
 def test_zero_coefficients_evaluate_to_zero(level1_solution):
     from stokesrbf.collocation import LevelSolution
 

@@ -25,7 +25,7 @@ from stokesrbf.multiscale import (
     save_model,
     scale_schedule,
 )
-from stokesrbf.geometry import LevelPointSet, make_level_pointset
+from stokesrbf.geometry import make_level_pointset
 from stokesrbf.radial import Displacements
 from stokesrbf.stokes_kernel import StokesKernelConfig
 from stokesrbf.wendland import wendland_from_integral
@@ -148,17 +148,18 @@ def model_path(tmp_path_factory):
 @given(data=st.data())
 def test_model_file_roundtrip(model2, model_path, data):
     # any finite coefficients and scales on 0-2 levels come back bit for
-    # bit; a coefficient that is not finite is rejected
+    # bit; a level with a coefficient that is not finite cannot be built
+    # (a file that holds one: test_load_rejects_a_value_that_is_not_finite)
     levels = []
     for sol in model2.levels[: data.draw(st.integers(0, 2))]:
         coeffs = data.draw(arrays(np.float64, len(sol.coefficients)))
         delta = data.draw(st.floats(1e-3, 1e3))
+        if not np.isfinite(coeffs).all():
+            with pytest.raises(ValueError, match="not finite"):
+                LevelSolution(coeffs, sol.pointset, sol.kernel.rescaled(delta))
+            return
         levels.append(LevelSolution(coeffs, sol.pointset, sol.kernel.rescaled(delta)))
     save_model(MultiscaleModel(levels=levels, config=model2.config), model_path)
-    if not all(np.isfinite(sol.coefficients).all() for sol in levels):
-        with pytest.raises(ValueError, match="not finite"):
-            load_model(model_path)
-        return
     loaded = load_model(model_path)
     assert loaded.n_levels == len(levels)
     for sol, ref in zip(loaded.levels, levels):
@@ -185,15 +186,20 @@ def test_load_rejects_truncated_or_extended_file(model2, model_path, cut, suffix
 @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
 def test_load_rejects_a_value_that_is_not_finite(model2, tmp_path, where, value):
     # an evaluation skips the blocks that vanish by construction, which
-    # keeps every bit only while the coefficients are finite
+    # keeps every bit only while the coefficients are finite.  Such a level
+    # cannot be built, so the value is written into the saved file's last
+    # level: its interior, boundary and coefficient arrays end the file
     sol = model2.levels[1]
-    interior, boundary = sol.pointset.interior.copy(), sol.pointset.boundary.copy()
-    coefficients = sol.coefficients.copy()
-    {"interior": interior, "boundary": boundary, "coefficients": coefficients}[where][3] = value
-    level = LevelSolution(coefficients, LevelPointSet(interior=interior, boundary=boundary),
-                          sol.kernel)
+    parts = {"interior": sol.pointset.interior.copy(), "boundary": sol.pointset.boundary.copy(),
+             "coefficients": sol.coefficients.copy()}
+    good = b"".join(a.astype("<f8").tobytes() for a in parts.values())
+    parts[where][3] = value
+    bad = b"".join(a.astype("<f8").tobytes() for a in parts.values())
     path = tmp_path / "model.bin"
-    save_model(MultiscaleModel(levels=[model2.levels[0], level]), path)
+    save_model(model2, path)
+    raw = path.read_bytes()
+    assert model2.n_levels == 2 and raw.endswith(good)
+    path.write_bytes(raw[: len(raw) - len(good)] + bad)
     with pytest.raises(ValueError, match="not finite"):
         load_model(path)
 

@@ -18,9 +18,10 @@ bits of an evaluation.  It also evaluates velocity and pressure gradient
 in one call on every batch, per level (`evaluate_fields`) and for all
 levels in one pass (`evaluate_levels`, summed in level order), and writes
 each field as joint-<request>-<batch>.bin, which must equal its
-fields-<request>-<batch>.bin.  Compares the sha256 of every file with the
-values below, prints each file with both values and exits 1 on any
-mismatch.
+fields-<request>-<batch>.bin.  It writes the points and then the weights
+of `gauss_legendre_grid(q)` for q = 20, 100 and 300 to grid-<q>.bin.
+Compares the sha256 of every file with the values below, prints each file
+with both values and exits 1 on any mismatch.
 
     python tools/check_contract.py
 
@@ -78,6 +79,9 @@ CONTRACT = {
     "fields-pressure-gradient-random16.bin": "22dd0d812f4e7e3c6ee91472dceb08228b9de6de9c5eaa7ab73d24c4ebd1a467",
     "fields-pressure-gradient-random301.bin": "a724c52990ee643c5def402cb95e564d58cfbe80ab03ae3ea04e9312a5a0b344",
     "fields-pressure-gradient-lattice16.bin": "41c3276fc6cd80728b6f8310076191a33ed2542e1a2fcadccb73fd13e892a46a",
+    "grid-20.bin": "7b67b5f4336b5a34068800a2e8ac6e7cae9fb5a26d6a28443de0e5fe6390f6c0",
+    "grid-100.bin": "ec181009b282ec5eb3f50aaa55ba15fc1f2a897fee6332f9151da400abbae195",
+    "grid-300.bin": "c0a506822a9943e6337aaf3f3450cda0977e162ad69d48c4e0cb3cb3a0000823",
 }
 
 # the requests evaluated in one call, and the batches
@@ -87,14 +91,20 @@ BATCHES = ("grid", "random1", "random16", "random301", "lattice16")
 JOINT_CONTRACT = {f"joint-{request}-{batch}.bin": CONTRACT[f"fields-{request}-{batch}.bin"]
                   for request in JOINT for batch in BATCHES}
 
-# fits the model, writing solved-matrix-<level>.bin, saves and loads it,
-# then writes fields-<request>-<batch>.bin and joint-<request>-<batch>.bin
+# writes grid-<q>.bin, fits the model, writing solved-matrix-<level>.bin,
+# saves and loads it, then writes fields-<request>-<batch>.bin and
+# joint-<request>-<batch>.bin
 FIELDS_SCRIPT = """
 import numpy as np
 from stokesrbf.analysis import gauss_legendre_grid, trig_stokes_problem
 from stokesrbf.collocation import evaluate_fields, evaluate_levels, write_matrix
 from stokesrbf.multiscale import (MultiscaleConfig, evaluate_model, load_model,
                                   run, save_model)
+
+for q in (20, 100, 300):
+    with open(f"grid-{q}.bin", "wb") as fh:
+        for array in gauss_legendre_grid(q):
+            fh.write(array.tobytes())
 
 def write_solved(index, system, solution):
     write_matrix(system.matrix, f"solved-matrix-{index + 1}.bin")
