@@ -21,10 +21,9 @@ import os
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import LinAlgError, cho_factor, cho_solve, eigh
+from scipy.linalg import eigh
 
 from .collocation import (
-    NotPositiveDefinite,
     evaluate,  # unused here; the traced benchmark run (perfbench/layers.py) hooks it
     evaluate_fields,
 )
@@ -40,7 +39,6 @@ __all__ = [
     "run_experiment",
 ]
 
-_EIG_DENSE_LIMIT = 3000
 # bytes per point of the quadrature grid that `run_experiment` holds at its
 # peak: the coordinates and weights, the reference and accumulated fields,
 # a level's evaluation and the error norms' temporaries.  tracemalloc put
@@ -163,59 +161,31 @@ def grid_errors(model, reference: ManufacturedSolution, fieldname: str,
 
 
 def extreme_eigenvalues(matrix: np.ndarray) -> tuple[float, float]:
-    """(lambda_min, lambda_max) of a symmetric matrix.
+    """(lambda_min, lambda_max) of a symmetric matrix, from the full
+    decomposition (`eigh`, which works on a copy of the matrix).
 
-    Full decomposition up to 3000 unknowns; beyond that, power iteration for
-    the largest and Cholesky-based inverse iteration for the smallest, each
-    stopped once two successive Rayleigh quotients agree to 1e-6 relative
-    (or after 500 steps).  That bounds the last step, not the error: on the
-    level-5 matrix (8962 unknowns) lambda_min came out 1.1 % above the
-    `eigh` value, lambda_max within 6e-7.
+    Raises ValueError for an empty matrix or one with an entry that is not
+    finite.
     """
-    n = len(matrix)
-    if n <= _EIG_DENSE_LIMIT:
-        vals = eigh(matrix, eigvals_only=True, check_finite=False)
-        return float(vals[0]), float(vals[-1])
-    rng = np.random.default_rng(7)
-
-    def dominant(mul):
-        v = rng.standard_normal(n)
-        v /= np.linalg.norm(v)
-        lam = 0.0
-        for _ in range(500):
-            w = mul(v)
-            lam_new = float(v @ w)
-            norm = np.linalg.norm(w)
-            if norm == 0.0:
-                return 0.0
-            v = w / norm
-            if abs(lam_new - lam) <= 1e-6 * abs(lam_new):
-                return lam_new
-            lam = lam_new
-        return lam
-
-    # BLAS sums A @ v in an order that depends on A's layout: the products
-    # are those of a row-major copy, whichever layout the matrix has
-    rows = np.ascontiguousarray(matrix)
-    lam_max = dominant(lambda v: rows @ v)
-    del rows
-    try:
-        factor = cho_factor(matrix, lower=True, check_finite=False)
-    except LinAlgError as exc:  # loss of definiteness is the signal itself
-        raise NotPositiveDefinite(str(exc)) from exc
-    inv_dominant = dominant(lambda v: cho_solve(factor, v, check_finite=False))
-    lam_min = 1.0 / inv_dominant if inv_dominant else 0.0
-    return float(lam_min), float(lam_max)
+    if np.size(matrix) == 0:
+        raise ValueError("need a non-empty matrix")
+    vals = eigh(matrix, eigvals_only=True, check_finite=True)
+    return float(vals[0]), float(vals[-1])
 
 
 def slope_check(levels) -> float:
-    """Least-squares exponent of kappa ~ (1/h)^slope from (h_j, kappa_j) pairs."""
-    levels = list(levels)
-    if len(levels) < 2:
-        raise ValueError("need at least two (h, kappa) pairs")
-    xs = np.log([1.0 / h for h, _ in levels])
-    ys = np.log([k for _, k in levels])
-    slope, _ = np.polyfit(xs, ys, 1)
+    """Least-squares exponent of kappa ~ (1/h)^slope from (h_j, kappa_j) pairs.
+
+    Raises ValueError unless every h and kappa is positive and finite and
+    at least two of the h differ.
+    """
+    pairs = np.array(list(levels), dtype=float)
+    if pairs.shape[1:] != (2,) or not np.all(np.isfinite(pairs) & (pairs > 0)):
+        raise ValueError("need (h, kappa) pairs, each h and kappa positive and finite")
+    h, kappa = pairs.T
+    if len(np.unique(h)) < 2:
+        raise ValueError("need (h, kappa) pairs at two or more distinct h")
+    slope, _ = np.polyfit(np.log(1.0 / h), np.log(kappa), 1)
     return float(slope)
 
 

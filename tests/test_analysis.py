@@ -16,7 +16,7 @@ from stokesrbf.analysis import (
     slope_check,
     trig_stokes_problem,
 )
-from stokesrbf.collocation import NotPositiveDefinite, assemble
+from stokesrbf.collocation import assemble
 from stokesrbf.multiscale import MultiscaleConfig, MultiscaleModel
 
 
@@ -135,49 +135,29 @@ class TestConditionNumber:
     def test_diagonal(self):
         assert extreme_eigenvalues(np.diag([2.0, 8.0])) == pytest.approx((2.0, 8.0))
 
-    def test_rejects_indefinite(self, monkeypatch):
-        import stokesrbf.analysis as analysis
-
-        # the dense path reports the negative eigenvalue, the iterative path
-        # fails its Cholesky factorization
+    def test_rejects_indefinite(self):
+        # the negative eigenvalue is reported, and `run_experiment` records
+        # no kappa for a level whose lambda_min is not positive
         lam_min, _ = extreme_eigenvalues(np.diag([1.0, -2.0]))
         assert lam_min == pytest.approx(-2.0)
-        monkeypatch.setattr(analysis, "_EIG_DENSE_LIMIT", 1)
-        with pytest.raises(NotPositiveDefinite):
-            extreme_eigenvalues(np.diag([1.0, -2.0]))
 
-    def test_other_factorization_errors_pass_through(self, monkeypatch):
-        import stokesrbf.analysis as analysis
+    def test_exact_above_three_thousand_unknowns(self):
+        # one path at every size: a diagonal matrix has its diagonal as its
+        # spectrum, and the decomposition returns it exactly
+        assert extreme_eigenvalues(np.diag(np.arange(1.0, 3002.0))) == (1.0, 3001.0)
 
-        def out_of_memory(*args, **kwargs):
-            raise MemoryError
+    @pytest.mark.parametrize("matrix", [
+        np.zeros((0, 0)),
+        np.array([[np.nan, 0.0], [0.0, 1.0]]),
+        np.array([[1.0, 0.0], [0.0, np.inf]]),
+    ], ids=["empty", "nan", "inf"])
+    def test_rejects_what_it_cannot_measure(self, matrix):
+        with pytest.raises(ValueError):
+            extreme_eigenvalues(matrix)
 
-        monkeypatch.setattr(analysis, "_EIG_DENSE_LIMIT", 1)
-        monkeypatch.setattr(analysis, "cho_factor", out_of_memory)
-        with pytest.raises(MemoryError):
-            extreme_eigenvalues(np.diag([2.0, 8.0]))
-
-    def test_iterative_path_matches_dense(self, rng, monkeypatch):
-        import stokesrbf.analysis as analysis
-
-        basis = rng.standard_normal((60, 60))
-        spectrum = np.linspace(1.0, 300.0, 60)
-        q, _ = np.linalg.qr(basis)
-        matrix = (q * spectrum) @ q.T
-        matrix = 0.5 * (matrix + matrix.T)
-        dense_min, dense_max = extreme_eigenvalues(matrix)
-        monkeypatch.setattr(analysis, "_EIG_DENSE_LIMIT", 10)
-        it_min, it_max = extreme_eigenvalues(matrix)
-        assert it_max == pytest.approx(dense_max, rel=1e-4)
-        assert it_min == pytest.approx(dense_min, rel=1e-4)
-
-    @pytest.mark.parametrize("dense_limit", [3000, 10])
-    def test_layout_keeps_the_bits(self, level1_system, dense_limit, monkeypatch):
-        # the assembled matrix is column-major; both paths report, bit for
-        # bit, the values of its row-major copy
-        import stokesrbf.analysis as analysis
-
-        monkeypatch.setattr(analysis, "_EIG_DENSE_LIMIT", dense_limit)
+    def test_layout_keeps_the_bits(self, level1_system):
+        # the assembled matrix is column-major; its values are, bit for bit,
+        # those of its row-major copy
         assert level1_system.matrix.flags.f_contiguous
         assert (extreme_eigenvalues(level1_system.matrix)
                 == extreme_eigenvalues(np.ascontiguousarray(level1_system.matrix)))
@@ -195,6 +175,20 @@ class TestSlopeCheck:
     def test_needs_two_points(self):
         with pytest.raises(ValueError):
             slope_check([(0.25, 10.0)])
+
+    @pytest.mark.parametrize("pairs", [
+        [(0.25, 10.0), (0.125, -20.0)],
+        [(0.25, 10.0), (0.125, np.inf)],
+        [(0.25, np.nan), (0.125, 20.0)],
+        [(0.0, 10.0), (0.125, 20.0)],
+        [(-0.25, 10.0), (0.125, 20.0)],
+        [(0.25, 10.0), (0.25, 20.0)],
+        [],
+    ], ids=["negative-kappa", "infinite-kappa", "nan-kappa", "zero-h",
+            "negative-h", "one-distinct-h", "empty"])
+    def test_rejects_degenerate_pairs(self, pairs):
+        with pytest.raises(ValueError):
+            slope_check(pairs)
 
 
 @pytest.fixture(scope="module")

@@ -224,6 +224,31 @@ def test_table_and_copy_paths_agree(level3_system, monkeypatch):
     assert tables.solve_residual == copied.solve_residual
 
 
+def test_level3_refines_until_a_step_is_rejected(problem, monkeypatch):
+    # cho_solve calls per level of a 3-level run: the level-3 solve makes the
+    # plain solve, two accepted refinement steps and a rejected third
+    # (3.63e-9 -> 3.66e-10 -> 2.66e-10, then 4.88e-10), so a loop of fewer
+    # steps shows here.  Like the output contract's hashes, the counts and
+    # the residual hold for numpy 2.4 with its bundled OpenBLAS 0.3.31
+    from stokesrbf.multiscale import run
+
+    calls, counts = [], []
+    real_solve = collocation.cho_solve
+
+    def counting_solve(*args, **kwargs):
+        calls.append(1)
+        return real_solve(*args, **kwargs)
+
+    def on_level(index, system, solution):
+        counts.append(len(calls))
+        calls.clear()
+
+    monkeypatch.setattr(collocation, "cho_solve", counting_solve)
+    model = run(problem, MultiscaleConfig(n_levels=3), on_level=on_level)
+    assert counts == [1, 2, 4]
+    assert model.levels[2].solve_residual == pytest.approx(2.659e-10, rel=1e-3)
+
+
 def test_failed_in_place_factorization_gives_a_back(level3_system, monkeypatch):
     # a factorization that writes over the lower triangle and then fails:
     # the matrix is A again, bit for bit, when NotPositiveDefinite arrives
