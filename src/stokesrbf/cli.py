@@ -10,7 +10,6 @@ for a fixed configuration.  Arguments a command cannot handle end in
 from __future__ import annotations
 
 import argparse
-import math
 import os
 import sys
 from dataclasses import dataclass, fields
@@ -21,7 +20,7 @@ from .collocation import NotPositiveDefinite, assemble, write_matrix
 from .geometry import export_points_csv, grid_spacing, make_level_pointset
 from .multiscale import MultiscaleConfig, scale_schedule
 from .radial import mixed_partial
-from .stokes_kernel import StokesKernelConfig
+from .stokes_kernel import StokesKernelConfig, _check_positive
 from .wendland import wendland_c8, wendland_from_integral
 
 # reference results of the original published experiment (five levels);
@@ -66,10 +65,7 @@ class RunConfig:
 
     def validate(self):
         check_dense_size(self.levels, copies=2 if self.eigen_levels >= self.levels else 1)
-        for name in ("beta", "nu", "tau"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value > 0):
-                raise ValueError(f"{name} must be positive and finite")
+        _check_positive(self, "beta", "nu", "tau")
         if self.quad_points < 2 or self.eigen_levels < 0:
             raise ValueError("quad_points must be >= 2 and eigen_levels >= 0")
 

@@ -293,24 +293,29 @@ def _factor_and_refine(system: CollocationSystem, tile, overwrite: bool) -> Leve
     )
 
 
+def _slab_rows(*pointsets) -> int:
+    """The largest multiple of _SLAB rows, at least _SLAB, whose block against
+    the widest centre kind of ``pointsets`` has at most _SLAB_ENTRIES entries."""
+    width = max(sum(ps.n_interior for ps in pointsets),
+                sum(ps.n_boundary for ps in pointsets), 1)
+    return _SLAB * max(1, _SLAB_ENTRIES // (_SLAB * width))
+
+
 def _slabs(row_sets, *pointsets) -> list:
     """Point slabs of ``row_sets`` -- (points, row labels) in output order,
     each label's rows after the previous label's -- against the centres of
     ``pointsets``, the point sets of the levels of one call.
 
-    A slab has the rows of the largest multiple of _SLAB, at least _SLAB,
-    whose block against the widest centre kind of all levels together holds
-    at most _SLAB_ENTRIES entries.  Slab k holds points k*rows up to
-    (k+1)*rows of every set that has them, as (points, [(row label, first
-    output row)]).  Every slab
-    starts at a multiple of _SLAB, and `_apply_rows` hands BLAS one block of
-    _SLAB rows at a time.  BLAS sums a row in an order that depends on the
-    row's place in its block, so a point's values do not depend on which
-    labels are requested with it, nor on the slab size.
+    Slab k holds points k*rows up to (k+1)*rows of every set that has
+    them, as (points, [(row label, first output row)]), rows being
+    `_slab_rows`.  Every slab starts at a multiple of _SLAB, and
+    `_apply_rows` hands BLAS one block of _SLAB rows at a time.  BLAS sums
+    a row in an order that depends on the row's place in its block, though
+    not in a block of a multiple of 4 rows (`_mirror_layout`), so a point's
+    values do not depend on which labels are requested with it, nor on the
+    slab size.
     """
-    width = max(sum(ps.n_interior for ps in pointsets),
-                sum(ps.n_boundary for ps in pointsets), 1)
-    size = _SLAB * max(1, _SLAB_ENTRIES // (_SLAB * width))
+    size = _slab_rows(*pointsets)
     slabs, r0 = [], 0
     for pts, labels in row_sets:
         for k, start in enumerate(range(0, len(pts), size)):
@@ -428,7 +433,57 @@ def _tables(levels, row_sets) -> list:
     return tables
 
 
-def _slab_blocks(levels, slab, tables, pool):
+def _swap_index(points):
+    """The index of (y, x) for each point (x, y), or None unless the points
+    are closed under that swap, exactly.  The sorts are stable: the k-th
+    copies of a point and of its mirror index each other."""
+    lo, hi = points.min(axis=0, initial=np.inf), points.max(axis=0, initial=-np.inf)
+    if lo[0] != lo[1] or hi[0] != hi[1]:
+        return None  # fast: ~4 us for a query batch, half the time of sorting x and y
+    by_xy, by_yx = np.lexsort(points.T[::-1]), np.lexsort(points.T)
+    if not all(np.array_equal(points[by_xy, axis], points[by_yx, 1 - axis]) for axis in (0, 1)):
+        return None
+    swap = np.empty_like(by_xy)
+    swap[by_yx] = by_xy
+    return swap
+
+
+def _mirror_layout(x, columns, labels, tables):
+    """(order, pairs, swaps) that pair each point (u, v) of x with (v, u) in
+    its slabs, or None: a slab computes r and the values of r alone on its
+    direct rows and gathers them for their mirrors (`radial.Displacements`).
+
+    Pairs are made when x has a pair and a multiple of 4 points and is
+    closed under the swap, and so is each centre set that a displacement
+    set reads, of which there is one (swaps: their swap indices, by (level
+    index, centre kind)).  In ``order`` the slabs hold direct rows, then
+    their mirrors, until the pairs run out; one holds the last pairs, with
+    the points that are their own mirror that fit before their mirrors;
+    then the rest of those points.  Every slab but the last is full, so
+    each block that BLAS sees has a multiple of 4 rows (`_slabs`)."""
+    swap = None if len(x) % 4 else _swap_index(x)
+    if swap is None:
+        return None
+    swaps = {(j, kind): _swap_index(cpts)
+             for j, ((kernel, pointset), level_tables) in enumerate(zip(columns, tables))
+             for kind, (cpts, _, cols) in enumerate(_groups(pointset))
+             if (labels[0], cols[0]) not in level_tables
+             and not all(vanishes(kernel, row, col) for row in labels for col in cols)}
+    direct = np.flatnonzero(swap > np.arange(len(x)))
+    if not (swaps and len(direct)) or any(s is None for s in swaps.values()):
+        return None
+    own, mirror = np.flatnonzero(swap == np.arange(len(x))), swap[direct]
+    half = _slab_rows(*(pointset for _, pointset in columns)) // 2
+    full = len(direct) - len(direct) % half  # the pairs in slabs of their own
+    room = 2 * (half - len(direct) + full)  # the rows that the last pairs leave
+    # int32: alive with the outputs, at the peak of a grid evaluation
+    order = np.concatenate([np.hstack([a[:full].reshape(-1, half) for a in (direct, mirror)]),
+                            direct[full:], own[:room], mirror[full:], own[room:]],
+                           axis=None, dtype=np.int32)
+    return order, len(direct), swaps
+
+
+def _slab_blocks(levels, slab, tables, pool, mirror=None):
     """Kernel blocks of one slab's row functionals against the columns of
     each of ``levels``, (kernel, pointset) pairs, with ``tables`` the
     call's lattice tables of each level: yields (level index, row slice,
@@ -442,7 +497,9 @@ def _slab_blocks(levels, slab, tables, pool):
     pair whose kernel vanishes (`stokes_kernel.vanishes`: a pressure row
     against a Dirichlet column) yields no block: its entries are zero.
     Block-sized arrays come from ``pool`` (a `BufferPool`, or `FRESH`).
-    Callers drop each block before asking for the next."""
+    With ``mirror``, (d, swaps), row d + k of the slab is row k swapped,
+    and swaps are those of `_mirror_layout`.  Callers drop each block
+    before asking for the next."""
     groups = [_groups(pointset) for _, pointset in levels]
     for pts, rows in slab:
         for kind, (_, _, cols) in enumerate(groups[0] if levels else ()):
@@ -480,7 +537,9 @@ def _slab_blocks(levels, slab, tables, pool):
                 pairs = _pairs(kernels[0], rows, cols)
                 if len(kernels) == 1:  # one level: its kernel and centres
                     (kernels,), (centres,) = kernels, centres
-                shared = displacements(kernels, pts, centres, pool)
+                shared = displacements(kernels, pts, centres, pool, mirror and (
+                    mirror[0], np.concatenate([mirror[1][j, kind] + part.start
+                                               for j, part in zip(levels_of_set, parts)])))
                 for (row, r0), (k, col) in pairs:
                     block = kernel_block(kernels, row, col, shared, centres)
                     rows_out = slice(r0, r0 + len(pts))
@@ -544,22 +603,33 @@ def _apply_rows(levels, requests, x) -> list:
     labels = list(dict.fromkeys(itertools.chain.from_iterable(requests)))
     row_sets = [(x, labels)]
     columns = [(sol.kernel, sol.pointset) for sol in levels]
-    # before the outputs: the lattice tests of x take batch-sized temporaries
+    # before the outputs: the lattice tests and the layout take batch-sized temporaries
     tables = _tables(columns, row_sets)
+    # a batch closed under (x, y) -> (y, x), such as a tensor grid, is cut
+    # into slabs in this order
+    order, pairs, swaps = _mirror_layout(x, columns, labels, tables) or (None, 0, None)
     outs = [np.zeros((len(levels), len(x), len(request))) for request in requests]
     # (output, column) of each label in every request that has it
     dests = [[(out, k) for out, request in zip(outs, requests)
               for k, other in enumerate(request) if other == label] for label in labels]
 
     def add(slab, pool):
-        for j, rows, cols, block in _slab_blocks(columns, slab, tables, pool):
+        mirror = None
+        if order is not None:
+            ((pts, rows),) = slab
+            first = rows[0][1]  # in ``order``: the slabs before hold <= first // 2 pairs
+            slab = [(x[order[first:first + len(pts)]], rows)]
+            mirrors = min(max(pairs - first // 2, 0), len(pts) // 2)
+            mirror = (len(pts) - mirrors, swaps) if mirrors else None
+        for j, rows, cols, block in _slab_blocks(columns, slab, tables, pool, mirror):
             label, first = divmod(rows.start, len(x))  # the rows' label, first point
             coefficients = levels[j].coefficients[cols]
             # BLAS sees the slab's block _SLAB rows at a time
             for start in range(0, len(block), _SLAB):
                 values = block[start:start + _SLAB] @ coefficients
+                at = slice(first + start, first + start + len(values))
                 for out, k in dests[label]:
-                    out[j, first + start:first + start + len(values), k] += values
+                    out[j, at if order is None else order[at], k] += values
             del block
 
     _run_slabs(add, _slabs(row_sets, *(sol.pointset for sol in levels)))

@@ -13,6 +13,7 @@ a geometric schedule since h halves per level.
 
 from __future__ import annotations
 
+import numbers
 import struct
 from dataclasses import dataclass
 
@@ -29,7 +30,7 @@ from .collocation import (
     solve,
 )
 from .geometry import LevelPointSet, grid_spacing, make_level_pointset
-from .stokes_kernel import StokesKernelConfig
+from .stokes_kernel import StokesKernelConfig, _check_positive
 from .wendland import wendland_c8
 
 __all__ = [
@@ -50,6 +51,8 @@ class MultiscaleConfig:
     ``tau`` is the Sobolev exponent of the kernel's native space (4.5 for
     the C^8 kernel); it is supplied rather than inferred because it is a
     property of the norm equivalence, not recoverable from coefficients.
+    Raises ValueError unless ``n_levels`` is an integer >= 1 (not a bool),
+    ``tau`` > 2, and ``beta`` and ``nu`` are positive and finite.
     """
 
     n_levels: int
@@ -58,10 +61,12 @@ class MultiscaleConfig:
     nu: float = 1.0
 
     def __post_init__(self):
-        if self.n_levels < 1:
-            raise ValueError("need at least one level")
+        n = self.n_levels
+        if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < 1:
+            raise ValueError("need an integer number of levels, at least one")
         if not self.tau > 2:
             raise ValueError("tau must exceed 2 for a meaningful schedule")
+        _check_positive(self, "beta", "nu")  # beta = inf gave infinite supports
 
 
 def scale_schedule(config: MultiscaleConfig) -> list[float]:

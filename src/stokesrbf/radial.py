@@ -234,9 +234,14 @@ class Displacements:
     the same floats -- when that table is at most half the block: a
     128-point slab of a tensor grid has 2 distinct x against the 33 of the
     level-4 centres.
+
+    With ``mirror``, (d, swap), row d + k is row k with its coordinates
+    swapped, and column swap[q] is column q swapped, in its run: hypot is
+    symmetric, so r, its powers and the Horner radials of row d + k are
+    those of row k at the columns swap, bit for bit, and are gathered.
     """
 
-    def __init__(self, rows, columns, scale, pool=FRESH):
+    def __init__(self, rows, columns, scale, pool=FRESH, mirror=None):
         if np.ndim(scale) == 0:
             columns, scale = [columns], [scale]
         # (points, scale) of each run of columns
@@ -247,6 +252,7 @@ class Displacements:
         self.pool = pool
         self._values: dict = {}
         self._cut = None  # not located yet: see `_locate`
+        self._direct, self._swap = mirror or (len(rows), None)  # see `_mirrored`
         self.scale = self.per_column(tuple(scale))
 
     def __len__(self) -> int:
@@ -266,12 +272,22 @@ class Displacements:
             self._values[key] = np.repeat(values, [len(points) for points, _ in self.runs])
         return self._values[key]
 
+    def _mirrored(self, value) -> np.ndarray:
+        """``value``, a value of r alone set on the rows before the first
+        mirror, with the mirror rows gathered from those (see ``mirror``)."""
+        if self._swap is not None:
+            d = self._direct
+            np.take(value[:len(value) - d], self._swap, axis=1, mode="clip", out=value[d:])
+        return value
+
     def _locate(self) -> None:
         """Keeps x, y and r and, when an entry lies outside 0 < r < 1, the
         masks of r >= 1 and r = 0, where every sum is overwritten."""
         x, y = (_differences(self.rows[:, axis], self.columns[:, axis], self.scale,
                              self._new()) for axis in (0, 1))
-        r = np.hypot(x, y, out=self._new())
+        d, r = self._direct, self._new()
+        np.hypot(x[:d], y[:d], out=r[:d])
+        self._mirrored(r)
         self._cut = () if r.size and r.min() > 0.0 and r.max() < 1.0 else (
             np.greater_equal(r, 1.0, out=self.pool.empty(self.shape, bool)),
             np.equal(r, 0.0, out=self.pool.empty(self.shape, bool)))
@@ -307,21 +323,21 @@ class Displacements:
         if kind == "m":
             return np.multiply(self.read(("x", n)), self.read(("y", key[2])),
                                out=self._new())
-        r = self.read(("r", 1))
-        if kind == "h":
-            coeffs = key[2]
+        if kind in "hr":
+            d, value = self._direct, self._new()
+            r, radial = self.read(("r", 1))[:d], value[:d]
+            if kind == "r":  # np.power(v, n) is v ** n, bit for bit
+                np.power(r, n, out=radial)
+                return self._mirrored(value)
             # Horner in place: (...(c_top * r + c) * r + ...) + c_0
-            radial = self._new()
+            coeffs = key[2]
             radial.fill(coeffs[-1])
             for c in coeffs[-2::-1]:
                 np.multiply(radial, r, out=radial)
                 np.add(radial, c, out=radial)
             if n:
-                np.multiply(radial, self.read(("r", n)), out=radial)
-            return radial
-        # np.power(v, n) is v ** n, bit for bit
-        if kind == "r":
-            return np.power(r, n, out=self._new())
+                np.multiply(radial, self.read(("r", n))[:d], out=radial)
+            return self._mirrored(value)
         table = self.read(("t", kind)) if n >= 3 else None
         if table is None:
             return np.power(self.read((kind, 1)), n, out=self._new())

@@ -65,6 +65,15 @@ _COLUMNS = {
 _PSI = {(1, 1): (-1, 0, 2), (2, 2): (-1, 2, 0), (1, 2): (1, 1, 1), (2, 1): (1, 1, 1)}
 
 
+def _check_positive(settings, *names) -> None:
+    """Raises ValueError unless the attributes ``names`` of ``settings`` are
+    positive and finite."""
+    for name in names:
+        value = getattr(settings, name)
+        if not (math.isfinite(value) and value > 0):
+            raise ValueError(f"{name} must be positive and finite")
+
+
 @dataclass(frozen=True)
 class StokesKernelConfig:
     """Kernel data for one level: the two radial profiles, viscosity, scale.
@@ -85,10 +94,7 @@ class StokesKernelConfig:
     def __post_init__(self):
         # an infinite nu or delta turns entries into nan, which the Cholesky
         # solve (check_finite=False) would pass on silently
-        for name in ("delta", "nu"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value > 0):
-                raise ValueError(f"{name} must be positive and finite")
+        _check_positive(self, "delta", "nu")
 
     def rescaled(self, delta: float) -> "StokesKernelConfig":
         return StokesKernelConfig(self.psi_vel, self.psi_pre, self.nu, delta)
@@ -143,7 +149,7 @@ def _points(x) -> np.ndarray:
     return np.atleast_2d(np.asarray(x, dtype=float))
 
 
-def displacements(cfg, xa, xb, pool=FRESH) -> Displacements:
+def displacements(cfg, xa, xb, pool=FRESH, mirror=None) -> Displacements:
     """The displacement set of the points xa against the points xb at cfg's
     scale: give it to `kernel_block` as xa, with this very cfg and xb, for
     any label pairs.  Their blocks then share the displacements, r, the
@@ -154,11 +160,12 @@ def displacements(cfg, xa, xb, pool=FRESH) -> Displacements:
     ``cfg`` may also be a sequence of configs of the same profiles -- the
     levels of a model -- and ``xb`` a sequence of point sets, one per
     config: the set is then of xa against their concatenation, each run of
-    columns at its own config's scale."""
+    columns at its own config's scale.  ``mirror`` pairs swapped rows and
+    columns, as for `radial.Displacements`."""
     if isinstance(cfg, StokesKernelConfig):
-        return Displacements(_points(xa), _points(xb), 1.0 / cfg.delta, pool)
+        return Displacements(_points(xa), _points(xb), 1.0 / cfg.delta, pool, mirror)
     return Displacements(_points(xa), [_points(b) for b in xb],
-                         [1.0 / c.delta for c in cfg], pool)
+                         [1.0 / c.delta for c in cfg], pool, mirror)
 
 
 def kernel_block(cfg, row: tuple, col: tuple, xa, xb) -> np.ndarray:

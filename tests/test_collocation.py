@@ -14,15 +14,17 @@ import pytest
 from stokesrbf import collocation
 from stokesrbf.collocation import (
     CollocationSystem,
+    LevelSolution,
     NotPositiveDefinite,
     assemble,
     evaluate,
     evaluate_fields,
+    evaluate_levels,
     solve,
     write_matrix,
 )
 from stokesrbf.analysis import gauss_legendre_grid
-from stokesrbf.geometry import make_level_pointset
+from stokesrbf.geometry import LevelPointSet, make_level_pointset
 from stokesrbf.multiscale import MultiscaleConfig, scale_schedule
 from stokesrbf.radial import Displacements
 from stokesrbf.stokes_kernel import StokesKernelConfig, kernel_block
@@ -503,10 +505,10 @@ def group_sums(sol, x, labels):
 
 
 def random_solution(c8, level, rng):
-    """A level's solution of the 3-level schedule with random coefficients:
-    sums of its blocks need no solve."""
+    """A level's solution of the schedule with random coefficients: sums of
+    its blocks need no solve."""
     pointset = make_level_pointset(level)
-    delta = scale_schedule(MultiscaleConfig(n_levels=3))[level - 1]
+    delta = scale_schedule(MultiscaleConfig(n_levels=level))[level - 1]
     return collocation.LevelSolution(rng.standard_normal(pointset.n_functionals), pointset,
                                      StokesKernelConfig(c8, c8, nu=1.0, delta=delta))
 
@@ -828,3 +830,152 @@ def test_forked_child_evaluates(level1_solution, rng):
         os._exit(0 if same else 1)
     _, status = os.waitpid(pid, 0)
     assert os.WIFEXITED(status) and os.WEXITSTATUS(status) == 0
+
+
+def test_blas_sums_a_row_alike_in_blocks_of_a_multiple_of_4_rows(c8, rng):
+    # the mirror-paired layout (`_mirror_layout`) moves grid points within
+    # and between the 128-row blocks that evaluation hands BLAS.  That keeps
+    # every bit because the OpenBLAS that numpy bundles sums each row of a
+    # block whose row count is a multiple of 4 in one order, wherever the
+    # row sits (a row past the last multiple of 4 is summed in another
+    # order).  Like the hashes of tools/check_contract.py, this holds for the
+    # pinned stack, numpy 2.4 with its OpenBLAS 0.3.31; on a stack where it
+    # fails, the paired layout changes bits
+    sol = random_solution(c8, 4, rng)
+    block = kernel_block(sol.kernel, ("velocity", 1), ("pde", 1), rng.random((1280, 2)),
+                         sol.pointset.interior)
+    coefficients = sol.coefficients[:sol.pointset.n_interior]
+
+    def sums(rows, size):
+        # each row's sum in blocks of ``size`` of ``rows``, in that order
+        out = np.empty(len(rows))
+        for start in range(0, len(rows), size):
+            out[start:start + size] = block[rows[start:start + size]] @ coefficients
+        return out
+
+    every = np.arange(len(block))
+    expected = sums(every, collocation._SLAB)
+    for size in (4, 12, 100):  # 1280 rows: the last 12- and 100-row blocks have 8 and 80
+        assert sums(every, size).tobytes() == expected.tobytes(), size
+    for _ in range(3):
+        shuffled = rng.permutation(len(block))
+        assert sums(shuffled, collocation._SLAB).tobytes() == expected[shuffled].tobytes()
+
+
+def closed_batch(name, rng):
+    """A batch closed under (x, y) -> (y, x), of a multiple of 4 points: the
+    24^2 Gauss-Legendre grid, or ("mixed") 72 random points, two of them
+    twice, with their mirrors and 120 points on the diagonal, shuffled:
+    against the level-4 centres a slab of pairs, one with the last pairs
+    and the diagonal points that fit, and one of diagonal points."""
+    if name == "grid-24":
+        return gauss_legendre_grid(24)[0]
+    pairs = rng.random((70, 2))
+    pairs = np.concatenate([pairs, pairs[:2]])
+    diagonal = np.repeat(rng.random((120, 1)), 2, axis=1)
+    points = np.concatenate([pairs, pairs[:, ::-1], diagonal])
+    return points[rng.permutation(len(points))]
+
+
+def unpaired_chunks(monkeypatch, evaluate_batch, x):
+    """evaluate_batch of x, fields of `evaluate_levels`, one call per 128
+    points in the batch's order, each in the layout without pairs."""
+    with monkeypatch.context() as patched:
+        patched.setattr(collocation, "_mirror_layout", lambda *args: None)
+        chunks = [evaluate_batch(x[start:start + collocation._SLAB])
+                  for start in range(0, len(x), collocation._SLAB)]
+    return tuple(np.concatenate(parts, axis=1) for parts in zip(*chunks))
+
+
+def hypot_entries(monkeypatch, evaluate_batch, x):
+    """(evaluate_batch(x), the number of entries that np.hypot computed)."""
+    entries = []
+    hypot = np.hypot
+
+    def counting(a, b, **kwargs):
+        entries.append(np.size(a))
+        return hypot(a, b, **kwargs)
+
+    with monkeypatch.context() as patched:
+        patched.setattr(np, "hypot", counting)
+        fields = evaluate_batch(x)
+    return fields, sum(entries)
+
+
+@pytest.mark.parametrize("levels", [[4], [2], [1, 2, 3]])
+@pytest.mark.parametrize("batch", ["grid-24", "mixed"])
+def test_mirror_pairs_keep_the_bits(c8, rng, monkeypatch, levels, batch):
+    # on a batch closed under the swap, each slab computes r and the Horner
+    # radials on its direct rows and gathers them for their mirrors, at the
+    # swapped centres of each level's run of columns: every field of every
+    # request, alone and all in one call, is bit-equal to the same points
+    # evaluated without pairs, 128 at a time in the batch's order
+    solutions = [random_solution(c8, level, rng) for level in levels]
+    x = closed_batch(batch, rng)
+    assert collocation._mirror_layout(
+        x, [(sol.kernel, sol.pointset) for sol in solutions], [("velocity", 1)],
+        [{} for _ in solutions]) is not None
+    requests = list(collocation._FIELD_ROWS)
+    for request in requests + [requests]:
+        def evaluate_batch(points):
+            fields = evaluate_levels(solutions, points, request)
+            return fields if isinstance(request, list) else (fields,)
+
+        got = evaluate_batch(x)
+        expected = unpaired_chunks(monkeypatch, evaluate_batch, x)
+        for field, other in zip(got, expected, strict=True):
+            assert field.tobytes() == other.tobytes(), request
+
+
+def test_mirror_pairs_compute_r_once_per_pair(c8, rng, monkeypatch):
+    # the 24^2 grid has 24 points on its diagonal and 276 pairs: hypot sees
+    # the 24 + 276 direct points against every centre (one displacement set
+    # per slab and centre kind), where it saw all 576 without pairs
+    sol = random_solution(c8, 4, rng)
+    x = gauss_legendre_grid(24)[0]
+
+    def evaluate_batch(points):
+        return evaluate_levels([sol], points, ("velocity", "pressure-gradient"))
+
+    width = sol.pointset.n_interior + sol.pointset.n_boundary
+    got, entries = hypot_entries(monkeypatch, evaluate_batch, x)
+    assert entries == (24 + 276) * width
+    with monkeypatch.context() as patched:
+        patched.setattr(collocation, "_mirror_layout", lambda *args: None)
+        expected, entries = hypot_entries(monkeypatch, evaluate_batch, x)
+    assert entries == 576 * width
+    for field, other in zip(got, expected, strict=True):
+        assert field.tobytes() == other.tobytes()
+
+
+@pytest.mark.parametrize("case", [
+    "grid-99", "centres-not-closed", "one-ulp-off", "sorted-coordinates-alike"])
+def test_mirror_pair_fallbacks_keep_the_bits(c8, rng, monkeypatch, case):
+    # the layout without pairs, and its bits, for a closed batch of 99^2
+    # points (not a multiple of 4), centres not closed under the swap (a
+    # level-2 set without the centre (0, 1/8)), a batch with one coordinate
+    # one ulp off its mirror's, and one whose sorted x and y coordinates are
+    # alike but whose points are not closed (a cycle (a, b), (b, c), (c, a))
+    sol = random_solution(c8, 1 if case == "grid-99" else 4, rng)
+    x = closed_batch("grid-24", rng)
+    if case == "grid-99":
+        x = gauss_legendre_grid(99)[0]
+    elif case == "centres-not-closed":
+        pointset = make_level_pointset(2)
+        interior = np.delete(pointset.interior, 1, axis=0)
+        pointset = LevelPointSet(interior=interior, boundary=pointset.boundary)
+        sol = LevelSolution(rng.standard_normal(pointset.n_functionals), pointset,
+                            random_solution(c8, 2, rng).kernel)
+    elif case == "one-ulp-off":
+        x = x.copy()
+        x[5, 1] = np.nextafter(x[5, 1], 1.0)
+    else:
+        x = np.concatenate([x, [(0.1, 0.2), (0.2, 0.3), (0.3, 0.1), (0.4, 0.4)]])
+
+    def evaluate_batch(points):
+        return evaluate_levels([sol], points, ("velocity", "pressure-gradient"))
+
+    got, entries = hypot_entries(monkeypatch, evaluate_batch, x)
+    assert entries == len(x) * (sol.pointset.n_interior + sol.pointset.n_boundary)
+    for field, other in zip(got, unpaired_chunks(monkeypatch, evaluate_batch, x), strict=True):
+        assert field.tobytes() == other.tobytes()

@@ -54,6 +54,20 @@ class TestSchedule:
             with pytest.raises(ValueError):
                 MultiscaleConfig(n_levels=2, tau=tau)
 
+    @pytest.mark.parametrize("bad", [
+        {"beta": float("inf")}, {"beta": float("nan")}, {"beta": 0.0}, {"beta": -18.779},
+        {"nu": float("inf")}, {"nu": float("nan")}, {"nu": 0.0}, {"nu": -1.0},
+        {"n_levels": True}, {"n_levels": 2.0}, {"n_levels": 2.5}, {"n_levels": "2"}])
+    def test_rejects_what_run_cannot_use(self, bad):
+        # beta = inf gave the schedule [inf, ...]; a bool or float level
+        # count, a nan or non-positive beta or nu were taken as well
+        with pytest.raises(ValueError):
+            MultiscaleConfig(**{"n_levels": 2, **bad})
+
+    def test_takes_numpy_integers(self):
+        assert scale_schedule(MultiscaleConfig(n_levels=np.int64(2))) == scale_schedule(
+            MultiscaleConfig(n_levels=2))
+
 
 def test_single_level_equals_plain_solve(problem, level1_solution):
     model = run(problem, MultiscaleConfig(n_levels=1))

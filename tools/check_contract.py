@@ -26,9 +26,11 @@ with both values and exits 1 on any mismatch.
     python tools/check_contract.py
 
 The hashes hold for one numeric stack: numpy 2.4 with its bundled OpenBLAS
-0.3.31 (Haswell kernels) and glibc's libm on x86_64.  Another numpy, BLAS
-or libm may round differently, and then a mismatch says nothing about the
-change under test; record the values of the parent commit instead.
+0.3.31 and glibc's libm on x86_64.  They were last checked on a 2-core
+AVX-512 VM where both bundled OpenBLAS copies report SkylakeX kernels
+(`scipy_openblas_get_corename`).  Another numpy, BLAS, kernel set or libm
+may round differently, and then a mismatch says nothing about the change
+under test; record the values of the parent commit instead.
 """
 
 from __future__ import annotations
