@@ -15,6 +15,8 @@ they are measured on demand rather than stored with each level.
 
 from __future__ import annotations
 
+import numbers
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -100,10 +102,17 @@ def make_level_pointset(level: int) -> LevelPointSet:
 
     Interior: the (2^(level+1)+1)^2 gridpoints of spacing 2^-(level+1) over
     the closed unit square.  Boundary: the 4*2^(level+1) perimeter
-    gridpoints of the same grid.
+    gridpoints of the same grid.  Raises ValueError unless ``level`` is an
+    integer >= 1 (not a bool) whose centres fit in memory while they are
+    built, at 34 bytes a centre (two grids, the centres, the edge masks).
     """
-    if level < 1:
-        raise ValueError("level must be >= 1")
+    if isinstance(level, bool) or not isinstance(level, numbers.Integral) or level < 1:
+        raise ValueError("level must be an integer >= 1")
+    need = 34 * (2 ** (int(level) + 1) + 1) ** 2
+    have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    if need > have:
+        raise ValueError(f"level {level} needs {need / 1e9:.3g} GB to build its centres, "
+                         f"more than the {have / 1e9:.1f} GB of memory")
     spacing = grid_spacing(level)
     n = int(1 / spacing)  # cells per side
     ticks = np.arange(n + 1) * spacing

@@ -212,12 +212,12 @@ class Displacements:
 
     Each shared value -- an evaluator's sum, a Horner radial keyed by its
     lowest power of r and its coefficients (with a positive top one, so
-    that radials of opposite sign are one value), x, y, r and the other
-    powers, a power table, a `per_column` vector -- is computed on its
-    first read and kept as long as the set; x and y are kept from the pass
-    that computes r.  The squares and the monomials x^a y^b (a pass or two
-    each) are computed at every read: not kept, with the same bits either
-    way, so that fewer blocks are alive at once.
+    that radials of opposite sign are one value), x, y, r and their powers,
+    squares included, a power table, a `per_column` vector -- is computed
+    on its first read and kept as long as the set; x and y are kept from
+    the pass that computes r.  The monomials x^a y^b (one pass each) are
+    computed at every read: not kept, with the same bits either way, so
+    that fewer blocks are alive at once.
 
     Every value is computed at every entry, and a sum is the term sum where
     0 < r < 1.  When some entry lies at r = 0 or r >= 1 -- a coincident
@@ -254,6 +254,7 @@ class Displacements:
         self._cut = None  # not located yet: see `_locate`
         self._direct, self._swap = mirror or (len(rows), None)  # see `_mirrored`
         self.scale = self.per_column(tuple(scale))
+        self.last_block = None  # (parts, block): see `stokes_kernel.kernel_block`
 
     def __len__(self) -> int:
         return self.shape[0]
@@ -301,7 +302,7 @@ class Displacements:
 
     @staticmethod
     def _kept(key) -> bool:
-        return key[0] in "eht" or (key[0] != "m" and key[1] != 2)
+        return key[0] != "m"
 
     def read(self, key):
         """The shared value ``key``, computed on its first read."""
@@ -329,11 +330,13 @@ class Displacements:
             if kind == "r":  # np.power(v, n) is v ** n, bit for bit
                 np.power(r, n, out=radial)
                 return self._mirrored(value)
-            # Horner in place: (...(c_top * r + c) * r + ...) + c_0
+            # Horner in place: (...(c_top * r + c) * r + ...) + c_0, where
+            # the first product is taken from c_top itself, with no fill
             coeffs = key[2]
-            radial.fill(coeffs[-1])
-            for c in coeffs[-2::-1]:
-                np.multiply(radial, r, out=radial)
+            if len(coeffs) == 1:
+                radial.fill(coeffs[0])
+            for k, c in enumerate(coeffs[-2::-1]):
+                np.multiply(radial if k else coeffs[-1], r, out=radial)
                 np.add(radial, c, out=radial)
             if n:
                 np.multiply(radial, self.read(("r", n))[:d], out=radial)
@@ -351,15 +354,16 @@ class Displacements:
         """Sum over the groups of +-(x^a y^b) * radial, in a new array of the
         set's shape: zero outside the support, ``origin`` at r = 0."""
         acc = self._new()
-        acc.fill(0.0)
-        term = self._new()
+        # the first group's product is made in acc, a later group's in term
+        term = self._new() if any(monomial for _, monomial, _ in groups[1:]) else None
         # the terms are inf or nan where they are overwritten below
         with np.errstate(all="ignore"):
-            for radial_key, monomial_key, negate in groups:
+            for k, (radial_key, monomial_key, negate) in enumerate(groups):
                 value = self.read(radial_key)
                 if monomial_key is not None:
-                    value = np.multiply(self.read(monomial_key), value, out=term)
-                (np.subtract if negate else np.add)(acc, value, out=acc)
+                    value = np.multiply(self.read(monomial_key), value, out=term if k else acc)
+                # 0.0 + the first term, as summed into zeros: -0.0 becomes 0.0
+                (np.subtract if negate else np.add)(acc if k else 0.0, value, out=acc)
         if self._cut:
             outside, at_origin = self._cut
             np.copyto(acc, 0.0, where=outside)

@@ -179,6 +179,11 @@ def kernel_block(cfg, row: tuple, col: tuple, xa, xb) -> np.ndarray:
     Entries with ||xa - xb|| >= delta vanish by compact support (the
     evaluators cut off at unit radius in scaled coordinates).
 
+    A call whose parts -- evaluators, each with its scale per level -- equal
+    those of the last block made on its set (velocity_1 x pde_2 and then
+    velocity_2 x pde_1) returns that block, which the set holds until it
+    makes another: a block with parts is read-only.
+
     ``cfg`` and ``xb`` may also be sequences, as for `displacements`: the
     block is then against the concatenated point sets, and each column
     holds the bits of its own config's block.  The only level-dependent
@@ -187,8 +192,9 @@ def kernel_block(cfg, row: tuple, col: tuple, xa, xb) -> np.ndarray:
     """
     cfgs, xbs = ((cfg,), (xb,)) if isinstance(cfg, StokesKernelConfig) else (cfg, xb)
     levels = [_parts(c, row, col) for c in cfgs]
-    evaluators = [evaluator for _, evaluator in levels[0]]
-    if any([evaluator for _, evaluator in parts] != evaluators for parts in levels[1:]):
+    # evaluators compiled apart for equal profiles are equal: compare keys
+    keys = [evaluator.key for _, evaluator in levels[0]]
+    if any([evaluator.key for _, evaluator in parts] != keys for parts in levels[1:]):
         raise ValueError("configs of other profiles")
     if not isinstance(xa, Displacements):
         xa = displacements(cfg, xa, xb)
@@ -196,14 +202,20 @@ def kernel_block(cfg, row: tuple, col: tuple, xa, xb) -> np.ndarray:
             points is not b or scale != 1.0 / c.delta
             for (points, scale), b, c in zip(xa.runs, xbs, cfgs)):
         raise ValueError("displacement set of other columns or another scale")
-    out = None
-    for k, evaluator in enumerate(evaluators):
-        scale = xa.per_column(tuple(parts[k][0] for parts in levels))
-        values = np.multiply(scale, evaluator.on(xa), out=xa.pool.empty(xa.shape))
+    parts = [(tuple(level[k][0] for level in levels), key) for k, key in enumerate(keys)]
+    if xa.last_block is not None and xa.last_block[0] == parts:
+        return xa.last_block[1]
+    xa.last_block = out = None
+    for scales, key in parts:
+        values = np.multiply(xa.per_column(scales), xa.read(key), out=xa.pool.empty(xa.shape))
         if out is None:  # 0.0 + values, as summed into zeros: -0.0 becomes 0.0
             out = np.add(values, 0.0, out=values)
         else:
             out += values
     # no parts: the kernel is block diagonal (e.g. pressure_grad x
     # dirichlet), and the set computes nothing that is not read
-    return np.zeros(xa.shape) if out is None else out
+    if out is None:
+        return np.zeros(xa.shape)
+    out.flags.writeable = False
+    xa.last_block = (parts, out)
+    return out

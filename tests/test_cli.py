@@ -223,6 +223,13 @@ def test_dump_points(tmp_path, capsys):
     assert len(lines) == 1 + 81 + 32
 
 
+def test_dump_points_rejects_levels_beyond_memory(tmp_path, capsys):
+    out = tmp_path / "pts.csv"
+    assert run_cli(["dump-points", "--level", "40", "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("error: level 40 needs")
+    assert not out.exists()
+
+
 def test_dump_matrix(tmp_path):
     out = tmp_path / "mat.bin"
     assert run_cli(["dump-matrix", "--level", "1", "--out", str(out)]) == 0

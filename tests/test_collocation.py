@@ -948,6 +948,42 @@ def test_mirror_pairs_compute_r_once_per_pair(c8, rng, monkeypatch):
         assert field.tobytes() == other.tobytes()
 
 
+def test_grid_slabs_share_the_blocks_of_equal_parts(c8, rng, monkeypatch):
+    # a joint velocity + pressure-gradient slab asks each displacement set
+    # for 8 interior and 4 boundary blocks, and the second of each of these
+    # pairs of calls returns the first one's block: the same evaluators at
+    # the same scales.  Every call still reaches kernel_block, and the
+    # fields keep the bits of one fresh set per call
+    shares = {(("velocity", 2), ("pde", 1)), (("pressure_grad", 2), ("pde", 1)),
+              (("velocity", 2), ("dirichlet", 1))}
+    solutions = [random_solution(c8, level, rng) for level in (1, 2, 3)]
+    x = gauss_legendre_grid(24)[0]
+    calls = {}
+
+    def recording(cfg, row, col, xa, xb):
+        before = xa.last_block
+        block = kernel_block(cfg, row, col, xa, xb)
+        calls.setdefault(xa, []).append(
+            ((row, col), before is not None and before[1] is block))
+        return block
+
+    def evaluate_with(patched_block):
+        with monkeypatch.context() as patched:
+            patched.setattr(collocation, "kernel_block", patched_block)
+            return evaluate_levels(solutions, x, ("velocity", "pressure-gradient"))
+
+    got = evaluate_with(recording)
+    # one set per slab and centre kind, and more than one slab
+    slabs = len(calls) // 2
+    assert sorted(len(set_calls) for set_calls in calls.values()) == [4] * slabs + [8] * slabs
+    assert slabs > 1
+    for set_calls in calls.values():
+        assert all(shared == (pair in shares) for pair, shared in set_calls)
+    fresh = evaluate_with(lambda cfg, row, col, xa, xb: kernel_block(cfg, row, col, xa.rows, xb))
+    for field, other in zip(got, fresh, strict=True):
+        assert field.tobytes() == other.tobytes()
+
+
 @pytest.mark.parametrize("case", [
     "grid-99", "centres-not-closed", "one-ulp-off", "sorted-coordinates-alike"])
 def test_mirror_pair_fallbacks_keep_the_bits(c8, rng, monkeypatch, case):

@@ -128,3 +128,20 @@ def test_export_csv(tmp_path):
 def test_rejects_level_zero():
     with pytest.raises(ValueError):
         make_level_pointset(0)
+
+
+@pytest.mark.parametrize("level", [1.5, True, 2.0, "2", None])
+def test_rejects_levels_that_are_not_integers(level):
+    # level 1.5 built 36 centres reaching only x = 0.884, and True was level 1
+    with pytest.raises(ValueError, match="integer"):
+        make_level_pointset(level)
+
+
+def test_accepts_numpy_integer_levels():
+    assert make_level_pointset(np.int64(2)).n_interior == 81
+
+
+def test_rejects_levels_beyond_memory():
+    # level 40 has (2^41 + 1)^2 centres, which numpy refuses at once
+    with pytest.raises(ValueError, match="memory"):
+        make_level_pointset(40)

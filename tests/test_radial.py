@@ -135,6 +135,21 @@ def test_inside_block_matches_masked_evaluation(c8, rng):
         assert ev.on(shared).tobytes() == expected.tobytes()
 
 
+@pytest.mark.parametrize("nx, ny", [(1, 0), (0, 1), (1, 2), (3, 0)])
+def test_a_signed_zero_first_term_sums_to_plus_zero(c8, nx, ny):
+    # at displacements with an exact +0 or -0 coordinate and 0 < r < 1 the
+    # first term of these sums is a signed zero (or, negated, its
+    # opposite).  The sum starts from 0.0 + term, as if summed into zeros:
+    # every bit of the zero-filled term sum, and +0.0, never -0.0
+    ev = mixed_partial(c8, nx, ny)
+    zero = np.array([0.0, -0.0, 0.0, -0.0])
+    other = np.array([0.25, 0.5, -0.75, -0.3])
+    dx, dy = (zero, other) if nx % 2 else (other, zero)
+    got = ev(dx, dy)
+    assert got.tobytes() == plain_term_sum(ev, dx, dy).tobytes()
+    assert (got == 0.0).all() and not np.signbit(got).any()
+
+
 def test_finite_difference_chain(c8, rng):
     # every derivative agrees with a central difference of one order lower,
     # chained over all orders used by the kernel algebra

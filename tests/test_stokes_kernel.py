@@ -3,6 +3,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
+from stokesrbf import stokes_kernel
 from stokesrbf.collocation import evaluate_fields
 from stokesrbf.radial import Displacements
 from stokesrbf.stokes_kernel import (StokesKernelConfig, _parts, displacements,
@@ -283,7 +284,8 @@ class TestValidation:
     def test_a_set_computes_each_kept_value_once(self, unit_config, rng, monkeypatch):
         # the kept values of a set are computed once whatever the label
         # pairs that read it and their order: a repeated pair, and
-        # velocity_1 x pde_2 and velocity_2 x pde_1, which share a sum
+        # velocity_1 x pde_2 and velocity_2 x pde_1, which share a sum.
+        # The squares, which several monomials and radials read, are kept
         cfg = unit_config.rescaled(0.7)
         xa, xb = rng.uniform(0, 1, (2, 30, 2))
         shared = Displacements(xa, xb, 1 / cfg.delta)
@@ -296,10 +298,64 @@ class TestValidation:
 
         monkeypatch.setattr(Displacements, "_make", counting)
         for row, col in [(("velocity", 1), ("pde", 2)), (("pde", 1), ("pde", 2)),
-                         (("velocity", 2), ("pde", 1)), (("pde", 1), ("pde", 2))]:
+                         (("velocity", 2), ("pde", 1)), (("pde", 1), ("pde", 2)),
+                         (("velocity", 1), ("pde", 1)), (("pde", 1), ("pde", 1)),
+                         (("pde", 2), ("pde", 2))]:
             kernel_block(cfg, row, col, shared, xb)
         kept = {key: count for key, count in made.items() if Displacements._kept(key)}
         assert kept and set(kept.values()) == {1}
+        assert made[("x", 2)] == made[("y", 2)] == 1
+
+    @pytest.mark.parametrize("first, second", [
+        ((("velocity", 1), ("pde", 2)), (("velocity", 2), ("pde", 1))),
+        ((("pressure_grad", 1), ("pde", 2)), (("pressure_grad", 2), ("pde", 1))),
+        ((("velocity", 1), ("dirichlet", 2)), (("velocity", 2), ("dirichlet", 1))),
+    ])
+    def test_pairs_of_equal_parts_share_one_block(self, c8, rng, monkeypatch, first, second):
+        # two label pairs with the same evaluators at the same scales, asked
+        # one after the other on one set, get one read-only block, made
+        # once; the set keeps only its last block.  Across two levels, and
+        # with the bits of a fresh set per pair
+        cfgs = [StokesKernelConfig(c8, c8, nu=0.5, delta=0.7), StokesKernelConfig(c8, c8, delta=0.4)]
+        xa = rng.uniform(0, 1, (12, 2))
+        xbs = list(rng.uniform(0, 1, (2, 9, 2)))
+        shared = displacements(cfgs, xa, xbs)
+        block = kernel_block(cfgs, *first, shared, xbs)
+        made = Counter()
+        make = Displacements._make
+
+        def counting(self, key):
+            made[key] += 1
+            return make(self, key)
+
+        monkeypatch.setattr(Displacements, "_make", counting)
+        assert kernel_block(cfgs, *second, shared, xbs) is block
+        assert not made and not block.flags.writeable
+        for pair in (first, second):
+            assert block.tobytes() == kernel_block(cfgs, *pair, xa, xbs).tobytes()
+        other = kernel_block(cfgs, ("pde", 1), ("pde", 1), shared, xbs)
+        assert other is not block and shared.last_block[1] is other
+        again = kernel_block(cfgs, *second, shared, xbs)
+        assert again is not block and again.tobytes() == block.tobytes()
+
+    def test_levels_compiled_apart_share_a_block(self, c8, rng, monkeypatch):
+        # two slab workers compiling one label pair at once each get their
+        # own evaluators (the compile cache does not make the second wait):
+        # levels whose evaluators are equal but not the same objects still
+        # share a block, and other profiles still raise
+        compile_fresh = stokes_kernel._compiled_parts.__wrapped__
+        monkeypatch.setattr(stokes_kernel, "_compiled_parts", compile_fresh)
+        cfgs = [StokesKernelConfig(c8, c8, delta=delta) for delta in (0.9, 0.5)]
+        xa = rng.uniform(0, 1, (7, 2))
+        xbs = list(rng.uniform(0, 1, (2, 5, 2)))
+        pair = ("pde", 1), ("pde", 2)
+        assert _parts(cfgs[0], *pair)[0][1] is not _parts(cfgs[1], *pair)[0][1]
+        alone = np.concatenate([kernel_block(cfg, *pair, xa, xb)
+                                for cfg, xb in zip(cfgs, xbs)], axis=1)
+        assert kernel_block(cfgs, *pair, xa, xbs).tobytes() == alone.tobytes()
+        other = StokesKernelConfig(wendland_from_integral(2, 4), c8, delta=0.3)
+        with pytest.raises(ValueError, match="other profiles"):
+            kernel_block([cfgs[0], other], *pair, xa, xbs)
 
     def test_every_valid_label_pair_evaluates(self, unit_config):
         rows = [(k, c) for k in ("pde", "velocity", "pressure_grad") for c in (1, 2)]
