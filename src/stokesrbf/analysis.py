@@ -17,6 +17,7 @@ determined up to a constant per level.
 
 from __future__ import annotations
 
+import numbers
 import os
 from dataclasses import dataclass, field
 
@@ -42,8 +43,9 @@ __all__ = [
 # bytes per point of the quadrature grid that `run_experiment` holds at its
 # peak: the coordinates and weights, the reference and accumulated fields,
 # a level's evaluation and the error norms' temporaries.  tracemalloc put
-# the growth of its peak from q = 300 to q = 600 at 128 bytes a point (1 and
-# 3 levels; 132-136 while velocity and pressure gradient took two calls).
+# the growth of its peak from q = 300 to q = 600 at 126-129 bytes a point (1
+# level; 131-132 from q = 150 to 300, with the evaluation's power-table row
+# indices; 132-136 while velocity and pressure gradient took two calls).
 _GRID_BYTES = 136
 
 
@@ -116,14 +118,15 @@ def _leggauss(q: int):
 def gauss_legendre_grid(points_per_dim: int):
     """Tensor Gauss-Legendre nodes and weights on the unit square.
 
-    Raises ValueError for fewer than 2 points per dimension, or when what
-    `run_experiment` holds for a grid of q^2 points does not fit in physical
-    memory: _GRID_BYTES a grid point, which also covers the q x q
-    companion matrix whose eigenvalues are the nodes (8 q^2 bytes).
+    Raises ValueError unless ``points_per_dim`` is an integer >= 2 (not a
+    bool), or when what `run_experiment` holds for a grid of q^2 points
+    does not fit in physical memory: _GRID_BYTES a grid point, which also
+    covers the q x q companion matrix whose eigenvalues are the nodes
+    (8 q^2 bytes).
     """
-    if points_per_dim < 2:
-        raise ValueError("need at least 2 quadrature points per dimension")
-    q = points_per_dim
+    if not _is_count(points_per_dim) or points_per_dim < 2:
+        raise ValueError("need an integer of at least 2 quadrature points per dimension")
+    q = int(points_per_dim)
     need = _GRID_BYTES * q * q
     have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     if need > have:
@@ -135,6 +138,11 @@ def gauss_legendre_grid(points_per_dim: int):
     gx, gy = np.meshgrid(nodes, nodes, indexing="ij")
     pts = np.column_stack([gx.ravel(), gy.ravel()])
     return pts, np.outer(weights, weights).ravel()
+
+
+def _is_count(n) -> bool:
+    """Whether n is an integer, numpy's included, and not a bool."""
+    return isinstance(n, numbers.Integral) and not isinstance(n, bool)
 
 
 # field name (also the `evaluate_model` request) -> reference attribute
@@ -241,7 +249,11 @@ def run_experiment(
     and accumulated, so the per-level norms come from the same evaluation
     grid (as in the original experiment, which estimated both norms on one
     tensor product grid), after the level loop: no matrix is then alive.
+    Raises ValueError unless ``quad_points`` is an integer >= 2 and
+    ``eigen_levels`` an integer >= 0 (neither a bool).
     """
+    if not _is_count(eigen_levels) or eigen_levels < 0:
+        raise ValueError("eigen_levels must be an integer >= 0")
     if problem is None:
         problem = trig_stokes_problem(nu=config.nu)
     pts, w = gauss_legendre_grid(quad_points)

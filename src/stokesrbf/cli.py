@@ -3,8 +3,9 @@
 Subcommands: run, verify-lemmas, kernel-info, dump-points, dump-matrix.
 Configuration is a flat ``key=value`` file (UTF-8, ``#`` comments); every
 key can be overridden with a ``--key value`` flag.  Output is deterministic
-for a fixed configuration.  Arguments a command cannot handle end in
-``error: ...`` on stderr and exit code 2.
+for a fixed configuration.  Arguments a command cannot handle, an output
+path whose directory does not exist (found before any work) and a failed
+read or write end in ``error: ...`` on stderr and exit code 2.
 """
 
 from __future__ import annotations
@@ -48,6 +49,15 @@ def check_dense_size(level: int, copies: int) -> None:
         raise ValueError(f"levels up to {level} need {copies} dense {n} x {n} "
                          f"matrices of {need / 1e9:.1f} GB, more than the "
                          f"{have / 1e9:.1f} GB of memory")
+
+
+def check_output_paths(*paths) -> None:
+    """Raise ValueError unless the directory of each path exists, so that a
+    command stops before its work rather than at its first write."""
+    for path in paths:
+        folder = os.path.dirname(os.path.abspath(path))
+        if not os.path.isdir(folder):
+            raise ValueError(f"cannot write {path}: no directory {folder}")
 
 
 @dataclass
@@ -111,6 +121,7 @@ def _fmt(x: float) -> str:
 
 def cmd_run(args) -> int:
     config = build_run_config(args)
+    check_output_paths(config.out_csv, config.out_summary)
     ms_config = MultiscaleConfig(
         n_levels=config.levels,
         beta=config.beta,
@@ -222,6 +233,7 @@ def cmd_kernel_info(args) -> int:
 
 
 def cmd_dump_points(args) -> int:
+    check_output_paths(args.out)
     pointset = make_level_pointset(args.level)
     export_points_csv(pointset, args.out)
     print(
@@ -233,6 +245,7 @@ def cmd_dump_points(args) -> int:
 
 def cmd_dump_matrix(args) -> int:
     check_dense_size(args.level, copies=1)
+    check_output_paths(args.out)
     config = MultiscaleConfig(n_levels=args.level, beta=args.beta,
                               tau=args.tau, nu=args.nu)
     # an explicit --delta, even a bad one, is passed on for the kernel to check
@@ -302,7 +315,7 @@ def main(argv=None) -> int:
         print(f"error: not-positive-definite pivot={exc.pivot} detail={exc}",
               file=sys.stderr)
         return 2
-    except ValueError as exc:  # arguments the commands cannot handle
+    except (ValueError, OSError) as exc:  # arguments the commands cannot handle
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -26,7 +26,7 @@ from scipy.linalg import LinAlgError, cho_factor, cho_solve
 from .geometry import LevelPointSet
 from .radial import FRESH, BufferPool
 from .stokes_kernel import (DIRICHLET, PDE, StokesKernelConfig, displacements, kernel_block,
-                            vanishes)
+                            power_tables, vanishes)
 
 __all__ = [
     "NotPositiveDefinite",
@@ -409,27 +409,34 @@ def _tables(levels, row_sets) -> list:
     their block.  The labels of one row set and one centre set read one
     displacement set of every offset against the origin, one `kernel_block`
     call per pair, and share the lattice and cidx: a row point of lattice
-    index a meets column point j at table entry a - cidx[j].  The set goes
-    when the next one is built, or with the call."""
+    index a meets column point j at table entry a - cidx[j].  Every pair of
+    a level on lattices of one step and size reads one set of those
+    offsets, which goes before the next level's."""
     origin = np.zeros((1, 2))
     groups = [_groups(pointset) for _, pointset in levels]
-    tables = [{} for _ in levels]
-    for pts, rows in row_sets:
-        lattices = iter(_group_lattices(pts, [cpts for level in groups for cpts, _, _ in level]))
-        for (kernel, _), level, level_tables in zip(levels, groups, tables):
-            for (cpts, _, cols), lattice in zip(level, lattices):
+    # per row set, the lattices of its rows and each centre set, level by level
+    lattices = [iter(_group_lattices(pts, [cpts for level in groups for cpts, _, _ in level]))
+                for pts, _ in row_sets]
+    tables = []
+    for (kernel, _), level in zip(levels, groups):
+        level_tables, offset_sets = {}, {}  # (step, n): the set of those offsets
+        for (_, rows), row_lattices in zip(row_sets, lattices):
+            for (cpts, _, cols), lattice in zip(level, row_lattices):
                 if lattice is None:
                     continue
                 step, _, n = lattice
-                ticks = np.arange(1 - n, n) * step
-                offsets = np.column_stack([np.repeat(ticks, len(ticks)),
-                                           np.tile(ticks, len(ticks))])
-                shared = displacements(kernel, offsets, origin)
+                shared = offset_sets.get((step, n))
+                if shared is None:
+                    ticks = np.arange(1 - n, n) * step
+                    offsets = np.column_stack([np.repeat(ticks, len(ticks)),
+                                               np.tile(ticks, len(ticks))])
+                    shared = offset_sets[step, n] = displacements(kernel, offsets, origin)
                 # the offset (0, 0) sits at the table's centre, entry 2n (n - 1)
                 cidx = _lattice_index(cpts, lattice) - 2 * n * (n - 1)
                 for pair in itertools.product(rows, cols):
                     table = kernel_block(kernel, *pair, shared, origin)
                     level_tables[pair] = (table.ravel(), lattice, cidx)
+        tables.append(level_tables)
     return tables
 
 
@@ -464,11 +471,10 @@ def _mirror_layout(x, columns, labels, tables):
     swap = None if len(x) % 4 else _swap_index(x)
     if swap is None:
         return None
-    swaps = {(j, kind): _swap_index(cpts)
-             for j, ((kernel, pointset), level_tables) in enumerate(zip(columns, tables))
-             for kind, (cpts, _, cols) in enumerate(_groups(pointset))
-             if (labels[0], cols[0]) not in level_tables
-             and not all(vanishes(kernel, row, col) for row in labels for col in cols)}
+    rows = [(label, 0) for label in labels]
+    swaps = {(j, kind): _swap_index(cpts) for kind in (0, 1)
+             for levels_of_set, _, _, centres, _ in _column_sets(columns, rows, kind, tables)[1]
+             for j, cpts in zip(levels_of_set, centres)}
     direct = np.flatnonzero(swap > np.arange(len(x)))
     if not (swaps and len(direct)) or any(s is None for s in swaps.values()):
         return None
@@ -483,7 +489,35 @@ def _mirror_layout(x, columns, labels, tables):
     return order, len(direct), swaps
 
 
-def _slab_blocks(levels, slab, tables, pool, mirror=None):
+def _column_sets(levels, rows, kind, tables):
+    """How the row labels of one row set, ``rows`` as (label, first output
+    row) pairs, meet the centres of kind ``kind`` (0 interior, 1 boundary)
+    of each of ``levels``, (kernel, pointset) pairs with ``tables`` their
+    lattice tables, when some pair does not vanish: (gathered, shared).
+    gathered holds (level index, column span per column label, centres,
+    lattice entry, pairs) of each level with tables for the rows; shared
+    holds (level indices, spans, kernels, centres, pairs) of each
+    displacement set, one per profile objects, over the levels without."""
+    gathered, shared = [], {}
+    for j, (kernel, pointset) in enumerate(levels):
+        cpts, _, cols = _groups(pointset)[kind]
+        c0 = kind * 2 * pointset.n_interior
+        # the level's columns of each column label
+        spans = [slice(c0 + k * len(cpts), c0 + (k + 1) * len(cpts)) for k in range(len(cols))]
+        pairs = _pairs(kernel, rows, cols)
+        if not pairs:
+            continue
+        # a row set has tables for every column of a centre set or none
+        entry = tables[j].get((rows[0][0], cols[0]))
+        if entry:
+            gathered.append((j, spans, cpts, entry, pairs))
+        else:  # levels whose kernels hold the same profile objects
+            profiles = (id(kernel.psi_vel), id(kernel.psi_pre))
+            shared.setdefault(profiles, []).append((j, spans, kernel, cpts, pairs))
+    return gathered, [tuple(zip(*of_set)) for of_set in shared.values()]
+
+
+def _slab_blocks(levels, slab, tables, pool, mirror=None, powers=None):
     """Kernel blocks of one slab's row functionals against the columns of
     each of ``levels``, (kernel, pointset) pairs, with ``tables`` the
     call's lattice tables of each level: yields (level index, row slice,
@@ -492,35 +526,22 @@ def _slab_blocks(levels, slab, tables, pool, mirror=None):
     of a level are either all gathered from that level's tables, through
     one index, or all read one displacement set: the set of every level of
     the same profiles without tables for that kind, each run of columns at
-    its own level's scale, which is dropped before the next kind's blocks.
-    Each level's block is then its column view of that set's block.  A
-    pair whose kernel vanishes (`stokes_kernel.vanishes`: a pressure row
-    against a Dirichlet column) yields no block: its entries are zero.
-    Block-sized arrays come from ``pool`` (a `BufferPool`, or `FRESH`).
-    With ``mirror``, (d, swaps), row d + k of the slab is row k swapped,
-    and swaps are those of `_mirror_layout`.  Callers drop each block
-    before asking for the next."""
-    groups = [_groups(pointset) for _, pointset in levels]
+    its own level's scale, which is dropped before the next kind's blocks
+    (`_column_sets`).  Each level's block is then its column view of that
+    set's block.  A pair whose kernel vanishes (`stokes_kernel.vanishes`: a
+    pressure row against a Dirichlet column) yields no block: its entries
+    are zero.  Block-sized arrays come from ``pool`` (a `BufferPool`, or
+    `FRESH`).  With ``mirror``, (d, swaps), row d + k of the slab is row k
+    swapped, and swaps are those of `_mirror_layout`.  With ``powers``,
+    ({(kind, level indices): power tables}, at), each set reads the power
+    tables of its kind and levels, of the call's rows, at its rows ``at``
+    (`_power_tables`).  Callers drop each block before asking for the
+    next."""
     for pts, rows in slab:
-        for kind, (_, _, cols) in enumerate(groups[0] if levels else ()):
-            shared_levels = {}
-            for j, (kernel, pointset) in enumerate(levels):
-                cpts = groups[j][kind][0]
-                c0 = kind * 2 * pointset.n_interior
-                # the level's columns of each column label
-                spans = [slice(c0 + k * len(cpts), c0 + (k + 1) * len(cpts))
-                         for k in range(len(cols))]
-                pairs = _pairs(kernel, rows, cols)
-                if not pairs:
-                    continue
-                # a row set has tables for every column of a centre set or none
-                gathered = tables[j].get((rows[0][0], cols[0]))
-                if not gathered:
-                    # levels whose kernels hold the same profile objects
-                    profiles = (id(kernel.psi_vel), id(kernel.psi_pre))
-                    shared_levels.setdefault(profiles, []).append((j, spans, kernel, cpts))
-                    continue
-                index = np.subtract(_lattice_index(pts, gathered[1])[:, None], gathered[2],
+        for kind in (0, 1) if levels else ():
+            gathered, shared = _column_sets(levels, rows, kind, tables)
+            for j, spans, cpts, (_, lattice, cidx), pairs in gathered:
+                index = np.subtract(_lattice_index(pts, lattice)[:, None], cidx,
                                     out=pool.empty((len(pts), len(cpts)), np.intp))
                 for (row, r0), (k, col) in pairs:
                     # the index is in range: mode "clip" skips the check (and
@@ -529,24 +550,39 @@ def _slab_blocks(levels, slab, tables, pool, mirror=None):
                                     out=pool.empty(index.shape))
                     yield j, slice(r0, r0 + len(pts)), spans[k], block
                     del block
-            for shared_by in shared_levels.values():
-                levels_of_set, spans, kernels, centres = zip(*shared_by)
+            for levels_of_set, spans, kernels, centres, (pairs, *_) in shared:
                 # each level's columns in the set's blocks
                 ends = itertools.accumulate(len(cpts) for cpts in centres)
                 parts = [slice(end - len(cpts), end) for end, cpts in zip(ends, centres)]
-                pairs = _pairs(kernels[0], rows, cols)
+                set_tables = (powers[0][kind, levels_of_set], powers[1]) if powers else None
                 if len(kernels) == 1:  # one level: its kernel and centres
                     (kernels,), (centres,) = kernels, centres
-                shared = displacements(kernels, pts, centres, pool, mirror and (
+                shared_set = displacements(kernels, pts, centres, pool, mirror and (
                     mirror[0], np.concatenate([mirror[1][j, kind] + part.start
-                                               for j, part in zip(levels_of_set, parts)])))
+                                               for j, part in zip(levels_of_set, parts)])),
+                    set_tables)
                 for (row, r0), (k, col) in pairs:
-                    block = kernel_block(kernels, row, col, shared, centres)
+                    block = kernel_block(kernels, row, col, shared_set, centres)
                     rows_out = slice(r0, r0 + len(pts))
                     for j, level_spans, part in zip(levels_of_set, spans, parts):
                         yield j, rows_out, level_spans[k], block[:, part]
                     del block
-                del shared
+                del shared_set
+
+
+def _power_tables(levels, x, labels, tables) -> dict:
+    """{(kind, level indices): power tables} of the call's points x against
+    the centres of each displacement set that a slab of the row ``labels``
+    reads (`_column_sets`), taken before the slabs run: every slab's set
+    gathers its powers from them."""
+    rows, size = [(label, 0) for label in labels], _slab_rows(*(ps for _, ps in levels))
+    out = {}
+    for kind in (0, 1):
+        for levels_of_set, _, kernels, centres, (pairs, *_) in _column_sets(
+                levels, rows, kind, tables)[1]:
+            out[kind, levels_of_set] = power_tables(
+                kernels, x, centres, [(row, col) for (row, _), (_, col) in pairs], size)
+    return out
 
 
 def _pairs(kernel, rows, cols) -> list:
@@ -608,6 +644,9 @@ def _apply_rows(levels, requests, x) -> list:
     # a batch closed under (x, y) -> (y, x), such as a tensor grid, is cut
     # into slabs in this order
     order, pairs, swaps = _mirror_layout(x, columns, labels, tables) or (None, 0, None)
+    slabs = _slabs(row_sets, *(sol.pointset for sol in levels))
+    # a call of one slab leaves its sets to make their own tables
+    powers = None if len(slabs) == 1 else _power_tables(columns, x, labels, tables)
     outs = [np.zeros((len(levels), len(x), len(request))) for request in requests]
     # (output, column) of each label in every request that has it
     dests = [[(out, k) for out, request in zip(outs, requests)
@@ -615,13 +654,16 @@ def _apply_rows(levels, requests, x) -> list:
 
     def add(slab, pool):
         mirror = None
-        if order is not None:
-            ((pts, rows),) = slab
-            first = rows[0][1]  # in ``order``: the slabs before hold <= first // 2 pairs
-            slab = [(x[order[first:first + len(pts)]], rows)]
+        ((pts, rows),) = slab
+        first = rows[0][1]  # the slab's first point, in ``order`` if pairs are made
+        points = slice(first, first + len(pts))  # the slab's points in x
+        if order is not None:  # the slabs before hold <= first // 2 pairs
+            points = order[points]
+            slab = [(x[points], rows)]
             mirrors = min(max(pairs - first // 2, 0), len(pts) // 2)
             mirror = (len(pts) - mirrors, swaps) if mirrors else None
-        for j, rows, cols, block in _slab_blocks(columns, slab, tables, pool, mirror):
+        for j, rows, cols, block in _slab_blocks(columns, slab, tables, pool, mirror,
+                                                 powers and (powers, points)):
             label, first = divmod(rows.start, len(x))  # the rows' label, first point
             coefficients = levels[j].coefficients[cols]
             # BLAS sees the slab's block _SLAB rows at a time
@@ -632,7 +674,7 @@ def _apply_rows(levels, requests, x) -> list:
                     out[j, at if order is None else order[at], k] += values
             del block
 
-    _run_slabs(add, _slabs(row_sets, *(sol.pointset for sol in levels)))
+    _run_slabs(add, slabs)
     return outs
 
 
@@ -660,6 +702,21 @@ def evaluate(solution: LevelSolution, x):
     return vals[:, :2], vals[:, 2]
 
 
+def _requests(request) -> tuple:
+    """``request`` as a tuple of request names; raises ValueError unless it
+    is a name of `_FIELD_ROWS` or a non-empty sequence of such names."""
+    try:
+        requests = (request,) if isinstance(request, str) else tuple(request)
+    except TypeError:
+        raise ValueError(f"unknown request {request!r}") from None
+    if not requests:
+        raise ValueError("no request")
+    for name in requests:
+        if not isinstance(name, str) or name not in _FIELD_ROWS:
+            raise ValueError(f"unknown request {name!r}")
+    return requests
+
+
 def evaluate_levels(levels, x, request):
     """The ``request`` field (see `evaluate_fields`) of each of ``levels``
     at the points x, in one pass: shape (len(levels), n, k), or
@@ -673,12 +730,7 @@ def evaluate_levels(levels, x, request):
     lattice table for x, each column at its own level's scale: for a small
     batch, the fixed cost of a set is then paid once and not once per
     level, and the values that several requests read are computed once."""
-    requests = (request,) if isinstance(request, str) else tuple(request)
-    if not requests:
-        raise ValueError("no request")
-    for name in requests:
-        if name not in _FIELD_ROWS:
-            raise ValueError(f"unknown request {name!r}")
+    requests = _requests(request)
     fields = tuple(vals[..., 0] if name == "divergence" else vals for name, vals in zip(
         requests, _apply_rows(levels, [_FIELD_ROWS[name] for name in requests], x)))
     return fields[0] if isinstance(request, str) else fields

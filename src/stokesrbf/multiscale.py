@@ -141,16 +141,26 @@ def run(problem, config: MultiscaleConfig, on_level=None) -> MultiscaleModel:
     return MultiscaleModel(levels=solved, config=config)
 
 
-def evaluate_model(model: MultiscaleModel, x, request: str = "velocity"):
+def evaluate_model(model: MultiscaleModel, x, request="velocity"):
     """Sum of per-level fields at x, added in level order.
 
     request "velocity" returns (n, 2); "pressure-gradient" (n, 2);
-    "divergence" (n,); "l-image" (n, 2); "value" (n, 3).  Each level's
-    velocity is exactly divergence-free, so the sum is as well.  The levels
-    are evaluated in one pass (`collocation.evaluate_levels`); a model
-    without levels checks its input like any other and returns zeros.
+    "divergence" (n,); "l-image" (n, 2); "value" (n, 3); a sequence of
+    requests returns a tuple of one such sum per request, each with the
+    bits of its own call.  Each level's velocity is exactly divergence-free,
+    so the sum is as well.  The levels are evaluated in one pass
+    (`collocation.evaluate_levels`, which rejects an unknown request before
+    any evaluation); a model without levels checks its input like any other
+    and returns zeros.
     """
     fields = evaluate_levels(model.levels, x, request)
+    if isinstance(request, str):
+        return _level_sum(fields)
+    return tuple(_level_sum(levels) for levels in fields)
+
+
+def _level_sum(fields) -> np.ndarray:
+    """The sum of the levels' fields, in level order."""
     # a level's field is summed into +0.0 and holds no -0.0, so 0.0 plus
     # the first level is that level bit for bit
     out = np.zeros(fields.shape[1:])

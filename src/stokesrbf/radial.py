@@ -136,8 +136,12 @@ def _distinct(*keys):
         ordered = key[order]
         new[1:] &= ordered[1:] == ordered[:-1]
     np.logical_not(new[1:], out=new[1:])
+    # each entry's place among them, counted in the buffer of the last key
+    # (a batch-sized temporary less at the call's tables: `Displacements.power_tables`)
+    np.cumsum(new, out=ordered)
+    ordered -= 1
     index = np.empty(len(order), np.intp)
-    index[order] = np.cumsum(new) - 1
+    index[order] = ordered
     return order[new], index
 
 
@@ -233,7 +237,10 @@ class Displacements:
     coordinate, scale) pairs and gathered -- the same float operation on
     the same floats -- when that table is at most half the block: a
     128-point slab of a tensor grid has 2 distinct x against the 33 of the
-    level-4 centres.
+    level-4 centres.  ``tables``, (tables, at), are the `power_tables` of
+    a set of which this set's rows are the rows ``at``: an axis that has
+    one gathers its powers from there, taken once for all such sets, and
+    an axis without one makes its own table.
 
     With ``mirror``, (d, swap), row d + k is row k with its coordinates
     swapped, and column swap[q] is column q swapped, in its run: hypot is
@@ -241,7 +248,7 @@ class Displacements:
     those of row k at the columns swap, bit for bit, and are gathered.
     """
 
-    def __init__(self, rows, columns, scale, pool=FRESH, mirror=None):
+    def __init__(self, rows, columns, scale, pool=FRESH, mirror=None, tables=None):
         if np.ndim(scale) == 0:
             columns, scale = [columns], [scale]
         # (points, scale) of each run of columns
@@ -255,6 +262,12 @@ class Displacements:
         self._direct, self._swap = mirror or (len(rows), None)  # see `_mirrored`
         self.scale = self.per_column(tuple(scale))
         self.last_block = None  # (parts, block): see `stokes_kernel.kernel_block`
+        if tables is not None:
+            tables, at = tables
+            for kind, table in zip("xy", tables):
+                if table is not None:
+                    powers, rows_index, cols_index = table
+                    self._values["t", kind] = (powers, rows_index[at], cols_index)
 
     def __len__(self) -> int:
         return self.shape[0]
@@ -344,11 +357,11 @@ class Displacements:
         table = self.read(("t", kind)) if n >= 3 else None
         if table is None:
             return np.power(self.read((kind, 1)), n, out=self._new())
-        values, rows, cols = table
+        powers, rows, cols = table
+        power = powers[n] if n in powers else np.power(powers[1], n)
         # rows and cols index the table, so no index needs the check of
         # mode "raise", which would take a buffer of its own
-        return np.take(np.power(values, n)[rows], cols, axis=1, mode="clip",
-                       out=self._new())
+        return np.take(power[rows], cols, axis=1, mode="clip", out=self._new())
 
     def _sum(self, groups, origin: float) -> np.ndarray:
         """Sum over the groups of +-(x^a y^b) * radial, in a new array of the
@@ -370,18 +383,39 @@ class Displacements:
             np.copyto(acc, origin, where=at_origin)
         return acc
 
-    def _table(self, axis: int):
-        """(displacements between the distinct row coordinates and the
-        distinct (column coordinate, scale) pairs, row index, column index)
-        of one axis, or None when the table is more than half the block."""
+    def _table(self, axis: int, block_rows=None):
+        """({1: displacements between the distinct row coordinates and the
+        distinct (column coordinate, scale) pairs}, row index, column index)
+        of one axis, or None when the table is more than half a block of
+        ``block_rows`` rows, by default the set's."""
         rows, row_index = _distinct(self.rows[:, axis])
         pairs = (self.columns[:, axis],) + ((self.scale,) if np.ndim(self.scale) else ())
         cols, col_index = _distinct(*pairs)
-        if 2 * len(rows) * len(cols) > len(self.rows) * len(self.columns):
+        if 2 * len(rows) * len(cols) > (block_rows or len(self.rows)) * len(self.columns):
             return None
         scale = self.scale[cols] if np.ndim(self.scale) else self.scale
-        return (_differences(self.rows[rows, axis], self.columns[cols, axis], scale),
+        return ({1: _differences(self.rows[rows, axis], self.columns[cols, axis], scale)},
                 row_index, col_index)
+
+    def power_tables(self, keys, block_rows: int) -> tuple:
+        """Per axis, the set's table with its n-th power at every n >= 3 at
+        which the evaluators of ``keys`` (`RadialTermEvaluator.key`) read
+        that axis, or None when they read none or the table is more than
+        half a block of ``block_rows`` rows: the ``tables`` of the sets of
+        runs of these rows of that size.  Nothing of the block is computed,
+        and the row index takes the smallest integer type that holds it."""
+        out = []
+        for axis in (0, 1):
+            # the monomials are ("x", a), ("y", b) and ("m", a, b)
+            exponents = sorted({m[1 + axis] if m[0] == "m" else m[1] for key in keys
+                                for _, m, _ in key[1] if m and m[0] in ("m", "xy"[axis])} - {1, 2})
+            table = self._table(axis, block_rows) if exponents else None
+            if table is not None:
+                powers, rows, cols = table
+                powers.update((n, np.power(powers[1], n)) for n in exponents)
+                table = (powers, rows.astype(np.min_scalar_type(len(powers[1]))), cols)
+            out.append(table)
+        return tuple(out)
 
 
 class RadialTermEvaluator:

@@ -36,7 +36,8 @@ from .radial import (FRESH, Displacements, RadialTermEvaluator, combine, laplaci
                      mixed_partial_terms)
 from .wendland import WendlandPolynomial
 
-__all__ = ["PDE", "DIRICHLET", "StokesKernelConfig", "displacements", "kernel_block", "vanishes"]
+__all__ = ["PDE", "DIRICHLET", "StokesKernelConfig", "displacements", "kernel_block",
+           "power_tables", "vanishes"]
 
 DIM = 2
 
@@ -149,7 +150,7 @@ def _points(x) -> np.ndarray:
     return np.atleast_2d(np.asarray(x, dtype=float))
 
 
-def displacements(cfg, xa, xb, pool=FRESH, mirror=None) -> Displacements:
+def displacements(cfg, xa, xb, pool=FRESH, mirror=None, tables=None) -> Displacements:
     """The displacement set of the points xa against the points xb at cfg's
     scale: give it to `kernel_block` as xa, with this very cfg and xb, for
     any label pairs.  Their blocks then share the displacements, r, the
@@ -161,11 +162,23 @@ def displacements(cfg, xa, xb, pool=FRESH, mirror=None) -> Displacements:
     levels of a model -- and ``xb`` a sequence of point sets, one per
     config: the set is then of xa against their concatenation, each run of
     columns at its own config's scale.  ``mirror`` pairs swapped rows and
-    columns, as for `radial.Displacements`."""
+    columns, and ``tables`` gives the power tables of a set of more rows
+    (`power_tables`), as for `radial.Displacements`."""
     if isinstance(cfg, StokesKernelConfig):
-        return Displacements(_points(xa), _points(xb), 1.0 / cfg.delta, pool, mirror)
+        return Displacements(_points(xa), _points(xb), 1.0 / cfg.delta, pool, mirror, tables)
     return Displacements(_points(xa), [_points(b) for b in xb],
-                         [1.0 / c.delta for c in cfg], pool, mirror)
+                         [1.0 / c.delta for c in cfg], pool, mirror, tables)
+
+
+def power_tables(cfg, xa, xb, pairs, block_rows: int) -> tuple:
+    """The power tables (`radial.Displacements.power_tables`) that the
+    blocks of the label ``pairs`` read on the displacement set of xa against
+    xb at cfg's scale, for sets of ``block_rows`` rows: the set of rows
+    xa[at] against the same xb reads them given (tables, at) as its
+    ``tables``."""
+    cfgs = (cfg,) if isinstance(cfg, StokesKernelConfig) else cfg
+    keys = [evaluator.key for row, col in pairs for _, evaluator in _parts(cfgs[0], row, col)]
+    return displacements(cfg, xa, xb).power_tables(keys, block_rows)
 
 
 def kernel_block(cfg, row: tuple, col: tuple, xa, xb) -> np.ndarray:

@@ -110,6 +110,23 @@ class TestErrorNorms:
         with pytest.raises(ValueError):
             gauss_legendre_grid(1)
 
+    @pytest.mark.parametrize("bad", [2.5, 3.0, True, "3", None])
+    def test_quadrature_point_count_must_be_an_integer(self, bad):
+        with pytest.raises(ValueError, match="integer"):
+            gauss_legendre_grid(bad)
+        with pytest.raises(ValueError, match="integer"):
+            grid_errors(_empty_model(), trig_stokes_problem(), "velocity", bad)
+        with pytest.raises(ValueError, match="integer"):
+            run_experiment(MultiscaleConfig(n_levels=1), quad_points=bad)
+
+    def test_numpy_integer_counts_still_work(self):
+        pts, w = gauss_legendre_grid(np.int64(20))
+        assert pts.tobytes() == gauss_legendre_grid(20)[0].tobytes()
+        assert w.tobytes() == gauss_legendre_grid(20)[1].tobytes()
+        _, report = run_experiment(MultiscaleConfig(n_levels=1), quad_points=np.int32(10),
+                                   eigen_levels=np.int64(1))
+        assert report.quad_points == 10 and set(report.condition_numbers) == {1}
+
     def test_quadrature_grid_is_numpys_leggauss(self):
         # the nodes are numpy's leggauss algorithm with scipy's eigh: the
         # grid keeps numpy's bits, mapped to [0, 1], with outer-product weights
@@ -197,6 +214,15 @@ def small_experiment():
 
 
 class TestRunExperiment:
+    @pytest.mark.parametrize("bad", [1.5, -1, True, 2.0, None])
+    def test_eigen_levels_must_be_a_count(self, monkeypatch, bad):
+        def refuse(*args, **kwargs):
+            raise AssertionError("ran before eigen_levels was checked")
+
+        monkeypatch.setattr(analysis, "run", refuse)
+        with pytest.raises(ValueError, match="eigen_levels"):
+            run_experiment(MultiscaleConfig(n_levels=2), quad_points=10, eigen_levels=bad)
+
     def test_report_shape(self, small_experiment):
         model, report = small_experiment
         assert report.n_levels == 2

@@ -241,6 +241,38 @@ def test_dump_matrix(tmp_path):
     assert np.abs(data - data.T).max() <= 1e-12 * np.abs(data).max()
 
 
+class TestOutputPaths:
+    # an output whose directory is missing stops a command before its work,
+    # with an error and exit code 2; so does a write that fails
+    @staticmethod
+    def refuse(*args, **kwargs):
+        raise AssertionError("the command ran before checking its output")
+
+    def test_run(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(cli, "run_experiment", self.refuse)
+        missing = tmp_path / "missing" / "a.csv"
+        for flag in ("--out-csv", "--out-summary"):
+            assert run_cli(["run", "--levels", "1", flag, str(missing)]) == 2
+            assert capsys.readouterr().err.startswith(f"error: cannot write {missing}")
+
+    def test_dump_points(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(cli, "make_level_pointset", self.refuse)
+        missing = tmp_path / "missing" / "x.csv"
+        assert run_cli(["dump-points", "--level", "2", "--out", str(missing)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: cannot write {missing}")
+
+    def test_dump_matrix(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(cli, "assemble", self.refuse)
+        missing = tmp_path / "missing" / "m.bin"
+        assert run_cli(["dump-matrix", "--level", "1", "--out", str(missing)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: cannot write {missing}")
+
+    def test_failed_write(self, tmp_path, capsys):
+        # the directory exists, but the output is a directory itself
+        assert run_cli(["dump-points", "--level", "1", "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err.startswith("error: [Errno")
+
+
 class TestDumpMatrixArguments:
     def run_dump(self, tmp_path, *flags):
         out = tmp_path / "mat.bin"

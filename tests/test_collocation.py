@@ -11,7 +11,7 @@ import warnings
 import numpy as np
 import pytest
 
-from stokesrbf import collocation
+from stokesrbf import collocation, radial
 from stokesrbf.collocation import (
     CollocationSystem,
     LevelSolution,
@@ -661,11 +661,13 @@ def test_level4_assembly_gathers_from_one_table_per_pair(c8, monkeypatch):
     assert all(rows <= 65 ** 2 and cols == 1 for _, _, rows, cols in calls)
 
 
-def test_level4_assembly_builds_one_set_per_row_and_centre_set(c8, monkeypatch):
-    # one lattice test and one displacement set (of the table offsets) per
-    # (row point set, centre set), 2 x 2 at level 4; the slabs gather from
-    # the tables and build no set of their own
-    delta = scale_schedule(MultiscaleConfig(n_levels=4))[3]
+@pytest.mark.parametrize("level", [3, 4])
+def test_assembly_builds_one_offsets_set(c8, monkeypatch, level):
+    # one lattice test per (row point set, centre set), 2 x 2, but one
+    # displacement set of the table offsets for all four pairs, which lie
+    # on one lattice; the slabs gather from the tables and build no set of
+    # their own.  Each table keeps the bits of its pair's own set
+    delta = scale_schedule(MultiscaleConfig(n_levels=level))[level - 1]
     kernel = StokesKernelConfig(c8, c8, nu=1.0, delta=delta)
     counts = {"sets": 0, "lattices": 0}
     init, lattice = Displacements.__init__, collocation._lattice
@@ -678,11 +680,19 @@ def test_level4_assembly_builds_one_set_per_row_and_centre_set(c8, monkeypatch):
         counts["lattices"] += 1
         return lattice(*args)
 
-    monkeypatch.setattr(Displacements, "__init__", counting_init)
-    monkeypatch.setattr(collocation, "_lattice", counting_lattice)
     zero = lambda pts: np.zeros((len(pts), 2))  # noqa: E731
-    assemble(make_level_pointset(4), kernel, zero, zero)
-    assert counts == {"sets": 4, "lattices": 4}
+    with monkeypatch.context() as patched:
+        patched.setattr(Displacements, "__init__", counting_init)
+        patched.setattr(collocation, "_lattice", counting_lattice)
+        system = assemble(make_level_pointset(level), kernel, zero, zero)
+    assert counts == {"sets": 1, "lattices": 4}
+    _, tables = system._lattice_tables
+    assert len(tables) == 16
+    for (row, col), (table, (step, _, n), _) in tables.items():
+        ticks = np.arange(1 - n, n) * step
+        offsets = np.column_stack([np.repeat(ticks, len(ticks)), np.tile(ticks, len(ticks))])
+        alone = kernel_block(kernel, row, col, offsets, np.zeros((1, 2)))
+        assert table.tobytes() == alone.tobytes(), (row, col)
 
 
 def test_one_slab_stays_on_the_callers_thread(level1_solution, monkeypatch, rng):
@@ -1014,4 +1024,71 @@ def test_mirror_pair_fallbacks_keep_the_bits(c8, rng, monkeypatch, case):
     got, entries = hypot_entries(monkeypatch, evaluate_batch, x)
     assert entries == len(x) * (sol.pointset.n_interior + sol.pointset.n_boundary)
     for field, other in zip(got, unpaired_chunks(monkeypatch, evaluate_batch, x), strict=True):
+        assert field.tobytes() == other.tobytes()
+
+
+def table_work(monkeypatch, evaluate_batch, x):
+    """(evaluate_batch(x), the power tables built, the powers taken on a
+    table): `np.power` on a table is the one call in `radial` that writes
+    no block, so it has no ``out``."""
+    builds, powers = [], []
+    table = Displacements._table
+
+    class CountingNumpy:
+        def __getattr__(self, name):
+            return getattr(np, name)
+
+        @staticmethod
+        def power(a, n, *args, **kwargs):
+            if not (args or kwargs):
+                powers.append(n)
+            return np.power(a, n, *args, **kwargs)
+
+    def counting_table(self, *args):
+        builds.append(args[0])
+        return table(self, *args)
+
+    with monkeypatch.context() as patched:
+        patched.setattr(radial, "np", CountingNumpy())
+        patched.setattr(Displacements, "_table", counting_table)
+        fields = evaluate_batch(x)
+    return fields, sorted(builds), sorted(powers)
+
+
+@pytest.mark.parametrize("batch", ["grid-24", "grid-4", "one point"])
+def test_power_tables_are_built_once_per_call(c8, rng, monkeypatch, batch):
+    # velocity and the pressure gradient against the level-4 centres read
+    # x^n and y^n at n = 3 and 4 in the interior set only: one table per
+    # axis and one power per axis and n in a call, whether the call has
+    # one slab, whose set builds its own table, or the 5 slabs of the 24^2
+    # grid, whose sets gather from the call's tables (they built 10 and 20)
+    sol = random_solution(c8, 4, rng)
+    x = {"grid-24": gauss_legendre_grid(24)[0], "grid-4": gauss_legendre_grid(4)[0],
+         "one point": rng.random((1, 2))}[batch]
+
+    def evaluate_batch(points):
+        return evaluate_fields(sol, points, ("velocity", "pressure-gradient"))
+
+    _, builds, powers = table_work(monkeypatch, evaluate_batch, x)
+    assert builds == [0, 1]
+    assert powers == [3, 3, 4, 4]
+
+
+@pytest.mark.parametrize("levels", [[4], [1, 2, 3]])
+def test_call_tables_keep_the_bits_of_one_slab_per_call(c8, rng, monkeypatch, levels):
+    # every field of every request on a grid of several slabs, whose sets
+    # read the call's power tables, is bit-equal to its points evaluated one slab per call
+    # in the batch's order, each set with its own tables
+    solutions = [random_solution(c8, level, rng) for level in levels]
+    x = gauss_legendre_grid(30)[0]
+    requests = list(collocation._FIELD_ROWS)
+
+    def evaluate_batch(points):
+        return evaluate_levels(solutions, points, requests)
+
+    got, builds, _ = table_work(monkeypatch, evaluate_batch, x)
+    assert len(collocation._slabs([(x, [None])], *(s.pointset for s in solutions))) > 1
+    assert builds == [0, 0, 1, 1]  # per axis, the interior and the boundary set
+    expected = unpaired_chunks(monkeypatch, evaluate_batch, x)
+    for field, other in zip(got, expected, strict=True):
         assert field.tobytes() == other.tobytes()

@@ -414,6 +414,35 @@ def test_several_requests_reject_none_and_unknown(c8, rng):
             evaluate_fields(sol, (0.4, 0.6), bad)
 
 
+@pytest.mark.parametrize("batch", ["random-16", "random-301", "point", "lattice-16"])
+def test_model_sums_each_of_several_requests(c8, rng, batch):
+    # a sequence of requests gives one level-ordered sum per request, each
+    # bit-equal to the sum of that request alone
+    model = random_model(c8, rng)
+    x = batch_of(batch, rng)
+    for pair in [("velocity", "pressure-gradient"), ["divergence", "value", "divergence"]]:
+        got = evaluate_model(model, x, pair)
+        assert isinstance(got, tuple) and len(got) == len(pair)
+        for request, field in zip(pair, got):
+            alone = evaluate_model(model, x, request)
+            assert field.shape == alone.shape and field.tobytes() == alone.tobytes(), request
+
+
+@pytest.mark.parametrize("bad", [3, None, b"velocity", ["velocity", 3], ("velocity", None)])
+def test_requests_neither_names_nor_sequences_are_rejected_first(c8, rng, monkeypatch, bad):
+    model = random_model(c8, rng)
+
+    def refuse(*args):
+        raise AssertionError("evaluated before the request was checked")
+
+    monkeypatch.setattr(collocation, "_apply_rows", refuse)
+    for call in (lambda: evaluate_levels(model.levels, (0.4, 0.6), bad),
+                 lambda: evaluate_fields(model.levels[0], (0.4, 0.6), bad),
+                 lambda: evaluate_model(model, (0.4, 0.6), bad)):
+        with pytest.raises(ValueError, match="request"):
+            call()
+
+
 def test_joint_request_reads_one_set_per_centre_kind(c8, rng, monkeypatch):
     # velocity and pressure gradient of one slab in one call: one
     # displacement set per centre kind (two each for two calls), and the

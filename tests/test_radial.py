@@ -237,3 +237,20 @@ def test_buffer_pool_reuses_only_unreferenced_buffers():
         assert not any(np.shares_memory(a, b) for b in arrays[k + 1:])
     assert len(pool._buffers) == 3
     assert (fourth.shape, fourth.dtype, fifth.shape, fifth.dtype) == ((2, 5), bool, (4, 4), float)
+
+
+def test_call_tables_keep_signed_zeros(c8):
+    # sets of runs of the rows read y^3 from the power tables of the set of
+    # all rows, whose rows and columns hold +0.0 and -0.0 as two values:
+    # -0.0 - 0.0 is -0.0 and its cube -0.0, while 0.0 - 0.0 and
+    # -0.0 - (-0.0) are 0.0.  Every entry keeps the bits of np.power on the
+    # block's own displacements, sign of zero included
+    rows = np.array([[0.1, 0.0], [0.2, -0.0], [0.3, 0.25], [-0.0, -0.25]] * 8)
+    cols = np.array([[0.0, 0.0], [0.5, -0.0], [0.1, 0.25]])
+    tables = Displacements(rows, cols, 1.0).power_tables([mixed_partial(c8, 0, 3).key], 8)
+    assert 3 in tables[1][0]
+    for at in (slice(0, 8), slice(8, 16), np.arange(31, -1, -3)):
+        part = Displacements(rows[at], cols, 1.0, tables=(tables, at))
+        y = rows[at, 1, None] - cols[:, 1]
+        assert (np.signbit(y) & (y == 0.0)).any() and (~np.signbit(y) & (y == 0.0)).any()
+        assert part.read(("y", 3)).tobytes() == np.power(y, 3).tobytes()
