@@ -19,14 +19,16 @@ import threading
 import weakref
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 from scipy.linalg import LinAlgError, cho_factor, cho_solve
 
 from .geometry import LevelPointSet
-from .radial import FRESH, BufferPool
-from .stokes_kernel import (DIRICHLET, PDE, StokesKernelConfig, displacements, kernel_block,
-                            power_tables, vanishes)
+from .radial import FRESH, BufferPool, Columns
+from .stokes_kernel import DIRICHLET, PDE, StokesKernelConfig
+from .stokes_kernel import columns as centre_columns
+from .stokes_kernel import displacements, kernel_block, power_tables, vanishes
 
 __all__ = [
     "NotPositiveDefinite",
@@ -114,7 +116,9 @@ class CollocationSystem:
 class LevelSolution:
     """Solved coefficients for one level, evaluable through this module.
 
-    Raises ValueError when a coefficient or a centre is not finite."""
+    Raises ValueError unless the coefficients are a real, finite vector
+    (n,), n being the point set's `n_functionals`; they are kept as
+    float64.  `LevelPointSet` checks the centres."""
 
     coefficients: np.ndarray
     pointset: LevelPointSet
@@ -122,11 +126,20 @@ class LevelSolution:
     solve_residual: float = float("nan")  # nan: not solved here (a loaded level)
 
     def __post_init__(self):
+        if np.iscomplexobj(self.coefficients):
+            raise ValueError("coefficients must be real")
+        try:
+            coefficients = np.asarray(self.coefficients, dtype=float)
+        except (TypeError, ValueError):
+            raise ValueError("coefficients must be real numbers") from None
+        n = self.pointset.n_functionals
+        if coefficients.shape != (n,):
+            raise ValueError(f"need a vector of {n} coefficients, not of shape {coefficients.shape}")
         # an evaluation skips the blocks that vanish by construction, which
         # keeps every bit only while these are finite: 0 * inf would be nan
-        arrays = (self.coefficients, self.pointset.interior, self.pointset.boundary)
-        if not all(np.isfinite(a).all() for a in arrays):
-            raise ValueError("level with a centre or coefficient that is not finite")
+        if not np.isfinite(coefficients).all():
+            raise ValueError("level with a coefficient that is not finite")
+        self.coefficients = coefficients
 
 
 def assemble(
@@ -149,9 +162,10 @@ def assemble(
     matrix = np.zeros((total, total), order="F")
     levels, row_sets = [(kernel, pointset)], [(pts, rows) for pts, rows, _ in _groups(pointset)]
     tables = _tables(levels, row_sets)
+    sets = {rows: _column_sets(levels, rows, tables) for _, rows in row_sets}
 
     def fill(slab, pool):
-        for _, rows, cols, block in _slab_blocks(levels, slab, tables, pool):
+        for _, rows, cols, block in _slab_blocks(sets, slab, tables, pool):
             # matrix[rows, cols] = block, in numpy's faster loop order here
             matrix.T[cols, rows] = block.T
             del block
@@ -462,19 +476,19 @@ def _mirror_layout(x, columns, labels, tables):
 
     Pairs are made when x has a pair and a multiple of 4 points and is
     closed under the swap, and so is each centre set that a displacement
-    set reads, of which there is one (swaps: their swap indices, by (level
-    index, centre kind)).  In ``order`` the slabs hold direct rows, then
-    their mirrors, until the pairs run out; one holds the last pairs, with
-    the points that are their own mirror that fit before their mirrors;
-    then the rest of those points.  Every slab but the last is full, so
+    set reads, of which there is one (swaps: `_ColumnPlan.swap` of each
+    set, by (centre kind, level indices)).  In ``order`` the slabs hold
+    direct rows, then their mirrors, until the pairs run out; one holds the
+    last pairs, with the points that are their own mirror that fit before
+    their mirrors; then the rest of those points.  Every slab but the last is full, so
     each block that BLAS sees has a multiple of 4 rows (`_slabs`)."""
     swap = None if len(x) % 4 else _swap_index(x)
     if swap is None:
         return None
-    rows = [(label, 0) for label in labels]
-    swaps = {(j, kind): _swap_index(cpts) for kind in (0, 1)
-             for levels_of_set, _, _, centres, _ in _column_sets(columns, rows, kind, tables)[1]
-             for j, cpts in zip(levels_of_set, centres)}
+    plan = _column_plan(columns)
+    swaps = {(kind, shared.levels): plan.swap(kind, shared)
+             for kind, (_, sets) in enumerate(plan.column_sets(tuple(labels), tables))
+             for shared in sets}
     direct = np.flatnonzero(swap > np.arange(len(x)))
     if not (swaps and len(direct)) or any(s is None for s in swaps.values()):
         return None
@@ -489,107 +503,179 @@ def _mirror_layout(x, columns, labels, tables):
     return order, len(direct), swaps
 
 
-def _column_sets(levels, rows, kind, tables):
-    """How the row labels of one row set, ``rows`` as (label, first output
-    row) pairs, meet the centres of kind ``kind`` (0 interior, 1 boundary)
-    of each of ``levels``, (kernel, pointset) pairs with ``tables`` their
-    lattice tables, when some pair does not vanish: (gathered, shared).
-    gathered holds (level index, column span per column label, centres,
-    lattice entry, pairs) of each level with tables for the rows; shared
-    holds (level indices, spans, kernels, centres, pairs) of each
-    displacement set, one per profile objects, over the levels without."""
-    gathered, shared = [], {}
-    for j, (kernel, pointset) in enumerate(levels):
-        cpts, _, cols = _groups(pointset)[kind]
-        c0 = kind * 2 * pointset.n_interior
-        # the level's columns of each column label
-        spans = [slice(c0 + k * len(cpts), c0 + (k + 1) * len(cpts)) for k in range(len(cols))]
-        pairs = _pairs(kernel, rows, cols)
-        if not pairs:
-            continue
-        # a row set has tables for every column of a centre set or none
-        entry = tables[j].get((rows[0][0], cols[0]))
-        if entry:
-            gathered.append((j, spans, cpts, entry, pairs))
-        else:  # levels whose kernels hold the same profile objects
-            profiles = (id(kernel.psi_vel), id(kernel.psi_pre))
-            shared.setdefault(profiles, []).append((j, spans, kernel, cpts, pairs))
-    return gathered, [tuple(zip(*of_set)) for of_set in shared.values()]
+class _SharedSet(NamedTuple):
+    """The displacement set that a row set reads against the centres of one
+    kind of the levels of the same profile objects without lattice tables."""
+
+    levels: tuple  # the level indices
+    spans: tuple  # per level, its columns of each column label
+    parts: tuple  # per level, its columns in the set's blocks
+    kernels: object  # per level, its kernel; of one level, its kernel alone
+    centres: object  # per level, its centres; of one level, its centres alone
+    columns: Columns  # the set's columns (`stokes_kernel.columns`)
+    pairs: list  # the first level's `_pairs`, which every level shares
 
 
-def _slab_blocks(levels, slab, tables, pool, mirror=None, powers=None):
+class _ColumnPlan:
+    """All that the columns of a call depend on alone: its ``levels``,
+    (kernel, pointset) pairs.  It keeps the `column_sets` of each row
+    labels, the `Columns` of each displacement set -- concatenated centres,
+    scale vectors and distinct coordinates, which every set against them
+    reads -- and their `swap` indices, each made on its first use; two
+    threads may both make one, and make equal ones.  The centres of a
+    point set are read-only, so the same objects mean the same columns."""
+
+    def __init__(self, levels):
+        self.levels = tuple(levels)
+        self._made: dict = {}
+
+    def _kept(self, key, make):
+        if key not in self._made:
+            self._made[key] = make()
+        return self._made[key]
+
+    def column_sets(self, labels: tuple, tables) -> list:
+        """How the row ``labels`` of one row set meet the centres of each
+        kind (0 interior, 1 boundary) of each level, with ``tables`` the
+        call's lattice tables of each level, when some pair does not
+        vanish: (gathered, shared) per kind.  gathered holds (level index,
+        column span per column label, centres, column labels, pairs) of
+        each level with tables for the rows; shared the `_SharedSet` of each
+        group of levels of the same profile objects without.  Pairs are
+        `_pairs`."""
+        out = []
+        for kind, first in enumerate(((PDE, 1), (DIRICHLET, 1))):
+            # a row set has tables for every column of a centre set or none
+            tabled = tuple(j for j, level in enumerate(tables) if (labels[0], first) in level)
+            out.append(self._kept(("sets", labels, kind, tabled),
+                                  lambda: self._sets(labels, kind, tabled)))
+        return out
+
+    def _sets(self, labels, kind, tabled) -> tuple:
+        gathered, shared = [], {}
+        for j, (kernel, pointset) in enumerate(self.levels):
+            cpts, _, cols = _groups(pointset)[kind]
+            c0 = kind * 2 * pointset.n_interior
+            # the level's columns of each column label
+            spans = [slice(c0 + k * len(cpts), c0 + (k + 1) * len(cpts)) for k in range(len(cols))]
+            pairs = _pairs(kernel, labels, cols)
+            if not pairs:
+                continue
+            if j in tabled:
+                gathered.append((j, spans, cpts, cols, pairs))
+            else:  # levels whose kernels hold the same profile objects
+                profiles = (id(kernel.psi_vel), id(kernel.psi_pre))
+                shared.setdefault(profiles, []).append((j, spans, kernel, cpts, pairs))
+        return gathered, [self._shared(kind, *zip(*of_set)) for of_set in shared.values()]
+
+    def _shared(self, kind, levels, spans, kernels, centres, pairs) -> _SharedSet:
+        ends = itertools.accumulate(len(cpts) for cpts in centres)
+        parts = tuple(slice(end - len(cpts), end) for end, cpts in zip(ends, centres))
+        set_columns = self._kept(("columns", kind, levels),
+                                 lambda: centre_columns(kernels, centres))
+        if len(levels) == 1:
+            (kernels,), (centres,) = kernels, centres
+        return _SharedSet(levels, spans, parts, kernels, centres, set_columns, pairs[0])
+
+    def swap(self, kind: int, shared: _SharedSet):
+        """The columns of ``shared``, of kind ``kind``, each swapped within
+        its level's run (`_swap_index`); None unless every level's centres
+        are closed under the swap."""
+        def make():
+            swaps = [_swap_index(cpts) for cpts, _ in shared.columns.runs]
+            if any(swap is None for swap in swaps):
+                return None
+            return np.concatenate([swap + part.start for swap, part in zip(swaps, shared.parts)])
+        return self._kept(("swap", kind, shared.levels), make)
+
+
+# the plan of the last call, which a call of other levels replaces with
+# its own: a thread keeps the plan that it took, whatever others take
+_last_plan = None
+
+
+def _column_plan(levels) -> _ColumnPlan:
+    """The `_ColumnPlan` of ``levels``: the last call's if it was made for
+    the same kernel and point set objects, else a new one."""
+    global _last_plan
+    plan = _last_plan
+    if plan is None or len(plan.levels) != len(levels) or any(
+            a is not b or p is not q for (a, p), (b, q) in zip(plan.levels, levels)):
+        plan = _last_plan = _ColumnPlan(levels)
+    return plan
+
+
+def _column_sets(levels, labels, tables) -> list:
+    """`_ColumnPlan.column_sets` of ``labels`` against ``levels``, (kernel,
+    pointset) pairs, with their lattice ``tables``: once per row set and
+    call, before the slabs run."""
+    return _column_plan(levels).column_sets(tuple(labels), tables)
+
+
+def _slab_blocks(sets, slab, tables, pool, mirror=None, powers=None):
     """Kernel blocks of one slab's row functionals against the columns of
-    each of ``levels``, (kernel, pointset) pairs, with ``tables`` the
-    call's lattice tables of each level: yields (level index, row slice,
-    column slice, block), each level's column groups, per row label, in
-    system order.  The blocks of one row point set against one centre kind
-    of a level are either all gathered from that level's tables, through
-    one index, or all read one displacement set: the set of every level of
-    the same profiles without tables for that kind, each run of columns at
-    its own level's scale, which is dropped before the next kind's blocks
-    (`_column_sets`).  Each level's block is then its column view of that
-    set's block.  A pair whose kernel vanishes (`stokes_kernel.vanishes`: a
-    pressure row against a Dirichlet column) yields no block: its entries
-    are zero.  Block-sized arrays come from ``pool`` (a `BufferPool`, or
-    `FRESH`).  With ``mirror``, (d, swaps), row d + k of the slab is row k
-    swapped, and swaps are those of `_mirror_layout`.  With ``powers``,
-    ({(kind, level indices): power tables}, at), each set reads the power
-    tables of its kind and levels, of the call's rows, at its rows ``at``
-    (`_power_tables`).  Callers drop each block before asking for the
-    next."""
+    each level of the call, with ``sets`` the `_column_sets` of each of its
+    row sets, by row labels, and ``tables`` the call's lattice tables of
+    each level: yields (level index, row slice, column slice, block), each
+    level's column groups, per row label, in system order.  The blocks of
+    one row point set against one centre kind of a level are either all
+    gathered from that level's tables, through one index, or all read one
+    displacement set: the set of every level of the same profiles without
+    tables for that kind, each run of columns at its own level's scale,
+    which is dropped before the next kind's blocks.  Each level's block is
+    then its column view of that set's block.  A pair whose kernel vanishes
+    (`stokes_kernel.vanishes`: a pressure row against a Dirichlet column)
+    yields no block: its entries are zero.  Block-sized arrays come from
+    ``pool`` (a `BufferPool`, or `FRESH`).  With ``mirror``, (d, swaps), row
+    d + k of the slab is row k swapped, and swaps are those of
+    `_mirror_layout`.  With ``powers``, ({(kind, level indices): power
+    tables}, at), each set reads the power tables of its kind and levels,
+    of the call's rows, at its rows ``at`` (`_power_tables`).  Callers drop
+    each block before asking for the next."""
     for pts, rows in slab:
-        for kind in (0, 1) if levels else ():
-            gathered, shared = _column_sets(levels, rows, kind, tables)
-            for j, spans, cpts, (_, lattice, cidx), pairs in gathered:
+        for kind, (gathered, shared) in enumerate(sets[tuple(label for label, _ in rows)]):
+            for j, spans, cpts, cols, pairs in gathered:
+                _, lattice, cidx = tables[j][rows[0][0], cols[0]]
                 index = np.subtract(_lattice_index(pts, lattice)[:, None], cidx,
                                     out=pool.empty((len(pts), len(cpts)), np.intp))
-                for (row, r0), (k, col) in pairs:
+                for (i, row), (k, col) in pairs:
                     # the index is in range: mode "clip" skips the check (and
                     # the buffer) of mode "raise"
                     block = np.take(tables[j][row, col][0], index, mode="clip",
                                     out=pool.empty(index.shape))
+                    r0 = rows[i][1]
                     yield j, slice(r0, r0 + len(pts)), spans[k], block
                     del block
-            for levels_of_set, spans, kernels, centres, (pairs, *_) in shared:
-                # each level's columns in the set's blocks
-                ends = itertools.accumulate(len(cpts) for cpts in centres)
-                parts = [slice(end - len(cpts), end) for end, cpts in zip(ends, centres)]
-                set_tables = (powers[0][kind, levels_of_set], powers[1]) if powers else None
-                if len(kernels) == 1:  # one level: its kernel and centres
-                    (kernels,), (centres,) = kernels, centres
-                shared_set = displacements(kernels, pts, centres, pool, mirror and (
-                    mirror[0], np.concatenate([mirror[1][j, kind] + part.start
-                                               for j, part in zip(levels_of_set, parts)])),
-                    set_tables)
-                for (row, r0), (k, col) in pairs:
-                    block = kernel_block(kernels, row, col, shared_set, centres)
-                    rows_out = slice(r0, r0 + len(pts))
-                    for j, level_spans, part in zip(levels_of_set, spans, parts):
-                        yield j, rows_out, level_spans[k], block[:, part]
+            for of_set in shared:
+                shared_set = displacements(
+                    of_set.kernels, pts, of_set.columns, pool,
+                    mirror and (mirror[0], mirror[1][kind, of_set.levels]),
+                    powers and (powers[0][kind, of_set.levels], powers[1]))
+                for (i, row), (k, col) in of_set.pairs:
+                    block = kernel_block(of_set.kernels, row, col, shared_set, of_set.centres)
+                    r0 = rows[i][1]
+                    for j, level_spans, part in zip(of_set.levels, of_set.spans, of_set.parts):
+                        yield j, slice(r0, r0 + len(pts)), level_spans[k], block[:, part]
                     del block
                 del shared_set
 
 
-def _power_tables(levels, x, labels, tables) -> dict:
+def _power_tables(sets, x, size) -> dict:
     """{(kind, level indices): power tables} of the call's points x against
-    the centres of each displacement set that a slab of the row ``labels``
-    reads (`_column_sets`), taken before the slabs run: every slab's set
-    gathers its powers from them."""
-    rows, size = [(label, 0) for label in labels], _slab_rows(*(ps for _, ps in levels))
-    out = {}
-    for kind in (0, 1):
-        for levels_of_set, _, kernels, centres, (pairs, *_) in _column_sets(
-                levels, rows, kind, tables)[1]:
-            out[kind, levels_of_set] = power_tables(
-                kernels, x, centres, [(row, col) for (row, _), (_, col) in pairs], size)
-    return out
+    the centres of each displacement set of ``sets``, the call's one row
+    set's `_column_sets`, for slabs of ``size`` rows, taken before the
+    slabs run: every slab's set gathers its powers from them."""
+    return {(kind, of_set.levels): power_tables(
+                of_set.kernels, x, of_set.columns,
+                [(row, col) for (_, row), (_, col) in of_set.pairs], size)
+            for kind, (_, shared) in enumerate(sets) for of_set in shared}
 
 
-def _pairs(kernel, rows, cols) -> list:
-    """((row label, first output row), (index, column label)) of each pair of
-    ``rows`` and ``cols`` whose kernel does not vanish, rows first."""
-    return [((row, r0), (k, col)) for (row, r0), (k, col)
-            in itertools.product(rows, enumerate(cols)) if not vanishes(kernel, row, col)]
+def _pairs(kernel, labels, cols) -> list:
+    """((index, row label), (index, column label)) of each pair of row
+    ``labels`` and ``cols`` whose kernel does not vanish, rows first."""
+    return [(row, col) for row, col in itertools.product(enumerate(labels), enumerate(cols))
+            if not vanishes(kernel, row[1], col[1])]
 
 
 def _run_slabs(task, slabs) -> None:
@@ -641,12 +727,14 @@ def _apply_rows(levels, requests, x) -> list:
     columns = [(sol.kernel, sol.pointset) for sol in levels]
     # before the outputs: the lattice tests and the layout take batch-sized temporaries
     tables = _tables(columns, row_sets)
+    sets = {tuple(labels): _column_sets(columns, labels, tables)}
     # a batch closed under (x, y) -> (y, x), such as a tensor grid, is cut
     # into slabs in this order
     order, pairs, swaps = _mirror_layout(x, columns, labels, tables) or (None, 0, None)
     slabs = _slabs(row_sets, *(sol.pointset for sol in levels))
     # a call of one slab leaves its sets to make their own tables
-    powers = None if len(slabs) == 1 else _power_tables(columns, x, labels, tables)
+    powers = None if len(slabs) == 1 else _power_tables(
+        sets[tuple(labels)], x, _slab_rows(*(sol.pointset for sol in levels)))
     outs = [np.zeros((len(levels), len(x), len(request))) for request in requests]
     # (output, column) of each label in every request that has it
     dests = [[(out, k) for out, request in zip(outs, requests)
@@ -662,7 +750,7 @@ def _apply_rows(levels, requests, x) -> list:
             slab = [(x[points], rows)]
             mirrors = min(max(pairs - first // 2, 0), len(pts) // 2)
             mirror = (len(pts) - mirrors, swaps) if mirrors else None
-        for j, rows, cols, block in _slab_blocks(columns, slab, tables, pool, mirror,
+        for j, rows, cols, block in _slab_blocks(sets, slab, tables, pool, mirror,
                                                  powers and (powers, points)):
             label, first = divmod(rows.start, len(x))  # the rows' label, first point
             coefficients = levels[j].coefficients[cols]
@@ -729,7 +817,11 @@ def evaluate_levels(levels, x, request):
     (interior, boundary), over the centres of every level that has no
     lattice table for x, each column at its own level's scale: for a small
     batch, the fixed cost of a set is then paid once and not once per
-    level, and the values that several requests read are computed once."""
+    level, and the values that several requests read are computed once.
+    What depends on the levels alone -- which columns each label reads,
+    the concatenated centres, scale vectors and distinct coordinates of
+    each set -- is planned once for a run of calls on the same level
+    objects (`_ColumnPlan`)."""
     requests = _requests(request)
     fields = tuple(vals[..., 0] if name == "divergence" else vals for name, vals in zip(
         requests, _apply_rows(levels, [_FIELD_ROWS[name] for name in requests], x)))

@@ -42,10 +42,20 @@ class SinglePoint(ValueError):
 
 @dataclass(frozen=True)
 class LevelPointSet:
-    """Interior and boundary centres of one level, each an (n, 2) array."""
+    """Interior and boundary centres of one level, each an (n, 2) array.
+
+    Each is stored as a read-only float64 copy, so that one point set always
+    holds the same centres: an evaluation keeps what it derives from them
+    for the next call of the same point sets (`collocation._ColumnPlan`).
+    Raises ValueError unless each is a real, finite (n, 2) array (n = 0
+    allowed)."""
 
     interior: np.ndarray
     boundary: np.ndarray
+
+    def __post_init__(self):
+        for name in ("interior", "boundary"):
+            object.__setattr__(self, name, _centres(getattr(self, name), name))
 
     @property
     def n_interior(self) -> int:
@@ -58,6 +68,24 @@ class LevelPointSet:
     @property
     def n_functionals(self) -> int:
         return 2 * (len(self.interior) + len(self.boundary))
+
+
+def _centres(points, name: str) -> np.ndarray:
+    """``points`` as a read-only float64 (n, 2) copy; raises ValueError
+    unless they are a real, finite (n, 2) array: a cast to float would
+    drop the imaginary part of a complex centre."""
+    if np.iscomplexobj(points):
+        raise ValueError(f"{name} centres must be real")
+    try:
+        points = np.array(points, dtype=np.float64)
+    except (TypeError, ValueError):
+        raise ValueError(f"{name} centres must be real numbers") from None
+    if points.ndim != 2 or points.shape[1] != 2:
+        raise ValueError(f"{name} centres must be an (n, 2) array, not of shape {points.shape}")
+    if not np.isfinite(points).all():
+        raise ValueError(f"level with {name} centres that are not finite")
+    points.flags.writeable = False
+    return points
 
 
 def mesh_norm(points, probe_density: int) -> float:

@@ -205,7 +205,8 @@ def load_model(path) -> MultiscaleModel:
 
     Raises ValueError unless the file holds exactly one such model: a wrong
     magic, a section cut short, bytes after the last level, or a centre or
-    coefficient that is not finite (which `LevelSolution` rejects) all fail.
+    coefficient that is not finite (which `LevelPointSet` and
+    `LevelSolution` reject) all fail.
     """
     with open(path, "rb") as fh:
         data = fh.read()
@@ -228,7 +229,7 @@ def load_model(path) -> MultiscaleModel:
         interior = np.frombuffer(take(16 * n_int), dtype="<f8").reshape(-1, 2)
         boundary = np.frombuffer(take(16 * n_bd), dtype="<f8").reshape(-1, 2)
         coeffs = np.frombuffer(take(8 * 2 * (n_int + n_bd)), dtype="<f8").copy()
-        pointset = LevelPointSet(interior=interior.copy(), boundary=boundary.copy())
+        pointset = LevelPointSet(interior=interior, boundary=boundary)  # copies them
         kernel = StokesKernelConfig(psi, psi, nu=nu, delta=delta)
         levels.append(
             LevelSolution(coefficients=coeffs, pointset=pointset, kernel=kernel)

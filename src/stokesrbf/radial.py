@@ -31,6 +31,7 @@ from .wendland import NonPolynomialDivision, WendlandPolynomial
 
 __all__ = [
     "BufferPool",
+    "Columns",
     "Displacements",
     "FRESH",
     "RadialTermEvaluator",
@@ -202,6 +203,46 @@ class _Fresh:
 FRESH = _Fresh()
 
 
+class Columns:
+    """The column points of displacement sets: runs of points (Q_k, 2), each
+    at its own scale, with the values of the columns alone that every set
+    against them reads -- their concatenation, each `per_column` vector
+    and, per axis, the `distinct` (coordinate, scale) pairs of its power
+    tables -- each computed on its first read and kept as long as the
+    columns (made by two threads at once, it has the same bits either way),
+    and not to be written.  The points are not copied: runs that are edited
+    in place leave their columns stale."""
+
+    def __init__(self, points, scale):
+        if np.ndim(scale) == 0:
+            points, scale = [points], [scale]
+        self.runs = tuple(zip(points, scale))
+        self.points = points[0] if len(points) == 1 else np.concatenate(points)
+        self._values: dict = {}
+        self.scale = self.per_column(tuple(scale))
+
+    def per_column(self, values: tuple):
+        """values[k] at every column of run k: values[0] itself when there is
+        one run, else a vector."""
+        if len(self.runs) == 1:
+            return values[0]
+        key = ("c", values)
+        if key not in self._values:
+            self._values[key] = np.repeat(values, [len(points) for points, _ in self.runs])
+        return self._values[key]
+
+    def distinct(self, axis: int) -> tuple:
+        """(coordinates, scales, index): the distinct (coordinate, scale)
+        pairs on ``axis`` (`_distinct`; the scale is a scalar for one run)
+        and the index of each column's pair among them."""
+        key, scale = ("d", axis), self.scale
+        if key not in self._values:
+            cols, index = _distinct(self.points[:, axis], *((scale,) if np.ndim(scale) else ()))
+            self._values[key] = (self.points[cols, axis],
+                                 scale[cols] if np.ndim(scale) else scale, index)
+        return self._values[key]
+
+
 class Displacements:
     """Displacements (rows[p] - columns[q]) * scale of rows (P, 2) against
     columns (Q, 2), in units of the support radius, r = hypot(x, y), and
@@ -212,12 +253,15 @@ class Displacements:
     against their concatenation, each column at its own run's scale, and
     every entry holds the bits it has in the set of its run alone.  The
     levels of a multiscale model are such runs, each at its own support
-    radius (`stokes_kernel.displacements`).
+    radius (`stokes_kernel.displacements`).  ``columns`` may also be a
+    `Columns` of such runs, with ``scale`` None: every set against it reads
+    its concatenation, `per_column` vectors and distinct column pairs,
+    which are then made once for all of them.
 
     Each shared value -- an evaluator's sum, a Horner radial keyed by its
     lowest power of r and its coefficients (with a positive top one, so
     that radials of opposite sign are one value), x, y, r and their powers,
-    squares included, a power table, a `per_column` vector -- is computed
+    squares included, a power table -- is computed
     on its first read and kept as long as the set; x and y are kept from
     the pass that computes r.  The monomials x^a y^b (one pass each) are
     computed at every read: not kept, with the same bits either way, so
@@ -248,19 +292,19 @@ class Displacements:
     those of row k at the columns swap, bit for bit, and are gathered.
     """
 
-    def __init__(self, rows, columns, scale, pool=FRESH, mirror=None, tables=None):
-        if np.ndim(scale) == 0:
-            columns, scale = [columns], [scale]
+    def __init__(self, rows, columns, scale=None, pool=FRESH, mirror=None, tables=None):
+        self._columns = columns if isinstance(columns, Columns) else Columns(columns, scale)
         # (points, scale) of each run of columns
-        self.runs = tuple(zip(columns, scale))
+        self.runs = self._columns.runs
         self.rows = rows
-        self.columns = columns[0] if len(columns) == 1 else np.concatenate(columns)
+        self.columns = self._columns.points
+        self.scale = self._columns.scale
+        self.per_column = self._columns.per_column  # values per column of each run
         self.shape = (len(rows), len(self.columns))
         self.pool = pool
         self._values: dict = {}
         self._cut = None  # not located yet: see `_locate`
         self._direct, self._swap = mirror or (len(rows), None)  # see `_mirrored`
-        self.scale = self.per_column(tuple(scale))
         self.last_block = None  # (parts, block): see `stokes_kernel.kernel_block`
         if tables is not None:
             tables, at = tables
@@ -275,16 +319,6 @@ class Displacements:
     def _new(self) -> np.ndarray:
         """An array of the set's shape."""
         return self.pool.empty(self.shape)
-
-    def per_column(self, values: tuple):
-        """values[k] at every column of run k: values[0] itself when the set
-        has one run, else a vector kept as long as the set."""
-        if len(self.runs) == 1:
-            return values[0]
-        key = ("c", values)
-        if key not in self._values:
-            self._values[key] = np.repeat(values, [len(points) for points, _ in self.runs])
-        return self._values[key]
 
     def _mirrored(self, value) -> np.ndarray:
         """``value``, a value of r alone set on the rows before the first
@@ -309,9 +343,8 @@ class Displacements:
 
     # shared values: ("x" | "y" | "r", n) the n-th power, ("m", a, b) the
     # monomial x^a y^b, ("h", m_lo, coeffs) a Horner radial times r^m_lo,
-    # ("t", "x" | "y") a power table, ("e", groups, origin) the value of an
-    # evaluator (`RadialTermEvaluator.key`), and ("c", values) a `per_column`
-    # vector, which `read` does not make
+    # ("t", "x" | "y") a power table and ("e", groups, origin) the value of
+    # an evaluator (`RadialTermEvaluator.key`)
 
     @staticmethod
     def _kept(key) -> bool:
@@ -389,13 +422,10 @@ class Displacements:
         of one axis, or None when the table is more than half a block of
         ``block_rows`` rows, by default the set's."""
         rows, row_index = _distinct(self.rows[:, axis])
-        pairs = (self.columns[:, axis],) + ((self.scale,) if np.ndim(self.scale) else ())
-        cols, col_index = _distinct(*pairs)
+        cols, scale, col_index = self._columns.distinct(axis)
         if 2 * len(rows) * len(cols) > (block_rows or len(self.rows)) * len(self.columns):
             return None
-        scale = self.scale[cols] if np.ndim(self.scale) else self.scale
-        return ({1: _differences(self.rows[rows, axis], self.columns[cols, axis], scale)},
-                row_index, col_index)
+        return {1: _differences(self.rows[rows, axis], cols, scale)}, row_index, col_index
 
     def power_tables(self, keys, block_rows: int) -> tuple:
         """Per axis, the set's table with its n-th power at every n >= 3 at

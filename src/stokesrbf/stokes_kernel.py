@@ -32,12 +32,12 @@ from functools import lru_cache
 
 import numpy as np
 
-from .radial import (FRESH, Displacements, RadialTermEvaluator, combine, laplacian,
+from .radial import (FRESH, Columns, Displacements, RadialTermEvaluator, combine, laplacian,
                      mixed_partial_terms)
 from .wendland import WendlandPolynomial
 
-__all__ = ["PDE", "DIRICHLET", "StokesKernelConfig", "displacements", "kernel_block",
-           "power_tables", "vanishes"]
+__all__ = ["PDE", "DIRICHLET", "StokesKernelConfig", "columns", "displacements",
+           "kernel_block", "power_tables", "vanishes"]
 
 DIM = 2
 
@@ -150,6 +150,16 @@ def _points(x) -> np.ndarray:
     return np.atleast_2d(np.asarray(x, dtype=float))
 
 
+def columns(cfg, xb) -> Columns:
+    """The points xb as the columns of displacement sets at cfg's scale,
+    given to `displacements` as xb: the sets against one such object share
+    what depends on the columns alone.  ``cfg`` and ``xb`` may be sequences,
+    as for `displacements`."""
+    if isinstance(cfg, StokesKernelConfig):
+        return Columns(_points(xb), 1.0 / cfg.delta)
+    return Columns([_points(b) for b in xb], [1.0 / c.delta for c in cfg])
+
+
 def displacements(cfg, xa, xb, pool=FRESH, mirror=None, tables=None) -> Displacements:
     """The displacement set of the points xa against the points xb at cfg's
     scale: give it to `kernel_block` as xa, with this very cfg and xb, for
@@ -161,13 +171,13 @@ def displacements(cfg, xa, xb, pool=FRESH, mirror=None, tables=None) -> Displace
     ``cfg`` may also be a sequence of configs of the same profiles -- the
     levels of a model -- and ``xb`` a sequence of point sets, one per
     config: the set is then of xa against their concatenation, each run of
-    columns at its own config's scale.  ``mirror`` pairs swapped rows and
+    columns at its own config's scale.  xb may also be the `columns` of
+    those point sets at cfg's scale.  ``mirror`` pairs swapped rows and
     columns, and ``tables`` gives the power tables of a set of more rows
     (`power_tables`), as for `radial.Displacements`."""
-    if isinstance(cfg, StokesKernelConfig):
-        return Displacements(_points(xa), _points(xb), 1.0 / cfg.delta, pool, mirror, tables)
-    return Displacements(_points(xa), [_points(b) for b in xb],
-                         [1.0 / c.delta for c in cfg], pool, mirror, tables)
+    if not isinstance(xb, Columns):
+        xb = columns(cfg, xb)
+    return Displacements(_points(xa), xb, None, pool, mirror, tables)
 
 
 def power_tables(cfg, xa, xb, pairs, block_rows: int) -> tuple:

@@ -88,7 +88,9 @@ def test_matrix_entries_match_gram(level1_system, c8, problem, monkeypatch):
 
 
 def test_solve_identity():
-    pointset = make_level_pointset(1)
+    # one interior and one boundary centre: 4 functionals, as many as the
+    # system has unknowns, which a `LevelSolution` requires
+    pointset = LevelPointSet(interior=[(0.5, 0.5)], boundary=[(0.0, 0.5)])
     kernel_stub = None  # unused by solve
     n = 4
     system = CollocationSystem(
@@ -424,6 +426,31 @@ def test_level_that_is_not_finite_is_rejected(level1_solution, value):
         centres[where][0, 1] = value
         with pytest.raises(ValueError, match="not finite"):
             LevelSolution(level1_solution.coefficients, LevelPointSet(**centres), kernel)
+
+
+@pytest.mark.parametrize("bad", ["87 long", "81 long", "column", "complex", "text"])
+def test_coefficients_must_match_the_point_set(level1_solution, bad):
+    # 82 functionals at level 1: 87 coefficients evaluated to plausible
+    # numbers (the extra 5 unread), and 81, an (82, 1) column or a complex
+    # vector failed only inside numpy at evaluation
+    from stokesrbf.collocation import LevelSolution
+
+    ps, kernel, good = (level1_solution.pointset, level1_solution.kernel,
+                        level1_solution.coefficients)
+    coefficients = {"87 long": np.concatenate([good, np.ones(5)]), "81 long": good[:81],
+                    "column": good[:, None], "complex": good + 0j,
+                    "text": ["a"] * len(good)}[bad]
+    with pytest.raises(ValueError, match="coefficients"):
+        LevelSolution(coefficients, ps, kernel)
+
+
+def test_coefficients_of_any_real_type_keep_their_values(level1_solution):
+    from stokesrbf.collocation import LevelSolution
+
+    ps, kernel = level1_solution.pointset, level1_solution.kernel
+    ones = LevelSolution([1] * ps.n_functionals, ps, kernel)
+    assert ones.coefficients.dtype == np.float64
+    assert np.array_equal(ones.coefficients, np.ones(ps.n_functionals))
 
 
 def test_zero_coefficients_evaluate_to_zero(level1_solution):

@@ -5,6 +5,7 @@ import pytest
 
 from stokesrbf.geometry import (
     EmptyPointSet,
+    LevelPointSet,
     SinglePoint,
     export_points_csv,
     grid_spacing,
@@ -145,3 +146,29 @@ def test_rejects_levels_beyond_memory():
     # level 40 has (2^41 + 1)^2 centres, which numpy refuses at once
     with pytest.raises(ValueError, match="memory"):
         make_level_pointset(40)
+
+
+@pytest.mark.parametrize("bad", [
+    np.zeros((3, 3)), np.zeros(3), np.zeros((2, 2, 2)), np.zeros((2, 2), complex),
+    [["a", "b"]], None, [(0.5, np.nan)], [(np.inf, 0.5)]])
+@pytest.mark.parametrize("where", ["interior", "boundary"])
+def test_point_set_needs_real_finite_pairs(bad, where):
+    # an (n, 3) array was accepted and evaluated to plausible numbers
+    centres = {"interior": np.full((2, 2), 0.5), "boundary": np.zeros((1, 2)), where: bad}
+    with pytest.raises(ValueError, match=where):
+        LevelPointSet(**centres)
+
+
+def test_point_set_holds_read_only_copies():
+    # the centres are float64 copies that cannot be edited in place, so a
+    # point set always means the same centres; empty sets are allowed
+    given = np.array([(0, 1), (1, 0)])
+    ps = LevelPointSet(interior=given, boundary=np.zeros((0, 2)))
+    given[0, 0] = 7
+    assert ps.interior.dtype == np.float64 and ps.interior.tolist() == [[0.0, 1.0], [1.0, 0.0]]
+    assert ps.n_boundary == 0 and ps.n_functionals == 4
+    level = make_level_pointset(2)
+    for centres in (ps.interior, level.interior, level.boundary):
+        with pytest.raises(ValueError, match="read-only"):
+            centres[0, 0] = 0.25
+    assert level.interior[0, 0] == 0.0

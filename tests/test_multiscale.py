@@ -1,4 +1,5 @@
 import itertools
+import threading
 import warnings
 
 import numpy as np
@@ -488,3 +489,119 @@ def test_pressure_gradient_reads_no_dirichlet_column(c8, rng, monkeypatch, batch
     assert {j for j, _ in seen} == {0, 1, 2, 3}
     for j, cols in seen:
         assert cols.stop <= 2 * model.levels[j].pointset.n_interior
+
+
+def plan_builds(monkeypatch):
+    """The levels of every `_ColumnPlan` built from now on, one list each."""
+    builds = []
+    init = collocation._ColumnPlan.__init__
+
+    def counting_init(self, levels):
+        builds.append(list(levels))
+        init(self, levels)
+
+    monkeypatch.setattr(collocation._ColumnPlan, "__init__", counting_init)
+    return builds
+
+
+def with_fresh_plan(monkeypatch, call):
+    """call() with the column plan built anew for it."""
+    monkeypatch.setattr(collocation, "_last_plan", None)
+    return call()
+
+
+def query_stream(seed, count):
+    """Seeded batches of 1-16 points, alternating velocity and ∇p."""
+    rng = np.random.default_rng(seed)
+    return [(rng.random((int(rng.integers(1, 17)), 2)), ("velocity", "pressure-gradient")[k % 2])
+            for k in range(count)]
+
+
+def test_one_plan_serves_a_stream_of_queries(c8, rng, monkeypatch, tmp_path):
+    # the columns of a loaded model -- concatenated centres, scale vectors,
+    # distinct coordinates, column sets -- are planned once for a stream of
+    # velocity and pressure-gradient queries, and every answer keeps the
+    # bits of the same query with a plan of its own
+    save_model(random_model(c8, rng), tmp_path / "model.bin")
+    model = load_model(tmp_path / "model.bin")
+    stream = query_stream(11, 24)
+    monkeypatch.setattr(collocation, "_last_plan", None)
+    builds = plan_builds(monkeypatch)
+    got = [evaluate_model(model, x, request) for x, request in stream]
+    assert len(builds) == 1
+    for (x, request), field in zip(stream, got):
+        fresh = with_fresh_plan(monkeypatch, lambda: evaluate_model(model, x, request))
+        assert field.tobytes() == fresh.tobytes(), request
+
+
+def test_plan_is_rebuilt_for_other_levels(c8, rng, monkeypatch, tmp_path):
+    # a plan belongs to the very kernel and point-set objects of its levels:
+    # a model grown by a level, one whose level was replaced, and two equal
+    # models loaded from one file each get a plan of their own, and every
+    # field keeps the bits of the same call with a plan of its own
+    full = random_model(c8, rng)
+    save_model(full, tmp_path / "model.bin")
+    loaded = [load_model(tmp_path / "model.bin") for _ in range(2)]
+    model = MultiscaleModel(levels=full.levels[:2])
+    x = rng.random((16, 2))
+    monkeypatch.setattr(collocation, "_last_plan", None)
+    builds = plan_builds(monkeypatch)
+    evaluate_model(model, x)
+
+    def grow():
+        model.levels.append(full.levels[2])
+
+    def replace():
+        model.levels[1] = full.levels[3]
+
+    for change, of in [(grow, model), (replace, model)] + [(None, m) for m in loaded * 2]:
+        if change:
+            change()
+        for request in ("velocity", "pressure-gradient"):
+            count = len(builds)
+            got = evaluate_model(of, x, request)
+            # a new plan at the first request, for the levels as they are now
+            assert len(builds) == count + (request == "velocity")
+            assert all(a is sol.kernel and p is sol.pointset
+                       for (a, p), sol in zip(builds[-1], of.levels, strict=True))
+            fresh = with_fresh_plan(monkeypatch, lambda: evaluate_model(of, x, request))
+            assert got.tobytes() == fresh.tobytes(), request
+    # equal levels of two models give equal bits
+    assert evaluate_model(loaded[0], x).tobytes() == evaluate_model(full, x).tobytes()
+
+
+def test_one_level_twice_in_one_pass(c8, rng, monkeypatch):
+    # a plan of a level listed twice reads its centres twice in one set:
+    # each copy's field holds the bits of the level evaluated alone
+    sol = random_model(c8, rng).levels[1]
+    for request in REQUESTS:
+        for x in (rng.random((16, 2)), rng.random((301, 2)), LATTICE16):
+            got = evaluate_levels([sol, sol], x, request)
+            alone = evaluate_fields(sol, x, request)
+            assert got[0].tobytes() == alone.tobytes() == got[1].tobytes(), request
+            fresh = with_fresh_plan(monkeypatch, lambda: evaluate_levels([sol, sol], x, request))
+            assert got.tobytes() == fresh.tobytes(), request
+
+
+def test_threads_on_two_models_get_their_own_bits(c8, rng):
+    # two clients querying two models at once replace each other's plan
+    # all the time; every answer keeps the bits it has in a stream alone
+    models = [random_model(c8, rng), MultiscaleModel(levels=random_model(c8, rng).levels[1:])]
+    streams = [query_stream(seed, 40) for seed in (21, 22)]
+    expected = [[evaluate_model(model, x, request) for x, request in stream]
+                for model, stream in zip(models, streams)]
+    got = [None, None]
+    barrier = threading.Barrier(2)
+
+    def client(k):
+        barrier.wait()
+        got[k] = [evaluate_model(models[k], x, request) for x, request in streams[k]]
+
+    threads = [threading.Thread(target=client, args=(k,)) for k in (0, 1)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join()
+    for answers, reference in zip(got, expected):
+        assert answers is not None
+        assert [a.tobytes() for a in answers] == [b.tobytes() for b in reference]
