@@ -25,7 +25,7 @@ import numpy as np
 from scipy.linalg import LinAlgError, cho_factor, cho_solve
 
 from .geometry import LevelPointSet
-from .radial import FRESH, BufferPool, Columns
+from .radial import FRESH, BufferPool, Columns, swap_index
 from .stokes_kernel import DIRICHLET, PDE, StokesKernelConfig
 from .stokes_kernel import columns as centre_columns
 from .stokes_kernel import displacements, kernel_block, power_tables, vanishes
@@ -46,7 +46,7 @@ __all__ = [
 # side of a refinement tile in `solve` (a level-4 residual took ~10 % longer
 # with 64 x 64 tiles).  A slab is the multiple of _SLAB rows that holds
 # about _SLAB_ENTRIES entries against the call's widest centre set
-# (`_slabs`): 128 rows against the 1089 level-4 interior centres, 384 at
+# (`_CallPlan`): 128 rows against the 1089 level-4 interior centres, 384 at
 # level 3, 1536 at level 2 and 5120 at level 1.  Its temporaries are then
 # about 1 MB each, so the many passes of one kernel block stay in cache;
 # with 1024-row slabs (8.7 MB temporaries) evaluating a level-4 model on
@@ -98,7 +98,9 @@ class CollocationSystem:
     """Symmetric collocation system A alpha = rhs for one level.
 
     `assemble` stores ``matrix`` column-major and read-only, with its lattice
-    tables, for `solve` to factorize in place; it is A when `solve` is done."""
+    tables, for `solve` to factorize in place; it is A when `solve` is done.
+    Raises ValueError unless ``matrix`` is (n, n) and ``rhs`` (n,), n being
+    the point set's `n_functionals`."""
 
     matrix: np.ndarray
     rhs: np.ndarray
@@ -106,6 +108,12 @@ class CollocationSystem:
     kernel: StokesKernelConfig
     # (weak reference to the matrix that `assemble` made, its tables)
     _lattice_tables: tuple | None = field(default=None, init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        n = self.pointset.n_functionals
+        if np.shape(self.matrix) != (n, n) or np.shape(self.rhs) != (n,):
+            raise ValueError(f"need a {n} x {n} matrix and {n} right-hand sides, not "
+                             f"{np.shape(self.matrix)} and {np.shape(self.rhs)}")
 
     @property
     def size(self) -> int:
@@ -160,23 +168,25 @@ def assemble(
     total = pointset.n_functionals
     # zeros: a pair whose kernel vanishes gets no block (`_slab_blocks`)
     matrix = np.zeros((total, total), order="F")
-    levels, row_sets = [(kernel, pointset)], [(pts, rows) for pts, rows, _ in _groups(pointset)]
-    tables = _tables(levels, row_sets)
-    sets = {rows: _column_sets(levels, rows, tables) for _, rows in row_sets}
+    row_sets = [(pts, rows) for pts, rows, _ in _groups(pointset)]
+    plan = _CallPlan([(kernel, pointset)], row_sets)
+    # the first row of each row label in the system
+    starts = dict(zip([row for _, rows in row_sets for row in rows], itertools.accumulate(
+        [len(pts) for pts, rows in row_sets for _ in rows], initial=0)))
 
     def fill(slab, pool):
-        for _, rows, cols, block in _slab_blocks(sets, slab, tables, pool):
+        for _, row, at, cols, block in _slab_blocks(plan, slab, pool):
             # matrix[rows, cols] = block, in numpy's faster loop order here
-            matrix.T[cols, rows] = block.T
+            matrix.T[cols, starts[row] + at.start:starts[row] + at.stop] = block.T
             del block
 
-    _run_slabs(fill, _slabs(row_sets, pointset))
+    _run_slabs(fill, plan.slabs)
     matrix.flags.writeable = False
     fvals = np.asarray(f_data(pointset.interior), dtype=float)
     gvals = np.asarray(g_data(pointset.boundary), dtype=float)
     rhs = np.concatenate([fvals[:, 0], fvals[:, 1], gvals[:, 0], gvals[:, 1]])
     system = CollocationSystem(matrix=matrix, rhs=rhs, pointset=pointset, kernel=kernel)
-    (own,) = tables
+    (own,) = plan.tables
     if len(own) == 16 and len({entry[1] for entry in own.values()}) == 1:
         system._lattice_tables = (weakref.ref(matrix), own)  # 4 x 4 labels, one lattice
     return system
@@ -307,40 +317,6 @@ def _factor_and_refine(system: CollocationSystem, tile, overwrite: bool) -> Leve
     )
 
 
-def _slab_rows(*pointsets) -> int:
-    """The largest multiple of _SLAB rows, at least _SLAB, whose block against
-    the widest centre kind of ``pointsets`` has at most _SLAB_ENTRIES entries."""
-    width = max(sum(ps.n_interior for ps in pointsets),
-                sum(ps.n_boundary for ps in pointsets), 1)
-    return _SLAB * max(1, _SLAB_ENTRIES // (_SLAB * width))
-
-
-def _slabs(row_sets, *pointsets) -> list:
-    """Point slabs of ``row_sets`` -- (points, row labels) in output order,
-    each label's rows after the previous label's -- against the centres of
-    ``pointsets``, the point sets of the levels of one call.
-
-    Slab k holds points k*rows up to (k+1)*rows of every set that has
-    them, as (points, [(row label, first output row)]), rows being
-    `_slab_rows`.  Every slab starts at a multiple of _SLAB, and
-    `_apply_rows` hands BLAS one block of _SLAB rows at a time.  BLAS sums
-    a row in an order that depends on the row's place in its block, though
-    not in a block of a multiple of 4 rows (`_mirror_layout`), so a point's
-    values do not depend on which labels are requested with it, nor on the
-    slab size.
-    """
-    size = _slab_rows(*pointsets)
-    slabs, r0 = [], 0
-    for pts, labels in row_sets:
-        for k, start in enumerate(range(0, len(pts), size)):
-            if k == len(slabs):
-                slabs.append([])
-            slabs[k].append((pts[start:start + size],
-                             [(row, r0 + i * len(pts) + start) for i, row in enumerate(labels)]))
-        r0 += len(labels) * len(pts)
-    return slabs
-
-
 # Lattice tables.  On a dyadic lattice of step h = 2^-k the difference of
 # two lattice coordinates is exact, so an entry of a block whose rows and
 # columns all lie on one lattice depends only on the integer offset between
@@ -454,55 +430,6 @@ def _tables(levels, row_sets) -> list:
     return tables
 
 
-def _swap_index(points):
-    """The index of (y, x) for each point (x, y), or None unless the points
-    are closed under that swap, exactly.  The sorts are stable: the k-th
-    copies of a point and of its mirror index each other."""
-    lo, hi = points.min(axis=0, initial=np.inf), points.max(axis=0, initial=-np.inf)
-    if lo[0] != lo[1] or hi[0] != hi[1]:
-        return None  # fast: ~4 us for a query batch, half the time of sorting x and y
-    by_xy, by_yx = np.lexsort(points.T[::-1]), np.lexsort(points.T)
-    if not all(np.array_equal(points[by_xy, axis], points[by_yx, 1 - axis]) for axis in (0, 1)):
-        return None
-    swap = np.empty_like(by_xy)
-    swap[by_yx] = by_xy
-    return swap
-
-
-def _mirror_layout(x, columns, labels, tables):
-    """(order, pairs, swaps) that pair each point (u, v) of x with (v, u) in
-    its slabs, or None: a slab computes r and the values of r alone on its
-    direct rows and gathers them for their mirrors (`radial.Displacements`).
-
-    Pairs are made when x has a pair and a multiple of 4 points and is
-    closed under the swap, and so is each centre set that a displacement
-    set reads, of which there is one (swaps: `_ColumnPlan.swap` of each
-    set, by (centre kind, level indices)).  In ``order`` the slabs hold
-    direct rows, then their mirrors, until the pairs run out; one holds the
-    last pairs, with the points that are their own mirror that fit before
-    their mirrors; then the rest of those points.  Every slab but the last is full, so
-    each block that BLAS sees has a multiple of 4 rows (`_slabs`)."""
-    swap = None if len(x) % 4 else _swap_index(x)
-    if swap is None:
-        return None
-    plan = _column_plan(columns)
-    swaps = {(kind, shared.levels): plan.swap(kind, shared)
-             for kind, (_, sets) in enumerate(plan.column_sets(tuple(labels), tables))
-             for shared in sets}
-    direct = np.flatnonzero(swap > np.arange(len(x)))
-    if not (swaps and len(direct)) or any(s is None for s in swaps.values()):
-        return None
-    own, mirror = np.flatnonzero(swap == np.arange(len(x))), swap[direct]
-    half = _slab_rows(*(pointset for _, pointset in columns)) // 2
-    full = len(direct) - len(direct) % half  # the pairs in slabs of their own
-    room = 2 * (half - len(direct) + full)  # the rows that the last pairs leave
-    # int32: alive with the outputs, at the peak of a grid evaluation
-    order = np.concatenate([np.hstack([a[:full].reshape(-1, half) for a in (direct, mirror)]),
-                            direct[full:], own[:room], mirror[full:], own[room:]],
-                           axis=None, dtype=np.int32)
-    return order, len(direct), swaps
-
-
 class _SharedSet(NamedTuple):
     """The displacement set that a row set reads against the centres of one
     kind of the levels of the same profile objects without lattice tables."""
@@ -519,10 +446,10 @@ class _SharedSet(NamedTuple):
 class _ColumnPlan:
     """All that the columns of a call depend on alone: its ``levels``,
     (kernel, pointset) pairs.  It keeps the `column_sets` of each row
-    labels, the `Columns` of each displacement set -- concatenated centres,
-    scale vectors and distinct coordinates, which every set against them
-    reads -- and their `swap` indices, each made on its first use; two
-    threads may both make one, and make equal ones.  The centres of a
+    labels and the `Columns` of each displacement set -- concatenated
+    centres, scale vectors, swap index and distinct coordinates, which every
+    set against them reads -- each made on its first use; two threads may
+    both make one, and make equal ones.  The centres of a
     point set are read-only, so the same objects mean the same columns."""
 
     def __init__(self, levels):
@@ -577,17 +504,6 @@ class _ColumnPlan:
             (kernels,), (centres,) = kernels, centres
         return _SharedSet(levels, spans, parts, kernels, centres, set_columns, pairs[0])
 
-    def swap(self, kind: int, shared: _SharedSet):
-        """The columns of ``shared``, of kind ``kind``, each swapped within
-        its level's run (`_swap_index`); None unless every level's centres
-        are closed under the swap."""
-        def make():
-            swaps = [_swap_index(cpts) for cpts, _ in shared.columns.runs]
-            if any(swap is None for swap in swaps):
-                return None
-            return np.concatenate([swap + part.start for swap, part in zip(swaps, shared.parts)])
-        return self._kept(("swap", kind, shared.levels), make)
-
 
 # the plan of the last call, which a call of other levels replaces with
 # its own: a thread keeps the plan that it took, whatever others take
@@ -605,20 +521,100 @@ def _column_plan(levels) -> _ColumnPlan:
     return plan
 
 
-def _column_sets(levels, labels, tables) -> list:
-    """`_ColumnPlan.column_sets` of ``labels`` against ``levels``, (kernel,
-    pointset) pairs, with their lattice ``tables``: once per row set and
-    call, before the slabs run."""
-    return _column_plan(levels).column_sets(tuple(labels), tables)
+class _CallPlan:
+    """All that the slabs of one `assemble` or `_apply_rows` call read, made
+    before they run, for ``levels``, (kernel, pointset) pairs, and
+    ``row_sets``, (points, row labels) in output order:
+
+    - ``tables``: the lattice tables of each level (`_tables`);
+    - ``sets``: per row set, the column sets of its labels
+      (`_ColumnPlan.column_sets`);
+    - ``order`` and ``pairs``: a call of one row set closed under
+      (x, y) -> (y, x), such as a tensor grid, lays its points out in
+      ``order`` (their positions), which pairs each point (u, v) with
+      (v, u), ``pairs`` times; else ``order`` is None (see `points`);
+    - ``slabs``: slab k holds rows k*size up to (k+1)*size of the layout of
+      every row set that has them, as (row set index, rows, mirror), rows
+      being a slice and mirror d, from which on the slab's rows are the
+      mirrors of its first ones (`radial.Displacements`), or None;
+    - ``powers``: on a call of more than one slab, the power tables of each
+      row set's points against each displacement set's `Columns`, by (row
+      set index, columns): every slab's set gathers its powers from them.
+
+    A slab has the largest multiple of _SLAB rows, at least _SLAB, whose
+    block against the widest centre kind of the levels has at most
+    _SLAB_ENTRIES entries.  Every slab starts at a multiple of _SLAB, and
+    `_apply_rows` hands BLAS one block of _SLAB rows at a time.  BLAS sums
+    a row in an order that depends on the row's place in its block, though
+    not in a block of a multiple of 4 rows, so a point's values do not
+    depend on which labels are requested with it, on the slab size, nor on
+    the layout.
+
+    Pairs are made when the points have a pair and a multiple of 4 points
+    and are closed under the swap, and so are the columns of each
+    displacement set (`Columns.swap`), of which there is one.  The slabs
+    then hold direct rows, then their mirrors, until the pairs run out; one
+    holds the last pairs, with the points that are their own mirror that
+    fit before their mirrors; then the rest of those points.  Every slab
+    but the last is full, so each block that BLAS sees has a multiple of 4
+    rows."""
+
+    def __init__(self, levels, row_sets):
+        self.row_sets = row_sets
+        self.tables = _tables(levels, row_sets)
+        columns = _column_plan(levels)
+        self.sets = [columns.column_sets(tuple(labels), self.tables) for _, labels in row_sets]
+        # (row set index, `_SharedSet`) of each displacement set of the slabs
+        shared = [(s, of_set) for s, sets in enumerate(self.sets)
+                  for _, of_sets in sets for of_set in of_sets]
+        width = max(sum(pointset.n_interior for _, pointset in levels),
+                    sum(pointset.n_boundary for _, pointset in levels), 1)
+        size = _SLAB * max(1, _SLAB_ENTRIES // (_SLAB * width))
+        self.order, self.pairs = (None, 0) if len(row_sets) > 1 else self._layout(
+            size // 2, [of_set.columns for _, of_set in shared])
+        self.slabs = [[] for _ in range(0, max(len(pts) for pts, _ in row_sets), size)]
+        for s, (pts, _) in enumerate(row_sets):
+            for slab, start in zip(self.slabs, range(0, len(pts), size)):
+                n = min(size, len(pts) - start)
+                # the slabs before hold start // 2 pairs or fewer
+                mirrors = min(max(self.pairs - start // 2, 0), n // 2)
+                slab.append((s, slice(start, start + n), n - mirrors if mirrors else None))
+        # a call of one slab leaves its sets to make their own tables
+        self.powers = {} if len(self.slabs) < 2 else {
+            (s, of_set.columns): power_tables(of_set.kernels, row_sets[s][0], of_set.columns,
+                                              [(row, col) for row, _, col in of_set.pairs], size)
+            for s, of_set in shared}
+
+    def _layout(self, half: int, shared) -> tuple:
+        """(order, pairs) of the one row set, for slabs of ``half`` pairs,
+        against the `Columns` of each of its displacement sets, ``shared``."""
+        ((x, _),) = self.row_sets
+        swap = None if len(x) % 4 else swap_index(x)
+        if swap is None:
+            return None, 0
+        direct = np.flatnonzero(swap > np.arange(len(x)))
+        if not (shared and len(direct)) or any(columns.swap() is None for columns in shared):
+            return None, 0
+        own, mirror = np.flatnonzero(swap == np.arange(len(x))), swap[direct]
+        full = len(direct) - len(direct) % half  # the pairs in slabs of their own
+        room = 2 * (half - len(direct) + full)  # the rows that the last pairs leave
+        # int32: alive with the outputs, at the peak of a grid evaluation
+        order = np.concatenate([np.hstack([a[:full].reshape(-1, half) for a in (direct, mirror)]),
+                                direct[full:], own[:room], mirror[full:], own[room:]],
+                               axis=None, dtype=np.int32)
+        return order, len(direct)
+
+    def points(self, rows: slice):
+        """The positions of the layout's ``rows`` in their row set."""
+        return rows if self.order is None else self.order[rows]
 
 
-def _slab_blocks(sets, slab, tables, pool, mirror=None, powers=None):
-    """Kernel blocks of one slab's row functionals against the columns of
-    each level of the call, with ``sets`` the `_column_sets` of each of its
-    row sets, by row labels, and ``tables`` the call's lattice tables of
-    each level: yields (level index, row slice, column slice, block), each
-    level's column groups, per row label, in system order.  The blocks of
-    one row point set against one centre kind of a level are either all
+def _slab_blocks(plan: _CallPlan, slab, pool):
+    """Kernel blocks of one slab of ``plan`` against the columns of each
+    level of the call: yields (level index, row label, rows, column slice,
+    block), rows being the slab's rows of the layout (`_CallPlan.points`),
+    each level's column groups, per row label, in system order.  The blocks
+    of one row point set against one centre kind of a level are either all
     gathered from that level's tables, through one index, or all read one
     displacement set: the set of every level of the same profiles without
     tables for that kind, each run of columns at its own level's scale,
@@ -626,56 +622,41 @@ def _slab_blocks(sets, slab, tables, pool, mirror=None, powers=None):
     then its column view of that set's block.  A pair whose kernel vanishes
     (`stokes_kernel.vanishes`: a pressure row against a Dirichlet column)
     yields no block: its entries are zero.  Block-sized arrays come from
-    ``pool`` (a `BufferPool`, or `FRESH`).  With ``mirror``, (d, swaps), row
-    d + k of the slab is row k swapped, and swaps are those of
-    `_mirror_layout`.  With ``powers``, ({(kind, level indices): power
-    tables}, at), each set reads the power tables of its kind and levels,
-    of the call's rows, at its rows ``at`` (`_power_tables`).  Callers drop
-    each block before asking for the next."""
-    for pts, rows in slab:
-        for kind, (gathered, shared) in enumerate(sets[tuple(label for label, _ in rows)]):
+    ``pool`` (a `BufferPool`, or `FRESH`).  Callers drop each block before
+    asking for the next."""
+    for s, at, mirror in slab:
+        points, labels = plan.row_sets[s]
+        positions = plan.points(at)
+        pts = points[positions]
+        for gathered, shared in plan.sets[s]:
             for j, spans, cpts, cols, pairs in gathered:
-                _, lattice, cidx = tables[j][rows[0][0], cols[0]]
+                _, lattice, cidx = plan.tables[j][labels[0], cols[0]]
                 index = np.subtract(_lattice_index(pts, lattice)[:, None], cidx,
                                     out=pool.empty((len(pts), len(cpts)), np.intp))
-                for (i, row), (k, col) in pairs:
+                for row, k, col in pairs:
                     # the index is in range: mode "clip" skips the check (and
                     # the buffer) of mode "raise"
-                    block = np.take(tables[j][row, col][0], index, mode="clip",
+                    block = np.take(plan.tables[j][row, col][0], index, mode="clip",
                                     out=pool.empty(index.shape))
-                    r0 = rows[i][1]
-                    yield j, slice(r0, r0 + len(pts)), spans[k], block
+                    yield j, row, at, spans[k], block
                     del block
             for of_set in shared:
-                shared_set = displacements(
-                    of_set.kernels, pts, of_set.columns, pool,
-                    mirror and (mirror[0], mirror[1][kind, of_set.levels]),
-                    powers and (powers[0][kind, of_set.levels], powers[1]))
-                for (i, row), (k, col) in of_set.pairs:
+                tables = plan.powers.get((s, of_set.columns))
+                shared_set = displacements(of_set.kernels, pts, of_set.columns, pool, mirror,
+                                           tables and (tables, positions))
+                for row, k, col in of_set.pairs:
                     block = kernel_block(of_set.kernels, row, col, shared_set, of_set.centres)
-                    r0 = rows[i][1]
                     for j, level_spans, part in zip(of_set.levels, of_set.spans, of_set.parts):
-                        yield j, slice(r0, r0 + len(pts)), level_spans[k], block[:, part]
+                        yield j, row, at, level_spans[k], block[:, part]
                     del block
                 del shared_set
 
 
-def _power_tables(sets, x, size) -> dict:
-    """{(kind, level indices): power tables} of the call's points x against
-    the centres of each displacement set of ``sets``, the call's one row
-    set's `_column_sets`, for slabs of ``size`` rows, taken before the
-    slabs run: every slab's set gathers its powers from them."""
-    return {(kind, of_set.levels): power_tables(
-                of_set.kernels, x, of_set.columns,
-                [(row, col) for (_, row), (_, col) in of_set.pairs], size)
-            for kind, (_, shared) in enumerate(sets) for of_set in shared}
-
-
 def _pairs(kernel, labels, cols) -> list:
-    """((index, row label), (index, column label)) of each pair of row
-    ``labels`` and ``cols`` whose kernel does not vanish, rows first."""
-    return [(row, col) for row, col in itertools.product(enumerate(labels), enumerate(cols))
-            if not vanishes(kernel, row[1], col[1])]
+    """(row label, index, column label) of each pair of row ``labels`` and
+    ``cols`` whose kernel does not vanish, rows first."""
+    return [(row, k, col) for row in labels for k, col in enumerate(cols)
+            if not vanishes(kernel, row, col)]
 
 
 def _run_slabs(task, slabs) -> None:
@@ -723,46 +704,25 @@ def _apply_rows(levels, requests, x) -> list:
     """
     x = _query_points(x)
     labels = list(dict.fromkeys(itertools.chain.from_iterable(requests)))
-    row_sets = [(x, labels)]
-    columns = [(sol.kernel, sol.pointset) for sol in levels]
     # before the outputs: the lattice tests and the layout take batch-sized temporaries
-    tables = _tables(columns, row_sets)
-    sets = {tuple(labels): _column_sets(columns, labels, tables)}
-    # a batch closed under (x, y) -> (y, x), such as a tensor grid, is cut
-    # into slabs in this order
-    order, pairs, swaps = _mirror_layout(x, columns, labels, tables) or (None, 0, None)
-    slabs = _slabs(row_sets, *(sol.pointset for sol in levels))
-    # a call of one slab leaves its sets to make their own tables
-    powers = None if len(slabs) == 1 else _power_tables(
-        sets[tuple(labels)], x, _slab_rows(*(sol.pointset for sol in levels)))
+    plan = _CallPlan([(sol.kernel, sol.pointset) for sol in levels], [(x, labels)])
     outs = [np.zeros((len(levels), len(x), len(request))) for request in requests]
     # (output, column) of each label in every request that has it
-    dests = [[(out, k) for out, request in zip(outs, requests)
-              for k, other in enumerate(request) if other == label] for label in labels]
+    dests = {label: [(out, k) for out, request in zip(outs, requests)
+                     for k, other in enumerate(request) if other == label] for label in labels}
 
     def add(slab, pool):
-        mirror = None
-        ((pts, rows),) = slab
-        first = rows[0][1]  # the slab's first point, in ``order`` if pairs are made
-        points = slice(first, first + len(pts))  # the slab's points in x
-        if order is not None:  # the slabs before hold <= first // 2 pairs
-            points = order[points]
-            slab = [(x[points], rows)]
-            mirrors = min(max(pairs - first // 2, 0), len(pts) // 2)
-            mirror = (len(pts) - mirrors, swaps) if mirrors else None
-        for j, rows, cols, block in _slab_blocks(sets, slab, tables, pool, mirror,
-                                                 powers and (powers, points)):
-            label, first = divmod(rows.start, len(x))  # the rows' label, first point
+        for j, row, at, cols, block in _slab_blocks(plan, slab, pool):
             coefficients = levels[j].coefficients[cols]
             # BLAS sees the slab's block _SLAB rows at a time
             for start in range(0, len(block), _SLAB):
                 values = block[start:start + _SLAB] @ coefficients
-                at = slice(first + start, first + start + len(values))
-                for out, k in dests[label]:
-                    out[j, at if order is None else order[at], k] += values
+                points = plan.points(slice(at.start + start, at.start + start + len(values)))
+                for out, k in dests[row]:
+                    out[j, points, k] += values
             del block
 
-    _run_slabs(add, slabs)
+    _run_slabs(add, plan.slabs)
     return outs
 
 

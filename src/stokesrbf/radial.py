@@ -19,6 +19,7 @@ evaluators.
 
 from __future__ import annotations
 
+import itertools
 import math
 import mmap
 import sys
@@ -37,6 +38,7 @@ __all__ = [
     "RadialTermEvaluator",
     "mixed_partial",
     "mixed_partial_terms",
+    "swap_index",
 ]
 
 # term algebra: {(a, b, m): coefficient} for c * x1^a * x2^b * r^m
@@ -138,7 +140,7 @@ def _distinct(*keys):
         new[1:] &= ordered[1:] == ordered[:-1]
     np.logical_not(new[1:], out=new[1:])
     # each entry's place among them, counted in the buffer of the last key
-    # (a batch-sized temporary less at the call's tables: `Displacements.power_tables`)
+    # (a batch-sized temporary less at the call's tables: `Columns.power_tables`)
     np.cumsum(new, out=ordered)
     ordered -= 1
     index = np.empty(len(order), np.intp)
@@ -203,15 +205,30 @@ class _Fresh:
 FRESH = _Fresh()
 
 
+def swap_index(points):
+    """The index of (y, x) for each point (x, y), or None unless the points
+    are closed under that swap, exactly.  The sorts are stable: the k-th
+    copies of a point and of its mirror index each other."""
+    lo, hi = points.min(axis=0, initial=np.inf), points.max(axis=0, initial=-np.inf)
+    if lo[0] != lo[1] or hi[0] != hi[1]:
+        return None  # fast: ~4 us for a query batch, half the time of sorting x and y
+    by_xy, by_yx = np.lexsort(points.T[::-1]), np.lexsort(points.T)
+    if not all(np.array_equal(points[by_xy, axis], points[by_yx, 1 - axis]) for axis in (0, 1)):
+        return None
+    swap = np.empty_like(by_xy)
+    swap[by_yx] = by_xy
+    return swap
+
+
 class Columns:
     """The column points of displacement sets: runs of points (Q_k, 2), each
     at its own scale, with the values of the columns alone that every set
-    against them reads -- their concatenation, each `per_column` vector
-    and, per axis, the `distinct` (coordinate, scale) pairs of its power
-    tables -- each computed on its first read and kept as long as the
-    columns (made by two threads at once, it has the same bits either way),
-    and not to be written.  The points are not copied: runs that are edited
-    in place leave their columns stale."""
+    against them reads -- their concatenation, each `per_column` vector,
+    their `swap` index and, per axis, the distinct (coordinate, scale) pairs
+    of the power `table`s -- each computed on its first read and kept as
+    long as the columns (made by two threads at once, it has the same bits
+    either way), and not to be written.  The points are not copied: runs
+    that are edited in place leave their columns stale."""
 
     def __init__(self, points, scale):
         if np.ndim(scale) == 0:
@@ -231,16 +248,53 @@ class Columns:
             self._values[key] = np.repeat(values, [len(points) for points, _ in self.runs])
         return self._values[key]
 
-    def distinct(self, axis: int) -> tuple:
-        """(coordinates, scales, index): the distinct (coordinate, scale)
-        pairs on ``axis`` (`_distinct`; the scale is a scalar for one run)
-        and the index of each column's pair among them."""
+    def swap(self):
+        """The index of each column swapped, (x, y) -> (y, x), within its run
+        (`swap_index`); None unless every run is closed under the swap."""
+        if "s" not in self._values:
+            swaps = [swap_index(points) for points, _ in self.runs]
+            starts = itertools.accumulate((len(points) for points, _ in self.runs), initial=0)
+            self._values["s"] = None if any(swap is None for swap in swaps) else np.concatenate(
+                [swap + start for swap, start in zip(swaps, starts)])
+        return self._values["s"]
+
+    def table(self, rows, axis: int, block_rows=None):
+        """({1: displacements between the distinct coordinates of ``rows``
+        and the distinct (column coordinate, scale) pairs}, row index,
+        column index) of one axis (`_distinct`; the scale is a scalar for
+        one run), or None when the table is more than half a block of
+        ``block_rows`` rows, by default of all the rows."""
         key, scale = ("d", axis), self.scale
         if key not in self._values:
             cols, index = _distinct(self.points[:, axis], *((scale,) if np.ndim(scale) else ()))
             self._values[key] = (self.points[cols, axis],
                                  scale[cols] if np.ndim(scale) else scale, index)
-        return self._values[key]
+        cols, scale, col_index = self._values[key]
+        distinct, row_index = _distinct(rows[:, axis])
+        if 2 * len(distinct) * len(cols) > (block_rows or len(rows)) * len(self.points):
+            return None
+        return {1: _differences(rows[distinct, axis], cols, scale)}, row_index, col_index
+
+    def power_tables(self, rows, keys, block_rows: int) -> tuple:
+        """Per axis, the `table` of ``rows`` with its n-th power at every
+        n >= 3 at which the evaluators of ``keys`` (`RadialTermEvaluator.key`)
+        read that axis, or None when they read none or the table is more
+        than half a block of ``block_rows`` rows: the ``tables`` of the
+        `Displacements` of runs of these rows of that size against these
+        columns.  Nothing of a block is computed, and the row index takes
+        the smallest integer type that holds it."""
+        out = []
+        for axis in (0, 1):
+            # the monomials are ("x", a), ("y", b) and ("m", a, b)
+            exponents = sorted({m[1 + axis] if m[0] == "m" else m[1] for key in keys
+                                for _, m, _ in key[1] if m and m[0] in ("m", "xy"[axis])} - {1, 2})
+            table = self.table(rows, axis, block_rows) if exponents else None
+            if table is not None:
+                powers, rows_index, cols_index = table
+                powers.update((n, np.power(powers[1], n)) for n in exponents)
+                table = (powers, rows_index.astype(np.min_scalar_type(len(powers[1]))), cols_index)
+            out.append(table)
+        return tuple(out)
 
 
 class Displacements:
@@ -255,8 +309,8 @@ class Displacements:
     levels of a multiscale model are such runs, each at its own support
     radius (`stokes_kernel.displacements`).  ``columns`` may also be a
     `Columns` of such runs, with ``scale`` None: every set against it reads
-    its concatenation, `per_column` vectors and distinct column pairs,
-    which are then made once for all of them.
+    its concatenation, `per_column` vectors, swap and distinct column
+    pairs, which are then made once for all of them.
 
     Each shared value -- an evaluator's sum, a Horner radial keyed by its
     lowest power of r and its coefficients (with a positive top one, so
@@ -281,15 +335,15 @@ class Displacements:
     coordinate, scale) pairs and gathered -- the same float operation on
     the same floats -- when that table is at most half the block: a
     128-point slab of a tensor grid has 2 distinct x against the 33 of the
-    level-4 centres.  ``tables``, (tables, at), are the `power_tables` of
-    a set of which this set's rows are the rows ``at``: an axis that has
-    one gathers its powers from there, taken once for all such sets, and
-    an axis without one makes its own table.
+    level-4 centres (`Columns.table`).  ``tables``, (tables, at), are the
+    `Columns.power_tables` of rows of which this set's rows are the rows
+    ``at``: an axis that has one gathers its powers from there, taken once
+    for all such sets, and an axis without one makes its own table.
 
-    With ``mirror``, (d, swap), row d + k is row k with its coordinates
-    swapped, and column swap[q] is column q swapped, in its run: hypot is
+    With ``mirror``, d, row d + k is row k with its coordinates swapped,
+    and the columns are closed under the swap (`Columns.swap`): hypot is
     symmetric, so r, its powers and the Horner radials of row d + k are
-    those of row k at the columns swap, bit for bit, and are gathered.
+    those of row k at the swapped columns, bit for bit, and are gathered.
     """
 
     def __init__(self, rows, columns, scale=None, pool=FRESH, mirror=None, tables=None):
@@ -304,7 +358,9 @@ class Displacements:
         self.pool = pool
         self._values: dict = {}
         self._cut = None  # not located yet: see `_locate`
-        self._direct, self._swap = mirror or (len(rows), None)  # see `_mirrored`
+        # see `_mirrored`
+        self._direct, self._swap = (len(rows), None) if mirror is None else (
+            mirror, self._columns.swap())
         self.last_block = None  # (parts, block): see `stokes_kernel.kernel_block`
         if tables is not None:
             tables, at = tables
@@ -366,7 +422,7 @@ class Displacements:
         if kind == "e":
             return self._sum(*key[1:])
         if kind == "t":
-            return self._table("xy".index(n))
+            return self._columns.table(self.rows, "xy".index(n))
         if kind == "m":
             return np.multiply(self.read(("x", n)), self.read(("y", key[2])),
                                out=self._new())
@@ -415,37 +471,6 @@ class Displacements:
             np.copyto(acc, 0.0, where=outside)
             np.copyto(acc, origin, where=at_origin)
         return acc
-
-    def _table(self, axis: int, block_rows=None):
-        """({1: displacements between the distinct row coordinates and the
-        distinct (column coordinate, scale) pairs}, row index, column index)
-        of one axis, or None when the table is more than half a block of
-        ``block_rows`` rows, by default the set's."""
-        rows, row_index = _distinct(self.rows[:, axis])
-        cols, scale, col_index = self._columns.distinct(axis)
-        if 2 * len(rows) * len(cols) > (block_rows or len(self.rows)) * len(self.columns):
-            return None
-        return {1: _differences(self.rows[rows, axis], cols, scale)}, row_index, col_index
-
-    def power_tables(self, keys, block_rows: int) -> tuple:
-        """Per axis, the set's table with its n-th power at every n >= 3 at
-        which the evaluators of ``keys`` (`RadialTermEvaluator.key`) read
-        that axis, or None when they read none or the table is more than
-        half a block of ``block_rows`` rows: the ``tables`` of the sets of
-        runs of these rows of that size.  Nothing of the block is computed,
-        and the row index takes the smallest integer type that holds it."""
-        out = []
-        for axis in (0, 1):
-            # the monomials are ("x", a), ("y", b) and ("m", a, b)
-            exponents = sorted({m[1 + axis] if m[0] == "m" else m[1] for key in keys
-                                for _, m, _ in key[1] if m and m[0] in ("m", "xy"[axis])} - {1, 2})
-            table = self._table(axis, block_rows) if exponents else None
-            if table is not None:
-                powers, rows, cols = table
-                powers.update((n, np.power(powers[1], n)) for n in exponents)
-                table = (powers, rows.astype(np.min_scalar_type(len(powers[1]))), cols)
-            out.append(table)
-        return tuple(out)
 
 
 class RadialTermEvaluator:

@@ -154,7 +154,10 @@ def columns(cfg, xb) -> Columns:
     """The points xb as the columns of displacement sets at cfg's scale,
     given to `displacements` as xb: the sets against one such object share
     what depends on the columns alone.  ``cfg`` and ``xb`` may be sequences,
-    as for `displacements`."""
+    as for `displacements`; xb may also be such columns, returned as they
+    are."""
+    if isinstance(xb, Columns):
+        return xb
     if isinstance(cfg, StokesKernelConfig):
         return Columns(_points(xb), 1.0 / cfg.delta)
     return Columns([_points(b) for b in xb], [1.0 / c.delta for c in cfg])
@@ -175,20 +178,17 @@ def displacements(cfg, xa, xb, pool=FRESH, mirror=None, tables=None) -> Displace
     those point sets at cfg's scale.  ``mirror`` pairs swapped rows and
     columns, and ``tables`` gives the power tables of a set of more rows
     (`power_tables`), as for `radial.Displacements`."""
-    if not isinstance(xb, Columns):
-        xb = columns(cfg, xb)
-    return Displacements(_points(xa), xb, None, pool, mirror, tables)
+    return Displacements(_points(xa), columns(cfg, xb), None, pool, mirror, tables)
 
 
 def power_tables(cfg, xa, xb, pairs, block_rows: int) -> tuple:
-    """The power tables (`radial.Displacements.power_tables`) that the
-    blocks of the label ``pairs`` read on the displacement set of xa against
-    xb at cfg's scale, for sets of ``block_rows`` rows: the set of rows
-    xa[at] against the same xb reads them given (tables, at) as its
-    ``tables``."""
+    """The power tables (`radial.Columns.power_tables`) that the blocks of
+    the label ``pairs`` read on the displacement set of xa against xb at
+    cfg's scale, for sets of ``block_rows`` rows: the set of rows xa[at]
+    against the same xb reads them given (tables, at) as its ``tables``."""
     cfgs = (cfg,) if isinstance(cfg, StokesKernelConfig) else cfg
     keys = [evaluator.key for row, col in pairs for _, evaluator in _parts(cfgs[0], row, col)]
-    return displacements(cfg, xa, xb).power_tables(keys, block_rows)
+    return columns(cfg, xb).power_tables(_points(xa), keys, block_rows)
 
 
 def kernel_block(cfg, row: tuple, col: tuple, xa, xb) -> np.ndarray:

@@ -28,6 +28,7 @@ from stokesrbf.geometry import LevelPointSet, make_level_pointset
 from stokesrbf.multiscale import MultiscaleConfig, scale_schedule
 from stokesrbf.radial import Displacements
 from stokesrbf.stokes_kernel import StokesKernelConfig, kernel_block
+from stokesrbf.wendland import wendland_c8
 
 
 def documented_groups(pointset):
@@ -71,7 +72,7 @@ def test_matrix_entries_match_gram(level1_system, c8, problem, monkeypatch):
                                     (4, collocation._SLAB_ENTRIES, 9)):
         pointset = make_level_pointset(level)
         monkeypatch.setattr(collocation, "_SLAB_ENTRIES", entries)
-        assert len(collocation._slabs([(pointset.interior, ["a"])], pointset)) == n_slabs
+        assert len(call_plan(pointset.interior, pointset).slabs) == n_slabs
         kernel = StokesKernelConfig(c8, c8, nu=1.0, delta=deltas[level - 1])
         systems.append(assemble(pointset, kernel, problem.f, problem.g))
         monkeypatch.undo()
@@ -89,7 +90,7 @@ def test_matrix_entries_match_gram(level1_system, c8, problem, monkeypatch):
 
 def test_solve_identity():
     # one interior and one boundary centre: 4 functionals, as many as the
-    # system has unknowns, which a `LevelSolution` requires
+    # system has unknowns, which a `CollocationSystem` requires
     pointset = LevelPointSet(interior=[(0.5, 0.5)], boundary=[(0.0, 0.5)])
     kernel_stub = None  # unused by solve
     n = 4
@@ -100,6 +101,33 @@ def test_solve_identity():
     sol = solve(system)
     assert np.allclose(sol.coefficients, np.eye(n)[0])
     assert sol.solve_residual <= 1e-15
+
+
+def test_mismatched_system_is_rejected_before_the_factorization(level1_system, monkeypatch):
+    # a matrix, right-hand side and point set of different sizes raise when
+    # the system is built, before any factorization: a 4 x 4 system on the
+    # 82 functionals of level 1, a 3-vector against a 4 x 4 matrix on 4
+    # functionals, a row or column short, a column of right-hand sides
+    factors = []
+    real_factor = collocation.cho_factor
+
+    def recording_factor(*args, **kwargs):
+        factors.append(args)
+        return real_factor(*args, **kwargs)
+
+    monkeypatch.setattr(collocation, "cho_factor", recording_factor)
+    level1, kernel = level1_system.pointset, level1_system.kernel
+    small = LevelPointSet(interior=[(0.5, 0.5)], boundary=[(0.0, 0.5)])
+    n = level1.n_functionals
+    for pointset, matrix, rhs in (
+            (level1, np.eye(4), np.eye(4)[0]), (small, np.eye(4), np.ones(3)),
+            (level1, np.eye(n), np.ones(n - 1)), (level1, np.eye(n)[1:], np.ones(n)),
+            (level1, np.eye(n)[:, 1:], np.ones(n)), (level1, np.eye(n), np.ones((n, 1)))):
+        with pytest.raises(ValueError, match="matrix"):
+            solve(CollocationSystem(matrix=matrix, rhs=rhs, pointset=pointset, kernel=kernel))
+    assert not factors
+    solve(CollocationSystem(matrix=np.eye(4), rhs=np.ones(4), pointset=small, kernel=None))
+    assert len(factors) == 1
 
 
 def test_solve_residual_invariant(level1_solution):
@@ -553,16 +581,24 @@ def record_kernel_calls(monkeypatch):
     return calls
 
 
+def call_plan(x, *pointsets, labels=(("velocity", 1),)):
+    """The `_CallPlan` of the row ``labels`` at the points x against levels
+    with the centres of ``pointsets``."""
+    kernel = StokesKernelConfig(wendland_c8(), wendland_c8())
+    return collocation._CallPlan([(kernel, ps) for ps in pointsets], [(x, list(labels))])
+
+
 def slab_rows(pointset):
-    """Rows per slab of `_slabs` against the centres of ``pointset``."""
-    return len(collocation._slabs([(np.zeros((10 ** 5, 2)), ["a"])], pointset)[0][0][0])
+    """Rows per slab of a call against the centres of ``pointset``."""
+    (_, rows, _), = call_plan(np.zeros((10 ** 5, 2)), pointset).slabs[0]
+    return rows.stop
 
 
 def three_slabs(points, pointset):
-    """The first points of ``points`` that `_slabs` cuts into two full slabs
+    """The first points of ``points`` that a call cuts into two full slabs
     and a short third of 45 against the centres of ``pointset``."""
     x = points[:2 * slab_rows(pointset) + 45]
-    assert len(collocation._slabs([(x, ["a"])], pointset)) == 3
+    assert len(call_plan(x, pointset).slabs) == 3
     return x
 
 
@@ -586,7 +622,7 @@ def test_slabbed_evaluation_equals_group_sums(level1_solution, two_level_model, 
     # the centres, and the blocks are gathered from lattice tables
     level3, level4 = make_level_pointset(3), make_level_pointset(4).interior
     level3_solution = random_solution(c8, 3, rng)
-    assert len(collocation._slabs([(level4, ["a"])], level3)) == 3
+    assert len(call_plan(level4, level3).slabs) == 3
     for sol, x, tables in (
             (level1_solution,
              three_slabs(rng.uniform(0, 1, (20000, 2)), level1_solution.pointset), False),
@@ -722,6 +758,46 @@ def test_assembly_builds_one_offsets_set(c8, monkeypatch, level):
         assert table.tobytes() == alone.tobytes(), (row, col)
 
 
+def test_one_plan_per_call(c8, problem, rng, monkeypatch):
+    # an assembly and each evaluation build one `_CallPlan`, with one run of
+    # `_tables`, before their slabs run, and every slab reads that plan: a
+    # level-4 assembly (9 slabs), the 24^2 grid (5 slabs, mirror-paired), 301
+    # random points (3 slabs) and 16 (one slab) against levels 3 and 4
+    level4 = make_level_pointset(4)
+    kernel = StokesKernelConfig(c8, c8, delta=scale_schedule(MultiscaleConfig(n_levels=4))[3])
+    solutions = [random_solution(c8, level, rng) for level in (3, 4)]
+    calls = [(lambda: assemble(level4, kernel, problem.f, problem.g), 9, False)] + [
+        (lambda x=x: evaluate_levels(solutions, x, ("velocity", "pressure-gradient")), n, paired)
+        for x, n, paired in ((gauss_legendre_grid(24)[0], 5, True),
+                             (rng.random((301, 2)), 3, False), (rng.random((16, 2)), 1, False))]
+    plans, tables, read = [], [], []
+    init, make_tables, slab_blocks = (collocation._CallPlan.__init__, collocation._tables,
+                                      collocation._slab_blocks)
+
+    def counting_init(self, *args):
+        plans.append(self)
+        init(self, *args)
+
+    def counting_tables(*args):
+        tables.append(args)
+        return make_tables(*args)
+
+    def recording(plan, *args):
+        read.append(plan)
+        return slab_blocks(plan, *args)
+
+    monkeypatch.setattr(collocation._CallPlan, "__init__", counting_init)
+    monkeypatch.setattr(collocation, "_tables", counting_tables)
+    monkeypatch.setattr(collocation, "_slab_blocks", recording)
+    for call, n_slabs, paired in calls:
+        plans.clear(), tables.clear(), read.clear()
+        call()
+        assert len(plans) == 1 and len(tables) == 1
+        assert len(plans[0].slabs) == len(read) == n_slabs
+        assert all(plan is plans[0] for plan in read)
+        assert (plans[0].order is not None) == paired
+
+
 def test_one_slab_stays_on_the_callers_thread(level1_solution, monkeypatch, rng):
     # a small query batch is one slab, which no helper thread may take
     threads = set()
@@ -753,7 +829,7 @@ def test_slab_workers_take_each_slab_once(level1_solution, monkeypatch, rng):
     # twice would be added twice, a slab lost would stay zero
     pointset = level1_solution.pointset
     x = rng.uniform(0, 1, (9 * slab_rows(pointset) + 7, 2))
-    assert len(collocation._slabs([(x, ["a"])], pointset)) == 10
+    assert len(call_plan(x, pointset).slabs) == 10
     monkeypatch.setattr(collocation, "_WORKERS", 1)
     serial = evaluate_fields(level1_solution, x, "l-image")
     monkeypatch.setattr(collocation, "_WORKERS", 8)
@@ -809,21 +885,24 @@ def test_slabs_of_one_call_go_to_different_workers(monkeypatch):
     monkeypatch.setattr(collocation, "_WORKERS", 2)
     n, slab = 2 * collocation._SLAB + 1, collocation._SLAB
     pts = np.zeros((n, 2))
-    slabs = collocation._slabs([(pts, ["a", "b"])], make_level_pointset(4))
-    assert [[rows for _, rows in s] for s in slabs] == [
-        [[("a", start), ("b", n + start)]] for start in (0, slab, 2 * slab)]
+    labels = [("velocity", 1), ("velocity", 2)]
+    plan = call_plan(pts, make_level_pointset(4), labels=labels)
+    ((points, read_labels),) = plan.row_sets
+    assert points is pts and read_labels == labels
+    assert plan.slabs == [[(0, slice(start, min(start + slab, n)), None)]
+                          for start in (0, slab, 2 * slab)]
     second_started, threads = threading.Event(), {}
 
     def task(one_slab, pool):
-        ((_, rows),) = one_slab
-        r0 = rows[0][1]
+        ((_, rows, _),) = one_slab
+        r0 = rows.start
         threads[r0] = threading.get_ident()
         if r0 == 0:
             assert second_started.wait(timeout=30)
         elif r0 == slab:
             second_started.set()
 
-    collocation._run_slabs(task, slabs)
+    collocation._run_slabs(task, plan.slabs)
     assert len(threads) == 3
     assert threads[0] != threads[slab]
 
@@ -840,7 +919,8 @@ def test_no_worker_thread_outlives_its_call():
         "kernel = StokesKernelConfig(wendland_c8(), wendland_c8(), delta=1.0)\n"
         "sol = collocation.LevelSolution(np.ones(ps.n_functionals), ps, kernel)\n"
         "x = np.random.default_rng(0).uniform(0, 1, (2 * 5120 + 45, 2))\n"
-        "assert len(collocation._slabs([(x, ['a'])], ps)) == 3\n"
+        "plan = collocation._CallPlan([(kernel, ps)], [(x, [('velocity', 1)])])\n"
+        "assert len(plan.slabs) == 3\n"
         "collocation.evaluate_fields(sol, x, 'velocity')\n"
         "print(threading.active_count())\n"
     )
@@ -870,7 +950,7 @@ def test_forked_child_evaluates(level1_solution, rng):
 
 
 def test_blas_sums_a_row_alike_in_blocks_of_a_multiple_of_4_rows(c8, rng):
-    # the mirror-paired layout (`_mirror_layout`) moves grid points within
+    # the mirror-paired layout (`_CallPlan.order`) moves grid points within
     # and between the 128-row blocks that evaluation hands BLAS.  That keeps
     # every bit because the OpenBLAS that numpy bundles sums each row of a
     # block whose row count is a multiple of 4 in one order, wherever the
@@ -918,7 +998,7 @@ def unpaired_chunks(monkeypatch, evaluate_batch, x):
     """evaluate_batch of x, fields of `evaluate_levels`, one call per 128
     points in the batch's order, each in the layout without pairs."""
     with monkeypatch.context() as patched:
-        patched.setattr(collocation, "_mirror_layout", lambda *args: None)
+        patched.setattr(radial.Columns, "swap", lambda self: None)
         chunks = [evaluate_batch(x[start:start + collocation._SLAB])
                   for start in range(0, len(x), collocation._SLAB)]
     return tuple(np.concatenate(parts, axis=1) for parts in zip(*chunks))
@@ -949,9 +1029,8 @@ def test_mirror_pairs_keep_the_bits(c8, rng, monkeypatch, levels, batch):
     # evaluated without pairs, 128 at a time in the batch's order
     solutions = [random_solution(c8, level, rng) for level in levels]
     x = closed_batch(batch, rng)
-    assert collocation._mirror_layout(
-        x, [(sol.kernel, sol.pointset) for sol in solutions], [("velocity", 1)],
-        [{} for _ in solutions]) is not None
+    assert collocation._CallPlan([(sol.kernel, sol.pointset) for sol in solutions],
+                                 [(x, [("velocity", 1)])]).order is not None
     requests = list(collocation._FIELD_ROWS)
     for request in requests + [requests]:
         def evaluate_batch(points):
@@ -978,7 +1057,7 @@ def test_mirror_pairs_compute_r_once_per_pair(c8, rng, monkeypatch):
     got, entries = hypot_entries(monkeypatch, evaluate_batch, x)
     assert entries == (24 + 276) * width
     with monkeypatch.context() as patched:
-        patched.setattr(collocation, "_mirror_layout", lambda *args: None)
+        patched.setattr(radial.Columns, "swap", lambda self: None)
         expected, entries = hypot_entries(monkeypatch, evaluate_batch, x)
     assert entries == 576 * width
     for field, other in zip(got, expected, strict=True):
@@ -1059,7 +1138,7 @@ def table_work(monkeypatch, evaluate_batch, x):
     table): `np.power` on a table is the one call in `radial` that writes
     no block, so it has no ``out``."""
     builds, powers = [], []
-    table = Displacements._table
+    table = radial.Columns.table
 
     class CountingNumpy:
         def __getattr__(self, name):
@@ -1071,13 +1150,13 @@ def table_work(monkeypatch, evaluate_batch, x):
                 powers.append(n)
             return np.power(a, n, *args, **kwargs)
 
-    def counting_table(self, *args):
-        builds.append(args[0])
-        return table(self, *args)
+    def counting_table(self, rows, axis, *args):
+        builds.append(axis)
+        return table(self, rows, axis, *args)
 
     with monkeypatch.context() as patched:
         patched.setattr(radial, "np", CountingNumpy())
-        patched.setattr(Displacements, "_table", counting_table)
+        patched.setattr(radial.Columns, "table", counting_table)
         fields = evaluate_batch(x)
     return fields, sorted(builds), sorted(powers)
 
@@ -1114,7 +1193,7 @@ def test_call_tables_keep_the_bits_of_one_slab_per_call(c8, rng, monkeypatch, le
         return evaluate_levels(solutions, points, requests)
 
     got, builds, _ = table_work(monkeypatch, evaluate_batch, x)
-    assert len(collocation._slabs([(x, [None])], *(s.pointset for s in solutions))) > 1
+    assert len(call_plan(x, *(s.pointset for s in solutions)).slabs) > 1
     assert builds == [0, 0, 1, 1]  # per axis, the interior and the boundary set
     expected = unpaired_chunks(monkeypatch, evaluate_batch, x)
     for field, other in zip(got, expected, strict=True):

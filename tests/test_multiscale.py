@@ -479,10 +479,10 @@ def test_pressure_gradient_reads_no_dirichlet_column(c8, rng, monkeypatch, batch
     seen = []
     slab_blocks = collocation._slab_blocks
 
-    def recording(levels, *args):
-        for j, rows, cols, block in slab_blocks(levels, *args):
+    def recording(plan, *args):
+        for j, row, rows, cols, block in slab_blocks(plan, *args):
             seen.append((j, cols))
-            yield j, rows, cols, block
+            yield j, row, rows, cols, block
 
     monkeypatch.setattr(collocation, "_slab_blocks", recording)
     evaluate_model(model, x, "pressure-gradient")

@@ -5,6 +5,7 @@ import pytest
 
 from stokesrbf.radial import (
     BufferPool,
+    Columns,
     Displacements,
     RadialTermEvaluator,
     diff_x,
@@ -115,8 +116,9 @@ def test_inside_block_matches_masked_evaluation(c8, rng):
     scale = 1 / 1.3
     orders = [(0, 0), (1, 0), (0, 2), (1, 1), (2, 1), (4, 2), (3, 3), (0, 6)]
     evaluators = [mixed_partial(c8, nx, ny) for nx, ny in orders]
-    shared = Displacements(rows, cols, scale)
-    assert all(shared._table(axis) is not None for axis in (0, 1))
+    columns = Columns(cols, scale)
+    shared = Displacements(rows, columns)
+    assert all(columns.table(rows, axis) is not None for axis in (0, 1))
     tx, ty = ((rows[:, k, None] - cols[:, k]) * scale for k in (0, 1))
     at_origin = np.hypot(tx, ty) == 0.0
     assert at_origin.sum() == 1
@@ -247,7 +249,7 @@ def test_call_tables_keep_signed_zeros(c8):
     # block's own displacements, sign of zero included
     rows = np.array([[0.1, 0.0], [0.2, -0.0], [0.3, 0.25], [-0.0, -0.25]] * 8)
     cols = np.array([[0.0, 0.0], [0.5, -0.0], [0.1, 0.25]])
-    tables = Displacements(rows, cols, 1.0).power_tables([mixed_partial(c8, 0, 3).key], 8)
+    tables = Columns(cols, 1.0).power_tables(rows, [mixed_partial(c8, 0, 3).key], 8)
     assert 3 in tables[1][0]
     for at in (slice(0, 8), slice(8, 16), np.arange(31, -1, -3)):
         part = Displacements(rows[at], cols, 1.0, tables=(tables, at))
