@@ -17,8 +17,6 @@ determined up to a constant per level.
 
 from __future__ import annotations
 
-import numbers
-import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -28,6 +26,7 @@ from .collocation import (
     evaluate,  # unused here; the traced benchmark run (perfbench/layers.py) hooks it
     evaluate_fields,
 )
+from .geometry import check_memory, integer_count, point_batch
 from .multiscale import MultiscaleConfig, MultiscaleModel, evaluate_model, run
 
 __all__ = [
@@ -53,7 +52,7 @@ _GRID_BYTES = 136
 class ManufacturedSolution:
     """Closed-form velocity, pressure gradient, forcing and boundary data.
 
-    All callables map an (n, 2) array of points to (n, 2) arrays.
+    All callables map a `geometry.point_batch` (n, 2) to (n, 2) arrays.
     """
 
     u: object
@@ -66,16 +65,14 @@ def trig_stokes_problem(nu: float = 1.0) -> ManufacturedSolution:
     """The manufactured solution of the reproduction experiment."""
 
     def u(pts):
-        pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        x1, x2 = pts[:, 0], pts[:, 1]
+        x1, x2 = point_batch(pts).T
         return np.column_stack(
             [2.0 * np.cos(5.0 * x1) * np.cos(2.0 * x2),
              5.0 * np.sin(5.0 * x1) * np.sin(2.0 * x2)]
         )
 
     def grad_p(pts):
-        pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        x1, x2 = pts[:, 0], pts[:, 1]
+        x1, x2 = point_batch(pts).T
         return np.column_stack(
             [3.0 * np.cos(3.0 * x1) * np.sin(3.0 * x2),
              3.0 * np.sin(3.0 * x1) * np.cos(3.0 * x2)]
@@ -118,31 +115,20 @@ def _leggauss(q: int):
 def gauss_legendre_grid(points_per_dim: int):
     """Tensor Gauss-Legendre nodes and weights on the unit square.
 
-    Raises ValueError unless ``points_per_dim`` is an integer >= 2 (not a
-    bool), or when what `run_experiment` holds for a grid of q^2 points
-    does not fit in physical memory: _GRID_BYTES a grid point, which also
-    covers the q x q companion matrix whose eigenvalues are the nodes
-    (8 q^2 bytes).
+    Raises ValueError unless ``points_per_dim`` is a
+    `geometry.integer_count` >= 2 for which what `run_experiment` holds
+    for a grid of q^2 points fits in physical memory: _GRID_BYTES a grid
+    point, which also covers the q x q companion matrix whose eigenvalues
+    are the nodes (8 q^2 bytes).
     """
-    if not _is_count(points_per_dim) or points_per_dim < 2:
-        raise ValueError("need an integer of at least 2 quadrature points per dimension")
-    q = int(points_per_dim)
-    need = _GRID_BYTES * q * q
-    have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-    if need > have:
-        raise ValueError(f"quad_points {q} needs {need / 1e9:.1f} GB for a grid of "
-                         f"{q}^2 points, more than the {have / 1e9:.1f} GB of memory")
+    q = integer_count(points_per_dim, "quad_points", 2)
+    check_memory(_GRID_BYTES * q * q, f"quad_points {q}")
     nodes, weights = _leggauss(q)
     nodes = 0.5 * (nodes + 1.0)
     weights = 0.5 * weights
     gx, gy = np.meshgrid(nodes, nodes, indexing="ij")
     pts = np.column_stack([gx.ravel(), gy.ravel()])
     return pts, np.outer(weights, weights).ravel()
-
-
-def _is_count(n) -> bool:
-    """Whether n is an integer, numpy's included, and not a bool."""
-    return isinstance(n, numbers.Integral) and not isinstance(n, bool)
 
 
 # field name (also the `evaluate_model` request) -> reference attribute
@@ -249,11 +235,11 @@ def run_experiment(
     and accumulated, so the per-level norms come from the same evaluation
     grid (as in the original experiment, which estimated both norms on one
     tensor product grid), after the level loop: no matrix is then alive.
-    Raises ValueError unless ``quad_points`` is an integer >= 2 and
-    ``eigen_levels`` an integer >= 0 (neither a bool).
+    Raises ValueError, before any work, unless ``quad_points`` is a
+    `geometry.integer_count` >= 2 (see `gauss_legendre_grid`) and
+    ``eigen_levels`` one >= 0.
     """
-    if not _is_count(eigen_levels) or eigen_levels < 0:
-        raise ValueError("eigen_levels must be an integer >= 0")
+    integer_count(eigen_levels, "eigen_levels", 0)
     if problem is None:
         problem = trig_stokes_problem(nu=config.nu)
     pts, w = gauss_legendre_grid(quad_points)

@@ -11,6 +11,7 @@ read or write end in ``error: ...`` on stderr and exit code 2.
 from __future__ import annotations
 
 import argparse
+import inspect
 import os
 import sys
 from dataclasses import dataclass, fields
@@ -18,10 +19,11 @@ from fractions import Fraction
 
 from .analysis import run_experiment, slope_check, trig_stokes_problem
 from .collocation import NotPositiveDefinite, assemble, write_matrix
-from .geometry import export_points_csv, grid_spacing, make_level_pointset
-from .multiscale import MultiscaleConfig, scale_schedule
+from .geometry import (check_memory, export_points_csv, grid_spacing, integer_count,
+                       make_level_pointset)
+from .multiscale import PROFILE, MultiscaleConfig, scale_schedule
 from .radial import mixed_partial
-from .stokes_kernel import StokesKernelConfig, _check_positive
+from .stokes_kernel import StokesKernelConfig
 from .wendland import wendland_c8, wendland_from_integral
 
 # reference results of the original published experiment (five levels);
@@ -34,21 +36,16 @@ REFERENCE_PRESSURE_GRAD_LINF = (4.209e00, 3.338e-01, 1.048e-01, 3.650e-02, 1.211
 
 
 def check_dense_size(level: int, copies: int) -> None:
-    """Raise ValueError unless ``level`` >= 1 and ``copies`` dense n x n
-    matrices -- 8 n^2 bytes each for n = 2((2^(L+1) + 1)^2 + 2^(L+3))
-    unknowns, 2434 at level 4 and 8962 at level 5 -- fit in physical memory.
-    `collocation.solve` factorizes in place, so ``dump-matrix`` and ``run``
-    need one; ``run`` needs two if it measures its top level's eigenvalues,
-    which copy the matrix (two copies of a lower level take less room)."""
-    if level < 1:
-        raise ValueError("levels must be >= 1")
+    """Raise ValueError unless ``level`` is a `geometry.integer_count` >= 1
+    and ``copies`` dense n x n matrices -- 8 n^2 bytes each for
+    n = 2((2^(L+1) + 1)^2 + 2^(L+3)) unknowns, 2434 at level 4 and 8962 at
+    level 5 -- fit in physical memory.  `collocation.solve` factorizes in
+    place, so ``dump-matrix`` and ``run`` need one; ``run`` needs two if it
+    measures its top level's eigenvalues, which copy the matrix (two copies
+    of a lower level take less room)."""
+    level = integer_count(level, "levels", 1)
     n = 2 * ((2 ** (level + 1) + 1) ** 2 + 2 ** (level + 3))
-    need = 8 * n * n * copies
-    have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-    if need > have:
-        raise ValueError(f"levels up to {level} need {copies} dense {n} x {n} "
-                         f"matrices of {need / 1e9:.1f} GB, more than the "
-                         f"{have / 1e9:.1f} GB of memory")
+    check_memory(8 * n * n * copies, f"levels up to {level}, in {copies} dense {n} x {n} matrices,")
 
 
 def check_output_paths(*paths) -> None:
@@ -60,24 +57,26 @@ def check_output_paths(*paths) -> None:
             raise ValueError(f"cannot write {path}: no directory {folder}")
 
 
+_EXPERIMENT = inspect.signature(run_experiment).parameters
+
+
 @dataclass
 class RunConfig:
-    """Settings of the ``run`` subcommand."""
+    """Settings of the ``run`` subcommand; the defaults of the published
+    parameters are `MultiscaleConfig`'s and `run_experiment`'s."""
 
     levels: int = 5
-    beta: float = 18.779
-    nu: float = 1.0
-    tau: float = 4.5
-    quad_points: int = 100
-    eigen_levels: int = 3
+    beta: float = MultiscaleConfig.beta
+    nu: float = MultiscaleConfig.nu
+    tau: float = MultiscaleConfig.tau
+    quad_points: int = _EXPERIMENT["quad_points"].default
+    eigen_levels: int = _EXPERIMENT["eigen_levels"].default
     out_csv: str = "report.csv"
     out_summary: str = "summary.txt"
 
     def validate(self):
+        """Memory alone: `MultiscaleConfig` and `run_experiment` check the rest first."""
         check_dense_size(self.levels, copies=2 if self.eigen_levels >= self.levels else 1)
-        _check_positive(self, "beta", "nu", "tau")
-        if self.quad_points < 2 or self.eigen_levels < 0:
-            raise ValueError("quad_points must be >= 2 and eigen_levels >= 0")
 
 
 def parse_config_file(path) -> dict[str, str]:
@@ -128,10 +127,8 @@ def cmd_run(args) -> int:
         tau=config.tau,
         nu=config.nu,
     )
-    problem = trig_stokes_problem(nu=config.nu)
     model, report = run_experiment(
         ms_config,
-        problem=problem,
         quad_points=config.quad_points,
         eigen_levels=min(config.eigen_levels, config.levels),
     )
@@ -155,11 +152,8 @@ def _summary_text(config: RunConfig, report) -> str:
         "note: u2 = 5 sin(5 x1) sin(2 x2) (the divergence-free field "
         "consistent with the forcing; a published variant prints sin(x2))"
     )
-    is_reference_setup = (
-        abs(config.beta - 18.779) < 1e-12
-        and config.nu == 1.0
-        and config.tau == 4.5
-    )
+    is_reference_setup = (abs(config.beta - MultiscaleConfig.beta) < 1e-12 and
+                          (config.nu, config.tau) == (MultiscaleConfig.nu, MultiscaleConfig.tau))
     rows = [
         ("delta", report.deltas, REFERENCE_DELTAS, "{:.4g}"),
         ("velocity L2", report.velocity_l2, REFERENCE_VELOCITY_L2, "{:.3e}"),
@@ -251,8 +245,7 @@ def cmd_dump_matrix(args) -> int:
     # an explicit --delta, even a bad one, is passed on for the kernel to check
     delta = scale_schedule(config)[-1] if args.delta is None else args.delta
     pointset = make_level_pointset(args.level)
-    psi = wendland_c8()
-    kernel = StokesKernelConfig(psi, psi, nu=args.nu, delta=delta)
+    kernel = StokesKernelConfig(PROFILE, PROFILE, nu=args.nu, delta=delta)
     problem = trig_stokes_problem(nu=args.nu)
     system = assemble(pointset, kernel, problem.f, problem.g)
     write_matrix(system.matrix, args.out)
@@ -303,9 +296,8 @@ def main(argv=None) -> int:
     p_mat.add_argument("--level", type=int, required=True)
     p_mat.add_argument("--out", required=True)
     p_mat.add_argument("--delta", type=float, default=None)
-    p_mat.add_argument("--beta", type=float, default=18.779)
-    p_mat.add_argument("--tau", type=float, default=4.5)
-    p_mat.add_argument("--nu", type=float, default=1.0)
+    for name in ("beta", "tau", "nu"):
+        p_mat.add_argument(f"--{name}", type=float, default=getattr(MultiscaleConfig, name))
     p_mat.set_defaults(func=cmd_dump_matrix)
 
     args = parser.parse_args(argv)

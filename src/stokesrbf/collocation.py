@@ -24,11 +24,11 @@ from typing import NamedTuple
 import numpy as np
 from scipy.linalg import LinAlgError, cho_factor, cho_solve
 
-from .geometry import LevelPointSet
-from .radial import FRESH, BufferPool, Columns, swap_index
+from .geometry import LevelPointSet, point_batch, real_finite
+from .radial import FRESH, BufferPool, Columns, Displacements, swap_index
 from .stokes_kernel import DIRICHLET, PDE, StokesKernelConfig
 from .stokes_kernel import columns as centre_columns
-from .stokes_kernel import displacements, kernel_block, power_tables, vanishes
+from .stokes_kernel import kernel_block, power_tables, vanishes
 
 __all__ = [
     "NotPositiveDefinite",
@@ -124,9 +124,10 @@ class CollocationSystem:
 class LevelSolution:
     """Solved coefficients for one level, evaluable through this module.
 
-    Raises ValueError unless the coefficients are a real, finite vector
-    (n,), n being the point set's `n_functionals`; they are kept as
-    float64.  `LevelPointSet` checks the centres."""
+    Raises ValueError unless the coefficients are a vector (n,) of
+    `geometry.real_finite` values, n being the point set's
+    `n_functionals`; they are kept as float64.  `LevelPointSet` checks the
+    centres."""
 
     coefficients: np.ndarray
     pointset: LevelPointSet
@@ -134,20 +135,13 @@ class LevelSolution:
     solve_residual: float = float("nan")  # nan: not solved here (a loaded level)
 
     def __post_init__(self):
-        if np.iscomplexobj(self.coefficients):
-            raise ValueError("coefficients must be real")
-        try:
-            coefficients = np.asarray(self.coefficients, dtype=float)
-        except (TypeError, ValueError):
-            raise ValueError("coefficients must be real numbers") from None
-        n = self.pointset.n_functionals
-        if coefficients.shape != (n,):
-            raise ValueError(f"need a vector of {n} coefficients, not of shape {coefficients.shape}")
         # an evaluation skips the blocks that vanish by construction, which
         # keeps every bit only while these are finite: 0 * inf would be nan
-        if not np.isfinite(coefficients).all():
-            raise ValueError("level with a coefficient that is not finite")
-        self.coefficients = coefficients
+        self.coefficients = real_finite(self.coefficients, "coefficients")
+        n = self.pointset.n_functionals
+        if self.coefficients.shape != (n,):
+            raise ValueError(f"need a vector of {n} coefficients, not of shape "
+                             f"{self.coefficients.shape}")
 
 
 def assemble(
@@ -420,7 +414,7 @@ def _tables(levels, row_sets) -> list:
                     ticks = np.arange(1 - n, n) * step
                     offsets = np.column_stack([np.repeat(ticks, len(ticks)),
                                                np.tile(ticks, len(ticks))])
-                    shared = offset_sets[step, n] = displacements(kernel, offsets, origin)
+                    shared = offset_sets[step, n] = Displacements(offsets, origin, 1 / kernel.delta)
                 # the offset (0, 0) sits at the table's centre, entry 2n (n - 1)
                 cidx = _lattice_index(cpts, lattice) - 2 * n * (n - 1)
                 for pair in itertools.product(rows, cols):
@@ -642,7 +636,7 @@ def _slab_blocks(plan: _CallPlan, slab, pool):
                     del block
             for of_set in shared:
                 tables = plan.powers.get((s, of_set.columns))
-                shared_set = displacements(of_set.kernels, pts, of_set.columns, pool, mirror,
+                shared_set = Displacements(pts, of_set.columns, None, pool, mirror,
                                            tables and (tables, positions))
                 for row, k, col in of_set.pairs:
                     block = kernel_block(of_set.kernels, row, col, shared_set, of_set.centres)
@@ -677,18 +671,6 @@ def _run_slabs(task, slabs) -> None:
         list(executor.map(run, slabs))  # raises the first failed slab's error
 
 
-def _query_points(x) -> np.ndarray:
-    """x as an (n, 2) batch.  Raises ValueError unless x is one real, finite
-    point (2,) or a real, finite (n, 2) batch: a cast to float would drop
-    the imaginary part of a complex point."""
-    if np.iscomplexobj(x):
-        raise ValueError("query points must be real")
-    x = np.asarray(x, dtype=float)
-    if x.ndim not in (1, 2) or x.shape[-1] != 2 or not np.isfinite(x).all():
-        raise ValueError("query points must be finite, of shape (2,) or (n, 2)")
-    return np.atleast_2d(x)
-
-
 def _apply_rows(levels, requests, x) -> list:
     """For each of ``requests``, lists of row labels, the stack over
     ``levels`` (LevelSolutions) of the stack of (row functional applied to
@@ -699,10 +681,10 @@ def _apply_rows(levels, requests, x) -> list:
     level's approximant is the coefficient-weighted sum of its basis
     columns, added to its own accumulator one column group at a time in
     system order, so that each level and label holds the bits of a call
-    for it alone.  Raises ValueError unless x is one real, finite point
-    (2,) or a real, finite (n, 2) batch.
+    for it alone.  Raises ValueError unless x is a `geometry.point_batch`,
+    which is checked here once for all slabs.
     """
-    x = _query_points(x)
+    x = point_batch(x, "query points")
     labels = list(dict.fromkeys(itertools.chain.from_iterable(requests)))
     # before the outputs: the lattice tests and the layout take batch-sized temporaries
     plan = _CallPlan([(sol.kernel, sol.pointset) for sol in levels], [(x, labels)])

@@ -11,6 +11,10 @@ nonsingular.
 The fill distance (`mesh_norm`) and separation distance enter only the
 convergence and stability analysis; the level loop never reads them, so
 they are measured on demand rather than stored with each level.
+
+The input rules of every public entry live here, in the one module that
+imports nothing from the package: `real_finite`, `point_batch`,
+`integer_count`, `check_memory`.
 """
 
 from __future__ import annotations
@@ -25,9 +29,13 @@ __all__ = [
     "EmptyPointSet",
     "SinglePoint",
     "LevelPointSet",
+    "check_memory",
     "grid_spacing",
+    "integer_count",
     "make_level_pointset",
     "mesh_norm",
+    "point_batch",
+    "real_finite",
     "separation_distance",
 ]
 
@@ -40,6 +48,44 @@ class SinglePoint(ValueError):
     """Operation requires at least two points."""
 
 
+def real_finite(values, name: str) -> np.ndarray:
+    """``values`` as a float64 array (the same object if one); ValueError
+    unless all are real and finite: a float cast drops imaginary parts."""
+    if np.iscomplexobj(values):
+        raise ValueError(f"{name} must be real")
+    try:
+        values = np.asarray(values, dtype=np.float64)
+    except (TypeError, ValueError):
+        raise ValueError(f"{name} must be real numbers") from None
+    if not np.isfinite(values).all():
+        raise ValueError(f"{name} with a value that is not finite")
+    return values
+
+
+def point_batch(points, name: str = "points") -> np.ndarray:
+    """``points`` as an (n, 2) batch (the same object if a float64 one);
+    ValueError unless they are `real_finite`, (2,) or (n, 2), n >= 0."""
+    points = real_finite(points, name)
+    if points.ndim not in (1, 2) or points.shape[-1] != 2:
+        raise ValueError(f"{name} must be of shape (2,) or (n, 2), not {points.shape}")
+    return points if points.ndim == 2 else points[None]
+
+
+def integer_count(n, name: str, least: int) -> int:
+    """``n`` as an int; ValueError unless an integer (numpy's too, no bool) >= least."""
+    if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < least:
+        raise ValueError(f"{name} must be an integer >= {least}")
+    return int(n)
+
+
+def check_memory(need: float, what: str) -> None:
+    """ValueError, naming ``what``, when ``need`` bytes exceed physical memory."""
+    have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    if need > have:
+        raise ValueError(f"{what} needs {need / 1e9:.3g} GB, more than the "
+                         f"{have / 1e9:.1f} GB of memory")
+
+
 @dataclass(frozen=True)
 class LevelPointSet:
     """Interior and boundary centres of one level, each an (n, 2) array.
@@ -47,15 +93,16 @@ class LevelPointSet:
     Each is stored as a read-only float64 copy, so that one point set always
     holds the same centres: an evaluation keeps what it derives from them
     for the next call of the same point sets (`collocation._ColumnPlan`).
-    Raises ValueError unless each is a real, finite (n, 2) array (n = 0
-    allowed)."""
+    Raises ValueError unless each is a `point_batch`."""
 
     interior: np.ndarray
     boundary: np.ndarray
 
     def __post_init__(self):
         for name in ("interior", "boundary"):
-            object.__setattr__(self, name, _centres(getattr(self, name), name))
+            centres = point_batch(getattr(self, name), f"{name} centres").copy()
+            centres.flags.writeable = False
+            object.__setattr__(self, name, centres)
 
     @property
     def n_interior(self) -> int:
@@ -70,36 +117,19 @@ class LevelPointSet:
         return 2 * (len(self.interior) + len(self.boundary))
 
 
-def _centres(points, name: str) -> np.ndarray:
-    """``points`` as a read-only float64 (n, 2) copy; raises ValueError
-    unless they are a real, finite (n, 2) array: a cast to float would
-    drop the imaginary part of a complex centre."""
-    if np.iscomplexobj(points):
-        raise ValueError(f"{name} centres must be real")
-    try:
-        points = np.array(points, dtype=np.float64)
-    except (TypeError, ValueError):
-        raise ValueError(f"{name} centres must be real numbers") from None
-    if points.ndim != 2 or points.shape[1] != 2:
-        raise ValueError(f"{name} centres must be an (n, 2) array, not of shape {points.shape}")
-    if not np.isfinite(points).all():
-        raise ValueError(f"level with {name} centres that are not finite")
-    points.flags.writeable = False
-    return points
-
-
 def mesh_norm(points, probe_density: int) -> float:
     """Fill distance sup_x min_j ||x - x_j|| estimated on a probe grid.
 
     Brute force over a probe_density x probe_density grid covering the unit
     square.  The estimate approaches the true supremum from below as the
-    probe grid refines (more probes can only raise the maximum).
+    probe grid refines (more probes can only raise the maximum).  Raises
+    ValueError unless the points are a `point_batch` and ``probe_density``
+    an `integer_count` >= 2.
     """
-    points = np.atleast_2d(np.asarray(points, dtype=float))
+    points = point_batch(points)
+    probe_density = integer_count(probe_density, "probe_density", 2)
     if points.size == 0:
         raise EmptyPointSet("mesh norm of an empty point set")
-    if probe_density < 2:
-        raise ValueError("probe_density must be >= 2")
     ticks = np.linspace(0.0, 1.0, probe_density)
     gx, gy = np.meshgrid(ticks, ticks, indexing="ij")
     probes = np.column_stack([gx.ravel(), gy.ravel()])
@@ -109,8 +139,8 @@ def mesh_norm(points, probe_density: int) -> float:
 
 
 def separation_distance(points) -> float:
-    """Half the minimal pairwise distance."""
-    points = np.atleast_2d(np.asarray(points, dtype=float))
+    """Half the minimal pairwise distance of a `point_batch`."""
+    points = point_batch(points)
     if points.size == 0:
         raise EmptyPointSet("separation distance of an empty point set")
     if len(points) < 2:
@@ -131,16 +161,11 @@ def make_level_pointset(level: int) -> LevelPointSet:
     Interior: the (2^(level+1)+1)^2 gridpoints of spacing 2^-(level+1) over
     the closed unit square.  Boundary: the 4*2^(level+1) perimeter
     gridpoints of the same grid.  Raises ValueError unless ``level`` is an
-    integer >= 1 (not a bool) whose centres fit in memory while they are
-    built, at 34 bytes a centre (two grids, the centres, the edge masks).
+    `integer_count` >= 1 whose centres fit in memory while they are built,
+    at 34 bytes a centre (two grids, the centres, the edge masks).
     """
-    if isinstance(level, bool) or not isinstance(level, numbers.Integral) or level < 1:
-        raise ValueError("level must be an integer >= 1")
-    need = 34 * (2 ** (int(level) + 1) + 1) ** 2
-    have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-    if need > have:
-        raise ValueError(f"level {level} needs {need / 1e9:.3g} GB to build its centres, "
-                         f"more than the {have / 1e9:.1f} GB of memory")
+    level = integer_count(level, "level", 1)
+    check_memory(34 * (2 ** (level + 1) + 1) ** 2, f"level {level}")
     spacing = grid_spacing(level)
     n = int(1 / spacing)  # cells per side
     ticks = np.arange(n + 1) * spacing

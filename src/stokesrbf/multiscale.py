@@ -13,7 +13,6 @@ a geometric schedule since h halves per level.
 
 from __future__ import annotations
 
-import numbers
 import struct
 from dataclasses import dataclass
 
@@ -22,18 +21,18 @@ import numpy as np
 from .collocation import (
     LevelSolution,
     NotPositiveDefinite,
-    _query_points,
     assemble,
     evaluate,  # unused here; the traced benchmark run (perfbench/layers.py) hooks it
     evaluate_fields,
     evaluate_levels,
     solve,
 )
-from .geometry import LevelPointSet, grid_spacing, make_level_pointset
+from .geometry import LevelPointSet, grid_spacing, integer_count, make_level_pointset, point_batch
 from .stokes_kernel import StokesKernelConfig, _check_positive
 from .wendland import wendland_c8
 
 __all__ = [
+    "PROFILE",
     "MultiscaleConfig",
     "MultiscaleModel",
     "scale_schedule",
@@ -44,15 +43,21 @@ __all__ = [
 ]
 
 
+# both kernel blocks' profile at every level that `run` fits and a model file
+# holds: one object, so a model's levels share displacement sets (`_ColumnPlan`)
+PROFILE = wendland_c8()
+
+
 @dataclass(frozen=True)
 class MultiscaleConfig:
-    """Parameters of the level loop; both kernel blocks use `wendland_c8`.
+    """Parameters of the level loop; both kernel blocks use `PROFILE`.  The
+    defaults are the published experiment's.
 
     ``tau`` is the Sobolev exponent of the kernel's native space (4.5 for
     the C^8 kernel); it is supplied rather than inferred because it is a
     property of the norm equivalence, not recoverable from coefficients.
-    Raises ValueError unless ``n_levels`` is an integer >= 1 (not a bool),
-    ``tau`` > 2, and ``beta`` and ``nu`` are positive and finite.
+    Raises ValueError unless ``n_levels`` is a `geometry.integer_count` >=
+    1, ``tau`` > 2, and ``beta``, ``nu`` and ``tau`` are positive and finite.
     """
 
     n_levels: int
@@ -61,12 +66,10 @@ class MultiscaleConfig:
     nu: float = 1.0
 
     def __post_init__(self):
-        n = self.n_levels
-        if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < 1:
-            raise ValueError("need an integer number of levels, at least one")
+        integer_count(self.n_levels, "n_levels", 1)
+        _check_positive(self, "beta", "nu", "tau")  # beta = inf gave infinite supports
         if not self.tau > 2:
             raise ValueError("tau must exceed 2 for a meaningful schedule")
-        _check_positive(self, "beta", "nu")  # beta = inf gave infinite supports
 
 
 def scale_schedule(config: MultiscaleConfig) -> list[float]:
@@ -92,7 +95,7 @@ def _residual(data, request: str, solved: list[LevelSolution]):
     """The closed-form ``data`` minus the ``request`` field of each solved
     level, at points checked as query points before anything is evaluated."""
     def resid(pts):
-        pts = _query_points(pts)
+        pts = point_batch(pts, "query points")
         vals = np.asarray(data(pts), dtype=float)
         for sol in solved:
             vals = vals - evaluate_fields(sol, pts, request)
@@ -117,8 +120,7 @@ def run(problem, config: MultiscaleConfig, on_level=None) -> MultiscaleModel:
     called after each solve (used for conditioning measurements); levels
     are strictly sequential since each depends on all previous.
     """
-    psi = wendland_c8()
-    base = StokesKernelConfig(psi, psi, nu=config.nu)
+    base = StokesKernelConfig(PROFILE, PROFILE, nu=config.nu)
     solved: list[LevelSolution] = []
     for j, delta in enumerate(scale_schedule(config)):
         kernel = base.rescaled(delta)
@@ -178,8 +180,12 @@ def save_model(model: MultiscaleModel, path) -> None:
     Layout (little-endian): 8-byte magic, uint64 level count; per level a
     header <f8 delta, f8 nu, u8 n_interior, u8 n_boundary> followed by the
     interior points, boundary points and coefficient vector as float64.
-    Kernel profiles are not stored; loading reattaches the C^8 profile.
+    Kernel profiles are not stored; loading reattaches `PROFILE`, so a
+    level of any other profile raises ValueError before the file is opened.
     """
+    if any(psi.coeffs != PROFILE.coeffs for sol in model.levels
+           for psi in (sol.kernel.psi_vel, sol.kernel.psi_pre)):
+        raise ValueError("a model file stores only levels of the C^8 profile (wendland_c8)")
     with open(path, "wb") as fh:
         fh.write(_MAGIC)
         fh.write(struct.pack("<Q", model.n_levels))
@@ -222,7 +228,6 @@ def load_model(path) -> MultiscaleModel:
         return data[pos - n: pos]
 
     (n_levels,) = struct.unpack("<Q", take(8))
-    psi = wendland_c8()
     levels = []
     for _ in range(n_levels):
         delta, nu, n_int, n_bd = struct.unpack("<ddQQ", take(32))
@@ -230,7 +235,7 @@ def load_model(path) -> MultiscaleModel:
         boundary = np.frombuffer(take(16 * n_bd), dtype="<f8").reshape(-1, 2)
         coeffs = np.frombuffer(take(8 * 2 * (n_int + n_bd)), dtype="<f8").copy()
         pointset = LevelPointSet(interior=interior, boundary=boundary)  # copies them
-        kernel = StokesKernelConfig(psi, psi, nu=nu, delta=delta)
+        kernel = StokesKernelConfig(PROFILE, PROFILE, nu=nu, delta=delta)
         levels.append(
             LevelSolution(coefficients=coeffs, pointset=pointset, kernel=kernel)
         )

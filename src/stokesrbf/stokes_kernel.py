@@ -32,7 +32,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .radial import (FRESH, Columns, Displacements, RadialTermEvaluator, combine, laplacian,
+from .geometry import point_batch
+from .radial import (Columns, Displacements, RadialTermEvaluator, combine, laplacian,
                      mixed_partial_terms)
 from .wendland import WendlandPolynomial
 
@@ -146,49 +147,44 @@ def vanishes(cfg: StokesKernelConfig, row: tuple, col: tuple) -> bool:
     return not _parts(cfg, row, col)
 
 
-def _points(x) -> np.ndarray:
-    return np.atleast_2d(np.asarray(x, dtype=float))
-
-
 def columns(cfg, xb) -> Columns:
     """The points xb as the columns of displacement sets at cfg's scale,
     given to `displacements` as xb: the sets against one such object share
     what depends on the columns alone.  ``cfg`` and ``xb`` may be sequences,
     as for `displacements`; xb may also be such columns, returned as they
-    are."""
+    are.  Each point set must be a `geometry.point_batch` (or ValueError)."""
     if isinstance(xb, Columns):
         return xb
     if isinstance(cfg, StokesKernelConfig):
-        return Columns(_points(xb), 1.0 / cfg.delta)
-    return Columns([_points(b) for b in xb], [1.0 / c.delta for c in cfg])
+        return Columns(point_batch(xb, "column points"), 1.0 / cfg.delta)
+    return Columns([point_batch(b, "column points") for b in xb], [1.0 / c.delta for c in cfg])
 
 
-def displacements(cfg, xa, xb, pool=FRESH, mirror=None, tables=None) -> Displacements:
+def displacements(cfg, xa, xb) -> Displacements:
     """The displacement set of the points xa against the points xb at cfg's
     scale: give it to `kernel_block` as xa, with this very cfg and xb, for
     any label pairs.  Their blocks then share the displacements, r, the
     powers, the radials and the evaluator sums, which the set keeps as long
-    as it lives.  The set and those blocks take their arrays from ``pool``
-    (a `radial.BufferPool`, or `radial.FRESH`).
+    as it lives.  Raises ValueError unless xa and each point set of xb are
+    a `geometry.point_batch`.
 
     ``cfg`` may also be a sequence of configs of the same profiles -- the
     levels of a model -- and ``xb`` a sequence of point sets, one per
     config: the set is then of xa against their concatenation, each run of
     columns at its own config's scale.  xb may also be the `columns` of
-    those point sets at cfg's scale.  ``mirror`` pairs swapped rows and
-    columns, and ``tables`` gives the power tables of a set of more rows
-    (`power_tables`), as for `radial.Displacements`."""
-    return Displacements(_points(xa), columns(cfg, xb), None, pool, mirror, tables)
+    those point sets at cfg's scale."""
+    return Displacements(point_batch(xa, "row points"), columns(cfg, xb))
 
 
 def power_tables(cfg, xa, xb, pairs, block_rows: int) -> tuple:
     """The power tables (`radial.Columns.power_tables`) that the blocks of
     the label ``pairs`` read on the displacement set of xa against xb at
     cfg's scale, for sets of ``block_rows`` rows: the set of rows xa[at]
-    against the same xb reads them given (tables, at) as its ``tables``."""
+    against the same xb reads them given (tables, at) as its ``tables``
+    (`radial.Displacements`).  xa and xb are as for `displacements`."""
     cfgs = (cfg,) if isinstance(cfg, StokesKernelConfig) else cfg
     keys = [evaluator.key for row, col in pairs for _, evaluator in _parts(cfgs[0], row, col)]
-    return columns(cfg, xb).power_tables(_points(xa), keys, block_rows)
+    return columns(cfg, xb).power_tables(point_batch(xa, "row points"), keys, block_rows)
 
 
 def kernel_block(cfg, row: tuple, col: tuple, xa, xb) -> np.ndarray:
@@ -196,9 +192,11 @@ def kernel_block(cfg, row: tuple, col: tuple, xa, xb) -> np.ndarray:
 
     ``row`` is a label of `_FUNCTIONALS`, ``col`` one of `_COLUMNS`; any
     other label raises ValueError.  xa has shape (P, 2), xb has shape
-    (Q, 2); returns (P, Q).  xa may also be the `displacements` of the rows
-    against this xb at cfg's scale: the calls given one set share its
-    values, and its pool holds the block; any other set raises ValueError.
+    (Q, 2); returns (P, Q); any other `geometry.point_batch` is taken as
+    well, and anything else raises ValueError.  xa may also be the
+    `displacements` of the rows against this xb at cfg's scale: the calls
+    given one set share its values, and its pool holds the block; any
+    other set raises ValueError.
     Entries with ||xa - xb|| >= delta vanish by compact support (the
     evaluators cut off at unit radius in scaled coordinates).
 

@@ -135,9 +135,11 @@ class TestRunCommand:
         ["--nu", "nan"],
         ["--tau", "nan"],
         ["--nu", "inf"],
+        ["--tau", "inf"],
     ])
     def test_rejects_nonfinite_settings(self, tmp_path, capsys, flags):
-        # with nu = inf the run used to exit 0 and report nan for every error
+        # with nu = inf the run used to exit 0 and report nan for every error;
+        # tau = inf, which MultiscaleConfig rejects, would run with delta_j = beta h_j
         code = run_cli([
             "run", "--levels", "1", "--eigen-levels", "0", *flags,
             "--out-csv", str(tmp_path / "n.csv"),

@@ -85,6 +85,26 @@ def test_separation_of_level_grids(level, expected):
     assert separation_distance(ps.interior) == pytest.approx(expected, rel=1e-14)
 
 
+@pytest.mark.parametrize("bad", ["complex", "three coordinates"])
+def test_distances_reject_points_that_are_not_real_pairs(bad):
+    # (n, 3) points gave their 3-D separation (0.4717) and complex points
+    # the separation (0.25) and mesh norm (0.7071) of their real parts
+    points = np.array({"complex": [(0.5 + 0.5j, 0.5), (0.0, 0.0)],
+                       "three coordinates": [(0.0, 0.0, 0.0), (0.5, 0.5, 0.5)]}[bad])
+    with pytest.raises(ValueError):
+        separation_distance(points)
+    if bad == "complex":
+        with pytest.raises(ValueError):
+            mesh_norm(points, 11)
+
+
+@pytest.mark.parametrize("density", [2.5, np.float64(3.0), True])
+def test_mesh_norm_probe_density_must_be_an_integer(density):
+    # 2.5 raised TypeError from inside numpy
+    with pytest.raises(ValueError, match="integer"):
+        mesh_norm([(0.5, 0.5)], density)
+
+
 def test_separation_two_points():
     assert separation_distance([(0.0, 0.0), (1.0, 0.0)]) == 0.5
 

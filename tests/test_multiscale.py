@@ -58,10 +58,12 @@ class TestSchedule:
     @pytest.mark.parametrize("bad", [
         {"beta": float("inf")}, {"beta": float("nan")}, {"beta": 0.0}, {"beta": -18.779},
         {"nu": float("inf")}, {"nu": float("nan")}, {"nu": 0.0}, {"nu": -1.0},
-        {"n_levels": True}, {"n_levels": 2.0}, {"n_levels": 2.5}, {"n_levels": "2"}])
+        {"n_levels": True}, {"n_levels": 2.0}, {"n_levels": 2.5}, {"n_levels": "2"},
+        {"tau": float("inf")}])
     def test_rejects_what_run_cannot_use(self, bad):
         # beta = inf gave the schedule [inf, ...]; a bool or float level
-        # count, a nan or non-positive beta or nu were taken as well
+        # count, a nan or non-positive beta or nu were taken as well, and
+        # tau = inf, which gave delta_j = beta h_j
         with pytest.raises(ValueError):
             MultiscaleConfig(**{"n_levels": 2, **bad})
 
@@ -152,6 +154,28 @@ def test_save_load_roundtrip(tmp_path, model2, rng):
     for sol, ref in zip(loaded.levels, model2.levels):
         assert sol.kernel.delta == ref.kernel.delta
         np.testing.assert_array_equal(sol.coefficients, ref.coefficients)
+
+
+def test_save_refuses_another_profile(c8, tmp_path):
+    # the file stores no profile and loading reattaches the C^8 one: a
+    # level on wendland_from_integral(2, 3) gave (0.497, 2.700) at
+    # (0.3, 0.4) before the round trip and (51068.5, 264843.7) after it
+    pointset = make_level_pointset(1)
+    coefficients = np.random.default_rng(5).standard_normal(pointset.n_functionals)
+    path = tmp_path / "model.bin"
+    for profile in (wendland_from_integral(2, 3), wendland_from_integral(2, 4)):
+        for psi_vel, psi_pre in ((profile, c8), (c8, profile)):
+            kernel = StokesKernelConfig(psi_vel, psi_pre, delta=1.0)
+            model = MultiscaleModel(levels=[LevelSolution(coefficients, pointset, kernel)])
+            with pytest.raises(ValueError, match="profile"):
+                save_model(model, path)
+            assert not path.exists()
+    # any object with the C^8 coefficients still round-trips bit for bit
+    model = MultiscaleModel(levels=[LevelSolution(
+        coefficients, pointset, StokesKernelConfig(c8, c8, delta=1.0))])
+    save_model(model, path)
+    x = np.array([[0.3, 0.4], [0.9, 0.05]])
+    assert evaluate_model(load_model(path), x).tobytes() == evaluate_model(model, x).tobytes()
 
 
 @pytest.fixture(scope="module")

@@ -68,6 +68,15 @@ def test_allowed_unused_imports_are_still_unused():
         assert name in _unused_imports(_tree(module))
 
 
+@pytest.mark.parametrize("rule", ["os.sysconf", "np.iscomplexobj", "numbers.Integral"])
+def test_each_input_rule_is_written_once(rule):
+    # the memory guard, the complex-point test and the count test each
+    # live in one module (`geometry`), which every public entry calls
+    holders = [module for module in MODULES
+               if rule in (PACKAGE_DIR / f"{module}.py").read_text(encoding="utf-8")]
+    assert len(holders) == 1, holders
+
+
 def test_checks_can_fail():
     tree = ast.parse("import os\nfrom math import pi, tau\nx = tau\n")
     assert _unused_imports(tree) == {"os", "pi"}

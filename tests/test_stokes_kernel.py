@@ -1,3 +1,4 @@
+import warnings
 from collections import Counter
 
 import numpy as np
@@ -249,6 +250,21 @@ class TestValidation:
         for row, col in bad_pairs:
             with pytest.raises(ValueError):
                 kernel_block(unit_config, row, col, [POINT], [POINT])
+
+    @pytest.mark.parametrize("bad", ["complex", "three coordinates", "nan"])
+    @pytest.mark.parametrize("where", ["rows", "columns"])
+    def test_rejects_points_that_are_not_real_finite_pairs(self, unit_config, bad, where):
+        # a complex point, and an (n, 3) row or column set, gave 18482.66,
+        # the block of the 2-D point; a nan point gave a nan block
+        points = np.array({"complex": [(0.3 + 0.5j, 0.4)], "three coordinates": [(0.3, 0.4, 9.0)],
+                           "nan": [(0.3, np.nan)]}[bad])
+        xa, xb = (points, [ORIGIN]) if where == "rows" else ([POINT], points)
+        with pytest.raises(ValueError), warnings.catch_warnings():
+            warnings.simplefilter("error", np.exceptions.ComplexWarning)
+            kernel_block(unit_config, ("pde", 1), ("pde", 1), xa, xb)
+        with pytest.raises(ValueError), warnings.catch_warnings():
+            warnings.simplefilter("error", np.exceptions.ComplexWarning)
+            displacements(unit_config, xa, xb)
 
     def test_shared_displacements_keep_each_block(self, unit_config, rng):
         # one set read by several pairs, one of them twice, gives each the
