@@ -28,7 +28,7 @@ from .geometry import LevelPointSet, point_batch, real_finite
 from .radial import FRESH, BufferPool, Columns, Displacements, swap_index
 from .stokes_kernel import DIRICHLET, PDE, StokesKernelConfig
 from .stokes_kernel import columns as centre_columns
-from .stokes_kernel import kernel_block, power_tables, vanishes
+from .stokes_kernel import evaluator_keys, kernel_block, vanishes
 
 __all__ = [
     "NotPositiveDefinite",
@@ -155,9 +155,11 @@ def assemble(
 
     ``f_data`` and ``g_data`` map an (n, 2) array of points to an (n, 2)
     array of component values; at levels beyond the first they are residual
-    evaluators closing over the previously solved levels.  The matrix is
-    column-major, the layout that LAPACK factorizes in place (`solve`), and
-    read-only, so that no edit leaves it apart from its tables.
+    evaluators closing over the previously solved levels.  Values that are
+    not `geometry.real_finite` or not of that shape raise ValueError.  The
+    matrix is column-major, the layout that LAPACK factorizes in place
+    (`solve`), and read-only, so that no edit leaves it apart from its
+    tables.
     """
     total = pointset.n_functionals
     # zeros: a pair whose kernel vanishes gets no block (`_slab_blocks`)
@@ -176,9 +178,14 @@ def assemble(
 
     _run_slabs(fill, plan.slabs)
     matrix.flags.writeable = False
-    fvals = np.asarray(f_data(pointset.interior), dtype=float)
-    gvals = np.asarray(g_data(pointset.boundary), dtype=float)
-    rhs = np.concatenate([fvals[:, 0], fvals[:, 1], gvals[:, 0], gvals[:, 1]])
+    values = []
+    for data, points, name in ((f_data, pointset.interior, "f_data"),
+                               (g_data, pointset.boundary, "g_data")):
+        vals = real_finite(data(points), f"{name} values")
+        if vals.shape != (len(points), 2):
+            raise ValueError(f"{name} must give ({len(points)}, 2) values, not {vals.shape}")
+        values.append(vals)
+    rhs = np.concatenate([vals.T.ravel() for vals in values])
     system = CollocationSystem(matrix=matrix, rhs=rhs, pointset=pointset, kernel=kernel)
     (own,) = plan.tables
     if len(own) == 16 and len({entry[1] for entry in own.values()}) == 1:
@@ -395,7 +402,8 @@ def _tables(levels, row_sets) -> list:
     call per pair, and share the lattice and cidx: a row point of lattice
     index a meets column point j at table entry a - cidx[j].  Every pair of
     a level on lattices of one step and size reads one set of those
-    offsets, which goes before the next level's."""
+    offsets, which goes before the next level's, with the power tables of
+    every pair of the call."""
     origin = np.zeros((1, 2))
     groups = [_groups(pointset) for _, pointset in levels]
     # per row set, the lattices of its rows and each centre set, level by level
@@ -414,7 +422,12 @@ def _tables(levels, row_sets) -> list:
                     ticks = np.arange(1 - n, n) * step
                     offsets = np.column_stack([np.repeat(ticks, len(ticks)),
                                                np.tile(ticks, len(ticks))])
-                    shared = offset_sets[step, n] = Displacements(offsets, origin, 1 / kernel.delta)
+                    columns = centre_columns(kernel, origin)
+                    keys = evaluator_keys(kernel, [(row, col) for _, labels in row_sets
+                                                   for row in labels for _, _, cols in level
+                                                   for col in cols])
+                    shared = offset_sets[step, n] = Displacements(
+                        offsets, columns, tables=columns.power_tables(offsets, keys, len(offsets)))
                 # the offset (0, 0) sits at the table's centre, entry 2n (n - 1)
                 cidx = _lattice_index(cpts, lattice) - 2 * n * (n - 1)
                 for pair in itertools.product(rows, cols):
@@ -435,6 +448,7 @@ class _SharedSet(NamedTuple):
     centres: object  # per level, its centres; of one level, its centres alone
     columns: Columns  # the set's columns (`stokes_kernel.columns`)
     pairs: list  # the first level's `_pairs`, which every level shares
+    keys: frozenset  # their evaluators' keys (`stokes_kernel.evaluator_keys`)
 
 
 class _ColumnPlan:
@@ -494,9 +508,10 @@ class _ColumnPlan:
         parts = tuple(slice(end - len(cpts), end) for end, cpts in zip(ends, centres))
         set_columns = self._kept(("columns", kind, levels),
                                  lambda: centre_columns(kernels, centres))
+        keys = evaluator_keys(kernels[0], [(row, col) for row, _, col in pairs[0]])
         if len(levels) == 1:
             (kernels,), (centres,) = kernels, centres
-        return _SharedSet(levels, spans, parts, kernels, centres, set_columns, pairs[0])
+        return _SharedSet(levels, spans, parts, kernels, centres, set_columns, pairs[0], keys)
 
 
 # the plan of the last call, which a call of other levels replaces with
@@ -531,9 +546,11 @@ class _CallPlan:
       every row set that has them, as (row set index, rows, mirror), rows
       being a slice and mirror d, from which on the slab's rows are the
       mirrors of its first ones (`radial.Displacements`), or None;
-    - ``powers``: on a call of more than one slab, the power tables of each
-      row set's points against each displacement set's `Columns`, by (row
-      set index, columns): every slab's set gathers its powers from them.
+    - ``powers``: the power tables (`Columns.power_tables`) of each row
+      set's points against each displacement set's `Columns`, by (row set
+      index, columns), for blocks of a slab's rows, from which every slab's
+      set takes its tables: on more than one slab, one that lacks a table
+      for an axis builds its own (`_slab_blocks`).
 
     A slab has the largest multiple of _SLAB rows, at least _SLAB, whose
     block against the widest centre kind of the levels has at most
@@ -573,11 +590,8 @@ class _CallPlan:
                 # the slabs before hold start // 2 pairs or fewer
                 mirrors = min(max(self.pairs - start // 2, 0), n // 2)
                 slab.append((s, slice(start, start + n), n - mirrors if mirrors else None))
-        # a call of one slab leaves its sets to make their own tables
-        self.powers = {} if len(self.slabs) < 2 else {
-            (s, of_set.columns): power_tables(of_set.kernels, row_sets[s][0], of_set.columns,
-                                              [(row, col) for row, _, col in of_set.pairs], size)
-            for s, of_set in shared}
+        self.powers = {(s, of_set.columns): of_set.columns.power_tables(
+            row_sets[s][0], of_set.keys, min(size, len(row_sets[s][0]))) for s, of_set in shared}
 
     def _layout(self, half: int, shared) -> tuple:
         """(order, pairs) of the one row set, for slabs of ``half`` pairs,
@@ -635,9 +649,11 @@ def _slab_blocks(plan: _CallPlan, slab, pool):
                     yield j, row, at, spans[k], block
                     del block
             for of_set in shared:
-                tables = plan.powers.get((s, of_set.columns))
-                shared_set = Displacements(pts, of_set.columns, None, pool, mirror,
-                                           tables and (tables, positions))
+                tables = [table and (table[0], table[1][positions], table[2])
+                          for table in plan.powers[s, of_set.columns]]
+                if None in tables and len(plan.slabs) > 1:  # a call table too large for a slab
+                    tables = of_set.columns.power_tables(pts, of_set.keys, len(pts))
+                shared_set = Displacements(pts, of_set.columns, pool, mirror, tables)
                 for row, k, col in of_set.pairs:
                     block = kernel_block(of_set.kernels, row, col, shared_set, of_set.centres)
                     for j, level_spans, part in zip(of_set.levels, of_set.spans, of_set.parts):

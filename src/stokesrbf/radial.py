@@ -50,28 +50,12 @@ def terms_from_profile(coeffs) -> Terms:
 
 
 def _diff(terms: Terms, axis: int) -> Terms:
-    out: Terms = {}
-
-    def add(key, val):
-        if val:
-            acc = out.get(key, Fraction(0)) + val
-            if acc:
-                out[key] = acc
-            elif key in out:
-                del out[key]
-
-    for (a, b, m), c in terms.items():
-        if axis == 0:
-            if a:
-                add((a - 1, b, m), a * c)
-            if m:
-                add((a + 1, b, m - 2), m * c)
-        else:
-            if b:
-                add((a, b - 1, m), b * c)
-            if m:
-                add((a, b + 1, m - 2), m * c)
-    return out
+    # the lowered terms e x_i^(e-1) ... r^m and the raised m x_i^(e+1) ... r^(m-2),
+    # e = a or b: each map is one to one, so only the two sums can meet
+    da, db = (1, 0) if axis == 0 else (0, 1)
+    lowered = {(a - da, b - db, m): e * c for (a, b, m), c in terms.items() if (e := (a, b)[axis])}
+    raised = {(a + da, b + db, m - 2): m * c for (a, b, m), c in terms.items() if m}
+    return combine((1, lowered), (1, raised))
 
 
 def diff_x(terms: Terms) -> Terms:
@@ -90,7 +74,7 @@ def combine(*weighted: tuple) -> Terms:
         if not w:
             continue
         for key, c in terms.items():
-            acc = out.get(key, Fraction(0)) + w * c
+            acc = out.get(key, 0) + w * c
             if acc:
                 out[key] = acc
             elif key in out:
@@ -225,14 +209,19 @@ class Columns:
     at its own scale, with the values of the columns alone that every set
     against them reads -- their concatenation, each `per_column` vector,
     their `swap` index and, per axis, the distinct (coordinate, scale) pairs
-    of the power `table`s -- each computed on its first read and kept as
-    long as the columns (made by two threads at once, it has the same bits
-    either way), and not to be written.  The points are not copied: runs
-    that are edited in place leave their columns stale."""
+    of the `power_tables` and their exponents per evaluator keys -- each
+    computed on its first read and kept as long as the columns (made by two
+    threads at once, it has the same bits either way), and not to be
+    written.  The points are not copied: runs that are edited in place
+    leave their columns stale.  Raises ValueError unless there is a point
+    set and one scale per point set."""
 
     def __init__(self, points, scale):
         if np.ndim(scale) == 0:
             points, scale = [points], [scale]
+        if not 0 < len(points) == len(scale):
+            raise ValueError(f"need a point set and one scale per point set, "
+                             f"not {len(points)} sets and {len(scale)} scales")
         self.runs = tuple(zip(points, scale))
         self.points = points[0] if len(points) == 1 else np.concatenate(points)
         self._values: dict = {}
@@ -258,64 +247,59 @@ class Columns:
                 [swap + start for swap, start in zip(swaps, starts)])
         return self._values["s"]
 
-    def table(self, rows, axis: int, block_rows=None):
-        """({1: displacements between the distinct coordinates of ``rows``
-        and the distinct (column coordinate, scale) pairs}, row index,
-        column index) of one axis (`_distinct`; the scale is a scalar for
-        one run), or None when the table is more than half a block of
-        ``block_rows`` rows, by default of all the rows."""
-        key, scale = ("d", axis), self.scale
-        if key not in self._values:
-            cols, index = _distinct(self.points[:, axis], *((scale,) if np.ndim(scale) else ()))
-            self._values[key] = (self.points[cols, axis],
-                                 scale[cols] if np.ndim(scale) else scale, index)
-        cols, scale, col_index = self._values[key]
-        distinct, row_index = _distinct(rows[:, axis])
-        if 2 * len(distinct) * len(cols) > (block_rows or len(rows)) * len(self.points):
-            return None
-        return {1: _differences(rows[distinct, axis], cols, scale)}, row_index, col_index
-
     def power_tables(self, rows, keys, block_rows: int) -> tuple:
-        """Per axis, the `table` of ``rows`` with its n-th power at every
-        n >= 3 at which the evaluators of ``keys`` (`RadialTermEvaluator.key`)
-        read that axis, or None when they read none or the table is more
-        than half a block of ``block_rows`` rows: the ``tables`` of the
-        `Displacements` of runs of these rows of that size against these
-        columns.  Nothing of a block is computed, and the row index takes
+        """Per axis, ({n: displacements between the distinct coordinates of
+        ``rows`` and the distinct (column coordinate, scale) pairs, to the
+        n-th power}, row index, column index) (`_distinct`; the scale is a
+        scalar for one run), at n = 1 and every n >= 3 at which the
+        evaluators of ``keys``, a hashable collection of
+        `RadialTermEvaluator.key`, read that axis; or None when they read
+        none or the table is more than half a block of ``block_rows`` rows.
+        These are the ``tables`` of the `Displacements` of runs of these
+        rows of that size against these columns, which only their maker
+        builds.  Nothing of a block is computed, and the row index takes
         the smallest integer type that holds it."""
-        out = []
-        for axis in (0, 1):
+        if ("n", keys) not in self._values:
             # the monomials are ("x", a), ("y", b) and ("m", a, b)
-            exponents = sorted({m[1 + axis] if m[0] == "m" else m[1] for key in keys
-                                for _, m, _ in key[1] if m and m[0] in ("m", "xy"[axis])} - {1, 2})
-            table = self.table(rows, axis, block_rows) if exponents else None
-            if table is not None:
-                powers, rows_index, cols_index = table
-                powers.update((n, np.power(powers[1], n)) for n in exponents)
-                table = (powers, rows_index.astype(np.min_scalar_type(len(powers[1]))), cols_index)
-            out.append(table)
+            self._values["n", keys] = [sorted(
+                {m[1 + axis] if m[0] == "m" else m[1] for key in keys for _, m, _ in key[1]
+                 if m and m[0] in ("m", "xy"[axis])} - {1, 2}) for axis in (0, 1)]
+        out = []
+        for axis, exponents in enumerate(self._values["n", keys]):
+            if not exponents:
+                out.append(None)
+                continue
+            key, scale = ("d", axis), self.scale
+            if key not in self._values:
+                cols, index = _distinct(self.points[:, axis], *((scale,) if np.ndim(scale) else ()))
+                self._values[key] = (self.points[cols, axis],
+                                     scale[cols] if np.ndim(scale) else scale, index)
+            cols, scale, col_index = self._values[key]
+            distinct, row_index = _distinct(rows[:, axis])
+            if 2 * len(distinct) * len(cols) > block_rows * len(self.points):
+                out.append(None)
+                continue
+            powers = {1: _differences(rows[distinct, axis], cols, scale)}
+            powers.update((n, np.power(powers[1], n)) for n in exponents)
+            out.append((powers, row_index.astype(np.min_scalar_type(len(distinct))), col_index))
         return tuple(out)
 
 
 class Displacements:
     """Displacements (rows[p] - columns[q]) * scale of rows (P, 2) against
-    columns (Q, 2), in units of the support radius, r = hypot(x, y), and
-    the values that the evaluators reading them share.
-
-    ``columns`` may also be a sequence of point sets, runs of columns, and
-    ``scale`` then a sequence of one scale per run: the set is of the rows
-    against their concatenation, each column at its own run's scale, and
-    every entry holds the bits it has in the set of its run alone.  The
-    levels of a multiscale model are such runs, each at its own support
-    radius (`stokes_kernel.displacements`).  ``columns`` may also be a
-    `Columns` of such runs, with ``scale`` None: every set against it reads
-    its concatenation, `per_column` vectors, swap and distinct column
-    pairs, which are then made once for all of them.
+    ``columns``, a `Columns` of runs of points (Q_k, 2) each at its own
+    scale, in units of the support radius, r = hypot(x, y), and the values
+    that the evaluators reading them share.  The set is of the rows against
+    the runs' concatenation, and every entry holds the bits it has in the
+    set of its run alone.  The levels of a multiscale model are such runs,
+    each at its own support radius (`stokes_kernel.displacements`).  Every
+    set against one `Columns` reads its concatenation, `per_column`
+    vectors and swap, which are made once for all of them.
 
     Each shared value -- an evaluator's sum, a Horner radial keyed by its
     lowest power of r and its coefficients (with a positive top one, so
     that radials of opposite sign are one value), x, y, r and their powers,
-    squares included, a power table -- is computed
+    squares included -- is computed
     on its first read and kept as long as the set; x and y are kept from
     the pass that computes r.  The monomials x^a y^b (one pass each) are
     computed at every read: not kept, with the same bits either way, so
@@ -330,15 +314,13 @@ class Displacements:
     Every block-sized value is taken from ``pool``: a `BufferPool`, or
     `FRESH`, which allocates each anew; the values are the same.
 
-    A power x^n or y^n with n >= 3 is taken on the table of displacements
-    between the distinct row coordinates and the distinct (column
-    coordinate, scale) pairs and gathered -- the same float operation on
-    the same floats -- when that table is at most half the block: a
-    128-point slab of a tensor grid has 2 distinct x against the 33 of the
-    level-4 centres (`Columns.table`).  ``tables``, (tables, at), are the
-    `Columns.power_tables` of rows of which this set's rows are the rows
-    ``at``: an axis that has one gathers its powers from there, taken once
-    for all such sets, and an axis without one makes its own table.
+    ``tables``, given by the set's maker, holds per axis None or a
+    `Columns.power_tables` table of rows that include this set's rows, its
+    row index taken at them (a 128-point slab of a tensor grid has 2
+    distinct x against the 33 of the level-4 centres): a power x^n or y^n
+    that the table of its axis holds is gathered from there, taken once for
+    all such sets, and any other power is taken on the set's block, as on
+    a set made without tables -- the same float operation on the same floats.
 
     With ``mirror``, d, row d + k is row k with its coordinates swapped,
     and the columns are closed under the swap (`Columns.swap`): hypot is
@@ -346,28 +328,24 @@ class Displacements:
     those of row k at the swapped columns, bit for bit, and are gathered.
     """
 
-    def __init__(self, rows, columns, scale=None, pool=FRESH, mirror=None, tables=None):
-        self._columns = columns if isinstance(columns, Columns) else Columns(columns, scale)
+    def __init__(self, rows, columns: Columns, pool=FRESH, mirror=None, tables=(None, None)):
         # (points, scale) of each run of columns
-        self.runs = self._columns.runs
+        self.runs = columns.runs
         self.rows = rows
-        self.columns = self._columns.points
-        self.scale = self._columns.scale
-        self.per_column = self._columns.per_column  # values per column of each run
+        self.columns = columns.points
+        self.scale = columns.scale
+        self.per_column = columns.per_column  # values per column of each run
         self.shape = (len(rows), len(self.columns))
         self.pool = pool
         self._values: dict = {}
         self._cut = None  # not located yet: see `_locate`
         # see `_mirrored`
         self._direct, self._swap = (len(rows), None) if mirror is None else (
-            mirror, self._columns.swap())
+            mirror, columns.swap())
         self.last_block = None  # (parts, block): see `stokes_kernel.kernel_block`
-        if tables is not None:
-            tables, at = tables
-            for kind, table in zip("xy", tables):
-                if table is not None:
-                    powers, rows_index, cols_index = table
-                    self._values["t", kind] = (powers, rows_index[at], cols_index)
+        for kind, table in zip("xy", tables):
+            if table is not None:
+                self._values["t", kind] = table
 
     def __len__(self) -> int:
         return self.shape[0]
@@ -399,7 +377,7 @@ class Displacements:
 
     # shared values: ("x" | "y" | "r", n) the n-th power, ("m", a, b) the
     # monomial x^a y^b, ("h", m_lo, coeffs) a Horner radial times r^m_lo,
-    # ("t", "x" | "y") a power table and ("e", groups, origin) the value of
+    # ("t", "x" | "y") a given power table and ("e", groups, origin) the value of
     # an evaluator (`RadialTermEvaluator.key`)
 
     @staticmethod
@@ -421,8 +399,6 @@ class Displacements:
         kind, n = key[0], key[1]
         if kind == "e":
             return self._sum(*key[1:])
-        if kind == "t":
-            return self._columns.table(self.rows, "xy".index(n))
         if kind == "m":
             return np.multiply(self.read(("x", n)), self.read(("y", key[2])),
                                out=self._new())
@@ -443,14 +419,13 @@ class Displacements:
             if n:
                 np.multiply(radial, self.read(("r", n))[:d], out=radial)
             return self._mirrored(value)
-        table = self.read(("t", kind)) if n >= 3 else None
-        if table is None:
+        table = self._values.get(("t", kind))
+        if table is None or n not in table[0]:
             return np.power(self.read((kind, 1)), n, out=self._new())
         powers, rows, cols = table
-        power = powers[n] if n in powers else np.power(powers[1], n)
         # rows and cols index the table, so no index needs the check of
         # mode "raise", which would take a buffer of its own
-        return np.take(power[rows], cols, axis=1, mode="clip", out=self._new())
+        return np.take(powers[n][rows], cols, axis=1, mode="clip", out=self._new())
 
     def _sum(self, groups, origin: float) -> np.ndarray:
         """Sum over the groups of +-(x^a y^b) * radial, in a new array of the
@@ -517,13 +492,8 @@ class RadialTermEvaluator:
         scale, where (d - 0.0) * 1.0 is d bit for bit."""
         dx, dy = np.broadcast_arrays(np.asarray(dx, dtype=float), np.asarray(dy, dtype=float))
         points = np.column_stack([dx.ravel(), dy.ravel()])
-        out = self.on(Displacements(points, np.zeros((1, 2)), 1.0)).reshape(dx.shape)
+        out = Displacements(points, Columns(np.zeros((1, 2)), 1.0)).read(self.key).reshape(dx.shape)
         return float(out) if out.ndim == 0 else out
-
-    def on(self, d: Displacements) -> np.ndarray:
-        """The term sum at every displacement of ``d``, in an array of its
-        shape that other reads of the set may share: not to be written."""
-        return d.read(self.key)
 
 
 @lru_cache(maxsize=None)

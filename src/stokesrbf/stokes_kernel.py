@@ -38,7 +38,7 @@ from .radial import (Columns, Displacements, RadialTermEvaluator, combine, lapla
 from .wendland import WendlandPolynomial
 
 __all__ = ["PDE", "DIRICHLET", "StokesKernelConfig", "columns", "displacements",
-           "kernel_block", "power_tables", "vanishes"]
+           "evaluator_keys", "kernel_block", "vanishes"]
 
 DIM = 2
 
@@ -152,7 +152,8 @@ def columns(cfg, xb) -> Columns:
     given to `displacements` as xb: the sets against one such object share
     what depends on the columns alone.  ``cfg`` and ``xb`` may be sequences,
     as for `displacements`; xb may also be such columns, returned as they
-    are.  Each point set must be a `geometry.point_batch` (or ValueError)."""
+    are.  Each point set must be a `geometry.point_batch`, and there must be
+    a point set and one config per point set (or ValueError)."""
     if isinstance(xb, Columns):
         return xb
     if isinstance(cfg, StokesKernelConfig):
@@ -176,15 +177,10 @@ def displacements(cfg, xa, xb) -> Displacements:
     return Displacements(point_batch(xa, "row points"), columns(cfg, xb))
 
 
-def power_tables(cfg, xa, xb, pairs, block_rows: int) -> tuple:
-    """The power tables (`radial.Columns.power_tables`) that the blocks of
-    the label ``pairs`` read on the displacement set of xa against xb at
-    cfg's scale, for sets of ``block_rows`` rows: the set of rows xa[at]
-    against the same xb reads them given (tables, at) as its ``tables``
-    (`radial.Displacements`).  xa and xb are as for `displacements`."""
-    cfgs = (cfg,) if isinstance(cfg, StokesKernelConfig) else cfg
-    keys = [evaluator.key for row, col in pairs for _, evaluator in _parts(cfgs[0], row, col)]
-    return columns(cfg, xb).power_tables(point_batch(xa, "row points"), keys, block_rows)
+def evaluator_keys(cfg: StokesKernelConfig, pairs) -> frozenset:
+    """The keys of the evaluators that the blocks of the label ``pairs``
+    read at cfg's profiles, as `radial.Columns.power_tables` takes them."""
+    return frozenset(evaluator.key for row, col in pairs for _, evaluator in _parts(cfg, row, col))
 
 
 def kernel_block(cfg, row: tuple, col: tuple, xa, xb) -> np.ndarray:
@@ -212,17 +208,19 @@ def kernel_block(cfg, row: tuple, col: tuple, xa, xb) -> np.ndarray:
     columns.  Configs of other profiles raise ValueError.
     """
     cfgs, xbs = ((cfg,), (xb,)) if isinstance(cfg, StokesKernelConfig) else (cfg, xb)
+    own = None if isinstance(xa, Displacements) else columns(cfg, xb)
+    if own is None and (len(xa.runs) != len(cfgs) or any(
+            points is not b or scale != 1.0 / c.delta
+            for (points, scale), b, c in zip(xa.runs, xbs, cfgs))):
+        raise ValueError("displacement set of other columns or another scale")
     levels = [_parts(c, row, col) for c in cfgs]
     # evaluators compiled apart for equal profiles are equal: compare keys
     keys = [evaluator.key for _, evaluator in levels[0]]
     if any([evaluator.key for _, evaluator in parts] != keys for parts in levels[1:]):
         raise ValueError("configs of other profiles")
-    if not isinstance(xa, Displacements):
-        xa = displacements(cfg, xa, xb)
-    elif len(xa.runs) != len(cfgs) or any(
-            points is not b or scale != 1.0 / c.delta
-            for (points, scale), b, c in zip(xa.runs, xbs, cfgs)):
-        raise ValueError("displacement set of other columns or another scale")
+    if own is not None:  # a set of this pair alone, made with the pair's power tables
+        xa = point_batch(xa, "row points")
+        xa = Displacements(xa, own, tables=own.power_tables(xa, frozenset(keys), len(xa)))
     parts = [(tuple(level[k][0] for level in levels), key) for k, key in enumerate(keys)]
     if xa.last_block is not None and xa.last_block[0] == parts:
         return xa.last_block[1]

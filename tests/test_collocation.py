@@ -130,6 +130,23 @@ def test_mismatched_system_is_rejected_before_the_factorization(level1_system, m
     assert len(factors) == 1
 
 
+@pytest.mark.parametrize("bad", ["three columns", "complex", "nan", "one column"])
+@pytest.mark.parametrize("which", ["f_data", "g_data"])
+def test_assemble_rejects_data_it_cannot_use(level1_system, problem, which, bad):
+    # an (n, 3) array of values gave the right-hand side of its first two
+    # columns, complex values were cast with a ComplexWarning, nan values
+    # reached the factorization, and 1-d values raised IndexError: each now
+    # raises ValueError, named by its data, before a system is built
+    spoil = {"three columns": lambda v: np.column_stack([v, v[:, 0]]),
+             "complex": lambda v: v + 1e-3j,
+             "nan": lambda v: np.where(np.arange(v.size).reshape(v.shape) == 3, np.nan, v),
+             "one column": lambda v: v[:, 0]}[bad]
+    data = {"f_data": problem.f, "g_data": problem.g}
+    data[which] = lambda points, good=data[which]: spoil(good(points))
+    with pytest.raises(ValueError, match=which):
+        assemble(level1_system.pointset, level1_system.kernel, data["f_data"], data["g_data"])
+
+
 def test_solve_residual_invariant(level1_solution):
     assert level1_solution.solve_residual <= 1e-8
 
@@ -735,9 +752,9 @@ def test_assembly_builds_one_offsets_set(c8, monkeypatch, level):
     counts = {"sets": 0, "lattices": 0}
     init, lattice = Displacements.__init__, collocation._lattice
 
-    def counting_init(self, *args):
+    def counting_init(self, *args, **kwargs):
         counts["sets"] += 1
-        init(self, *args)
+        init(self, *args, **kwargs)
 
     def counting_lattice(*args):
         counts["lattices"] += 1
@@ -1134,11 +1151,12 @@ def test_mirror_pair_fallbacks_keep_the_bits(c8, rng, monkeypatch, case):
 
 
 def table_work(monkeypatch, evaluate_batch, x):
-    """(evaluate_batch(x), the power tables built, the powers taken on a
-    table): `np.power` on a table is the one call in `radial` that writes
-    no block, so it has no ``out``."""
-    builds, powers = [], []
-    table = radial.Columns.table
+    """(evaluate_batch(x), the axes of the power tables built, each with
+    whether a call plan built it, the powers taken on a table): `np.power`
+    on a table is the one call in `radial` that writes no block, so it has
+    no ``out``."""
+    builds, powers, planning = [], [], []
+    power_tables, init = radial.Columns.power_tables, collocation._CallPlan.__init__
 
     class CountingNumpy:
         def __getattr__(self, name):
@@ -1150,13 +1168,20 @@ def table_work(monkeypatch, evaluate_batch, x):
                 powers.append(n)
             return np.power(a, n, *args, **kwargs)
 
-    def counting_table(self, rows, axis, *args):
-        builds.append(axis)
-        return table(self, rows, axis, *args)
+    def counting_tables(self, *args):
+        tables = power_tables(self, *args)
+        builds.extend((axis, bool(planning)) for axis, table in enumerate(tables) if table)
+        return tables
+
+    def plan(self, *args):
+        planning.append(self)
+        init(self, *args)
+        planning.pop()
 
     with monkeypatch.context() as patched:
         patched.setattr(radial, "np", CountingNumpy())
-        patched.setattr(radial.Columns, "table", counting_table)
+        patched.setattr(radial.Columns, "power_tables", counting_tables)
+        patched.setattr(collocation._CallPlan, "__init__", plan)
         fields = evaluate_batch(x)
     return fields, sorted(builds), sorted(powers)
 
@@ -1165,9 +1190,10 @@ def table_work(monkeypatch, evaluate_batch, x):
 def test_power_tables_are_built_once_per_call(c8, rng, monkeypatch, batch):
     # velocity and the pressure gradient against the level-4 centres read
     # x^n and y^n at n = 3 and 4 in the interior set only: one table per
-    # axis and one power per axis and n in a call, whether the call has
-    # one slab, whose set builds its own table, or the 5 slabs of the 24^2
-    # grid, whose sets gather from the call's tables (they built 10 and 20)
+    # axis and one power per axis and n in a call, built by its call plan,
+    # whether the call has one slab or the 5 slabs of the 24^2 grid, whose
+    # sets all gather from the call's tables (a table per set built 10 and
+    # 20)
     sol = random_solution(c8, 4, rng)
     x = {"grid-24": gauss_legendre_grid(24)[0], "grid-4": gauss_legendre_grid(4)[0],
          "one point": rng.random((1, 2))}[batch]
@@ -1176,15 +1202,39 @@ def test_power_tables_are_built_once_per_call(c8, rng, monkeypatch, batch):
         return evaluate_fields(sol, points, ("velocity", "pressure-gradient"))
 
     _, builds, powers = table_work(monkeypatch, evaluate_batch, x)
-    assert builds == [0, 1]
+    assert builds == [(0, True), (1, True)]
     assert powers == [3, 3, 4, 4]
+
+
+def test_slabs_build_the_tables_too_large_for_the_call(c8, rng, monkeypatch):
+    # 3000 random points against the level-4 centres: the call's table of
+    # 3000 distinct x or y against 33 is more than half a 128-row slab's
+    # block, so each of the 24 slabs builds its own tables, two per set
+    # (one per axis) and 4 powers (x^3, x^4, y^3, y^4), not one power per
+    # block; the fields keep the bits of sets without tables
+    sol = random_solution(c8, 4, rng)
+    x = rng.random((3000, 2))
+    assert len(call_plan(x, sol.pointset).slabs) == 24
+
+    def evaluate_batch(points):
+        return evaluate_fields(sol, points, ("velocity", "pressure-gradient"))
+
+    got, builds, powers = table_work(monkeypatch, evaluate_batch, x)
+    assert builds == [(0, False)] * 24 + [(1, False)] * 24
+    assert powers == [3] * 48 + [4] * 48
+    with monkeypatch.context() as patched:
+        patched.setattr(radial.Columns, "power_tables", lambda self, *args: (None, None))
+        expected = evaluate_batch(x)
+    for field, other in zip(got, expected, strict=True):
+        assert field.tobytes() == other.tobytes()
 
 
 @pytest.mark.parametrize("levels", [[4], [1, 2, 3]])
 def test_call_tables_keep_the_bits_of_one_slab_per_call(c8, rng, monkeypatch, levels):
     # every field of every request on a grid of several slabs, whose sets
-    # read the call's power tables, is bit-equal to its points evaluated one slab per call
-    # in the batch's order, each set with its own tables
+    # read the call's power tables, is bit-equal to its points evaluated
+    # one slab per call in the batch's order by sets without tables, which
+    # take every power on their blocks
     solutions = [random_solution(c8, level, rng) for level in levels]
     x = gauss_legendre_grid(30)[0]
     requests = list(collocation._FIELD_ROWS)
@@ -1194,7 +1244,10 @@ def test_call_tables_keep_the_bits_of_one_slab_per_call(c8, rng, monkeypatch, le
 
     got, builds, _ = table_work(monkeypatch, evaluate_batch, x)
     assert len(call_plan(x, *(s.pointset for s in solutions)).slabs) > 1
-    assert builds == [0, 0, 1, 1]  # per axis, the interior and the boundary set
-    expected = unpaired_chunks(monkeypatch, evaluate_batch, x)
+    # per axis, the interior and the boundary set
+    assert builds == [(0, True), (0, True), (1, True), (1, True)]
+    with monkeypatch.context() as patched:
+        patched.setattr(radial.Columns, "power_tables", lambda self, *args: (None, None))
+        expected = unpaired_chunks(monkeypatch, evaluate_batch, x)
     for field, other in zip(got, expected, strict=True):
         assert field.tobytes() == other.tobytes()

@@ -1,7 +1,9 @@
+import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
+import sympy
 
 from stokesrbf.radial import (
     BufferPool,
@@ -101,9 +103,9 @@ def test_inside_block_matches_masked_evaluation(c8, rng):
     # overwritten afterwards, keep theirs too.  Both keep every bit (signed
     # zeros included) of the plain term sum.  So does the block of each
     # evaluator from one set that they all read, between points on a few
-    # coordinate lines: its powers come
-    # from tables of the distinct coordinate differences, and it has +0 and
-    # -0 displacements and one coincident pair (the exact constant term).
+    # coordinate lines: its powers come from the tables of the distinct
+    # coordinate differences that its maker gives it, and it has +0 and -0
+    # displacements and one coincident pair (the exact constant term).
     dx, dy = rng.uniform(-0.6, 0.6, size=(2, 40, 30))
     dy[:, 0] = 0.0
     dx[:, 1] = -0.0
@@ -117,8 +119,9 @@ def test_inside_block_matches_masked_evaluation(c8, rng):
     orders = [(0, 0), (1, 0), (0, 2), (1, 1), (2, 1), (4, 2), (3, 3), (0, 6)]
     evaluators = [mixed_partial(c8, nx, ny) for nx, ny in orders]
     columns = Columns(cols, scale)
-    shared = Displacements(rows, columns)
-    assert all(columns.table(rows, axis) is not None for axis in (0, 1))
+    tables = columns.power_tables(rows, frozenset(ev.key for ev in evaluators), len(rows))
+    assert all(table is not None and 3 in table[0] for table in tables)
+    shared = Displacements(rows, columns, tables=tables)
     tx, ty = ((rows[:, k, None] - cols[:, k]) * scale for k in (0, 1))
     at_origin = np.hypot(tx, ty) == 0.0
     assert at_origin.sum() == 1
@@ -134,7 +137,7 @@ def test_inside_block_matches_masked_evaluation(c8, rng):
         with np.errstate(divide="ignore", invalid="ignore"):
             expected = plain_term_sum(ev, tx, ty)
         expected[at_origin] = float(ev.origin)
-        assert ev.on(shared).tobytes() == expected.tobytes()
+        assert shared.read(ev.key).tobytes() == expected.tobytes()
 
 
 @pytest.mark.parametrize("nx, ny", [(1, 0), (0, 1), (1, 2), (3, 0)])
@@ -182,6 +185,30 @@ def test_laplacian_matches_radial_formula(c8, rng):
     ]
     got = lap(r, np.zeros_like(r))
     assert np.allclose(got, expected, rtol=1e-12)
+
+
+@pytest.mark.parametrize("psi", [wendland_c8(), wendland_from_integral(2, 3)], ids=["c8", "k3"])
+def test_terms_match_symbolic_derivatives(psi):
+    # every term dict of order at most 4 is the exact derivative of
+    # psi(sqrt(x1^2 + x2^2)): summed as rationals at points of rational r,
+    # inside and outside the support (the terms carry no cutoff), it equals
+    # sympy's derivative there
+    x1, x2 = sympy.symbols("x1 x2", real=True)
+    r = sympy.sqrt(x1**2 + x2**2)
+    profile = sum(sympy.Rational(c.numerator, c.denominator) * r**i
+                  for i, c in enumerate(psi.coeffs))
+    points = [(Fraction(3, 13), Fraction(4, 13)), (Fraction(-8, 51), Fraction(15, 51)),
+              (Fraction(-3, 5), Fraction(-4, 5)), (Fraction(12, 10), Fraction(-5, 10))]
+    for nx in range(5):
+        for ny in range(5 - nx):
+            derivative = sympy.diff(profile, x1, nx, x2, ny) if nx + ny else profile
+            terms = mixed_partial_terms(psi, nx, ny)
+            for x, y in points:
+                rho = Fraction(math.isqrt((x * x + y * y).numerator),
+                               math.isqrt((x * x + y * y).denominator))
+                got = sum(c * x**a * y**b * rho**m for (a, b, m), c in terms.items())
+                exact = derivative.subs({x1: sympy.Rational(str(x)), x2: sympy.Rational(str(y))})
+                assert exact.is_Rational and got == Fraction(int(exact.p), int(exact.q))
 
 
 class TestDerivativeOrder:
@@ -249,10 +276,12 @@ def test_call_tables_keep_signed_zeros(c8):
     # block's own displacements, sign of zero included
     rows = np.array([[0.1, 0.0], [0.2, -0.0], [0.3, 0.25], [-0.0, -0.25]] * 8)
     cols = np.array([[0.0, 0.0], [0.5, -0.0], [0.1, 0.25]])
-    tables = Columns(cols, 1.0).power_tables(rows, [mixed_partial(c8, 0, 3).key], 8)
+    columns = Columns(cols, 1.0)
+    tables = columns.power_tables(rows, frozenset([mixed_partial(c8, 0, 3).key]), 8)
     assert 3 in tables[1][0]
     for at in (slice(0, 8), slice(8, 16), np.arange(31, -1, -3)):
-        part = Displacements(rows[at], cols, 1.0, tables=(tables, at))
+        part = Displacements(rows[at], columns, tables=[
+            table and (table[0], table[1][at], table[2]) for table in tables])
         y = rows[at, 1, None] - cols[:, 1]
         assert (np.signbit(y) & (y == 0.0)).any() and (~np.signbit(y) & (y == 0.0)).any()
         assert part.read(("y", 3)).tobytes() == np.power(y, 3).tobytes()

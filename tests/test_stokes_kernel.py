@@ -8,7 +8,7 @@ from stokesrbf import stokes_kernel
 from stokesrbf.collocation import evaluate_fields
 from stokesrbf.radial import Displacements
 from stokesrbf.stokes_kernel import (StokesKernelConfig, _parts, displacements,
-                                     kernel_block)
+                                     kernel_block, vanishes)
 from stokesrbf.wendland import wendland_from_integral
 
 POINT = (0.3, 0.4)
@@ -129,6 +129,9 @@ class TestBasisColumn:
         assert u1 != 0.0
 
     def test_divergence_is_exactly_zero(self, unit_config, rng):
+        # the divergence row's terms cancel exactly in the term algebra, so
+        # that its blocks vanish by construction against every column
+        assert all(vanishes(unit_config, ("divergence", 0), col) for col in stokes_kernel._COLUMNS)
         for col in (("pde", 1), ("dirichlet", 1)):
             for _ in range(20):
                 x = rng.uniform(0, 1, 2)
@@ -266,6 +269,22 @@ class TestValidation:
             warnings.simplefilter("error", np.exceptions.ComplexWarning)
             displacements(unit_config, xa, xb)
 
+    def test_rejects_configs_and_point_sets_of_other_counts(self, c8, rng):
+        # two configs against three centre sets gave a set of two runs whose
+        # blocks failed with a broadcast error, and no configs raised
+        # IndexError or "need at least one array to concatenate": a set's
+        # columns need a point set and one config per point set
+        cfgs = [StokesKernelConfig(c8, c8, delta=delta) for delta in (0.9, 0.5, 0.3)]
+        xa = rng.uniform(0, 1, (5, 2))
+        xbs = list(rng.uniform(0, 1, (3, 4, 2)))
+        pair = ("pde", 1), ("pde", 2)
+        for calls in ((displacements, (cfgs[:2], xa, xbs)), (displacements, (cfgs, xa, xbs[:2])),
+                      (displacements, ([], xa, [])), (stokes_kernel.columns, (cfgs, xbs[1:])),
+                      (kernel_block, (cfgs[:2], *pair, xa, xbs)),
+                      (kernel_block, ([], *pair, xa, []))):
+            with pytest.raises(ValueError, match="one scale per point set"):
+                calls[0](*calls[1])
+
     def test_shared_displacements_keep_each_block(self, unit_config, rng):
         # one set read by several pairs, one of them twice, gives each the
         # bits of its own block; part of the block lies outside the support
@@ -304,7 +323,7 @@ class TestValidation:
         # The squares, which several monomials and radials read, are kept
         cfg = unit_config.rescaled(0.7)
         xa, xb = rng.uniform(0, 1, (2, 30, 2))
-        shared = Displacements(xa, xb, 1 / cfg.delta)
+        shared = displacements(cfg, xa, xb)
         made = Counter()
         make = Displacements._make
 
@@ -395,12 +414,15 @@ class TestValidation:
                 for nu, delta in ((1.0, 0.9), (0.5, 0.3), (2.0, 1.7))]
         xa = rng.uniform(0, 1, (9, 2))
         xa[4] = xbs[1][10]
-        shared = displacements(cfgs, xa, xbs)
-        assert len(shared.runs) == 3 and shared.read(("t", "x")) is not None
-        for row, col in [(("pde", 1), ("pde", 2)), (("pde", 2), ("pde", 2)),
-                         (("velocity", 1), ("dirichlet", 2)),
-                         (("pressure_grad", 2), ("pde", 1)), (("divergence", 0), ("pde", 1)),
-                         (("pressure_grad", 1), ("dirichlet", 1))]:
+        pairs = [(("pde", 1), ("pde", 2)), (("pde", 2), ("pde", 2)),
+                 (("velocity", 1), ("dirichlet", 2)),
+                 (("pressure_grad", 2), ("pde", 1)), (("divergence", 0), ("pde", 1)),
+                 (("pressure_grad", 1), ("dirichlet", 1))]
+        columns = stokes_kernel.columns(cfgs, xbs)
+        tables = columns.power_tables(xa, stokes_kernel.evaluator_keys(cfgs[0], pairs), len(xa))
+        shared = Displacements(xa, columns, tables=tables)
+        assert len(shared.runs) == 3 and tables[0] is not None
+        for row, col in pairs:
             alone = np.concatenate([kernel_block(cfg, row, col, xa, xb)
                                     for cfg, xb in zip(cfgs, xbs)], axis=1)
             assert kernel_block(cfgs, row, col, shared, xbs).tobytes() == alone.tobytes()
