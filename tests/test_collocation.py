@@ -1,4 +1,5 @@
 import dataclasses
+import errno
 import mmap
 import os
 import signal
@@ -7,6 +8,7 @@ import sys
 import threading
 import tracemalloc
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -532,6 +534,28 @@ def test_small_delta_gives_local_block_structure(c8, problem):
     solve(system)  # SPD factorization succeeds
 
 
+@pytest.mark.parametrize("far", [[1e100, 0.5], [1e200, 0.5], [-1e308, 0.2], [1e300, 1e300],
+                                 [1.7e308, 1.7e308], [-1.7e308, 1.7e308]])
+@pytest.mark.parametrize("n", [1, 3, "three slabs"])
+def test_far_points_evaluate_to_zero_without_a_warning(two_level_model, rng, far, n):
+    # a point far outside every support has only zero sums, though its
+    # displacements, their power tables and the lattice tests overflow on
+    # the way; no warning may escape, and the other points keep the bits
+    # they have beside a point outside every support that overflows nothing
+    if n == "three slabs":
+        n = 2 * slab_rows(two_level_model.levels[1].pointset) + 45
+    x = rng.uniform(0, 1, (n, 2))
+    outside = x.copy()
+    x[::7], outside[::7] = far, (1e6, 0.5)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for request in collocation._FIELD_ROWS:
+            fields = evaluate_levels(two_level_model.levels, x, request)
+            assert np.all(fields[:, ::7] == 0.0)
+            expected = evaluate_levels(two_level_model.levels, outside, request)
+            assert fields.tobytes() == expected.tobytes()
+
+
 def test_outside_support_evaluates_to_zero(c8, problem):
     ps = make_level_pointset(1)
     kernel = StokesKernelConfig(c8, c8, nu=1.0, delta=0.1)
@@ -539,6 +563,19 @@ def test_outside_support_evaluates_to_zero(c8, problem):
     x = (0.125, 0.125)  # cell centre: distance to nearest centre > delta
     vel, pres = evaluate(sol, x)
     assert np.all(vel == 0.0) and pres == 0.0
+
+
+@pytest.mark.parametrize("matrix", [np.ones(5), np.ones((2, 3, 4)), np.ones((2, 2)) + 1j,
+                                    np.array([[1.0, np.nan]])],
+                         ids=["1-d", "3-d", "complex", "nan"])
+def test_write_matrix_rejects_what_it_cannot_write(tmp_path, matrix):
+    # the header holds two dimensions of float64 rows: a (5,) array got an
+    # 8-byte header, a (2, 3, 4) array a 24-byte one, and a complex matrix
+    # lost its imaginary part
+    path = tmp_path / "matrix.bin"
+    with pytest.raises(ValueError, match="matrix"):
+        write_matrix(matrix, path)
+    assert not path.exists()
 
 
 def test_write_matrix_roundtrip(tmp_path, level1_system):
@@ -947,6 +984,88 @@ def test_no_worker_thread_outlives_its_call():
     out = subprocess.run([sys.executable, "-c", script], env=env,
                          capture_output=True, text=True, timeout=120, check=True)
     assert out.stdout.strip() == "1"
+
+
+def record_maps(monkeypatch, failing=False):
+    """Patch mmap.mmap to record every map made: a dict of its address,
+    length, flags and the options it was advised, and a weak reference to
+    it.  With ``failing``, every madvise raises OSError (EINVAL)."""
+    maps = []
+
+    class RecordingMap(mmap.mmap):
+        def __new__(cls, fileno, length, *args, **kwargs):
+            made = super().__new__(cls, fileno, length, *args, **kwargs)
+            made.record = {"address": np.frombuffer(made, np.uint8, 1).ctypes.data,
+                           "length": length, "flags": kwargs.get("flags", mmap.MAP_SHARED),
+                           "advised": []}
+            maps.append((made.record, weakref.ref(made)))
+            return made
+
+        def madvise(self, option, *args):
+            self.record["advised"].append(option)
+            if failing:
+                raise OSError(errno.EINVAL, "madvise")
+            return super().madvise(option, *args)
+
+    monkeypatch.setattr(mmap, "mmap", RecordingMap)
+    return maps
+
+
+def level4_grid_call(c8, rng):
+    """A level-4 solution and the first 20 slabs of the 100^2 grid."""
+    return random_solution(c8, 4, rng), gauss_legendre_grid(100)[0][:20 * collocation._SLAB]
+
+
+def test_slab_buffers_are_carved_from_private_huge_page_maps(c8, rng, monkeypatch):
+    # the pools of a call's workers carve whole pages from private maps,
+    # each aligned to 2 MB and advised onto huge pages; no two live
+    # buffers overlap, and no map outlives the call
+    sol, x = level4_grid_call(c8, rng)
+    maps, buffers = record_maps(monkeypatch), []
+    carve = radial.PageArena.carve
+
+    def recording_carve(arena, size):
+        buf = carve(arena, size)
+        start = buf.ctypes.data
+        for other in buffers:
+            if other() is not None:
+                assert not np.shares_memory(buf, other())
+        buffers.append(weakref.ref(buf))
+        assert start % mmap.PAGESIZE == 0 and len(buf) % mmap.PAGESIZE == 0
+        assert len(buf) >= size
+        owners = [record for record, _ in maps
+                  if record["address"] <= start and start + len(buf) <= record["address"]
+                  + record["length"]]
+        assert len(owners) == 1
+        owners[0].setdefault("carved", []).append(start)
+        return buf
+
+    monkeypatch.setattr(radial.PageArena, "carve", recording_carve)
+    evaluate_fields(sol, x, ("velocity", "pressure-gradient"))
+    assert len(buffers) > 2 * collocation._WORKERS and maps
+    for record, alive in maps:
+        assert alive() is None
+        assert record["flags"] & mmap.MAP_PRIVATE and not record["flags"] & mmap.MAP_SHARED
+        assert record["advised"] == [mmap.MADV_HUGEPAGE]
+        assert record["carved"][0] % (2 << 20) == 0
+    assert all(buf() is None for buf in buffers)
+
+
+@pytest.mark.parametrize("advice", ["fails", "missing"])
+def test_maps_without_huge_pages_keep_the_bits(c8, rng, monkeypatch, advice):
+    # where madvise raises OSError, or mmap has no MADV_HUGEPAGE, the map is
+    # a plain private one, and every field keeps its bits
+    sol, x = level4_grid_call(c8, rng)
+    requests = ("velocity", "pressure-gradient")
+    expected = evaluate_fields(sol, x, requests)
+    if advice == "missing":
+        monkeypatch.setattr(radial, "_MADV_HUGEPAGE", None)
+    maps = record_maps(monkeypatch, failing=True)
+    got = evaluate_fields(sol, x, requests)
+    assert maps and all(record["advised"] == ([mmap.MADV_HUGEPAGE] if advice == "fails" else [])
+                        for record, _ in maps)
+    for field, reference in zip(got, expected):
+        assert field.tobytes() == reference.tobytes()
 
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")

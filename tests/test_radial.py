@@ -1,4 +1,7 @@
 import math
+import mmap
+import sys
+import threading
 from fractions import Fraction
 
 import numpy as np
@@ -9,6 +12,7 @@ from stokesrbf.radial import (
     BufferPool,
     Columns,
     Displacements,
+    PageArena,
     RadialTermEvaluator,
     diff_x,
     diff_y,
@@ -249,23 +253,52 @@ def test_terms_expansion_shape(c8):
 
 def test_buffer_pool_reuses_only_unreferenced_buffers():
     # a buffer is handed out again only once no array or view of it is
-    # alive, and only to an array that fits in it
-    pool = BufferPool()
-    first = pool.empty((4, 5))
+    # alive, and only to an array that fits in it; buffers are carved in
+    # whole pages, so the shapes count floats per page
+    page = mmap.PAGESIZE // 8
+    pool = BufferPool(PageArena())
+    first = pool.empty((4, page))
     view = first[1:].view(np.int64)
     del first
-    second = pool.empty((4, 5))  # the first buffer is still viewed
+    second = pool.empty((4, page))  # the first buffer is still viewed
     assert not np.shares_memory(second, view)
     del view
-    third = pool.empty((5, 5))  # larger than the free first buffer
-    fourth = pool.empty((2, 5), bool)  # fits in the first buffer
+    third = pool.empty((5, page))  # larger than the free first buffer
+    fourth = pool.empty((2, page), bool)  # fits in the first buffer
     del second
     fifth = pool.empty((4, 4))
     arrays = [third, fourth, fifth]
     for k, a in enumerate(arrays):
         assert not any(np.shares_memory(a, b) for b in arrays[k + 1:])
     assert len(pool._buffers) == 3
-    assert (fourth.shape, fourth.dtype, fifth.shape, fifth.dtype) == ((2, 5), bool, (4, 4), float)
+    assert [len(buf) for buf in pool._buffers] == [4 * mmap.PAGESIZE] * 2 + [5 * mmap.PAGESIZE]
+    assert (fourth.shape, fourth.dtype, fifth.shape, fifth.dtype) == (
+        (2, page), bool, (4, 4), float)
+
+
+def test_arena_carves_disjoint_buffers_for_many_threads():
+    # the workers of a call share one arena: with more threads than cores
+    # and a short switch interval, a lost update of the free offset would
+    # hand two threads overlapping buffers
+    arena, buffers = PageArena(), []
+
+    def carve():
+        buffers.extend(arena.carve(1 + k % 2 * mmap.PAGESIZE) for k in range(4000))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=carve) for _ in range(8)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+        assert not any(thread.is_alive() for thread in threads)
+    finally:
+        sys.setswitchinterval(interval)
+    spans = sorted((buf.ctypes.data, buf.ctypes.data + len(buf)) for buf in buffers)
+    assert len(spans) == 8 * 4000
+    assert all(stop <= start for (_, stop), (start, _) in zip(spans, spans[1:]))
 
 
 def test_call_tables_keep_signed_zeros(c8):

@@ -56,6 +56,22 @@ MUTANTS = [
            "if vals.shape != (len(points), 2):", "if False:"),
     Mutant("columns-count-never-raises", "src/stokesrbf/radial.py",
            "if not 0 < len(points) == len(scale):", "if False:"),
+    # the refinement, the mirror pairs, the sums and the column plan
+    Mutant("one-refinement-step", "src/stokesrbf/collocation.py",
+           "for _ in range(4):", "for _ in range(1):"),
+    Mutant("no-mirror-row-gather", "src/stokesrbf/radial.py",
+           "if self._swap is not None:", "if False:"),
+    Mutant("sum-copies-first-term", "src/stokesrbf/radial.py",
+           "acc if k else 0.0", "acc if k else -0.0"),
+    Mutant("stale-plan-after-append", "src/stokesrbf/collocation.py",
+           "if plan is None or len(plan.levels) != len(levels) or any(",
+           "if plan is None or any("),
+    # the slab buffers: carved without overlap, reused only when idle
+    Mutant("carve-offset-not-advanced", "src/stokesrbf/radial.py",
+           "start, self._free = self._free, self._free + size",
+           "start, self._free = self._free, self._free"),
+    Mutant("pool-idle-off-by-one", "src/stokesrbf/radial.py",
+           "sys.getrefcount(buf) == _IDLE_REFS", "sys.getrefcount(buf) <= _IDLE_REFS + 1"),
     # the input rules of `geometry`
     Mutant("real-finite-takes-complex", "src/stokesrbf/geometry.py",
            "if np.iscomplexobj(values):", "if False:"),
