@@ -26,7 +26,8 @@ from .collocation import (
     evaluate,  # unused here; the traced benchmark run (perfbench/layers.py) hooks it
     evaluate_fields,
 )
-from .geometry import check_memory, integer_count, point_batch
+from .geometry import (check_dense, check_memory, integer_count, make_level_pointset,
+                       point_batch, positive_finite)
 from .multiscale import MultiscaleConfig, MultiscaleModel, evaluate_model, run
 
 __all__ = [
@@ -62,7 +63,8 @@ class ManufacturedSolution:
 
 
 def trig_stokes_problem(nu: float = 1.0) -> ManufacturedSolution:
-    """The manufactured solution of the reproduction experiment."""
+    """The manufactured solution for a `geometry.positive_finite` viscosity ``nu``."""
+    positive_finite(nu=nu)
 
     def u(pts):
         x1, x2 = point_batch(pts).T
@@ -236,10 +238,13 @@ def run_experiment(
     grid (as in the original experiment, which estimated both norms on one
     tensor product grid), after the level loop: no matrix is then alive.
     Raises ValueError, before any work, unless ``quad_points`` is a
-    `geometry.integer_count` >= 2 (see `gauss_legendre_grid`) and
-    ``eigen_levels`` one >= 0.
+    `geometry.integer_count` >= 2 (see `gauss_legendre_grid`),
+    ``eigen_levels`` one >= 0, and the top level's matrix fits in memory
+    (`geometry.check_dense`), twice if its eigenvalues copy it.
     """
     integer_count(eigen_levels, "eigen_levels", 0)
+    check_dense(make_level_pointset(config.n_levels), 2 if eigen_levels >= config.n_levels else 1,
+                f"levels up to {config.n_levels}")
     if problem is None:
         problem = trig_stokes_problem(nu=config.nu)
     pts, w = gauss_legendre_grid(quad_points)

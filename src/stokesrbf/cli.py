@@ -19,8 +19,7 @@ from fractions import Fraction
 
 from .analysis import run_experiment, slope_check, trig_stokes_problem
 from .collocation import NotPositiveDefinite, assemble, write_matrix
-from .geometry import (check_memory, export_points_csv, grid_spacing, integer_count,
-                       make_level_pointset)
+from .geometry import export_points_csv, grid_spacing, make_level_pointset
 from .multiscale import PROFILE, MultiscaleConfig, scale_schedule
 from .radial import mixed_partial
 from .stokes_kernel import StokesKernelConfig
@@ -33,19 +32,6 @@ REFERENCE_VELOCITY_L2 = (1.592e-02, 6.498e-04, 3.274e-05, 1.650e-06, 1.028e-07)
 REFERENCE_VELOCITY_LINF = (2.740e-02, 2.233e-03, 1.462e-04, 8.268e-06, 4.579e-07)
 REFERENCE_PRESSURE_GRAD_L2 = (1.112e00, 1.222e-01, 1.235e-02, 2.561e-03, 5.612e-04)
 REFERENCE_PRESSURE_GRAD_LINF = (4.209e00, 3.338e-01, 1.048e-01, 3.650e-02, 1.211e-02)
-
-
-def check_dense_size(level: int, copies: int) -> None:
-    """Raise ValueError unless ``level`` is a `geometry.integer_count` >= 1
-    and ``copies`` dense n x n matrices -- 8 n^2 bytes each for
-    n = 2((2^(L+1) + 1)^2 + 2^(L+3)) unknowns, 2434 at level 4 and 8962 at
-    level 5 -- fit in physical memory.  `collocation.solve` factorizes in
-    place, so ``dump-matrix`` and ``run`` need one; ``run`` needs two if it
-    measures its top level's eigenvalues, which copy the matrix (two copies
-    of a lower level take less room)."""
-    level = integer_count(level, "levels", 1)
-    n = 2 * ((2 ** (level + 1) + 1) ** 2 + 2 ** (level + 3))
-    check_memory(8 * n * n * copies, f"levels up to {level}, in {copies} dense {n} x {n} matrices,")
 
 
 def check_output_paths(*paths) -> None:
@@ -73,10 +59,6 @@ class RunConfig:
     eigen_levels: int = _EXPERIMENT["eigen_levels"].default
     out_csv: str = "report.csv"
     out_summary: str = "summary.txt"
-
-    def validate(self):
-        """Memory alone: `MultiscaleConfig` and `run_experiment` check the rest first."""
-        check_dense_size(self.levels, copies=2 if self.eigen_levels >= self.levels else 1)
 
 
 def parse_config_file(path) -> dict[str, str]:
@@ -110,12 +92,7 @@ def build_run_config(args) -> RunConfig:
             values[name] = flag
     for name, value in values.items():
         setattr(config, name, type(getattr(config, name))(value))
-    config.validate()
     return config
-
-
-def _fmt(x: float) -> str:
-    return f"{x:.3e}"
 
 
 def cmd_run(args) -> int:
@@ -130,7 +107,7 @@ def cmd_run(args) -> int:
     model, report = run_experiment(
         ms_config,
         quad_points=config.quad_points,
-        eigen_levels=min(config.eigen_levels, config.levels),
+        eigen_levels=config.eigen_levels,
     )
     report.to_csv(config.out_csv)
     summary = _summary_text(config, report)
@@ -173,7 +150,7 @@ def _summary_text(config: RunConfig, report) -> str:
         pairs = sorted(report.condition_numbers.items())
         lines.append(
             "condition numbers: "
-            + "  ".join(f"level {j}: {_fmt(k)}" for j, k in pairs)
+            + "  ".join(f"level {j}: {k:.3e}" for j, k in pairs)
         )
         if len(pairs) >= 2:
             hs = [grid_spacing(j) for j, _ in pairs]
@@ -238,13 +215,12 @@ def cmd_dump_points(args) -> int:
 
 
 def cmd_dump_matrix(args) -> int:
-    check_dense_size(args.level, copies=1)
     check_output_paths(args.out)
+    pointset = make_level_pointset(args.level)
     config = MultiscaleConfig(n_levels=args.level, beta=args.beta,
                               tau=args.tau, nu=args.nu)
     # an explicit --delta, even a bad one, is passed on for the kernel to check
     delta = scale_schedule(config)[-1] if args.delta is None else args.delta
-    pointset = make_level_pointset(args.level)
     kernel = StokesKernelConfig(PROFILE, PROFILE, nu=args.nu, delta=delta)
     problem = trig_stokes_problem(nu=args.nu)
     system = assemble(pointset, kernel, problem.f, problem.g)

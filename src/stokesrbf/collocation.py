@@ -24,7 +24,7 @@ from typing import NamedTuple
 import numpy as np
 from scipy.linalg import LinAlgError, cho_factor, cho_solve
 
-from .geometry import LevelPointSet, point_batch, real_finite
+from .geometry import LevelPointSet, check_dense, point_batch, real_finite
 from .radial import FRESH, BufferPool, Columns, Displacements, PageArena, swap_index
 from .stokes_kernel import DIRICHLET, PDE, StokesKernelConfig
 from .stokes_kernel import columns as centre_columns
@@ -161,8 +161,10 @@ def assemble(
     not `geometry.real_finite` or not of that shape raise ValueError.  The
     matrix is column-major, the layout that LAPACK factorizes in place
     (`solve`), and read-only, so that no edit leaves it apart from its
-    tables.
+    tables.  Raises ValueError, before it is allocated, unless it fits in
+    memory (`geometry.check_dense`).
     """
+    check_dense(pointset, 1, "the system")
     total = pointset.n_functionals
     # zeros: a pair whose kernel vanishes gets no block (`_slab_blocks`)
     matrix = np.zeros((total, total), order="F")

@@ -13,8 +13,8 @@ convergence and stability analysis; the level loop never reads them, so
 they are measured on demand rather than stored with each level.
 
 The input rules of every public entry live here, in the one module that
-imports nothing from the package: `real_finite`, `point_batch`,
-`integer_count`, `check_memory`.
+imports nothing from the package: `real_finite`, `positive_finite`,
+`point_batch`, `integer_count`, `check_memory` and `check_dense`.
 """
 
 from __future__ import annotations
@@ -29,12 +29,14 @@ __all__ = [
     "EmptyPointSet",
     "SinglePoint",
     "LevelPointSet",
+    "check_dense",
     "check_memory",
     "grid_spacing",
     "integer_count",
     "make_level_pointset",
     "mesh_norm",
     "point_batch",
+    "positive_finite",
     "real_finite",
     "separation_distance",
 ]
@@ -60,6 +62,14 @@ def real_finite(values, name: str) -> np.ndarray:
     if not np.isfinite(values).all():
         raise ValueError(f"{name} with a value that is not finite")
     return values
+
+
+def positive_finite(**values) -> None:
+    """ValueError unless each value is a real number (numpy's too, no bool),
+    positive and finite; the values keep their types (an np.float32 too)."""
+    for name, value in values.items():
+        if isinstance(value, bool) or not isinstance(value, numbers.Real) or not 0 < value < np.inf:
+            raise ValueError(f"{name} must be positive and finite")
 
 
 def point_batch(points, name: str = "points") -> np.ndarray:
@@ -115,6 +125,13 @@ class LevelPointSet:
     @property
     def n_functionals(self) -> int:
         return 2 * (len(self.interior) + len(self.boundary))
+
+
+def check_dense(pointset: LevelPointSet, copies: int, what: str) -> None:
+    """`check_memory` for ``copies`` dense n x n float64 matrices, 8 n^2
+    bytes each, n being the point set's `n_functionals`."""
+    n = pointset.n_functionals
+    check_memory(8 * n * n * copies, f"{what}, in {copies} dense {n} x {n} matrices,")
 
 
 def mesh_norm(points, probe_density: int) -> float:

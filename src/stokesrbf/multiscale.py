@@ -27,8 +27,9 @@ from .collocation import (
     evaluate_levels,
     solve,
 )
-from .geometry import LevelPointSet, grid_spacing, integer_count, make_level_pointset, point_batch
-from .stokes_kernel import StokesKernelConfig, _check_positive
+from .geometry import (LevelPointSet, check_dense, grid_spacing, integer_count,
+                       make_level_pointset, point_batch, positive_finite)
+from .stokes_kernel import StokesKernelConfig
 from .wendland import wendland_c8
 
 __all__ = [
@@ -67,7 +68,7 @@ class MultiscaleConfig:
 
     def __post_init__(self):
         integer_count(self.n_levels, "n_levels", 1)
-        _check_positive(self, "beta", "nu", "tau")  # beta = inf gave infinite supports
+        positive_finite(beta=self.beta, nu=self.nu, tau=self.tau)  # beta = inf: infinite supports
         if not self.tau > 2:
             raise ValueError("tau must exceed 2 for a meaningful schedule")
 
@@ -118,8 +119,10 @@ def run(problem, config: MultiscaleConfig, on_level=None) -> MultiscaleModel:
     ``problem`` provides closed forms ``f(points) -> (n, 2)`` and
     ``g(points) -> (n, 2)``.  ``on_level(index, system, solution)`` is
     called after each solve (used for conditioning measurements); levels
-    are strictly sequential since each depends on all previous.
+    are strictly sequential since each depends on all previous; ValueError
+    first unless the top level's matrix fits (`geometry.check_dense`).
     """
+    check_dense(make_level_pointset(config.n_levels), 1, f"levels up to {config.n_levels}")
     base = StokesKernelConfig(PROFILE, PROFILE, nu=config.nu)
     solved: list[LevelSolution] = []
     for j, delta in enumerate(scale_schedule(config)):

@@ -174,7 +174,7 @@ class PageArena:
         self._free = self._end = 0  # the free part of the map
 
     def carve(self, size: int) -> np.ndarray:
-        """A new uint8 buffer of at least ``size`` bytes."""
+        """A new uint8 buffer of at least ``size`` bytes, whose base is the map (`BufferPool`)."""
         size = -(-max(size, 1) // mmap.PAGESIZE) * mmap.PAGESIZE
         with self._lock:
             if self._end - self._free < size:
@@ -200,7 +200,9 @@ class BufferPool:
     ``empty`` hands out a view of the first buffer that nothing else
     references -- no array or view of it is alive -- and that is large
     enough, and carves a buffer of the requested size from ``arena`` (a
-    `PageArena`) when there is none.  The slabs of a call ask for arrays
+    `PageArena`) when there is none.  A buffer's base must not be an
+    ndarray: numpy points a view's base at the array that owns the memory,
+    so buffers sliced from one array would look idle while in use.  The slabs of a call ask for arrays
     of the same few shapes, so their pages are faulted in once per call
     and worker, not once per array.
 

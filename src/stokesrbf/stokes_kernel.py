@@ -32,7 +32,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .geometry import point_batch
+from .geometry import point_batch, positive_finite
 from .radial import (Columns, Displacements, RadialTermEvaluator, combine, laplacian,
                      mixed_partial_terms)
 from .wendland import WendlandPolynomial
@@ -67,15 +67,6 @@ _COLUMNS = {
 _PSI = {(1, 1): (-1, 0, 2), (2, 2): (-1, 2, 0), (1, 2): (1, 1, 1), (2, 1): (1, 1, 1)}
 
 
-def _check_positive(settings, *names) -> None:
-    """Raises ValueError unless the attributes ``names`` of ``settings`` are
-    positive and finite."""
-    for name in names:
-        value = getattr(settings, name)
-        if not (math.isfinite(value) and value > 0):
-            raise ValueError(f"{name} must be positive and finite")
-
-
 @dataclass(frozen=True)
 class StokesKernelConfig:
     """Kernel data for one level: the two radial profiles, viscosity, scale.
@@ -96,7 +87,7 @@ class StokesKernelConfig:
     def __post_init__(self):
         # an infinite nu or delta turns entries into nan, which the Cholesky
         # solve (check_finite=False) would pass on silently
-        _check_positive(self, "delta", "nu")
+        positive_finite(delta=self.delta, nu=self.nu)
 
     def rescaled(self, delta: float) -> "StokesKernelConfig":
         return StokesKernelConfig(self.psi_vel, self.psi_pre, self.nu, delta)
@@ -151,11 +142,9 @@ def columns(cfg, xb) -> Columns:
     """The points xb as the columns of displacement sets at cfg's scale,
     given to `displacements` as xb: the sets against one such object share
     what depends on the columns alone.  ``cfg`` and ``xb`` may be sequences,
-    as for `displacements`; xb may also be such columns, returned as they
-    are.  Each point set must be a `geometry.point_batch`, and there must be
-    a point set and one config per point set (or ValueError)."""
-    if isinstance(xb, Columns):
-        return xb
+    as for `displacements`.  Each point set must be a `geometry.point_batch`,
+    and there must be a point set and one config per point set (or
+    ValueError)."""
     if isinstance(cfg, StokesKernelConfig):
         return Columns(point_batch(xb, "column points"), 1.0 / cfg.delta)
     return Columns([point_batch(b, "column points") for b in xb], [1.0 / c.delta for c in cfg])
@@ -172,8 +161,7 @@ def displacements(cfg, xa, xb) -> Displacements:
     ``cfg`` may also be a sequence of configs of the same profiles -- the
     levels of a model -- and ``xb`` a sequence of point sets, one per
     config: the set is then of xa against their concatenation, each run of
-    columns at its own config's scale.  xb may also be the `columns` of
-    those point sets at cfg's scale."""
+    columns at its own config's scale."""
     return Displacements(point_batch(xa, "row points"), columns(cfg, xb))
 
 

@@ -16,6 +16,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial
 
+from .geometry import integer_count
+
 __all__ = [
     "NonPolynomialDivision",
     "WendlandPolynomial",
@@ -109,10 +111,7 @@ def wendland_from_integral(d: int, k: int) -> WendlandPolynomial:
     rationals; no quadrature is involved.  The result differs from the
     commonly tabulated closed forms by a positive constant factor.
     """
-    if d < 1:
-        raise ValueError("spatial dimension must be >= 1")
-    if k < 1:
-        raise ValueError("integral form requires smoothness parameter k >= 1")
+    d, k = integer_count(d, "d", 1), integer_count(k, "k", 1)
     ell = d // 2 + k + 1
     acc: dict[int, Fraction] = {}
     for j in range(ell + 1):

@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 
@@ -36,6 +38,30 @@ def level1_system(c8, problem):
 @pytest.fixture(scope="session")
 def level1_solution(level1_system):
     return solve(level1_system)
+
+
+class MemoryProbe:
+    """Physical memory that reads as ``bytes`` (through a patched
+    `os.sysconf`; the machine's own until set), and ``passed``, a stand-in
+    for the first step after a memory guard: it raises ``Passed`` and
+    allocates nothing.  No guard test may allocate what it guards."""
+
+    class Passed(Exception):
+        pass
+
+    def __init__(self):
+        self.bytes = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+
+    @classmethod
+    def passed(cls, *args, **kwargs):
+        raise cls.Passed
+
+
+@pytest.fixture()
+def memory(monkeypatch):
+    probe = MemoryProbe()
+    monkeypatch.setattr(os, "sysconf", lambda name: 1 if name == "SC_PAGE_SIZE" else probe.bytes)
+    return probe
 
 
 @pytest.fixture()

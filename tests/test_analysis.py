@@ -17,6 +17,7 @@ from stokesrbf.analysis import (
     trig_stokes_problem,
 )
 from stokesrbf.collocation import assemble
+from stokesrbf.geometry import make_level_pointset
 from stokesrbf.multiscale import MultiscaleConfig, MultiscaleModel
 
 
@@ -42,6 +43,11 @@ class TestManufacturedSolution:
         pts = rng.uniform(0, 1, size=(1000, 2))
         expected = np.column_stack(f_fn(pts[:, 0], pts[:, 1]))
         assert np.abs(problem.f(pts) - expected).max() <= 1e-10
+
+    @pytest.mark.parametrize("bad", [True, "1", None, 0.0, float("inf")])
+    def test_viscosity_must_be_positive_and_finite(self, bad):
+        with pytest.raises(ValueError, match="nu"):
+            trig_stokes_problem(nu=bad)
 
     def test_momentum_identity_with_viscosity(self, rng):
         problem = trig_stokes_problem(nu=2.5)
@@ -222,6 +228,23 @@ class TestRunExperiment:
         monkeypatch.setattr(analysis, "run", refuse)
         with pytest.raises(ValueError, match="eigen_levels"):
             run_experiment(MultiscaleConfig(n_levels=2), quad_points=10, eigen_levels=bad)
+
+    @pytest.mark.parametrize("level", [1, 2, 3, 4, 5])
+    def test_dense_guard_counts_the_copies(self, monkeypatch, memory, level):
+        # exactly copies * 8 n^2 bytes for the top level's n unknowns pass
+        # and one byte less fails, before any work: the matrix, and the copy
+        # that the eigenvalues take when they reach the top level (by
+        # default the first 3 levels).  The stand-in for the first step
+        # after the guard, the quadrature grid, allocates nothing
+        n = make_level_pointset(level).n_functionals
+        monkeypatch.setattr(analysis, "gauss_legendre_grid", memory.passed)
+        for eigen_levels, copies in ((3, 2 if level <= 3 else 1), (level, 2), (0, 1)):
+            memory.bytes = copies * 8 * n * n
+            with pytest.raises(memory.Passed):
+                run_experiment(MultiscaleConfig(n_levels=level), eigen_levels=eigen_levels)
+            memory.bytes -= 1
+            with pytest.raises(ValueError, match=f"{copies} dense {n} x {n}"):
+                run_experiment(MultiscaleConfig(n_levels=level), eigen_levels=eigen_levels)
 
     def test_report_shape(self, small_experiment):
         model, report = small_experiment

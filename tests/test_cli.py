@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
 
-from stokesrbf import cli
-from stokesrbf.cli import build_run_config, check_dense_size, main, parse_config_file
+from stokesrbf import analysis, cli, collocation
+from stokesrbf.analysis import run_experiment
+from stokesrbf.cli import build_run_config, main, parse_config_file
 from stokesrbf.geometry import make_level_pointset
+from stokesrbf.multiscale import MultiscaleConfig
 
 
 def run_cli(args):
@@ -76,14 +78,18 @@ class TestConfigParsing:
         assert err.value.code == 2
 
     def test_level_guard(self):
+        # the settings carry the levels as given: `run_experiment`, which
+        # the command hands them to, refuses a level-9 run before any work
         class Args:
             config = None
             levels = 9
             beta = nu = tau = quad_points = eigen_levels = None
             out_csv = out_summary = None
 
-        with pytest.raises(ValueError):
-            build_run_config(Args())
+        config = build_run_config(Args())
+        with pytest.raises(ValueError, match="levels up to 9"):
+            run_experiment(MultiscaleConfig(n_levels=config.levels),
+                           eigen_levels=config.eigen_levels)
 
 
 class TestRunCommand:
@@ -308,35 +314,26 @@ class TestDumpMatrixArguments:
         assert not out.exists()
 
 
-class _GuardPassed(Exception):
-    """Raised by the stand-in for the first step after a command's guard."""
-
-
 @pytest.mark.parametrize("level", [1, 2, 3, 4, 5])
-def test_dense_size_guard_counts_the_unknowns(monkeypatch, tmp_path, capsys, level):
+def test_dense_size_guard_counts_the_unknowns(monkeypatch, memory, tmp_path, capsys, level):
     # memory of exactly copies * 8 n^2 bytes passes and one byte less fails
-    # only if the guard's closed-form n is the level's number of unknowns and
-    # it counts the dense copies each command holds: the matrix, which the
-    # solve factorizes in place, and the copy that the eigenvalues of the
-    # top level take (by default the first 3 levels are measured)
+    # the guards that the commands meet in the library: each counts the
+    # level's unknowns and the dense copies that the command holds -- the
+    # matrix, which the solve factorizes in place, and the copy that the
+    # eigenvalues of the top level take (by default the first 3 levels are
+    # measured).  The stand-ins for the first steps after the guards (the
+    # quadrature grid of `run`, the matrix of `dump-matrix`) allocate nothing
     n = make_level_pointset(level).n_functionals
-
-    def passed(*args, **kwargs):
-        raise _GuardPassed
-
-    monkeypatch.setattr(cli.os, "sysconf",
-                        lambda name: 1 if name == "SC_PAGE_SIZE" else memory)
-    monkeypatch.setattr(cli, "run_experiment", passed)
-    monkeypatch.setattr(cli, "make_level_pointset", passed)
+    monkeypatch.setattr(analysis, "gauss_legendre_grid", memory.passed)
+    monkeypatch.setattr(collocation.np, "zeros", memory.passed)
     out = tmp_path / "mat.bin"
     for args, copies in ((["run", "--levels", str(level)], 2 if level <= 3 else 1),
                          (["run", "--levels", str(level), "--eigen-levels", str(level)], 2),
                          (["dump-matrix", "--level", str(level), "--out", str(out)], 1)):
-        memory = copies * 8 * n * n
-        with pytest.raises(_GuardPassed):
+        memory.bytes = copies * 8 * n * n
+        with pytest.raises(memory.Passed):
             run_cli(args)
-        memory -= 1
+        memory.bytes -= 1
         assert run_cli(args) == 2
-        assert capsys.readouterr().err.startswith("error: levels")
-    with pytest.raises(ValueError, match="levels"):
-        check_dense_size(level, copies=1)
+        assert f"{copies} dense {n} x {n} matrices" in capsys.readouterr().err
+    assert not out.exists()

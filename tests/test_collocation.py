@@ -1370,3 +1370,60 @@ def test_call_tables_keep_the_bits_of_one_slab_per_call(c8, rng, monkeypatch, le
         expected = unpaired_chunks(monkeypatch, evaluate_batch, x)
     for field, other in zip(got, expected, strict=True):
         assert field.tobytes() == other.tobytes()
+
+
+@pytest.mark.parametrize("level", [1, 2, 3, 4, 5])
+def test_assemble_refuses_a_matrix_beyond_memory(c8, problem, monkeypatch, memory, level):
+    # exactly 8 n^2 bytes pass and one byte less fails, before the matrix is
+    # allocated: the stand-in for np.zeros allocates nothing
+    pointset = make_level_pointset(level)
+    n = pointset.n_functionals
+    kernel = StokesKernelConfig(c8, c8, delta=scale_schedule(MultiscaleConfig(level))[-1])
+    memory.bytes = 8 * n * n
+    monkeypatch.setattr(collocation.np, "zeros", memory.passed)
+    with pytest.raises(memory.Passed):
+        assemble(pointset, kernel, problem.f, problem.g)
+    memory.bytes -= 1
+    with pytest.raises(ValueError, match=f"1 dense {n} x {n} matrices"):
+        assemble(pointset, kernel, problem.f, problem.g)
+
+
+def test_level3_refinement_stops_at_a_step_that_does_not_lower_the_residual(
+        level3_system, monkeypatch):
+    # every correction is zero, so the first candidate's residual norm
+    # equals the unrefined one (above the target at level 3): a step that
+    # does not lower the norm ends the refinement, after one correction
+    # solve (two cho_solve calls in all; four corrections if a tie passed),
+    # and the unrefined coefficients are returned
+    solves = []
+    real_solve = collocation.cho_solve
+
+    def zero_corrections(factor, rhs, **kwargs):
+        solves.append(real_solve(factor, rhs, **kwargs) if not solves else np.zeros_like(rhs))
+        return solves[-1]
+
+    monkeypatch.setattr(collocation, "cho_solve", zero_corrections)
+    solution = solve(dataclasses.replace(level3_system,
+                                         matrix=level3_system.matrix.copy(order="F")))
+    assert len(solves) == 2
+    assert solution.coefficients.tobytes() == solves[0].tobytes()
+    assert solution.solve_residual > collocation._REFINE_TARGET
+
+
+def test_call_tables_keep_the_signed_zeros_of_the_batch():
+    # the call's power tables are taken on the batch itself: a row at -0.0
+    # against a centre at 0.0 is the displacement -0.0, as in a set without
+    # tables, and not 0.0 as on a copy of the batch plus 0.0
+    x = np.array([[-0.0, 0.3], [0.1, -0.0], [0.7, 0.0], [-0.0, -0.0]])  # off the lattice
+    plan = call_plan(x, make_level_pointset(1))
+    built = 0
+    for (_, columns), tables in plan.powers.items():
+        for axis, table in enumerate(tables):
+            if table is None:
+                continue
+            powers, row_index, col_index = table
+            direct = (x[:, axis, None] - columns.points[None, :, axis]) * columns.scale
+            assert (np.signbit(direct) & (direct == 0.0)).any()
+            assert powers[1][row_index][:, col_index].tobytes() == direct.tobytes()
+            built += 1
+    assert built

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from stokesrbf import collocation
+from stokesrbf import collocation, multiscale
 from stokesrbf.cli import REFERENCE_DELTAS
 from stokesrbf.collocation import (
     LevelSolution,
@@ -66,6 +66,17 @@ class TestSchedule:
         # tau = inf, which gave delta_j = beta h_j
         with pytest.raises(ValueError):
             MultiscaleConfig(**{"n_levels": 2, **bad})
+
+    @pytest.mark.parametrize("name", ["beta", "nu", "tau"])
+    @pytest.mark.parametrize("bad", [True, "5", None])
+    def test_rejects_what_is_not_a_real_number(self, name, bad):
+        # a bool was taken as 1 and a str or None raised TypeError
+        with pytest.raises(ValueError, match=name):
+            MultiscaleConfig(n_levels=2, **{name: bad})
+
+    def test_keeps_a_numpy_float(self):
+        config = MultiscaleConfig(n_levels=2, nu=np.float32(0.5))
+        assert type(config.nu) is np.float32
 
     def test_takes_numpy_integers(self):
         assert scale_schedule(MultiscaleConfig(n_levels=np.int64(2))) == scale_schedule(
@@ -629,3 +640,29 @@ def test_threads_on_two_models_get_their_own_bits(c8, rng):
     for answers, reference in zip(got, expected):
         assert answers is not None
         assert [a.tobytes() for a in answers] == [b.tobytes() for b in reference]
+
+
+@pytest.mark.parametrize("level", [1, 2, 3, 4, 5])
+def test_run_refuses_levels_beyond_memory_before_the_first(problem, monkeypatch, memory, level):
+    # exactly 8 n^2 bytes for the top level's n unknowns pass and one byte
+    # less fails before the first level is assembled: the stand-in for the
+    # level-1 assembly allocates nothing
+    n = make_level_pointset(level).n_functionals
+    memory.bytes = 8 * n * n
+    monkeypatch.setattr(multiscale, "assemble", memory.passed)
+    with pytest.raises(memory.Passed):
+        run(problem, MultiscaleConfig(n_levels=level))
+    memory.bytes -= 1
+    with pytest.raises(ValueError, match=f"levels up to {level}, in 1 dense {n} x {n}"):
+        run(problem, MultiscaleConfig(n_levels=level))
+
+
+def test_six_levels_are_refused_on_a_machine_of_8_4_gb(problem, monkeypatch, memory):
+    # the level-6 matrix of 34306^2 entries takes 9.4 GB: the run stops
+    # before its first level instead of solving five and failing at the sixth
+    memory.bytes = 8_420_000_000
+    monkeypatch.setattr(multiscale, "assemble", memory.passed)
+    config = MultiscaleConfig(n_levels=6)
+    assert len(scale_schedule(config)) == 6
+    with pytest.raises(ValueError, match="34306 x 34306"):
+        run(problem, config)

@@ -68,17 +68,34 @@ def test_allowed_unused_imports_are_still_unused():
         assert name in _unused_imports(_tree(module))
 
 
-@pytest.mark.parametrize("rule", ["os.sysconf", "np.iscomplexobj", "numbers.Integral"])
+@pytest.mark.parametrize("rule", ["os.sysconf", "np.iscomplexobj", "numbers.Integral",
+                                  "numbers.Real", "8 * n * n"])
 def test_each_input_rule_is_written_once(rule):
-    # the memory guard, the complex-point test and the count test each
-    # live in one module (`geometry`), which every public entry calls
+    # the memory guard, the complex-point test, the count test, the
+    # positive-real test and the bytes of a dense matrix each live in one
+    # module (`geometry`), which every public entry calls
     holders = [module for module in MODULES
                if rule in (PACKAGE_DIR / f"{module}.py").read_text(encoding="utf-8")]
-    assert len(holders) == 1, holders
+    assert holders == ["geometry"]
+
+
+def _private_imports(tree: ast.Module) -> set[str]:
+    """Names starting with ``_`` that ``tree`` imports from the package."""
+    return {alias.name for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom) and node.level > 0
+            for alias in node.names if alias.name.startswith("_")}
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_no_private_names_cross_modules(module):
+    # a rule that another module needs is public where it lives
+    assert not _private_imports(_tree(module))
 
 
 def test_checks_can_fail():
     tree = ast.parse("import os\nfrom math import pi, tau\nx = tau\n")
     assert _unused_imports(tree) == {"os", "pi"}
     assert _declared_all(ast.parse("__all__ = ['a', 'b']\n")) == ["a", "b"]
+    tree = ast.parse("from .a import _b, c\nfrom ._d import e\nfrom os import _exit\n")
+    assert _private_imports(tree) == {"_b"}
 

@@ -1,3 +1,4 @@
+import math
 import warnings
 from collections import Counter
 
@@ -234,6 +235,26 @@ class TestValidation:
             StokesKernelConfig(c8, c8, nu=1.0, delta=bad)
         with pytest.raises(ValueError, match="delta"):
             StokesKernelConfig(c8, c8).rescaled(bad)
+
+    @pytest.mark.parametrize("bad", [True, "1", None, [1.0]])
+    @pytest.mark.parametrize("name", ["delta", "nu"])
+    def test_config_rejects_what_is_not_a_real_number(self, c8, name, bad):
+        # nu = True was kept as 1; a str, None or list raised TypeError
+        with pytest.raises(ValueError, match=name):
+            StokesKernelConfig(c8, c8, **{name: bad})
+
+    def test_config_keeps_a_numpy_float(self, c8):
+        # the rule only checks: an np.float32 nu stays one, with the same
+        # compiled parts and the scales of its own arithmetic
+        nu = np.float32(0.1)
+        cfg = StokesKernelConfig(c8, c8, nu=nu, delta=0.5)
+        plain = StokesKernelConfig(c8, c8, nu=0.1, delta=0.5)
+        assert type(cfg.nu) is np.float32
+        parts, plain_parts = _parts(cfg, ("pde", 1), ("pde", 1)), _parts(plain, ("pde", 1), ("pde", 1))
+        assert [ev for _, ev in parts] == [ev for _, ev in plain_parts]
+        assert [scale for scale, _ in parts] == [
+            math.prod((nu,) * p) * 2.0 ** (2 + m)
+            for p, m, _ in stokes_kernel._compiled_parts(c8, c8, ("pde", 1), ("pde", 1))]
 
     def test_functional_validation(self, unit_config):
         bad_pairs = [

@@ -81,6 +81,19 @@ def test_from_integral_rejects_degenerate_input():
         wendland_from_integral(0, 2)
 
 
+@pytest.mark.parametrize("d,k", [(True, 4), (2, True), (2.0, 4), (2, 4.0)])
+def test_from_integral_takes_integer_counts_only(d, k):
+    # (True, 4) gave the d = 1 profile, (2, True) one tagged k=True, and the
+    # floats raised TypeError
+    with pytest.raises(ValueError):
+        wendland_from_integral(d, k)
+
+
+def test_from_integral_takes_numpy_integers():
+    psi = wendland_from_integral(np.int64(2), 3)
+    assert psi == wendland_from_integral(2, 3) and type(psi.smoothness_k) is int
+
+
 def test_from_integral_small_case():
     psi = wendland_from_integral(2, 1)
     assert psi.degree == 2 * 1 + 3

@@ -13,8 +13,8 @@ passes.  The unmutated copy is run first and must pass.
 Exits 1 when a mutant survives that is not marked equivalent with a
 reason, or when a mutant's text no longer occurs exactly once in its file
 (the source moved on and the mutant must be rewritten), and 2 when the
-unmutated tree fails.  Each run takes about as long as tier-1 (~20 s);
-a killed mutant stops at its first failure.  Uses the standard library
+unmutated tree fails.  Each run takes about as long as tier-1 (~45 s on
+a 2-core x86_64 VM); a killed mutant stops at its first failure.  Uses the standard library
 only, and is not collected by the tests.
 """
 
@@ -82,7 +82,63 @@ MUTANTS = [
            "if not isinstance(n, numbers.Integral)"),
     Mutant("check-memory-never-raises", "src/stokesrbf/geometry.py",
            "if need > have:", "if False:"),
+    # the refinement's acceptance and target, the mirror layout and the call tables
+    Mutant("refinement-accepts-ties", "src/stokesrbf/collocation.py",
+           "if cand_norm >= res_norm:", "if cand_norm > res_norm:"),
+    Mutant("refinement-accepts-any-step", "src/stokesrbf/collocation.py",
+           "if cand_norm >= res_norm:", "if False:"),
+    Mutant("refine-target-1e-6", "src/stokesrbf/collocation.py",
+           "_REFINE_TARGET = 1e-10", "_REFINE_TARGET = 1e-6"),
+    Mutant("swap-is-identity", "src/stokesrbf/radial.py",
+           "swap[by_yx] = by_xy", "swap[by_yx] = by_yx"),
+    Mutant("swap-closure-one-axis", "src/stokesrbf/radial.py",
+           "points[by_yx, 1 - axis]) for axis in (0, 1)",
+           "points[by_yx, 1 - axis]) for axis in (0,)"),
+    Mutant("mirror-layout-any-count", "src/stokesrbf/collocation.py",
+           "swap = None if len(x) % 4 else swap_index(x)", "swap = swap_index(x)"),
+    Mutant("distinct-by-value", "src/stokesrbf/radial.py",
+           "keys = [key.view(np.int64) for key in keys]", "keys = list(keys)"),
+    Mutant("call-tables-on-a-copy", "src/stokesrbf/collocation.py",
+           "row_sets[s][0], of_set.keys,", "row_sets[s][0] + 0.0, of_set.keys,"),
+    Mutant("call-tables-of-any-size", "src/stokesrbf/radial.py",
+           "if 2 * len(distinct) * len(cols) > block_rows * len(self.points):", "if False:"),
+    Mutant("lattice-stride-2n+1", "src/stokesrbf/collocation.py",
+           "ij[:, 0] * (2 * n - 1)", "ij[:, 0] * (2 * n + 1)"),
+    # the functional table, the kernel's block sharing, the system's order
+    Mutant("vanishes-never", "src/stokesrbf/stokes_kernel.py",
+           "return not _parts(cfg, row, col)", "return False"),
+    Mutant("momentum-nu-squared", "src/stokesrbf/stokes_kernel.py",
+           "((i, -1, 1, _LAP), (3, 1, 0, _D[i]))", "((i, -1, 2, _LAP), (3, 1, 0, _D[i]))"),
+    Mutant("pressure-gradient-sign", "src/stokesrbf/stokes_kernel.py",
+           '("pressure_grad", i): ((3, 1, 0, _D[i]),)', '("pressure_grad", i): ((3, -1, 0, _D[i]),)'),
+    Mutant("last-block-any-parts", "src/stokesrbf/stokes_kernel.py",
+           "if xa.last_block is not None and xa.last_block[0] == parts:",
+           "if xa.last_block is not None:"),
+    Mutant("rhs-point-major", "src/stokesrbf/collocation.py",
+           "rhs = np.concatenate([vals.T.ravel() for vals in values])",
+           "rhs = np.concatenate([vals.ravel() for vals in values])"),
+    Mutant("schedule-exponent-2", "src/stokesrbf/multiscale.py",
+           "exponent = 1.0 - 3.0 / (config.tau + 1.0)", "exponent = 1.0 - 2.0 / (config.tau + 1.0)"),
+    # the input rules and memory guards of the library's entries and the CLI
+    Mutant("positive-finite-takes-bool", "src/stokesrbf/geometry.py",
+           "if isinstance(value, bool) or not isinstance(value, numbers.Real)",
+           "if not isinstance(value, numbers.Real)"),
+    Mutant("wendland-d-without-integer-count", "src/stokesrbf/wendland.py",
+           'd, k = integer_count(d, "d", 1), integer_count(k, "k", 1)',
+           'd, k = d, integer_count(k, "k", 1)'),
+    Mutant("assemble-unguarded", "src/stokesrbf/collocation.py",
+           'check_dense(pointset, 1, "the system")', "None"),
+    Mutant("run-unguarded", "src/stokesrbf/multiscale.py",
+           'check_dense(make_level_pointset(config.n_levels), 1, f"levels up to {config.n_levels}")',
+           "None"),
+    Mutant("experiment-counts-one-copy", "src/stokesrbf/analysis.py",
+           "2 if eigen_levels >= config.n_levels else 1", "1"),
+    Mutant("cli-output-directory-unchecked", "src/stokesrbf/cli.py",
+           "if not os.path.isdir(folder):", "if False:"),
     # the published quantities
+    Mutant("norms-without-root", "src/stokesrbf/analysis.py",
+           "return float(np.sqrt(np.sum(w * sq))), float(np.max(np.sqrt(sq)))",
+           "return float(np.sum(w * sq)), float(np.max(np.sqrt(sq)))"),
     Mutant("quadrature-weights-x1.2", "src/stokesrbf/analysis.py",
            "weights = 0.5 * weights", "weights = 0.6 * weights"),
     Mutant("kappa-x2", "src/stokesrbf/analysis.py",
