@@ -16,9 +16,8 @@ import math
 import os
 import re
 import threading
-import weakref
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -95,27 +94,39 @@ def _groups(pointset: LevelPointSet):
     )
 
 
-@dataclass
+@dataclass(init=False, eq=False)
 class CollocationSystem:
     """Symmetric collocation system A alpha = rhs for one level.
 
-    `assemble` stores ``matrix`` column-major and read-only, with its lattice
-    tables, for `solve` to factorize in place; it is A when `solve` is done.
-    Raises ValueError unless ``matrix`` is (n, n) and ``rhs`` (n,), n being
-    the point set's `n_functionals`."""
+    Made by `assemble` on one lattice, it holds the 16 lattice tables of its
+    functional pairs and no dense A, and ``matrix`` gathers A from them on
+    its first read, column-major and read-only.  Given a dense ``matrix``
+    (by hand, `dataclasses.replace`, assignment, or `assemble` off the
+    lattice), it holds that A.  Raises ValueError unless ``matrix`` is
+    (n, n) and ``rhs`` (n,), n being the point set's `n_functionals`."""
 
-    matrix: np.ndarray
     rhs: np.ndarray
     pointset: LevelPointSet
     kernel: StokesKernelConfig
-    # (weak reference to the matrix that `assemble` made, its tables)
-    _lattice_tables: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
-    def __post_init__(self):
-        n = self.pointset.n_functionals
-        if np.shape(self.matrix) != (n, n) or np.shape(self.rhs) != (n,):
+    def __init__(self, matrix, rhs, pointset, kernel, _tables=None):
+        n = pointset.n_functionals
+        if (_tables is None and np.shape(matrix) != (n, n)) or np.shape(rhs) != (n,):
             raise ValueError(f"need a {n} x {n} matrix and {n} right-hand sides, not "
-                             f"{np.shape(self.matrix)} and {np.shape(self.rhs)}")
+                             f"{np.shape(matrix)} and {np.shape(rhs)}")
+        self.rhs, self.pointset, self.kernel = rhs, pointset, kernel
+        self._matrix, self._tables = matrix, _tables
+
+    @property
+    def matrix(self) -> np.ndarray:
+        if self._matrix is None:  # gathered from the tables on the first read
+            self._matrix = _filled(self.size, _tiles(self, float), lower=False)
+            self._matrix.flags.writeable = False
+        return self._matrix
+
+    @matrix.setter
+    def matrix(self, matrix):
+        self._matrix, self._tables = matrix, None
 
     @property
     def size(self) -> int:
@@ -158,30 +169,34 @@ def assemble(
     ``f_data`` and ``g_data`` map an (n, 2) array of points to an (n, 2)
     array of component values; at levels beyond the first they are residual
     evaluators closing over the previously solved levels.  Values that are
-    not `geometry.real_finite` or not of that shape raise ValueError.  The
-    matrix is column-major, the layout that LAPACK factorizes in place
-    (`solve`), and read-only, so that no edit leaves it apart from its
-    tables.  Raises ValueError, before it is allocated, unless it fits in
-    memory (`geometry.check_dense`).
+    not `geometry.real_finite` or not of that shape raise ValueError.  On
+    one lattice, as every level's centres are, the system is its lattice
+    tables and right-hand side (see `CollocationSystem`); off it, A is
+    assembled column-major and read-only.  Raises ValueError, before the
+    tables are made, unless the one dense A that the system's solve or its
+    ``matrix`` holds fits in memory (`geometry.check_dense`).
     """
     check_dense(pointset, 1, "the system")
-    total = pointset.n_functionals
-    # zeros: a pair whose kernel vanishes gets no block (`_slab_blocks`)
-    matrix = np.zeros((total, total), order="F")
     row_sets = [(pts, rows) for pts, rows, _ in _groups(pointset)]
-    plan = _CallPlan([(kernel, pointset)], row_sets)
-    # the first row of each row label in the system
-    starts = dict(zip([row for _, rows in row_sets for row in rows], itertools.accumulate(
-        [len(pts) for pts, rows in row_sets for _ in rows], initial=0)))
+    (tables,) = _tables([(kernel, pointset)], row_sets)
+    matrix = None
+    if len(tables) != 16 or len({entry[1] for entry in tables.values()}) != 1:
+        # not 4 x 4 labels on one lattice: A from the slabs of a `_CallPlan`
+        # (zeros: a pair whose kernel vanishes gets no block, `_slab_blocks`)
+        matrix, tables = np.zeros((pointset.n_functionals,) * 2, order="F"), None
+        plan = _CallPlan([(kernel, pointset)], row_sets)
+        # the first row of each row label in the system
+        starts = dict(zip([row for _, rows in row_sets for row in rows], itertools.accumulate(
+            [len(pts) for pts, rows in row_sets for _ in rows], initial=0)))
 
-    def fill(slab, pool):
-        for _, row, at, cols, block in _slab_blocks(plan, slab, pool):
-            # matrix[rows, cols] = block, in numpy's faster loop order here
-            matrix.T[cols, starts[row] + at.start:starts[row] + at.stop] = block.T
-            del block
+        def fill(slab, pool):
+            for _, row, at, cols, block in _slab_blocks(plan, slab, pool):
+                # matrix[rows, cols] = block, in numpy's faster loop order here
+                matrix.T[cols, starts[row] + at.start:starts[row] + at.stop] = block.T
+                del block
 
-    _run_slabs(fill, plan.slabs)
-    matrix.flags.writeable = False
+        _run_slabs(fill, plan.slabs)
+        matrix.flags.writeable = False
     values = []
     for data, points, name in ((f_data, pointset.interior, "f_data"),
                                (g_data, pointset.boundary, "g_data")):
@@ -190,11 +205,7 @@ def assemble(
             raise ValueError(f"{name} must give ({len(points)}, 2) values, not {vals.shape}")
         values.append(vals)
     rhs = np.concatenate([vals.T.ravel() for vals in values])
-    system = CollocationSystem(matrix=matrix, rhs=rhs, pointset=pointset, kernel=kernel)
-    (own,) = plan.tables
-    if len(own) == 16 and len({entry[1] for entry in own.values()}) == 1:
-        system._lattice_tables = (weakref.ref(matrix), own)  # 4 x 4 labels, one lattice
-    return system
+    return CollocationSystem(matrix, rhs, pointset, kernel, tables)
 
 
 # iterative refinement stops once ||rhs - A alpha|| <= _REFINE_TARGET * ||rhs||
@@ -210,73 +221,21 @@ def solve(system: CollocationSystem) -> LevelSolution:
     Raises NotPositiveDefinite if the factorization fails; that typically
     means the scale is far too large for the point density.
 
-    The matrix that `assemble` made is factorized in place, so the solve
-    holds one dense copy of A: the residuals gather A from extended copies
-    of its lattice tables, and the lower triangle and the diagonal, all that
-    the factor overwrites, are gathered again when the solve returns or
-    raises.  Any other matrix (built by hand, replaced, permuted, off the
-    lattice; `dataclasses.replace` drops the tables) is factorized in a
-    copy, which the residuals read.
+    The solve holds one dense array, a column-major n x n buffer that it
+    fills with the lower triangle and the diagonal of A, all that the factor
+    reads, and factorizes in place; the residuals read A a tile at a time
+    (`_tiles`).  Raises ValueError, before the buffer is allocated, unless
+    it fits in memory (`geometry.check_dense`).
     """
-    matrix, (owner, tables) = system.matrix, system._lattice_tables or (None, None)
-    if owner is None or owner() is not matrix:
-        return _factor_and_refine(
-            system, lambda out, rows, cols: np.copyto(out, matrix[rows, cols]), overwrite=False)
-    matrix.flags.writeable = True
+    check_dense(system.pointset, 1, "the factor")
     try:
-        return _factor_and_refine(system, _table_tile(system.pointset, tables), overwrite=True)
-    finally:
-        _refill_lower(matrix, system.pointset, tables)
-        matrix.flags.writeable = False
-
-
-def _table_tile(pointset: LevelPointSet, tables, dtype=np.longdouble):
-    """tile(out, rows, cols) writing A[rows, cols] into ``out``: with copies
-    of the tables as ``dtype``, on one lattice, end to end in system order,
-    A[i, j] is entry rix[i] - cix[j], gathered through a transposed index."""
-    groups = _groups(pointset)
-    row_labels = [(row, pts) for pts, labels, _ in groups for row in labels]
-    col_labels = [col for _, _, labels in groups for col in labels]
-    (table, lattice, _), *_ = tables.values()
-    flat = np.concatenate([tables[row, col][0] for (row, _), col
-                           in itertools.product(row_labels, col_labels)], dtype=dtype)
-    rix = np.concatenate([a * len(col_labels) * len(table) + _lattice_index(pts, lattice)
-                          for a, (_, pts) in enumerate(row_labels)])
-    cix = np.concatenate([tables[row_labels[0][0], col][2] - b * len(table)
-                          for b, col in enumerate(col_labels)])
-    index = np.empty((_SLAB, _SLAB), np.intp)
-
-    def tile(out, rows, cols):
-        transposed = np.subtract(rix[rows], cix[cols, None],
-                                 out=index[:cols.stop - cols.start, :rows.stop - rows.start])
-        np.take(flat, transposed, mode="clip", out=out.T)
-
-    return tile
-
-
-def _refill_lower(matrix, pointset: LevelPointSet, tables) -> None:
-    """Gathers A from its tables into the lower triangle and the diagonal of
-    ``matrix``, all that cho_factor(lower=True) writes, one _SLAB x _SLAB
-    tile at a time: the tiles that reach the diagonal or lie below it, so
-    that the few entries above the diagonal in a diagonal tile get their
-    own values again, and the strict upper triangle beyond is left as it
-    is."""
-    tile, n = _table_tile(pointset, tables, float), len(matrix)
-    for start in range(0, n, _SLAB):
-        cols = slice(start, min(start + _SLAB, n))
-        for first in range(start, n, _SLAB):
-            rows = slice(first, min(first + _SLAB, n))
-            tile(matrix[rows, cols], rows, cols)
-
-
-def _factor_and_refine(system: CollocationSystem, tile, overwrite: bool) -> LevelSolution:
-    """`solve` after cho_factor(overwrite_a=``overwrite``), reading A by ``tile``."""
-    try:
-        factor = cho_factor(system.matrix, lower=True, overwrite_a=overwrite, check_finite=False)
+        factor = cho_factor(_filled(system.size, _tiles(system, float), lower=True),
+                            lower=True, overwrite_a=True, check_finite=False)
     except LinAlgError as exc:
         match = re.search(r"(\d+)", str(exc))
         pivot = int(match.group(1)) if match else None
         raise NotPositiveDefinite(str(exc), pivot=pivot) from exc
+    tile = _tiles(system, np.longdouble)
     tiles = [slice(start, min(start + _SLAB, system.size)) for start in range(0, system.size, _SLAB)]
     rhs_ld = system.rhs.astype(np.longdouble)
     # a tile of A behind a column that carries each row's partial sum
@@ -314,12 +273,51 @@ def _factor_and_refine(system: CollocationSystem, tile, overwrite: bool) -> Leve
         if cand_norm >= res_norm:
             break
         coeffs, residual, res_norm = candidate, cand_residual, cand_norm
-    return LevelSolution(
-        coefficients=coeffs,
-        pointset=system.pointset,
-        kernel=system.kernel,
-        solve_residual=res_norm / rhs_norm if rhs_norm else res_norm,
-    )
+    return LevelSolution(coeffs, system.pointset, system.kernel,
+                         solve_residual=res_norm / rhs_norm if rhs_norm else res_norm)
+
+
+def _tiles(system: CollocationSystem, dtype):
+    """tile(out, rows, cols) writing A[rows, cols] of ``system`` into
+    ``out``: copied from its dense ``matrix`` if it has no lattice tables.
+    Else, with copies of the tables as ``dtype``, on one lattice, end to end
+    in system order, A[i, j] is entry rix[i] - cix[j], gathered through a
+    transposed index."""
+    tables, groups = system._tables, _groups(system.pointset)
+    if tables is None:
+        matrix = system.matrix
+        return lambda out, rows, cols: np.copyto(out, matrix[rows, cols])
+    row_labels = [(row, pts) for pts, labels, _ in groups for row in labels]
+    col_labels = [col for _, _, labels in groups for col in labels]
+    (table, lattice, _), *_ = tables.values()
+    flat = np.concatenate([tables[row, col][0] for (row, _), col
+                           in itertools.product(row_labels, col_labels)], dtype=dtype)
+    rix = np.concatenate([a * len(col_labels) * len(table) + _lattice_index(pts, lattice)
+                          for a, (_, pts) in enumerate(row_labels)])
+    cix = np.concatenate([tables[row_labels[0][0], col][2] - b * len(table)
+                          for b, col in enumerate(col_labels)])
+    index = np.empty((_SLAB, _SLAB), np.intp)
+
+    def tile(out, rows, cols):
+        transposed = np.subtract(rix[rows], cix[cols, None],
+                                 out=index[:cols.stop - cols.start, :rows.stop - rows.start])
+        np.take(flat, transposed, mode="clip", out=out.T)
+
+    return tile
+
+
+def _filled(n: int, tile, lower: bool) -> np.ndarray:
+    """A column-major n x n array of zeros into which ``tile`` writes A one
+    _SLAB x _SLAB tile at a time: every tile, or if ``lower`` the tiles
+    that reach the diagonal or lie below it, which hold the lower triangle
+    and the diagonal, all that cho_factor(lower=True) reads."""
+    out = np.zeros((n, n), order="F")
+    for start in range(0, n, _SLAB):
+        cols = slice(start, min(start + _SLAB, n))
+        for first in range(start if lower else 0, n, _SLAB):
+            rows = slice(first, min(first + _SLAB, n))
+            tile(out[rows, cols], rows, cols)
+    return out
 
 
 # Lattice tables.  On a dyadic lattice of step h = 2^-k the difference of

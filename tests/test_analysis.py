@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 import sympy
 
-from stokesrbf import analysis
+from stokesrbf import analysis, collocation
 from stokesrbf.analysis import (
     ErrorReport,
     ManufacturedSolution,
@@ -315,6 +315,18 @@ class TestRunExperiment:
         assert len(refs) == 4 and set(report.condition_numbers) == {1, 2}
         # one call per level evaluates both fields
         assert alive == [0] * 2
+
+    def test_run_gathers_no_matrix(self, monkeypatch):
+        # without eigenvalues, every level's solve reads its A from the
+        # lattice tables alone: no level's dense A is gathered
+        def refuse(system):
+            raise AssertionError("A gathered")
+
+        monkeypatch.setattr(collocation.CollocationSystem, "matrix", property(refuse))
+        _, report = run_experiment(MultiscaleConfig(n_levels=3), quad_points=20, eigen_levels=0)
+        assert report.n_levels == 3 and not report.condition_numbers
+        with pytest.raises(AssertionError, match="A gathered"):  # the eigenvalues gather it
+            run_experiment(MultiscaleConfig(n_levels=1), quad_points=20, eigen_levels=1)
 
     def test_run_uses_no_numpy_eigensolver(self, monkeypatch):
         # numpy and scipy each bundle an OpenBLAS whose worker busy-waits

@@ -62,22 +62,28 @@ def test_matrix_symmetric(level1_system):
 
 
 def test_matrix_entries_match_gram(level1_system, c8, problem, monkeypatch):
-    # all 16 group blocks, in the documented order, bit for bit: level 1 is
-    # one point slab; level 3 (289 interior and 64 boundary centres) is one
-    # slab of 384 rows, and three slabs of 128 rows, run on the worker
-    # threads, when the rule is forced to 128 rows; level 4 (1089 and 128)
-    # is nine slabs of 128 rows.  Both multi-slab systems gather their
-    # blocks from lattice tables
+    # all 16 group blocks, in the documented order, bit for bit: levels 1
+    # and 4 are gathered from their lattice tables on the first read of the
+    # matrix.  Off the lattice, the level-3 centres scaled by 0.9 (289
+    # interior and 64 boundary centres) are assembled from one slab of 384
+    # rows, and from three slabs of 128 rows, run on the worker threads,
+    # when the rule is forced to 128 rows
     systems = [level1_system]
     deltas = scale_schedule(MultiscaleConfig(n_levels=4))
-    for level, entries, n_slabs in ((3, collocation._SLAB_ENTRIES, 1), (3, 0, 3),
-                                    (4, collocation._SLAB_ENTRIES, 9)):
-        pointset = make_level_pointset(level)
-        monkeypatch.setattr(collocation, "_SLAB_ENTRIES", entries)
-        assert len(call_plan(pointset.interior, pointset).slabs) == n_slabs
-        kernel = StokesKernelConfig(c8, c8, nu=1.0, delta=deltas[level - 1])
+    level3 = make_level_pointset(3)
+    off = LevelPointSet(interior=0.9 * level3.interior, boundary=0.9 * level3.boundary)
+    for pointset, delta, entries, n_slabs in ((off, deltas[2], collocation._SLAB_ENTRIES, 1),
+                                              (off, deltas[2], 0, 3),
+                                              (make_level_pointset(4), deltas[3], None, 0)):
+        if entries is not None:
+            monkeypatch.setattr(collocation, "_SLAB_ENTRIES", entries)
+            assert len(call_plan(pointset.interior, pointset).slabs) == n_slabs
+        kernel = StokesKernelConfig(c8, c8, nu=1.0, delta=delta)
+        slabs = record_slabs(monkeypatch)
         systems.append(assemble(pointset, kernel, problem.f, problem.g))
         monkeypatch.undo()
+        assert len(slabs) == n_slabs and (systems[-1]._tables is None) == bool(n_slabs)
+    assert level1_system._tables is not None
     for system in systems:
         groups = documented_groups(system.pointset)
         offsets = np.cumsum([0] + [len(pts) for _, _, pts in groups])
@@ -203,6 +209,18 @@ def test_indefinite_column_major_matrix_comes_back(level1_system):
     np.testing.assert_array_equal(matrix.view(np.uint64), before.view(np.uint64))
 
 
+def record_slabs(monkeypatch):
+    """Patch `collocation._slab_blocks` to record the slab of each call."""
+    slabs, real = [], collocation._slab_blocks
+
+    def recording(plan, slab, pool):
+        slabs.append(slab)
+        return real(plan, slab, pool)
+
+    monkeypatch.setattr(collocation, "_slab_blocks", recording)
+    return slabs
+
+
 @pytest.fixture(scope="module")
 def level3_system(problem):
     """The level-3 system of a 3-level run, as `on_level` sees it."""
@@ -214,10 +232,15 @@ def level3_system(problem):
     return systems[2]
 
 
-def test_solve_factorizes_in_place(level3_system, monkeypatch):
-    system = level3_system
-    assert system.matrix.flags.f_contiguous
-    before = system.matrix.copy(order="F")
+def test_solve_factorizes_in_place(level3_system, problem, monkeypatch):
+    # solve allocates one dense array: a column-major n x n buffer, which
+    # holds the lower triangle and the diagonal of A and which cho_factor
+    # overwrites with the factor.  It gathers no A from the tables and holds
+    # no second dense copy, on the heap or in an anonymous map that
+    # tracemalloc does not see: besides the buffer, the refinement's tiles
+    # and its extended copy of the tables take ~0.24 x at level 3
+    system = assemble(level3_system.pointset, level3_system.kernel, problem.f, problem.g)
+    nbytes = 8 * system.size ** 2
     factors, maps = [], []
     real_factor, real_map = collocation.cho_factor, mmap.mmap
 
@@ -229,8 +252,12 @@ def test_solve_factorizes_in_place(level3_system, monkeypatch):
         maps.append(length)
         return real_map(fileno, length, *args, **kwargs)
 
+    def refuse(system):
+        raise AssertionError("solve gathered A")
+
     monkeypatch.setattr(collocation, "cho_factor", recording_factor)
     monkeypatch.setattr(mmap, "mmap", recording_map)
+    monkeypatch.setattr(CollocationSystem, "matrix", property(refuse))
     tracemalloc.start()
     try:
         solution = solve(system)
@@ -239,18 +266,13 @@ def test_solve_factorizes_in_place(level3_system, monkeypatch):
         tracemalloc.stop()
     monkeypatch.undo()
 
-    assert np.shares_memory(factors[0][0], system.matrix)
-    # no second dense copy (1.38 x at a copying factorization) and no saved
-    # lower triangle (0.59 x at level 3), whether on the heap or in an
-    # anonymous map that tracemalloc does not see: the residuals gather A
-    # from the lattice tables, and gathering the overwritten entries again
-    # holds assembly's buffers, ~0.34 x
-    assert peak + sum(maps) < 0.45 * system.matrix.nbytes
-    np.testing.assert_array_equal(system.matrix.view(np.uint64), before.view(np.uint64))
-    assert not system.matrix.flags.writeable
+    ((buffer, lower),) = factors
+    assert lower and buffer.shape == (system.size, system.size) and buffer.flags.f_contiguous
+    assert nbytes <= peak + sum(maps) < 1.45 * nbytes
+    assert system._matrix is None
 
-    # scipy copies a row-major matrix and factorizes the copy: same bits
-    reference = solve(dataclasses.replace(system, matrix=np.ascontiguousarray(before)))
+    # a hand-built row-major A is read through the same tiles: same bits
+    reference = solve(dataclasses.replace(system, matrix=np.ascontiguousarray(system.matrix)))
     assert solution.coefficients.tobytes() == reference.coefficients.tobytes()
     assert solution.solve_residual == reference.solve_residual
 
@@ -300,29 +322,33 @@ def test_level3_refines_until_a_step_is_rejected(problem, monkeypatch):
     assert model.levels[2].solve_residual == pytest.approx(2.659e-10, rel=1e-3)
 
 
-def test_failed_in_place_factorization_gives_a_back(level3_system, monkeypatch):
-    # a factorization that writes over the lower triangle and then fails:
-    # the matrix is A again, bit for bit, when NotPositiveDefinite arrives
-    system = level3_system
-    before = system.matrix.copy(order="F")
+def test_failed_in_place_factorization_gives_a_back(level3_system, problem, monkeypatch):
+    # a factorization that writes over its buffer and then fails: its pivot
+    # reaches the caller in NotPositiveDefinite, and the system's matrix,
+    # gathered afterwards from the tables, is A bit for bit
+    system = assemble(level3_system.pointset, level3_system.kernel, problem.f, problem.g)
+    n = system.size
 
     def failing_factor(matrix, lower, overwrite_a, check_finite):
-        assert overwrite_a and np.shares_memory(matrix, system.matrix)
-        matrix[np.tril_indices(len(matrix))] = np.nan
+        assert overwrite_a and matrix.shape == (n, n) and matrix.flags.f_contiguous
+        matrix[np.tril_indices(n)] = np.nan
         raise collocation.LinAlgError("3-th leading minor not positive definite")
 
     monkeypatch.setattr(collocation, "cho_factor", failing_factor)
     with pytest.raises(NotPositiveDefinite) as err:
         solve(system)
     assert err.value.pivot == 3
-    np.testing.assert_array_equal(system.matrix.view(np.uint64), before.view(np.uint64))
-    assert not system.matrix.flags.writeable
+    assert system._matrix is None
+    np.testing.assert_array_equal(system.matrix.view(np.uint64),
+                                  level3_system.matrix.view(np.uint64))
+    assert system.matrix.flags.f_contiguous and not system.matrix.flags.writeable
 
 
 def test_tables_cannot_go_stale(c8, problem, monkeypatch, rng):
-    # an assembled matrix is read-only, so no in-place edit parts it from
+    # a gathered matrix is read-only, so no in-place edit parts it from
     # its tables; a reassigned matrix, as in acceptance criterion 7's
-    # permutation check, is factorized in a copy and refined from itself
+    # permutation check, drops the tables: its lower triangle is copied
+    # into the factor's buffer, and the residuals read it
     system = assemble(make_level_pointset(1), StokesKernelConfig(c8, c8, nu=1.0, delta=0.6),
                       problem.f, problem.g)
     with pytest.raises(ValueError, match="read-only"):
@@ -803,7 +829,7 @@ def test_assembly_builds_one_offsets_set(c8, monkeypatch, level):
         patched.setattr(collocation, "_lattice", counting_lattice)
         system = assemble(make_level_pointset(level), kernel, zero, zero)
     assert counts == {"sets": 1, "lattices": 4}
-    _, tables = system._lattice_tables
+    tables = system._tables
     assert len(tables) == 16
     for (row, col), (table, (step, _, n), _) in tables.items():
         ticks = np.arange(1 - n, n) * step
@@ -813,14 +839,15 @@ def test_assembly_builds_one_offsets_set(c8, monkeypatch, level):
 
 
 def test_one_plan_per_call(c8, problem, rng, monkeypatch):
-    # an assembly and each evaluation build one `_CallPlan`, with one run of
-    # `_tables`, before their slabs run, and every slab reads that plan: a
-    # level-4 assembly (9 slabs), the 24^2 grid (5 slabs, mirror-paired), 301
-    # random points (3 slabs) and 16 (one slab) against levels 3 and 4
+    # each evaluation builds one `_CallPlan`, with one run of `_tables`,
+    # before its slabs run, and every slab reads that plan: the 24^2 grid
+    # (5 slabs, mirror-paired), 301 random points (3 slabs) and 16 (one
+    # slab) against levels 3 and 4.  A level-4 assembly runs `_tables` once
+    # and builds no plan: the system is its tables
     level4 = make_level_pointset(4)
     kernel = StokesKernelConfig(c8, c8, delta=scale_schedule(MultiscaleConfig(n_levels=4))[3])
     solutions = [random_solution(c8, level, rng) for level in (3, 4)]
-    calls = [(lambda: assemble(level4, kernel, problem.f, problem.g), 9, False)] + [
+    calls = [(lambda: assemble(level4, kernel, problem.f, problem.g), 0, False)] + [
         (lambda x=x: evaluate_levels(solutions, x, ("velocity", "pressure-gradient")), n, paired)
         for x, n, paired in ((gauss_legendre_grid(24)[0], 5, True),
                              (rng.random((301, 2)), 3, False), (rng.random((16, 2)), 1, False))]
@@ -846,8 +873,11 @@ def test_one_plan_per_call(c8, problem, rng, monkeypatch):
     for call, n_slabs, paired in calls:
         plans.clear(), tables.clear(), read.clear()
         call()
-        assert len(plans) == 1 and len(tables) == 1
-        assert len(plans[0].slabs) == len(read) == n_slabs
+        assert len(tables) == 1 and len(read) == n_slabs
+        if not n_slabs:
+            assert not plans
+            continue
+        assert len(plans) == 1 and len(plans[0].slabs) == n_slabs
         assert all(plan is plans[0] for plan in read)
         assert (plans[0].order is not None) == paired
 
@@ -1374,18 +1404,39 @@ def test_call_tables_keep_the_bits_of_one_slab_per_call(c8, rng, monkeypatch, le
 
 @pytest.mark.parametrize("level", [1, 2, 3, 4, 5])
 def test_assemble_refuses_a_matrix_beyond_memory(c8, problem, monkeypatch, memory, level):
-    # exactly 8 n^2 bytes pass and one byte less fails, before the matrix is
-    # allocated: the stand-in for np.zeros allocates nothing
+    # exactly 8 n^2 bytes, the one dense A that the system's solve or its
+    # matrix holds, pass and one byte less fails, before the lattice tables
+    # and the right-hand side are made: the stand-in for `_tables`
+    # allocates nothing
     pointset = make_level_pointset(level)
     n = pointset.n_functionals
     kernel = StokesKernelConfig(c8, c8, delta=scale_schedule(MultiscaleConfig(level))[-1])
     memory.bytes = 8 * n * n
-    monkeypatch.setattr(collocation.np, "zeros", memory.passed)
+    monkeypatch.setattr(collocation, "_tables", memory.passed)
     with pytest.raises(memory.Passed):
         assemble(pointset, kernel, problem.f, problem.g)
     memory.bytes -= 1
     with pytest.raises(ValueError, match=f"1 dense {n} x {n} matrices"):
         assemble(pointset, kernel, problem.f, problem.g)
+
+
+@pytest.mark.parametrize("level", [1, 2, 3, 4, 5])
+def test_hand_built_solve_refuses_a_buffer_beyond_memory(monkeypatch, memory, level):
+    # the solve of a system given a dense A checks its buffer, one dense
+    # copy beside that A: exactly 8 n^2 bytes pass and one byte less fails,
+    # before the buffer is allocated.  The given A is a broadcast view and
+    # the stand-in for the buffer's np.zeros allocates nothing
+    pointset = make_level_pointset(level)
+    n = pointset.n_functionals
+    system = CollocationSystem(matrix=np.broadcast_to(1.0, (n, n)), rhs=np.ones(n),
+                               pointset=pointset, kernel=None)
+    memory.bytes = 8 * n * n
+    monkeypatch.setattr(collocation.np, "zeros", memory.passed)
+    with pytest.raises(memory.Passed):
+        solve(system)
+    memory.bytes -= 1
+    with pytest.raises(ValueError, match=f"the factor, in 1 dense {n} x {n} matrices"):
+        solve(system)
 
 
 def test_level3_refinement_stops_at_a_step_that_does_not_lower_the_residual(

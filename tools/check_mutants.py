@@ -104,6 +104,14 @@ MUTANTS = [
            "if 2 * len(distinct) * len(cols) > block_rows * len(self.points):", "if False:"),
     Mutant("lattice-stride-2n+1", "src/stokesrbf/collocation.py",
            "ij[:, 0] * (2 * n - 1)", "ij[:, 0] * (2 * n + 1)"),
+    Mutant("slab-offset-dropped", "src/stokesrbf/collocation.py",
+           "plan.points(slice(at.start + start, at.start + start + len(values)))",
+           "plan.points(slice(start, start + len(values)))"),
+    # the system's tile sources: the factor's lower fill and the gathered A
+    Mutant("fill-skips-diagonal-tiles", "src/stokesrbf/collocation.py",
+           "range(start if lower else 0, n, _SLAB)", "range(start + _SLAB if lower else 0, n, _SLAB)"),
+    Mutant("gathered-a-transposed", "src/stokesrbf/collocation.py",
+           "_tiles(self, float), lower=False)\n", "_tiles(self, float), lower=False).T\n"),
     # the functional table, the kernel's block sharing, the system's order
     Mutant("vanishes-never", "src/stokesrbf/stokes_kernel.py",
            "return not _parts(cfg, row, col)", "return False"),
