@@ -24,7 +24,7 @@ import numpy as np
 from scipy.linalg import LinAlgError, cho_factor, cho_solve
 
 from .geometry import LevelPointSet, check_dense, point_batch, real_finite
-from .radial import FRESH, BufferPool, Columns, Displacements, PageArena, swap_index
+from .radial import FRESH, BufferPool, Columns, Displacements, swap_index
 from .stokes_kernel import DIRICHLET, PDE, StokesKernelConfig
 from .stokes_kernel import columns as centre_columns
 from .stokes_kernel import evaluator_keys, kernel_block, vanishes
@@ -59,14 +59,13 @@ _SLAB_ENTRIES = 128 * 1024
 # The slabs of a call with more than one slab run on a fresh executor of
 # one worker per usable CPU (numpy releases the GIL in its loops) while the
 # caller waits, so no thread outlives its call.  Each worker takes its
-# block-sized arrays from its own `BufferPool`, carved from the one
-# `PageArena` of the call, whose maps sit on 2 MB pages and go with the
-# call: a level-4 solve faults ~0.9 k pages, not ~11 k.
+# block-sized arrays from its own `BufferPool`, whose maps sit on 2 MB pages
+# and go with the call: a level-4 solve faults ~0.9 k pages, not ~11 k.
 # A whole slab is the unit, so that every row label of the slab reads one
 # displacement set per column point set, which computes each shared value
-# once (see `_slab_blocks`).  A call with one slab -- a small query batch,
-# the first level's system -- runs on the caller's thread alone and
-# allocates its arrays afresh (`FRESH`).
+# once (see `_slab_blocks`).  A call with one slab -- a query batch of up
+# to 128 points against the level-4 centres -- runs on the caller's thread
+# alone and allocates its arrays afresh (`FRESH`).
 _WORKERS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
             else os.cpu_count() or 1)
 
@@ -101,9 +100,10 @@ class CollocationSystem:
     Made by `assemble` on one lattice, it holds the 16 lattice tables of its
     functional pairs and no dense A, and ``matrix`` gathers A from them on
     its first read, column-major and read-only.  Given a dense ``matrix``
-    (by hand, `dataclasses.replace`, assignment, or `assemble` off the
-    lattice), it holds that A.  Raises ValueError unless ``matrix`` is
-    (n, n) and ``rhs`` (n,), n being the point set's `n_functionals`."""
+    (by hand, `dataclasses.replace`, or `assemble` off the lattice), it
+    holds that A.  ``matrix`` cannot be assigned, so A and the tables never
+    part.  Raises ValueError unless ``matrix`` is (n, n) and ``rhs`` (n,),
+    n being the point set's `n_functionals`."""
 
     rhs: np.ndarray
     pointset: LevelPointSet
@@ -123,10 +123,6 @@ class CollocationSystem:
             self._matrix = _filled(self.size, _tiles(self, float), lower=False)
             self._matrix.flags.writeable = False
         return self._matrix
-
-    @matrix.setter
-    def matrix(self, matrix):
-        self._matrix, self._tables = matrix, None
 
     @property
     def size(self) -> int:
@@ -177,25 +173,25 @@ def assemble(
     ``matrix`` holds fits in memory (`geometry.check_dense`).
     """
     check_dense(pointset, 1, "the system")
-    row_sets = [(pts, rows) for pts, rows, _ in _groups(pointset)]
-    (tables,) = _tables([(kernel, pointset)], row_sets)
+    batches = [(pts, rows) for pts, rows, _ in _groups(pointset)]
+    (tables,) = _tables([(kernel, pointset)], batches)
     matrix = None
     if len(tables) != 16 or len({entry[1] for entry in tables.values()}) != 1:
-        # not 4 x 4 labels on one lattice: A from the slabs of a `_CallPlan`
-        # (zeros: a pair whose kernel vanishes gets no block, `_slab_blocks`)
+        # not 4 x 4 labels on one lattice: A from the slabs of a `_CallPlan` per
+        # centre group (zeros: a pair whose kernel vanishes gets no block, `_slab_blocks`)
         matrix, tables = np.zeros((pointset.n_functionals,) * 2, order="F"), None
-        plan = _CallPlan([(kernel, pointset)], row_sets)
-        # the first row of each row label in the system
-        starts = dict(zip([row for _, rows in row_sets for row in rows], itertools.accumulate(
-            [len(pts) for pts, rows in row_sets for _ in rows], initial=0)))
+        start = 0  # the group's first row in the system
+        for x, labels in batches:
+            plan, n = _CallPlan([(kernel, pointset)], x, labels), len(x)
 
-        def fill(slab, pool):
-            for _, row, at, cols, block in _slab_blocks(plan, slab, pool):
-                # matrix[rows, cols] = block, in numpy's faster loop order here
-                matrix.T[cols, starts[row] + at.start:starts[row] + at.stop] = block.T
-                del block
+            def fill(slab, pool):
+                for _, row, at, cols, block in _slab_blocks(plan, slab, pool):
+                    first = start + labels.index(row) * n  # the label's first row
+                    matrix[first:first + n][plan.points(at), cols] = block
+                    del block
 
-        _run_slabs(fill, plan.slabs)
+            _run_slabs(fill, plan.slabs)
+            start += len(labels) * n
         matrix.flags.writeable = False
     values = []
     for data, points, name in ((f_data, pointset.interior, "f_data"),
@@ -397,26 +393,26 @@ def _group_lattices(rows, centre_sets) -> list:
     return [_lattice(rows, cpts) for cpts in centre_sets]
 
 
-def _tables(levels, row_sets) -> list:
+def _tables(levels, batches) -> list:
     """For each of ``levels``, (kernel, pointset) pairs: {(row label, column
-    label): (table, lattice, cidx)} for each pair of this call whose rows
-    and the level's columns share a lattice with a table no larger than
-    their block.  The labels of one row set and one centre set read one
-    displacement set of every offset against the origin, one `kernel_block`
-    call per pair, and share the lattice and cidx: a row point of lattice
-    index a meets column point j at table entry a - cidx[j].  Every pair of
-    a level on lattices of one step and size reads one set of those
-    offsets, which goes before the next level's, with the power tables of
-    every pair of the call."""
+    label): (table, lattice, cidx)} for each pair of ``batches``, (points,
+    row labels), whose rows and the level's columns share a lattice with a
+    table no larger than their block.  The labels of one batch and one
+    centre set read one displacement set of every offset against the
+    origin, one `kernel_block` call per pair, and share the lattice and
+    cidx: a row point of lattice index a meets column point j at table
+    entry a - cidx[j].  Every pair of a level on lattices of one step and
+    size reads one set of those offsets, which goes before the next
+    level's, with the power tables of every pair of the call."""
     origin = np.zeros((1, 2))
     groups = [_groups(pointset) for _, pointset in levels]
-    # per row set, the lattices of its rows and each centre set, level by level
+    # per batch, the lattices of its rows and each centre set, level by level
     lattices = [iter(_group_lattices(pts, [cpts for level in groups for cpts, _, _ in level]))
-                for pts, _ in row_sets]
+                for pts, _ in batches]
     tables = []
     for (kernel, _), level in zip(levels, groups):
         level_tables, offset_sets = {}, {}  # (step, n): the set of those offsets
-        for (_, rows), row_lattices in zip(row_sets, lattices):
+        for (_, rows), row_lattices in zip(batches, lattices):
             for (cpts, _, cols), lattice in zip(level, row_lattices):
                 if lattice is None:
                     continue
@@ -427,7 +423,7 @@ def _tables(levels, row_sets) -> list:
                     offsets = np.column_stack([np.repeat(ticks, len(ticks)),
                                                np.tile(ticks, len(ticks))])
                     columns = centre_columns(kernel, origin)
-                    keys = evaluator_keys(kernel, [(row, col) for _, labels in row_sets
+                    keys = evaluator_keys(kernel, [(row, col) for _, labels in batches
                                                    for row in labels for _, _, cols in level
                                                    for col in cols])
                     shared = offset_sets[step, n] = Displacements(
@@ -442,8 +438,8 @@ def _tables(levels, row_sets) -> list:
 
 
 class _SharedSet(NamedTuple):
-    """The displacement set that a row set reads against the centres of one
-    kind of the levels of the same profile objects without lattice tables."""
+    """The displacement set that a batch of points reads against the centres
+    of one kind of the levels of the same profile objects without tables."""
 
     levels: tuple  # the level indices
     spans: tuple  # per level, its columns of each column label
@@ -474,8 +470,8 @@ class _ColumnPlan:
         return self._made[key]
 
     def column_sets(self, labels: tuple, tables) -> list:
-        """How the row ``labels`` of one row set meet the centres of each
-        kind (0 interior, 1 boundary) of each level, with ``tables`` the
+        """How the row ``labels`` of one point batch meet the centres of
+        each kind (0 interior, 1 boundary) of each level, with ``tables`` the
         call's lattice tables of each level, when some pair does not
         vanish: (gathered, shared) per kind.  gathered holds (level index,
         column span per column label, centres, column labels, pairs) of
@@ -484,7 +480,7 @@ class _ColumnPlan:
         `_pairs`."""
         out = []
         for kind, first in enumerate(((PDE, 1), (DIRICHLET, 1))):
-            # a row set has tables for every column of a centre set or none
+            # a batch has tables for every column of a centre set or none
             tabled = tuple(j for j, level in enumerate(tables) if (labels[0], first) in level)
             out.append(self._kept(("sets", labels, kind, tabled),
                                   lambda: self._sets(labels, kind, tabled)))
@@ -536,25 +532,24 @@ def _column_plan(levels) -> _ColumnPlan:
 
 class _CallPlan:
     """All that the slabs of one `assemble` or `_apply_rows` call read, made
-    before they run, for ``levels``, (kernel, pointset) pairs, and
-    ``row_sets``, (points, row labels) in output order:
+    before they run, for ``levels``, (kernel, pointset) pairs, and the row
+    ``labels`` at the points ``x``:
 
     - ``tables``: the lattice tables of each level (`_tables`);
-    - ``sets``: per row set, the column sets of its labels
-      (`_ColumnPlan.column_sets`);
-    - ``order`` and ``pairs``: a call of one row set closed under
-      (x, y) -> (y, x), such as a tensor grid, lays its points out in
-      ``order`` (their positions), which pairs each point (u, v) with
-      (v, u), ``pairs`` times; else ``order`` is None (see `points`);
-    - ``slabs``: slab k holds rows k*size up to (k+1)*size of the layout of
-      every row set that has them, as (row set index, rows, mirror), rows
-      being a slice and mirror d, from which on the slab's rows are the
-      mirrors of its first ones (`radial.Displacements`), or None;
-    - ``powers``: the power tables (`Columns.power_tables`) of each row
-      set's points against each displacement set's `Columns`, by (row set
-      index, columns), for blocks of a slab's rows, from which every slab's
-      set takes its tables: on more than one slab, one that lacks a table
-      for an axis builds its own (`_slab_blocks`).
+    - ``sets``: the column sets of the labels (`_ColumnPlan.column_sets`);
+    - ``order`` and ``pairs``: points closed under (x, y) -> (y, x), such
+      as a tensor grid, are laid out in ``order`` (their positions), which
+      pairs each point (u, v) with (v, u), ``pairs`` times; else ``order``
+      is None (see `points`);
+    - ``slabs``: slab k holds rows k*size up to (k+1)*size of the layout,
+      as (rows, mirror), rows being a slice and mirror d, from which on the
+      slab's rows are the mirrors of its first ones
+      (`radial.Displacements`), or None;
+    - ``powers``: the power tables (`Columns.power_tables`) of the points
+      against each displacement set's `Columns`, by columns, for blocks of
+      a slab's rows, from which every slab's set takes its tables: on more
+      than one slab, one that lacks a table for an axis builds its own
+      (`_slab_blocks`).
 
     A slab has the largest multiple of _SLAB rows, at least _SLAB, whose
     block against the widest centre kind of the levels has at most
@@ -574,33 +569,29 @@ class _CallPlan:
     but the last is full, so each block that BLAS sees has a multiple of 4
     rows."""
 
-    def __init__(self, levels, row_sets):
-        self.row_sets = row_sets
-        self.tables = _tables(levels, row_sets)
-        columns = _column_plan(levels)
-        self.sets = [columns.column_sets(tuple(labels), self.tables) for _, labels in row_sets]
-        # (row set index, `_SharedSet`) of each displacement set of the slabs
-        shared = [(s, of_set) for s, sets in enumerate(self.sets)
-                  for _, of_sets in sets for of_set in of_sets]
+    def __init__(self, levels, x, labels):
+        self.x, self.labels = x, labels
+        self.tables = _tables(levels, [(x, labels)])
+        self.sets = _column_plan(levels).column_sets(tuple(labels), self.tables)
+        # the `_SharedSet` of each displacement set of the slabs
+        shared = [of_set for _, of_sets in self.sets for of_set in of_sets]
         width = max(sum(pointset.n_interior for _, pointset in levels),
                     sum(pointset.n_boundary for _, pointset in levels), 1)
         size = _SLAB * max(1, _SLAB_ENTRIES // (_SLAB * width))
-        self.order, self.pairs = (None, 0) if len(row_sets) > 1 else self._layout(
-            size // 2, [of_set.columns for _, of_set in shared])
-        self.slabs = [[] for _ in range(0, max(len(pts) for pts, _ in row_sets), size)]
-        for s, (pts, _) in enumerate(row_sets):
-            for slab, start in zip(self.slabs, range(0, len(pts), size)):
-                n = min(size, len(pts) - start)
-                # the slabs before hold start // 2 pairs or fewer
-                mirrors = min(max(self.pairs - start // 2, 0), n // 2)
-                slab.append((s, slice(start, start + n), n - mirrors if mirrors else None))
-        self.powers = {(s, of_set.columns): of_set.columns.power_tables(
-            row_sets[s][0], of_set.keys, min(size, len(row_sets[s][0]))) for s, of_set in shared}
+        self.order, self.pairs = self._layout(x, size // 2, [of_set.columns for of_set in shared])
+        self.slabs = []
+        for start in range(0, len(x), size):
+            n = min(size, len(x) - start)
+            # the slabs before hold start // 2 pairs or fewer
+            mirrors = min(max(self.pairs - start // 2, 0), n // 2)
+            self.slabs.append((slice(start, start + n), n - mirrors if mirrors else None))
+        self.powers = {of_set.columns: of_set.columns.power_tables(
+            x, of_set.keys, min(size, len(x))) for of_set in shared}
 
-    def _layout(self, half: int, shared) -> tuple:
-        """(order, pairs) of the one row set, for slabs of ``half`` pairs,
-        against the `Columns` of each of its displacement sets, ``shared``."""
-        ((x, _),) = self.row_sets
+    @staticmethod
+    def _layout(x, half: int, shared) -> tuple:
+        """(order, pairs) of the points x, for slabs of ``half`` pairs,
+        against the `Columns` of each of their displacement sets, ``shared``."""
         swap = None if len(x) % 4 else swap_index(x)
         if swap is None:
             return None, 0
@@ -617,7 +608,7 @@ class _CallPlan:
         return order, len(direct)
 
     def points(self, rows: slice):
-        """The positions of the layout's ``rows`` in their row set."""
+        """The positions of the layout's ``rows`` among the points."""
         return rows if self.order is None else self.order[rows]
 
 
@@ -626,7 +617,7 @@ def _slab_blocks(plan: _CallPlan, slab, pool):
     level of the call: yields (level index, row label, rows, column slice,
     block), rows being the slab's rows of the layout (`_CallPlan.points`),
     each level's column groups, per row label, in system order.  The blocks
-    of one row point set against one centre kind of a level are either all
+    of the points against one centre kind of a level are either all
     gathered from that level's tables, through one index, or all read one
     displacement set: the set of every level of the same profiles without
     tables for that kind, each run of columns at its own level's scale,
@@ -636,34 +627,33 @@ def _slab_blocks(plan: _CallPlan, slab, pool):
     yields no block: its entries are zero.  Block-sized arrays come from
     ``pool`` (a `BufferPool`, or `FRESH`).  Callers drop each block before
     asking for the next."""
-    for s, at, mirror in slab:
-        points, labels = plan.row_sets[s]
-        positions = plan.points(at)
-        pts = points[positions]
-        for gathered, shared in plan.sets[s]:
-            for j, spans, cpts, cols, pairs in gathered:
-                _, lattice, cidx = plan.tables[j][labels[0], cols[0]]
-                index = np.subtract(_lattice_index(pts, lattice)[:, None], cidx,
-                                    out=pool.empty((len(pts), len(cpts)), np.intp))
-                for row, k, col in pairs:
-                    # the index is in range: mode "clip" skips the check (and
-                    # the buffer) of mode "raise"
-                    block = np.take(plan.tables[j][row, col][0], index, mode="clip",
-                                    out=pool.empty(index.shape))
-                    yield j, row, at, spans[k], block
-                    del block
-            for of_set in shared:
-                tables = [table and (table[0], table[1][positions], table[2])
-                          for table in plan.powers[s, of_set.columns]]
-                if None in tables and len(plan.slabs) > 1:  # a call table too large for a slab
-                    tables = of_set.columns.power_tables(pts, of_set.keys, len(pts))
-                shared_set = Displacements(pts, of_set.columns, pool, mirror, tables)
-                for row, k, col in of_set.pairs:
-                    block = kernel_block(of_set.kernels, row, col, shared_set, of_set.centres)
-                    for j, level_spans, part in zip(of_set.levels, of_set.spans, of_set.parts):
-                        yield j, row, at, level_spans[k], block[:, part]
-                    del block
-                del shared_set
+    at, mirror = slab
+    positions = plan.points(at)
+    pts = plan.x[positions]
+    for gathered, shared in plan.sets:
+        for j, spans, cpts, cols, pairs in gathered:
+            _, lattice, cidx = plan.tables[j][plan.labels[0], cols[0]]
+            index = np.subtract(_lattice_index(pts, lattice)[:, None], cidx,
+                                out=pool.empty((len(pts), len(cpts)), np.intp))
+            for row, k, col in pairs:
+                # the index is in range: mode "clip" skips the check (and
+                # the buffer) of mode "raise"
+                block = np.take(plan.tables[j][row, col][0], index, mode="clip",
+                                out=pool.empty(index.shape))
+                yield j, row, at, spans[k], block
+                del block
+        for of_set in shared:
+            tables = [table and (table[0], table[1][positions], table[2])
+                      for table in plan.powers[of_set.columns]]
+            if None in tables and len(plan.slabs) > 1:  # a call table too large for a slab
+                tables = of_set.columns.power_tables(pts, of_set.keys, len(pts))
+            shared_set = Displacements(pts, of_set.columns, pool, mirror, tables)
+            for row, k, col in of_set.pairs:
+                block = kernel_block(of_set.kernels, row, col, shared_set, of_set.centres)
+                for j, level_spans, part in zip(of_set.levels, of_set.spans, of_set.parts):
+                    yield j, row, at, level_spans[k], block[:, part]
+                del block
+            del shared_set
 
 
 def _pairs(kernel, labels, cols) -> list:
@@ -680,11 +670,11 @@ def _run_slabs(task, slabs) -> None:
     if len(slabs) == 1:
         task(slabs[0], FRESH)
         return
-    arena, local = PageArena(), threading.local()
+    local = threading.local()
 
     def run(slab):
         if not hasattr(local, "pool"):
-            local.pool = BufferPool(arena)
+            local.pool = BufferPool()
         task(slab, local.pool)
 
     with ThreadPoolExecutor(_WORKERS) as executor:
@@ -696,7 +686,7 @@ def _apply_rows(levels, requests, x) -> list:
     ``levels`` (LevelSolutions) of the stack of (row functional applied to
     the level's approximant) over x: shape (len(levels), len(x), len(labels)).
 
-    The labels of all requests form one row set, each label once, so that
+    The labels of all requests form one call plan, each label once, so that
     a slab reads one displacement set per centre kind for all of them.  A
     level's approximant is the coefficient-weighted sum of its basis
     columns, added to its own accumulator one column group at a time in
@@ -707,7 +697,7 @@ def _apply_rows(levels, requests, x) -> list:
     x = point_batch(x, "query points")
     labels = list(dict.fromkeys(itertools.chain.from_iterable(requests)))
     # before the outputs: the lattice tests and the layout take batch-sized temporaries
-    plan = _CallPlan([(sol.kernel, sol.pointset) for sol in levels], [(x, labels)])
+    plan = _CallPlan([(sol.kernel, sol.pointset) for sol in levels], x, labels)
     outs = [np.zeros((len(levels), len(x), len(request))) for request in requests]
     # (output, column) of each label in every request that has it
     dests = {label: [(out, k) for out, request in zip(outs, requests)

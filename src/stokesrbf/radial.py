@@ -23,7 +23,6 @@ import itertools
 import math
 import mmap
 import sys
-import threading
 from fractions import Fraction
 from functools import lru_cache
 
@@ -36,7 +35,6 @@ __all__ = [
     "Columns",
     "Displacements",
     "FRESH",
-    "PageArena",
     "RadialTermEvaluator",
     "mixed_partial",
     "mixed_partial_terms",
@@ -147,50 +145,12 @@ _IDLE_REFS = _idle_refs()
 
 
 _HUGE_PAGE = 2 << 20  # x86_64 and arm64 with 4 KB base pages
-# The length of a map of `PageArena`, which holds every buffer of a call up
-# to level 4: the pools of a level-4 assembly carve 4.3 MB, those of a 100^2
-# grid evaluation 39-49 MB at levels 1-4 and 190 MB at level 5 (2 workers).
+# The length of a map of a `BufferPool`, which holds every buffer of one
+# worker's pool in a call up to level 4: a 100^2 grid evaluation carves
+# 20-25 MB per pool at levels 1-4 and 95 MB at level 5 (2 workers).
 # Untouched pages cost no memory.
 _MAP_BYTES = 64 << 20
 _MADV_HUGEPAGE = getattr(mmap, "MADV_HUGEPAGE", None)  # Linux only
-
-
-class PageArena:
-    """The private anonymous maps that the `BufferPool`s of one call carve
-    their buffers from, shared by its worker threads under a lock.
-
-    Each map is aligned to 2 MB and advised MADV_HUGEPAGE, so that the
-    kernel may back it by huge pages; it is a plain private map where
-    madvise fails or is missing.  (A shared map, `mmap.mmap(-1, n)`, is
-    shmem, which a kernel with shmem_enabled = never backs by 4 KB pages
-    only.)  ``carve`` hands out the next whole pages of a map and opens a
-    further map when one is used up.  A buffer keeps its map alive, so the
-    maps go back to the system with the call's buffers.
-    """
-
-    def __init__(self):
-        self._lock = threading.Lock()
-        self._map = None
-        self._free = self._end = 0  # the free part of the map
-
-    def carve(self, size: int) -> np.ndarray:
-        """A new uint8 buffer of at least ``size`` bytes, whose base is the map (`BufferPool`)."""
-        size = -(-max(size, 1) // mmap.PAGESIZE) * mmap.PAGESIZE
-        with self._lock:
-            if self._end - self._free < size:
-                self._open(max(size, _MAP_BYTES) + _HUGE_PAGE)
-            start, self._free = self._free, self._free + size
-            return np.frombuffer(self._map, np.uint8, size, start)
-
-    def _open(self, length: int) -> None:
-        self._map = mmap.mmap(-1, length, flags=mmap.MAP_PRIVATE | mmap.MAP_ANONYMOUS)
-        self._free = -np.frombuffer(self._map, np.uint8, 1).ctypes.data % _HUGE_PAGE
-        self._end = length
-        if _MADV_HUGEPAGE is not None:
-            try:
-                self._map.madvise(_MADV_HUGEPAGE)
-            except OSError:  # EINVAL without transparent huge pages
-                pass
 
 
 class BufferPool:
@@ -199,23 +159,29 @@ class BufferPool:
 
     ``empty`` hands out a view of the first buffer that nothing else
     references -- no array or view of it is alive -- and that is large
-    enough, and carves a buffer of the requested size from ``arena`` (a
-    `PageArena`) when there is none.  A buffer's base must not be an
-    ndarray: numpy points a view's base at the array that owns the memory,
-    so buffers sliced from one array would look idle while in use.  The slabs of a call ask for arrays
+    enough, and carves a buffer of the requested size (`_carve`) when there
+    is none.  A buffer's base must not be an ndarray: numpy points a view's
+    base at the array that owns the memory, so buffers sliced from one
+    array would look idle while in use.  The slabs of a call ask for arrays
     of the same few shapes, so their pages are faulted in once per call
     and worker, not once per array.
 
-    The buffers are pages of the call's `PageArena`, on huge pages where
-    the kernel allows, and go back to the system with the call.  Buffers
-    from malloc stayed in the worker threads' arenas after the call: the
-    peak of a 4-level run, at the level-4 solve, was 196 MB with them
-    against 179 MB with maps (2-core x86_64, glibc).
+    The buffers are the next whole pages of private anonymous maps that the
+    pool opens, one worker's alone, each aligned to 2 MB and advised
+    MADV_HUGEPAGE, so that the kernel may back it by huge pages, or a plain
+    private map where madvise fails or is missing.  (A shared map,
+    `mmap.mmap(-1, n)`, is shmem, which a kernel with shmem_enabled = never
+    backs by 4 KB pages only.)  A buffer keeps its map alive, so the maps go
+    back to the system with the call's buffers.  Buffers from malloc stayed
+    in the worker threads' arenas after the call: the peak of a 4-level
+    run, at the level-4 solve, was 196 MB with them against 179 MB with
+    maps (2-core x86_64, glibc).
     """
 
-    def __init__(self, arena: PageArena):
-        self._arena = arena
+    def __init__(self):
         self._buffers: list = []
+        self._map = None
+        self._free = self._end = 0  # the free part of the map
 
     def empty(self, shape, dtype=float) -> np.ndarray:
         dtype = np.dtype(dtype)
@@ -226,9 +192,24 @@ class BufferPool:
             if len(buf) >= size and sys.getrefcount(buf) == _IDLE_REFS:
                 break
         else:
-            buf = self._arena.carve(size)
+            buf = self._carve(size)
             self._buffers.append(buf)
         return buf[:size].view(dtype).reshape(shape)
+
+    def _carve(self, size: int) -> np.ndarray:
+        """A new uint8 buffer of at least ``size`` bytes, whose base is a map of the pool."""
+        size = -(-max(size, 1) // mmap.PAGESIZE) * mmap.PAGESIZE
+        if self._end - self._free < size:
+            self._end = max(size, _MAP_BYTES) + _HUGE_PAGE
+            self._map = mmap.mmap(-1, self._end, flags=mmap.MAP_PRIVATE | mmap.MAP_ANONYMOUS)
+            self._free = -np.frombuffer(self._map, np.uint8, 1).ctypes.data % _HUGE_PAGE
+            if _MADV_HUGEPAGE is not None:
+                try:
+                    self._map.madvise(_MADV_HUGEPAGE)
+                except OSError:  # EINVAL without transparent huge pages
+                    pass
+        start, self._free = self._free, self._free + size
+        return np.frombuffer(self._map, np.uint8, size, start)
 
 
 class _Fresh:

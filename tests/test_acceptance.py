@@ -5,6 +5,7 @@ four-level reproduction run takes about a minute; the optional fifth level
 (dense 8962-unknown solve) is enabled with STOKESRBF_LEVEL5=1.
 """
 
+import dataclasses
 import os
 import time
 
@@ -235,8 +236,8 @@ def test_criterion_7_property_suites(experiment):
                       problem.f, problem.g)
     base = solve(system).coefficients
     perm = rng.permutation(system.size)
-    system.matrix = system.matrix[np.ix_(perm, perm)]
-    system.rhs = system.rhs[perm]
+    system = dataclasses.replace(system, matrix=system.matrix[np.ix_(perm, perm)],
+                                 rhs=system.rhs[perm])
     permuted = solve(system).coefficients
     perm_ok = np.abs(permuted - base[perm]).max() <= 1e-10 * np.abs(base).max()
 

@@ -65,24 +65,29 @@ def test_matrix_entries_match_gram(level1_system, c8, problem, monkeypatch):
     # all 16 group blocks, in the documented order, bit for bit: levels 1
     # and 4 are gathered from their lattice tables on the first read of the
     # matrix.  Off the lattice, the level-3 centres scaled by 0.9 (289
-    # interior and 64 boundary centres) are assembled from one slab of 384
-    # rows, and from three slabs of 128 rows, run on the worker threads,
-    # when the rule is forced to 128 rows
+    # interior and 64 boundary centres) are assembled from one call plan
+    # per centre group, in slabs of 384 rows (one per plan), and in slabs
+    # of 128 rows (three and one, the three run on the worker threads) when
+    # the rule is forced to 128 rows.  The 64 boundary centres are closed
+    # under (x, y) -> (y, x): their plan pairs 31 of them with their
+    # mirrors, and their rows are written through its layout
     systems = [level1_system]
     deltas = scale_schedule(MultiscaleConfig(n_levels=4))
     level3 = make_level_pointset(3)
     off = LevelPointSet(interior=0.9 * level3.interior, boundary=0.9 * level3.boundary)
-    for pointset, delta, entries, n_slabs in ((off, deltas[2], collocation._SLAB_ENTRIES, 1),
-                                              (off, deltas[2], 0, 3),
-                                              (make_level_pointset(4), deltas[3], None, 0)):
+    for pointset, delta, entries, n_slabs in ((off, deltas[2], collocation._SLAB_ENTRIES, [1, 1]),
+                                              (off, deltas[2], 0, [3, 1]),
+                                              (make_level_pointset(4), deltas[3], None, [])):
         if entries is not None:
             monkeypatch.setattr(collocation, "_SLAB_ENTRIES", entries)
-            assert len(call_plan(pointset.interior, pointset).slabs) == n_slabs
         kernel = StokesKernelConfig(c8, c8, nu=1.0, delta=delta)
-        slabs = record_slabs(monkeypatch)
+        plans = record_slabs(monkeypatch)
         systems.append(assemble(pointset, kernel, problem.f, problem.g))
         monkeypatch.undo()
-        assert len(slabs) == n_slabs and (systems[-1]._tables is None) == bool(n_slabs)
+        assert [len(slabs) for slabs in plans.values()] == n_slabs
+        assert [(plan.order is not None, plan.pairs) for plan in plans] == [
+            (False, 0), (True, 31)][:len(n_slabs)]
+        assert (systems[-1]._tables is None) == bool(n_slabs)
     assert level1_system._tables is not None
     for system in systems:
         groups = documented_groups(system.pointset)
@@ -210,15 +215,16 @@ def test_indefinite_column_major_matrix_comes_back(level1_system):
 
 
 def record_slabs(monkeypatch):
-    """Patch `collocation._slab_blocks` to record the slab of each call."""
-    slabs, real = [], collocation._slab_blocks
+    """Patch `collocation._slab_blocks` to record the slab of each call: a
+    dict of the slabs of each call plan, in the order of its first slab."""
+    plans, real = {}, collocation._slab_blocks
 
     def recording(plan, slab, pool):
-        slabs.append(slab)
+        plans.setdefault(plan, []).append(slab)
         return real(plan, slab, pool)
 
     monkeypatch.setattr(collocation, "_slab_blocks", recording)
-    return slabs
+    return plans
 
 
 @pytest.fixture(scope="module")
@@ -345,20 +351,26 @@ def test_failed_in_place_factorization_gives_a_back(level3_system, problem, monk
 
 
 def test_tables_cannot_go_stale(c8, problem, monkeypatch, rng):
-    # a gathered matrix is read-only, so no in-place edit parts it from
-    # its tables; a reassigned matrix, as in acceptance criterion 7's
-    # permutation check, drops the tables: its lower triangle is copied
-    # into the factor's buffer, and the residuals read it
+    # a gathered matrix is read-only and the matrix cannot be assigned, so
+    # no edit parts A from its tables; a permuted A, as in acceptance
+    # criterion 7's permutation check, comes through `dataclasses.replace`
+    # as a system without tables: its lower triangle is copied into the
+    # factor's buffer, and the residuals read it
     system = assemble(make_level_pointset(1), StokesKernelConfig(c8, c8, nu=1.0, delta=0.6),
                       problem.f, problem.g)
+    gathered = system.matrix
     with pytest.raises(ValueError, match="read-only"):
-        system.matrix[0, 0] = 0.0
+        gathered[0, 0] = 0.0
+    with pytest.raises(AttributeError):
+        system.matrix = np.eye(system.size)
+    assert system.matrix is gathered and system._tables is not None
     perm = rng.permutation(system.size)
     permuted = system.matrix[np.ix_(perm, perm)]
     before = permuted.copy()
     hand_built = CollocationSystem(matrix=permuted.copy(), rhs=system.rhs[perm],
                                    pointset=system.pointset, kernel=system.kernel)
-    system.matrix, system.rhs = permuted, system.rhs[perm]
+    system = dataclasses.replace(system, matrix=permuted, rhs=system.rhs[perm])
+    assert system.matrix is permuted and system._tables is None
     factors = []
     real_factor = collocation.cho_factor
 
@@ -665,12 +677,12 @@ def call_plan(x, *pointsets, labels=(("velocity", 1),)):
     """The `_CallPlan` of the row ``labels`` at the points x against levels
     with the centres of ``pointsets``."""
     kernel = StokesKernelConfig(wendland_c8(), wendland_c8())
-    return collocation._CallPlan([(kernel, ps) for ps in pointsets], [(x, list(labels))])
+    return collocation._CallPlan([(kernel, ps) for ps in pointsets], x, list(labels))
 
 
 def slab_rows(pointset):
     """Rows per slab of a call against the centres of ``pointset``."""
-    (_, rows, _), = call_plan(np.zeros((10 ** 5, 2)), pointset).slabs[0]
+    rows, _ = call_plan(np.zeros((10 ** 5, 2)), pointset).slabs[0]
     return rows.stop
 
 
@@ -971,14 +983,13 @@ def test_slabs_of_one_call_go_to_different_workers(monkeypatch):
     pts = np.zeros((n, 2))
     labels = [("velocity", 1), ("velocity", 2)]
     plan = call_plan(pts, make_level_pointset(4), labels=labels)
-    ((points, read_labels),) = plan.row_sets
-    assert points is pts and read_labels == labels
-    assert plan.slabs == [[(0, slice(start, min(start + slab, n)), None)]
+    assert plan.x is pts and plan.labels == labels
+    assert plan.slabs == [(slice(start, min(start + slab, n)), None)
                           for start in (0, slab, 2 * slab)]
     second_started, threads = threading.Event(), {}
 
     def task(one_slab, pool):
-        ((_, rows, _),) = one_slab
+        rows, _ = one_slab
         r0 = rows.start
         threads[r0] = threading.get_ident()
         if r0 == 0:
@@ -989,6 +1000,39 @@ def test_slabs_of_one_call_go_to_different_workers(monkeypatch):
     collocation._run_slabs(task, plan.slabs)
     assert len(threads) == 3
     assert threads[0] != threads[slab]
+
+
+def test_pools_of_two_workers_never_share_a_map(monkeypatch):
+    # each worker of a call takes its arrays from a pool of its own, which
+    # carves them, with no lock, from maps that it alone opens: with more
+    # workers than cores and a short switch interval, no pool serves two
+    # workers and no map holds the arrays of two pools.  The first two
+    # slabs wait for each other, so two workers take them
+    monkeypatch.setattr(collocation, "_WORKERS", 8)
+    both, seen = threading.Barrier(2, timeout=30), []
+    page = mmap.PAGESIZE // 8
+
+    def task(slab, pool):
+        if slab < 2:
+            both.wait()
+        for k in range(40):  # every array is kept, so each one is carved
+            array = pool.empty((1 + k % 3, page))
+            seen.append((threading.get_ident(), pool, pool._map, array))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        collocation._run_slabs(task, list(range(32)))
+    finally:
+        sys.setswitchinterval(interval)
+    assert len(seen) == 32 * 40
+    workers, pools = {}, {}  # the worker of each pool, the pool of each map
+    for thread, pool, page_map, array in seen:
+        assert workers.setdefault(pool, thread) == thread
+        assert pools.setdefault(id(page_map), pool) is pool
+        address = array.ctypes.data - np.frombuffer(page_map, np.uint8, 1).ctypes.data
+        assert 0 <= address and address + array.nbytes <= len(page_map)
+    assert len(workers) == len(set(workers.values())) >= 2
 
 
 def test_no_worker_thread_outlives_its_call():
@@ -1003,7 +1047,7 @@ def test_no_worker_thread_outlives_its_call():
         "kernel = StokesKernelConfig(wendland_c8(), wendland_c8(), delta=1.0)\n"
         "sol = collocation.LevelSolution(np.ones(ps.n_functionals), ps, kernel)\n"
         "x = np.random.default_rng(0).uniform(0, 1, (2 * 5120 + 45, 2))\n"
-        "plan = collocation._CallPlan([(kernel, ps)], [(x, [('velocity', 1)])])\n"
+        "plan = collocation._CallPlan([(kernel, ps)], x, [('velocity', 1)])\n"
         "assert len(plan.slabs) == 3\n"
         "collocation.evaluate_fields(sol, x, 'velocity')\n"
         "print(threading.active_count())\n"
@@ -1052,10 +1096,10 @@ def test_slab_buffers_are_carved_from_private_huge_page_maps(c8, rng, monkeypatc
     # buffers overlap, and no map outlives the call
     sol, x = level4_grid_call(c8, rng)
     maps, buffers = record_maps(monkeypatch), []
-    carve = radial.PageArena.carve
+    carve = radial.BufferPool._carve
 
-    def recording_carve(arena, size):
-        buf = carve(arena, size)
+    def recording_carve(pool, size):
+        buf = carve(pool, size)
         start = buf.ctypes.data
         for other in buffers:
             if other() is not None:
@@ -1070,7 +1114,7 @@ def test_slab_buffers_are_carved_from_private_huge_page_maps(c8, rng, monkeypatc
         owners[0].setdefault("carved", []).append(start)
         return buf
 
-    monkeypatch.setattr(radial.PageArena, "carve", recording_carve)
+    monkeypatch.setattr(radial.BufferPool, "_carve", recording_carve)
     evaluate_fields(sol, x, ("velocity", "pressure-gradient"))
     assert len(buffers) > 2 * collocation._WORKERS and maps
     for record, alive in maps:
@@ -1196,7 +1240,7 @@ def test_mirror_pairs_keep_the_bits(c8, rng, monkeypatch, levels, batch):
     solutions = [random_solution(c8, level, rng) for level in levels]
     x = closed_batch(batch, rng)
     assert collocation._CallPlan([(sol.kernel, sol.pointset) for sol in solutions],
-                                 [(x, [("velocity", 1)])]).order is not None
+                                 x, [("velocity", 1)]).order is not None
     requests = list(collocation._FIELD_ROWS)
     for request in requests + [requests]:
         def evaluate_batch(points):
@@ -1468,7 +1512,7 @@ def test_call_tables_keep_the_signed_zeros_of_the_batch():
     x = np.array([[-0.0, 0.3], [0.1, -0.0], [0.7, 0.0], [-0.0, -0.0]])  # off the lattice
     plan = call_plan(x, make_level_pointset(1))
     built = 0
-    for (_, columns), tables in plan.powers.items():
+    for columns, tables in plan.powers.items():
         for axis, table in enumerate(tables):
             if table is None:
                 continue

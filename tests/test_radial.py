@@ -1,18 +1,16 @@
 import math
 import mmap
-import sys
-import threading
 from fractions import Fraction
 
 import numpy as np
 import pytest
 import sympy
 
+from stokesrbf import radial
 from stokesrbf.radial import (
     BufferPool,
     Columns,
     Displacements,
-    PageArena,
     RadialTermEvaluator,
     diff_x,
     diff_y,
@@ -256,7 +254,7 @@ def test_buffer_pool_reuses_only_unreferenced_buffers():
     # alive, and only to an array that fits in it; buffers are carved in
     # whole pages, so the shapes count floats per page
     page = mmap.PAGESIZE // 8
-    pool = BufferPool(PageArena())
+    pool = BufferPool()
     first = pool.empty((4, page))
     view = first[1:].view(np.int64)
     del first
@@ -276,29 +274,17 @@ def test_buffer_pool_reuses_only_unreferenced_buffers():
         (2, page), bool, (4, 4), float)
 
 
-def test_arena_carves_disjoint_buffers_for_many_threads():
-    # the workers of a call share one arena: with more threads than cores
-    # and a short switch interval, a lost update of the free offset would
-    # hand two threads overlapping buffers
-    arena, buffers = PageArena(), []
-
-    def carve():
-        buffers.extend(arena.carve(1 + k % 2 * mmap.PAGESIZE) for k in range(4000))
-
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        threads = [threading.Thread(target=carve) for _ in range(8)]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join(timeout=60)
-        assert not any(thread.is_alive() for thread in threads)
-    finally:
-        sys.setswitchinterval(interval)
-    spans = sorted((buf.ctypes.data, buf.ctypes.data + len(buf)) for buf in buffers)
-    assert len(spans) == 8 * 4000
-    assert all(stop <= start for (_, stop), (start, _) in zip(spans, spans[1:]))
+def test_pool_starts_each_map_on_a_huge_page(monkeypatch):
+    # a map whose length is no multiple of 2 MB, as a buffer larger than
+    # `_MAP_BYTES` opens, need not start on a huge page (recent Linux aligns
+    # only maps of whole huge pages, older Linux none); the pool starts the
+    # map's first buffer on its first huge page all the same.  Here each
+    # buffer of 2 MB and a page opens a map of its own
+    monkeypatch.setattr(radial, "_MAP_BYTES", 0)
+    pool = BufferPool()
+    buffers = [pool.empty(((2 << 20) + mmap.PAGESIZE,), np.uint8) for _ in range(6)]
+    assert len({id(buf.base.obj) for buf in pool._buffers}) == 6
+    assert all(buf.ctypes.data % (2 << 20) == 0 for buf in buffers)
 
 
 def test_call_tables_keep_signed_zeros(c8):

@@ -70,6 +70,10 @@ MUTANTS = [
     Mutant("carve-offset-not-advanced", "src/stokesrbf/radial.py",
            "start, self._free = self._free, self._free + size",
            "start, self._free = self._free, self._free"),
+    Mutant("pool-map-unaligned", "src/stokesrbf/radial.py",
+           "-np.frombuffer(self._map, np.uint8, 1).ctypes.data % _HUGE_PAGE", "0"),
+    Mutant("workers-share-a-pool", "src/stokesrbf/collocation.py",
+           "local = threading.local()", "local = _run_slabs"),
     Mutant("pool-idle-off-by-one", "src/stokesrbf/radial.py",
            "sys.getrefcount(buf) == _IDLE_REFS", "sys.getrefcount(buf) <= _IDLE_REFS + 1"),
     # the input rules of `geometry`
@@ -99,7 +103,7 @@ MUTANTS = [
     Mutant("distinct-by-value", "src/stokesrbf/radial.py",
            "keys = [key.view(np.int64) for key in keys]", "keys = list(keys)"),
     Mutant("call-tables-on-a-copy", "src/stokesrbf/collocation.py",
-           "row_sets[s][0], of_set.keys,", "row_sets[s][0] + 0.0, of_set.keys,"),
+           "x, of_set.keys,", "x + 0.0, of_set.keys,"),
     Mutant("call-tables-of-any-size", "src/stokesrbf/radial.py",
            "if 2 * len(distinct) * len(cols) > block_rows * len(self.points):", "if False:"),
     Mutant("lattice-stride-2n+1", "src/stokesrbf/collocation.py",
@@ -107,6 +111,8 @@ MUTANTS = [
     Mutant("slab-offset-dropped", "src/stokesrbf/collocation.py",
            "plan.points(slice(at.start + start, at.start + start + len(values)))",
            "plan.points(slice(start, start + len(values)))"),
+    Mutant("off-lattice-rows-unpermuted", "src/stokesrbf/collocation.py",
+           "[plan.points(at), cols]", "[at, cols]"),
     # the system's tile sources: the factor's lower fill and the gathered A
     Mutant("fill-skips-diagonal-tiles", "src/stokesrbf/collocation.py",
            "range(start if lower else 0, n, _SLAB)", "range(start + _SLAB if lower else 0, n, _SLAB)"),
