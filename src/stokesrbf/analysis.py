@@ -227,11 +227,11 @@ class ErrorReport:
 
 def run_experiment(
     config: MultiscaleConfig,
-    problem: ManufacturedSolution | None = None,
     quad_points: int = 100,
     eigen_levels: int = 3,
 ) -> tuple[MultiscaleModel, ErrorReport]:
-    """Run the level loop and measure errors of each partial sum.
+    """Run the level loop on `trig_stokes_problem` at the config's nu and
+    measure errors of each partial sum.
 
     Every level's contribution is evaluated once on the shared tensor grid
     and accumulated, so the per-level norms come from the same evaluation
@@ -245,8 +245,7 @@ def run_experiment(
     integer_count(eigen_levels, "eigen_levels", 0)
     check_dense(make_level_pointset(config.n_levels), 2 if eigen_levels >= config.n_levels else 1,
                 f"levels up to {config.n_levels}")
-    if problem is None:
-        problem = trig_stokes_problem(nu=config.nu)
+    problem = trig_stokes_problem(nu=config.nu)
     pts, w = gauss_legendre_grid(quad_points)
     report = ErrorReport(quad_points=quad_points)
 

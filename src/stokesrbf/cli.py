@@ -48,8 +48,8 @@ _EXPERIMENT = inspect.signature(run_experiment).parameters
 
 @dataclass
 class RunConfig:
-    """Settings of the ``run`` subcommand; the defaults of the published
-    parameters are `MultiscaleConfig`'s and `run_experiment`'s."""
+    """Settings of ``run``, each a config key and a flag read through the
+    type of its default; the defaults are `MultiscaleConfig`'s and `run_experiment`'s."""
 
     levels: int = 5
     beta: float = MultiscaleConfig.beta
@@ -77,21 +77,23 @@ def parse_config_file(path) -> dict[str, str]:
 
 
 def build_run_config(args) -> RunConfig:
+    """Defaults < file values < flags; ValueError, naming the key, for an
+    unknown key or a value that its type does not read."""
+    values = parse_config_file(args.config) if args.config else {}
+    unknown = set(values) - {field.name for field in fields(RunConfig)}
+    if unknown:
+        raise ValueError(f"unknown config keys: {sorted(unknown)}")
     config = RunConfig()
-    names = {f.name for f in fields(RunConfig)}
-    values: dict = {}
-    if args.config:
-        file_values = parse_config_file(args.config)
-        unknown = set(file_values) - names
-        if unknown:
-            raise ValueError(f"unknown config keys: {sorted(unknown)}")
-        values.update(file_values)
-    for name in names:  # flags override file values
-        flag = getattr(args, name, None)
-        if flag is not None:
-            values[name] = flag
-    for name, value in values.items():
-        setattr(config, name, type(getattr(config, name))(value))
+    for field in fields(RunConfig):
+        value = getattr(args, field.name, None)  # a flag overrides the file
+        value = values.get(field.name) if value is None else value
+        if value is not None:
+            kind = type(field.default)
+            try:
+                setattr(config, field.name, kind(value))
+            except ValueError:
+                raise ValueError(f"{field.name}: cannot read {value!r} "
+                                 f"as {kind.__name__}") from None
     return config
 
 
@@ -104,7 +106,7 @@ def cmd_run(args) -> int:
         tau=config.tau,
         nu=config.nu,
     )
-    model, report = run_experiment(
+    _, report = run_experiment(
         ms_config,
         quad_points=config.quad_points,
         eigen_levels=config.eigen_levels,
@@ -231,14 +233,8 @@ def cmd_dump_matrix(args) -> int:
 
 def _add_run_flags(parser: argparse.ArgumentParser):
     parser.add_argument("--config", help="key=value config file")
-    parser.add_argument("--levels", type=int)
-    parser.add_argument("--beta", type=float)
-    parser.add_argument("--nu", type=float)
-    parser.add_argument("--tau", type=float)
-    parser.add_argument("--quad-points", dest="quad_points", type=int)
-    parser.add_argument("--eigen-levels", dest="eigen_levels", type=int)
-    parser.add_argument("--out-csv", dest="out_csv")
-    parser.add_argument("--out-summary", dest="out_summary")
+    for field in fields(RunConfig):  # strings, read by `build_run_config`
+        parser.add_argument("--" + field.name.replace("_", "-"), dest=field.name)
 
 
 def main(argv=None) -> int:

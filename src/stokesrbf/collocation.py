@@ -102,8 +102,9 @@ class CollocationSystem:
     its first read, column-major and read-only.  Given a dense ``matrix``
     (by hand, `dataclasses.replace`, or `assemble` off the lattice), it
     holds that A.  ``matrix`` cannot be assigned, so A and the tables never
-    part.  Raises ValueError unless ``matrix`` is (n, n) and ``rhs`` (n,),
-    n being the point set's `n_functionals`."""
+    part.  Raises ValueError unless ``rhs``, and ``matrix`` when given, are
+    `geometry.real_finite` (kept as float64), ``matrix`` is (n, n) and
+    ``rhs`` (n,), n being the point set's `n_functionals`."""
 
     rhs: np.ndarray
     pointset: LevelPointSet
@@ -111,6 +112,9 @@ class CollocationSystem:
 
     def __init__(self, matrix, rhs, pointset, kernel, _tables=None):
         n = pointset.n_functionals
+        rhs = real_finite(rhs, "right-hand side")
+        if matrix is not None:
+            matrix = real_finite(matrix, "matrix")
         if (_tables is None and np.shape(matrix) != (n, n)) or np.shape(rhs) != (n,):
             raise ValueError(f"need a {n} x {n} matrix and {n} right-hand sides, not "
                              f"{np.shape(matrix)} and {np.shape(rhs)}")

@@ -1,9 +1,12 @@
+import argparse
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
 from stokesrbf import analysis, cli, collocation
 from stokesrbf.analysis import run_experiment
-from stokesrbf.cli import build_run_config, main, parse_config_file
+from stokesrbf.cli import RunConfig, build_run_config, main, parse_config_file
 from stokesrbf.geometry import make_level_pointset
 from stokesrbf.multiscale import MultiscaleConfig
 
@@ -76,6 +79,61 @@ class TestConfigParsing:
         with pytest.raises(SystemExit) as err:
             run_cli(["run", "--levels", "1", "--mu", "0.3"])
         assert err.value.code == 2
+
+    def test_run_has_one_flag_per_setting(self, capsys):
+        # `RunConfig` declares each setting once: `run` has --config and one
+        # flag per field, in field order, that hands its string on unread
+        parser = argparse.ArgumentParser()
+        cli._add_run_flags(parser)
+        actions = [action for action in parser._actions if action.dest != "help"]
+        flags = ["--config"] + ["--" + field.name.replace("_", "-")
+                                for field in fields(RunConfig)]
+        assert [action.option_strings for action in actions] == [[flag] for flag in flags]
+        assert [action.dest for action in actions[1:]] == [f.name for f in fields(RunConfig)]
+        assert all(action.type is None for action in actions)
+        with pytest.raises(SystemExit) as err:
+            run_cli(["run", "--help"])
+        assert err.value.code == 0
+        shown = [line.split()[0] for line in capsys.readouterr().out.splitlines()
+                 if line.startswith("  --")]
+        assert shown == flags
+
+    def test_flag_and_file_values_are_read_alike(self, tmp_path):
+        # a flag's string and a file's string go through the same conversion
+        settings = {"levels": "2", "beta": "9", "nu": "0.5", "tau": "4", "quad_points": "30",
+                    "eigen_levels": "1", "out_csv": "a.csv", "out_summary": "b.txt"}
+        path = tmp_path / "run.cfg"
+        path.write_text("".join(f"{key} = {value}\n" for key, value in settings.items()))
+        parser = argparse.ArgumentParser()
+        cli._add_run_flags(parser)
+        flags = [item for key, value in settings.items()
+                 for item in ("--" + key.replace("_", "-"), value)]
+        expected = RunConfig(levels=2, beta=9.0, nu=0.5, tau=4.0, quad_points=30,
+                             eigen_levels=1, out_csv="a.csv", out_summary="b.txt")
+        for argv in (flags, ["--config", str(path)]):
+            config = build_run_config(parser.parse_args(argv))
+            assert config == expected
+            assert [type(getattr(config, f.name)) for f in fields(RunConfig)] == [
+                type(f.default) for f in fields(RunConfig)]
+
+    @pytest.mark.parametrize("source", ["file", "flag"])
+    def test_bad_value_names_its_key(self, tmp_path, capsys, source):
+        # a file value that int() does not read used to print int()'s own
+        # message, which names no key, and a flag went through argparse,
+        # which printed its usage: both now end in "error: levels ..."
+        argv = ["run", "--eigen-levels", "0", "--out-csv", str(tmp_path / "b.csv"),
+                "--out-summary", str(tmp_path / "b.txt")]
+        if source == "file":
+            (tmp_path / "bad.cfg").write_text("levels = abc\n")
+            argv += ["--config", str(tmp_path / "bad.cfg")]
+        else:
+            argv += ["--levels", "abc"]
+        assert run_cli(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: levels") and "'abc'" in captured.err
+        assert captured.out == ""
+        assert sorted(path.name for path in tmp_path.iterdir()) == (
+            ["bad.cfg"] if source == "file" else [])
 
     def test_level_guard(self):
         # the settings carry the levels as given: `run_experiment`, which

@@ -143,6 +143,27 @@ def test_mismatched_system_is_rejected_before_the_factorization(level1_system, m
     assert len(factors) == 1
 
 
+@pytest.mark.parametrize("bad", ["complex", "nan", "inf"])
+@pytest.mark.parametrize("which", ["matrix", "right-hand side"])
+def test_system_rejects_values_it_cannot_factorize(monkeypatch, which, bad):
+    # a complex right-hand side gave two ComplexWarnings inside `solve` and
+    # then "coefficients must be real"; a nan in A or an inf in the
+    # right-hand side was factorized before the coefficients were refused:
+    # each now raises ValueError, named by its array, when the system is
+    # built, and no factorization runs
+    factors = []
+    monkeypatch.setattr(collocation, "cho_factor", lambda *args, **kwargs: factors.append(args))
+    spoil = {"complex": lambda v: v + 1e-3j, "nan": lambda v: np.where(v == 1, np.nan, v),
+             "inf": lambda v: np.where(v == 1, np.inf, v)}[bad]
+    small = LevelPointSet(interior=[(0.5, 0.5)], boundary=[(0.0, 0.5)])
+    arrays = {"matrix": np.eye(4), "right-hand side": np.ones(4)}
+    arrays[which] = spoil(arrays[which])
+    with pytest.raises(ValueError, match=which):
+        solve(CollocationSystem(matrix=arrays["matrix"], rhs=arrays["right-hand side"],
+                                pointset=small, kernel=None))
+    assert not factors
+
+
 @pytest.mark.parametrize("bad", ["three columns", "complex", "nan", "one column"])
 @pytest.mark.parametrize("which", ["f_data", "g_data"])
 def test_assemble_rejects_data_it_cannot_use(level1_system, problem, which, bad):

@@ -274,6 +274,25 @@ def test_buffer_pool_reuses_only_unreferenced_buffers():
         (2, page), bool, (4, 4), float)
 
 
+def test_pool_buffers_are_not_views_of_an_array():
+    # the pool tells an idle buffer by its refcount, which holds only while
+    # a buffer's base is not an ndarray: numpy points a view's base at the
+    # array that owns the memory, so a buffer sliced from one array would
+    # not be referenced by the arrays handed out of it, and would look idle
+    # while in use.  Every buffer, after several carves and a reuse, is the
+    # base of the arrays handed out of it and has a base that is no ndarray
+    page = mmap.PAGESIZE // 8
+    pool = BufferPool()
+    handed = [pool.empty((k, page)) for k in (1, 3, 2)]
+    del handed[1]
+    handed += [pool.empty((2, page), np.int64), pool.empty((4, 4))]
+    assert len(pool._buffers) == 4 and handed[2].base is pool._buffers[1]  # a reuse
+    for a in handed:
+        assert any(a.base is buf for buf in pool._buffers)
+    for buf in pool._buffers:
+        assert not isinstance(buf.base, np.ndarray)
+
+
 def test_pool_starts_each_map_on_a_huge_page(monkeypatch):
     # a map whose length is no multiple of 2 MB, as a buffer larger than
     # `_MAP_BYTES` opens, need not start on a huge page (recent Linux aligns

@@ -5,17 +5,23 @@ are meant to hold.  For each, the script copies the tree next to this
 script to a temporary directory, applies the edit there and runs the
 tier-1 tests with ``-x``: the mutant is killed when the run fails (the
 first failing test is printed as its killer) and survives when it
-passes.  The unmutated copy is run first and must pass.
+passes.  A mutant may name the test meant to see it (``killer``, a pytest
+node id): that test alone is then also run on the mutated copy, and must
+fail, so that a mutant that a resource guard stops first still shows
+whether its behaviour test sees it.  The unmutated copy is run first and
+must pass.
 
     python tools/check_mutants.py            # every mutant
     python tools/check_mutants.py NAME ...   # the mutants of these names
 
 Exits 1 when a mutant survives that is not marked equivalent with a
-reason, or when a mutant's text no longer occurs exactly once in its file
-(the source moved on and the mutant must be rewritten), and 2 when the
-unmutated tree fails.  Each run takes about as long as tier-1 (~45 s on
-a 2-core x86_64 VM); a killed mutant stops at its first failure.  Uses the standard library
-only, and is not collected by the tests.
+reason, when its named killer passes on it (or is not found), or when a
+mutant's text no longer occurs exactly once in its file (the source moved
+on and the mutant must be rewritten), and 2 when the unmutated tree fails.
+Each run takes about as long as tier-1 (~45 s on a 2-core x86_64 VM); a
+killed mutant stops at its first failure, and a named killer runs in a
+few seconds.  Uses the standard library only, and is not collected by the
+tests.
 """
 
 from __future__ import annotations
@@ -30,7 +36,8 @@ from pathlib import Path
 from typing import NamedTuple
 
 ROOT = Path(__file__).resolve().parent.parent
-TIER1 = ["-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", "--continue-on-collection-errors"]
+PYTEST = ["-m", "pytest", "-q", "-p", "no:cacheprovider"]
+TIER1 = [*PYTEST, "-x", "--continue-on-collection-errors"]
 TIMEOUT_S = 900
 
 
@@ -39,6 +46,7 @@ class Mutant(NamedTuple):
     path: str  # relative to the repository root
     old: str  # occurs exactly once in the file, within one line
     new: str
+    killer: str | None = None  # the test id that must fail on the mutant alone
     equivalent: str | None = None  # why a survivor changes no behaviour
 
 
@@ -54,6 +62,9 @@ MUTANTS = [
            "if None in tables and len(plan.slabs) > 1:", "if False:"),
     Mutant("assemble-data-no-shape-test", "src/stokesrbf/collocation.py",
            "if vals.shape != (len(points), 2):", "if False:"),
+    Mutant("system-takes-any-rhs", "src/stokesrbf/collocation.py",
+           'rhs = real_finite(rhs, "right-hand side")', "pass",
+           killer="tests/test_collocation.py::test_system_rejects_values_it_cannot_factorize"),
     Mutant("columns-count-never-raises", "src/stokesrbf/radial.py",
            "if not 0 < len(points) == len(scale):", "if False:"),
     # the refinement, the mirror pairs, the sums and the column plan
@@ -76,6 +87,9 @@ MUTANTS = [
            "local = threading.local()", "local = _run_slabs"),
     Mutant("pool-idle-off-by-one", "src/stokesrbf/radial.py",
            "sys.getrefcount(buf) == _IDLE_REFS", "sys.getrefcount(buf) <= _IDLE_REFS + 1"),
+    Mutant("pool-buffer-sliced-from-an-array", "src/stokesrbf/radial.py",
+           "np.uint8, size, start)", "np.uint8)[start:start + size]",
+           killer="tests/test_radial.py::test_pool_buffers_are_not_views_of_an_array"),
     # the input rules of `geometry`
     Mutant("real-finite-takes-complex", "src/stokesrbf/geometry.py",
            "if np.iscomplexobj(values):", "if False:"),
@@ -103,7 +117,8 @@ MUTANTS = [
     Mutant("distinct-by-value", "src/stokesrbf/radial.py",
            "keys = [key.view(np.int64) for key in keys]", "keys = list(keys)"),
     Mutant("call-tables-on-a-copy", "src/stokesrbf/collocation.py",
-           "x, of_set.keys,", "x + 0.0, of_set.keys,"),
+           "x, of_set.keys,", "x + 0.0, of_set.keys,",
+           killer="tests/test_collocation.py::test_call_tables_keep_the_signed_zeros_of_the_batch"),
     Mutant("call-tables-of-any-size", "src/stokesrbf/radial.py",
            "if 2 * len(distinct) * len(cols) > block_rows * len(self.points):", "if False:"),
     Mutant("lattice-stride-2n+1", "src/stokesrbf/collocation.py",
@@ -149,6 +164,11 @@ MUTANTS = [
            "2 if eigen_levels >= config.n_levels else 1", "1"),
     Mutant("cli-output-directory-unchecked", "src/stokesrbf/cli.py",
            "if not os.path.isdir(folder):", "if False:"),
+    Mutant("cli-flag-values-unconverted", "src/stokesrbf/cli.py",
+           "setattr(config, field.name, kind(value))",
+           "setattr(config, field.name, value if value is getattr(args, field.name, None) "
+           "else kind(value))",
+           killer="tests/test_cli.py::TestConfigParsing::test_flag_and_file_values_are_read_alike"),
     # the published quantities
     Mutant("norms-without-root", "src/stokesrbf/analysis.py",
            "return float(np.sqrt(np.sum(w * sq))), float(np.max(np.sqrt(sq)))",
@@ -167,22 +187,23 @@ _IGNORE = shutil.ignore_patterns(".git", "__pycache__", ".pytest_cache", ".hypot
                                  ".benchmarks", "out")
 
 
-def run_tier1(tree: Path) -> tuple[bool, str, float]:
-    """(passed, first failing test or "", seconds) of tier-1 on ``tree``."""
+def run_tests(tree: Path, args: list[str]) -> tuple[int | None, str, float]:
+    """(exit status or None on a timeout, first failing test or "", seconds)
+    of pytest ``args`` on ``tree``; pytest exits 1 when a test failed."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(tree / "src"),
                                                       env.get("PYTHONPATH")]))
     start = time.perf_counter()
     try:
-        done = subprocess.run([sys.executable, *TIER1], cwd=tree, env=env, text=True,
+        done = subprocess.run([sys.executable, *args], cwd=tree, env=env, text=True,
                               stdout=subprocess.PIPE, stderr=subprocess.STDOUT,
                               timeout=TIMEOUT_S)
     except subprocess.TimeoutExpired:
-        return False, f"timed out after {TIMEOUT_S} s", time.perf_counter() - start
+        return None, f"timed out after {TIMEOUT_S} s", time.perf_counter() - start
     failed = [line for line in done.stdout.splitlines() if line.startswith(("FAILED", "ERROR"))]
     last = (done.stdout.strip().splitlines() or [f"exit status {done.returncode}"])[-1]
     first = failed[0].split(" - ")[0] if failed else ("" if done.returncode == 0 else last)
-    return done.returncode == 0, first, time.perf_counter() - start
+    return done.returncode, first, time.perf_counter() - start
 
 
 def apply(tree: Path, mutant: Mutant) -> None:
@@ -206,10 +227,10 @@ def main(names: list[str]) -> int:
     with tempfile.TemporaryDirectory(prefix="mutants-") as workdir:
         base = Path(workdir) / "base"
         shutil.copytree(ROOT, base, ignore=_IGNORE)
-        passed, first, seconds = run_tier1(base)
-        print(f"unmutated  {'passed' if passed else 'FAILED: ' + first}  ({seconds:.0f} s)",
+        code, first, seconds = run_tests(base, TIER1)
+        print(f"unmutated  {'passed' if code == 0 else 'FAILED: ' + first}  ({seconds:.0f} s)",
               flush=True)
-        if not passed:
+        if code != 0:
             return 2
         for mutant in chosen:
             tree = Path(workdir) / mutant.name
@@ -220,14 +241,22 @@ def main(names: list[str]) -> int:
                 print(f"stale      {exc}", flush=True)
                 status = 1
                 continue
-            passed, first, seconds = run_tier1(tree)
-            if not passed:
+            code, first, seconds = run_tests(tree, TIER1)
+            if code != 0:
                 print(f"killed     {mutant.name}  by {first}  ({seconds:.0f} s)", flush=True)
             elif mutant.equivalent:
                 print(f"equivalent {mutant.name}: {mutant.equivalent}", flush=True)
             else:
                 print(f"SURVIVED   {mutant.name}  ({seconds:.0f} s)", flush=True)
                 status = 1
+            if mutant.killer:
+                code, _, seconds = run_tests(tree, [*PYTEST, mutant.killer])
+                if code != 1:  # passed, or found no such test
+                    print(f"MISSED     {mutant.name}  by its killer {mutant.killer} "
+                          f"(pytest exit status {code})", flush=True)
+                    status = 1
+                else:
+                    print(f"           and by its killer alone  ({seconds:.0f} s)", flush=True)
             shutil.rmtree(tree)
     return status
 
